@@ -16,7 +16,8 @@ while everything else holds still.
 import numpy as np
 
 from sparsegt.rngutil import derive
-from sparsegt.sampling import reservoir_sample
+from sparsegt.sampling import (ScoreLayer, ScoreSet, reservoir_sample,
+                               sample_batch)
 
 W = np.array([0.5, 0.3, 0.2])
 
@@ -49,11 +50,13 @@ def main():
     print(f"and consumes no randomness: next draws match, "
           f"{twin_a.random():.6f} == {twin_b.random():.6f}")
 
-    draws = [np.sort(reservoir_sample(W, 2, derive(0, 3, epoch, 42)))
-             for epoch in range(6)]
+    # batch plans draw the same law from the counter-based plan stream
+    one_row = ScoreSet(n=3, layers=(ScoreLayer(
+        row_ptr=np.array([0, 3, 3, 3]), col_idx=np.arange(3), values=W),))
     print("\nsame node across epochs (seed and node fixed, epoch varies):")
-    for epoch, d in enumerate(draws):
-        print(f"  epoch {epoch}: kept {d}")
+    for epoch in range(6):
+        plan = sample_batch(np.array([0]), one_row, (2,), seed=0, epoch=epoch)
+        print(f"  epoch {epoch}: kept {plan.layers[0].key_global[0]}")
 
 
 if __name__ == "__main__":

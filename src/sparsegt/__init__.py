@@ -28,9 +28,8 @@ from .pipeline import (EstimatorResult, FinalResult, TrainConfig, edge_percent,
 from .sampling import (BatchPlan, SampleStats, ScoreLayer, ScoreSet,
                        attach_types, load_scores_npz, load_scores_text,
                        plan_geometries, prefilter_topk, reservoir_sample,
-                       reservoir_sample_many, resample_epoch, sample_batch,
-                       save_scores_npz, save_scores_text, uniform_scores,
-                       validate_scores)
+                       resample_epoch, sample_batch, save_scores_npz,
+                       save_scores_text, uniform_scores, validate_scores)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -32,8 +32,8 @@ from .errors import (ContractError, DivergenceError, ExpanderGapError,
 from .graphs import (TEST, TRAIN, VAL, augment, build_expander, load_pattern,
                      save_expander, save_pattern)
 from .numerics import load_checkpoint
-from .pipeline import (TrainConfig, config_from_dict, predict, resolve_task,
-                       train_estimator, train_final)
+from .pipeline import (TrainConfig, config_from_dict, final_sampler, predict,
+                       resolve_task, train_estimator, train_final)
 from .sampling import load_scores_npz, validate_scores
 
 
@@ -210,9 +210,12 @@ def _cmd_predict(args) -> int:
     net.load_state_dict(load_checkpoint(run_dir / "ckpt" / "final.ckpt"))
     nodes = {"all": np.arange(g.n), "train": g.split_idx(TRAIN),
              "val": g.split_idx(VAL), "test": g.split_idx(TEST)}[args.nodes]
-    probs, preds = predict(net, g.features, scores, cfg.degs, nodes,
+    eff_scores, mode, k_prime = final_sampler(cfg, scores)
+    probs, preds = predict(net, g.features, eff_scores, cfg.degs, nodes,
                            seed=args.seed, n_samples=args.samples,
-                           batch_size=cfg.batch_size, loss_name=loss_name)
+                           batch_size=cfg.batch_size, mode=mode,
+                           k_prime=k_prime, tail_eps=cfg.tail_eps,
+                           loss_name=loss_name)
     probs2 = probs.reshape(nodes.size, -1)
     with open(out / "predictions.csv", "w") as fh:
         width = probs2.shape[1]

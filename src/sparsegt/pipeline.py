@@ -10,8 +10,8 @@ flavor, value normalization, temperature) is decided here, not by the
 caller.
 
 Runs are deterministic in ``cfg.seed``: initialization, epoch shuffles,
-per-query sampling draws and dropout masks all derive from it through
-disjoint tagged streams.  When a run directory is given, each trainer
+plan sampling draws and dropout masks all derive from it through disjoint
+tagged streams (see ``rngutil``).  When a run directory is given, each trainer
 leaves behind config.json, history.csv, a checkpoint and metrics.json
 so a finished run can be inspected or resumed without the Python objects.
 """
@@ -30,9 +30,9 @@ from .attention import (ModelConfig, Network, TemperatureSchedule,
 from .errors import ContractError, DivergenceError
 from .graphs import TEST, TRAIN, VAL, AttentionPattern, Graph
 from .rngutil import TAG_DROPOUT, TAG_PREDICT, TAG_VAL, derive
-from .sampling import (SampleStats, ScoreLayer, ScoreSet, plan_geometries,
-                       resample_epoch, sample_batch, save_scores_npz,
-                       scores_from_padded, validate_scores)
+from .sampling import (SampleStats, ScoreSet, plan_geometries, resample_epoch,
+                       sample_batch, save_scores_npz, scores_from_padded,
+                       uniform_scores, validate_scores)
 
 _DTYPES = {"float32": np.float32, "float64": np.float64}
 _LOSSES = ("auto", "ce", "bce", "multilabel")
@@ -334,12 +334,7 @@ def train_final(graph: Graph, scores: ScoreSet, cfg: TrainConfig,
     if train_idx.size == 0:
         raise ContractError("no training nodes in the split")
 
-    eff_scores = _uniform_like(scores) if cfg.ablation == "uniform" else scores
-    mode = "top" if cfg.ablation == "max" else "sample"
-    k_prime = None
-    if (cfg.prefilter and mode == "sample" and cfg.ablation != "uniform"
-            and not cfg.full_graph):
-        k_prime = 4 * max(cfg.degs)
+    eff_scores, mode, k_prime = final_sampler(cfg, scores)
     stats = SampleStats()
 
     history = []
@@ -411,6 +406,23 @@ def train_final(graph: Graph, scores: ScoreSet, cfg: TrainConfig,
     return result
 
 
+def final_sampler(cfg: TrainConfig, scores: ScoreSet):
+    """(scores, mode, k_prime) that a final run with ``cfg`` samples by.
+
+    The uniform ablation samples uniform rows over the same support, the
+    max ablation selects the top-deg scores instead of drawing, and
+    otherwise the prefilter keeps the top 4*max(degs) scores of each row.
+    Training, evaluation and predicting from a finished run all use it.
+    """
+    eff_scores = uniform_scores(scores) if cfg.ablation == "uniform" else scores
+    mode = "top" if cfg.ablation == "max" else "sample"
+    k_prime = None
+    if (cfg.prefilter and mode == "sample" and cfg.ablation != "uniform"
+            and not cfg.full_graph):
+        k_prime = 4 * max(cfg.degs)
+    return eff_scores, mode, k_prime
+
+
 def _sampled_epoch(net, opt, x, scores, labels, train_idx, loss_name, cfg,
                    epoch, mode, k_prime, stats) -> float:
     plans = resample_epoch(scores, cfg.degs, train_idx, cfg.batch_size,
@@ -465,9 +477,9 @@ def _eval_sampled(net, x, scores, cfg, nodes, loss_name, epoch, tag, mode,
                   k_prime) -> np.ndarray:
     """Eval-mode probabilities for ``nodes``, chunked at the batch size.
 
-    Every chunk passes batch_index 0: each query node draws from its own
-    (seed, tag, epoch, node) stream, so the result is identical however
-    the nodes are chunked.
+    Every chunk passes batch_index 0: each query node's draws are keyed by
+    (seed, tag, epoch, layer, node) alone, so the result is identical
+    however the nodes are chunked.
     """
     out = []
     with nm.no_grad():
@@ -538,17 +550,6 @@ def edge_percent(scores: ScoreSet, degs) -> float:
     if total == 0:
         raise ContractError("empty pattern")
     return 100.0 * covered / total
-
-
-def _uniform_like(scores: ScoreSet) -> ScoreSet:
-    """Same support, every row uniform: the score-free sampling baseline."""
-    layers = []
-    for sl in scores.layers:
-        lengths = np.diff(sl.row_ptr)
-        vals = 1.0 / np.repeat(lengths, lengths).astype(np.float64)
-        layers.append(ScoreLayer(row_ptr=sl.row_ptr, col_idx=sl.col_idx,
-                                 values=vals, edge_type=sl.edge_type))
-    return ScoreSet(n=scores.n, layers=tuple(layers))
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,11 @@ needs, each query samples deg_l keys from its score row, and the union
 becomes the support the layer below must produce.  The geometry is
 padded to fixed degree so the whole batch runs as dense batched matmuls;
 pad slots point at the query's own self-loop entry and are masked out of
-the softmax.  Every query draws from a stream derived from (seed, epoch,
-batch, node), so plans are reproducible no matter how rows are visited.
+the softmax.  A layer's query rows are gathered, prefiltered and drawn in
+one vectorized pass; each score entry's uniform is the counter-based hash
+``rngutil.counter_uniform`` of (seed, tag, epoch, batch, layer, node, CSR
+slot), so plans are reproducible no matter how rows are visited, and a
+node that queries two layers draws independently in each.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 from .attention import LayerGeometry
 from .errors import ContractError, FormatError, ShapeError
 from .graphs import AttentionPattern, EdgeType
-from .rngutil import TAG_SAMPLE, TAG_SHUFFLE, derive
+from .rngutil import TAG_SAMPLE, TAG_SHUFFLE, counter_uniform, derive
 
 
 # ---------------------------------------------------------------------------
@@ -93,8 +96,12 @@ def scores_from_padded(pattern: AttentionPattern, padded) -> ScoreSet:
     return ScoreSet(n=pattern.n, layers=tuple(layers))
 
 
-def uniform_scores(pattern: AttentionPattern) -> ScoreSet:
-    """Every row uniform over its support; the sampling ablation baseline."""
+def uniform_scores(pattern: AttentionPattern | ScoreSet) -> ScoreSet:
+    """Every row uniform over its support; the sampling ablation baseline.
+
+    Takes a pattern or a ScoreSet with edge types; the result keeps the
+    support and the types.
+    """
     layers = []
     for layer in pattern.layers:
         lengths = np.diff(layer.row_ptr)
@@ -193,6 +200,9 @@ def load_scores_npz(path) -> ScoreSet:
 
 # ---------------------------------------------------------------------------
 # Reservoir sampling
+#
+# Rows are processed in bulk, laid end to end as (row id, slot) pairs with
+# row ids ascending; one segment-wise sort then selects in every row.
 
 
 @dataclass
@@ -205,14 +215,73 @@ class SampleStats:
     prefilter_kept_full: int = 0
 
 
+def _segments(lengths: np.ndarray):
+    """Row id and within-row slot of every entry of rows laid end to end."""
+    row = np.repeat(np.arange(lengths.size), lengths)
+    slot = np.arange(row.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return row, slot
+
+
+def _top_per_row(row, slot, k: int, key) -> np.ndarray:
+    """Mask of the k entries of each row smallest by ``key``; ties go to
+    the lower slot.
+
+    Ranking the keys once turns the row-major order into a stable sort of
+    the integers row * size + rank.  Rows stay in place, so the slot of a
+    sorted position is the within-row rank of the entry that lands there.
+    """
+    _, rank = np.unique(key, return_inverse=True)
+    order = np.argsort(row * row.size + rank, kind="stable")
+    keep = np.empty(row.size, dtype=bool)
+    keep[order] = slot < k
+    return keep
+
+
+# past every positive score's race time: |log w| < 745 for float64 w > 0
+_NEVER = 2048.0
+
+
+def _reservoir_select(row, slot, k: int, w, u) -> np.ndarray:
+    """Efraimidis-Spirakis selection in every row, as exponential races.
+
+    Entry i finishes at E_i / w_i with E_i = -log(u_i) ~ Exp(1), and the
+    first k finishers win: the same order as the keys log(u_i)/w_i,
+    largest first.  Times are compared in log space so that no score
+    overflows them.  A zero score never finishes: it lands after every
+    positive one and completes k only when positives run out, in the
+    order of its own E, i.e. uniformly, so an all-zero row becomes a
+    uniform draw.  Rows of at most k entries are kept whole.
+    """
+    log_e = np.log(-np.log(u))
+    positive = w > 0
+    finish = np.where(positive, log_e - np.log(np.where(positive, w, 1.0)),
+                      _NEVER + log_e)
+    return _top_per_row(row, slot, k, finish)
+
+
+def _prefilter(row, slot, lengths, w, k_prime: int, tail_eps: float):
+    """Top-k' truncation of every row at once, ties to the lower index.
+
+    Returns the mask of entries to keep and two per-row flags: truncation
+    refused because it would drop more than ``tail_eps`` of the row's mass
+    (the row is kept whole), and truncation applied.
+    """
+    keep = _top_per_row(row, slot, k_prime, -w)
+    total = np.bincount(row, weights=w, minlength=lengths.size)
+    kept = np.bincount(row, weights=np.where(keep, w, 0.0), minlength=lengths.size)
+    long_row = lengths > k_prime
+    kept_full = long_row & (total > 0) & (total - kept > tail_eps * total)
+    return keep | kept_full[row], kept_full, long_row & ~kept_full
+
+
 def reservoir_sample(scores, k: int, rng: np.random.Generator,
                      stats: SampleStats | None = None) -> np.ndarray:
-    """k distinct indices, inclusion biased by score.
+    """k distinct indices of one score row, inclusion biased by score.
 
-    Key log(u)/a, take the k largest; a zero score maps to -inf so such
-    entries lose to every positive one and are only used to complete k
-    when positives run out.  An all-zero row falls back to uniform
-    sampling and is counted in ``stats``.
+    The single-row entry to the selection ``sample_batch`` runs, fed by
+    ``rng`` instead of the plan stream: key log(u)/a, the k largest win.
+    An all-zero row falls back to a uniform draw and is counted in
+    ``stats``.  A row of at most k entries draws nothing.
     """
     w = np.asarray(scores, dtype=np.float64)
     if k <= 0:
@@ -225,61 +294,26 @@ def reservoir_sample(scores, k: int, rng: np.random.Generator,
         stats.rows_sampled += 1
     if k >= w.size:
         return np.arange(w.size, dtype=np.int64)
-    positive = w > 0
-    npos = int(positive.sum())
-    if npos == 0:
-        if stats is not None:
-            stats.uniform_fallbacks += 1
-        return np.sort(rng.choice(w.size, size=k, replace=False)).astype(np.int64)
-    u = rng.random(w.size)
-    # subnormal scores overflow the key to -inf, which is the right limit
-    with np.errstate(divide="ignore", over="ignore"):
-        keys = np.where(positive, np.log(u) / np.where(positive, w, 1.0), -np.inf)
-    if k <= npos:
-        idx = np.argpartition(keys, w.size - k)[w.size - k:]
-        return np.sort(idx).astype(np.int64)
-    # not enough positive entries: keep them all, fill uniformly from the rest
-    fill = rng.choice(np.flatnonzero(~positive), size=k - npos, replace=False)
-    return np.sort(np.concatenate([np.flatnonzero(positive), fill])).astype(np.int64)
-
-
-def reservoir_sample_many(scores, k: int, rng: np.random.Generator,
-                          draws: int) -> np.ndarray:
-    """(draws, k) independent reservoir samples of one row, vectorized.
-
-    Same key law as ``reservoir_sample``; requires at least k positive
-    scores so no completion path is needed.
-    """
-    w = np.asarray(scores, dtype=np.float64)
-    if int((w > 0).sum()) < k:
-        raise ContractError("vectorized sampling needs k positive scores")
-    u = rng.random((draws, w.size))
-    with np.errstate(divide="ignore", over="ignore"):
-        keys = np.log(u) / np.where(w > 0, w, np.nan)
-    keys = np.where(w > 0, keys, -np.inf)
-    idx = np.argpartition(keys, w.size - k, axis=1)[:, w.size - k:]
-    return np.sort(idx, axis=1).astype(np.int64)
+    if stats is not None and not (w > 0).any():
+        stats.uniform_fallbacks += 1
+    row, slot = _segments(np.array([w.size]))
+    return np.flatnonzero(_reservoir_select(row, slot, k, w, rng.random(w.size)))
 
 
 def prefilter_topk(scores, k_prime: int, tail_eps: float = 0.05):
-    """Indices of the top k' scores (ties to the lower index), or the full
-    row when truncation would drop more than ``tail_eps`` of the mass.
+    """Indices of the top k' scores of one row (ties to the lower index),
+    or the full row when truncation would drop more than ``tail_eps`` of
+    the mass.  The single-row entry to the prefilter ``sample_batch`` runs.
 
     Returns (indices, kept_full).
     """
     w = np.asarray(scores, dtype=np.float64)
     if k_prime <= 0:
         raise ContractError(f"k_prime must be positive, got {k_prime}")
-    if w.size <= k_prime:
-        return np.arange(w.size, dtype=np.int64), False
-    # stable selection: sort by (-value, index) and cut
-    order = np.lexsort((np.arange(w.size), -w))
-    keep = np.sort(order[:k_prime]).astype(np.int64)
-    total = w.sum()
-    dropped = total - w[keep].sum()
-    if total > 0 and dropped > tail_eps * total:
-        return np.arange(w.size, dtype=np.int64), True
-    return keep, False
+    lengths = np.array([w.size])
+    row, slot = _segments(lengths)
+    keep, kept_full, _ = _prefilter(row, slot, lengths, w, k_prime, tail_eps)
+    return np.flatnonzero(keep), bool(kept_full[0])
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +377,8 @@ def sample_batch(seeds, scores: ScoreSet, degs, seed: int, epoch: int,
         raise ContractError("degree budgets must be positive")
     if mode not in ("sample", "top"):
         raise ContractError(f"unknown mode {mode!r}")
+    if mode == "sample" and k_prime is not None and k_prime <= 0:
+        raise ContractError(f"k_prime must be positive, got {k_prime}")
     if stats is None:
         stats = SampleStats()
 
@@ -350,42 +386,9 @@ def sample_batch(seeds, scores: ScoreSet, degs, seed: int, epoch: int,
     rev = []
     q_nodes = seeds
     for li in range(num_layers - 1, -1, -1):
-        deg = degs[li]
-        layer = scores.layers[li]
-        nq = q_nodes.shape[0]
-        key_global = np.repeat(q_nodes[:, None], deg, axis=1).copy()
-        mask = np.zeros((nq, deg), dtype=np.float64)
-        typ = np.full((nq, deg), int(EdgeType.SELF_LOOP), dtype=np.int64)
-        for qi, node in enumerate(q_nodes):
-            cols, vals = layer.row(int(node))
-            if cols.size == 0:
-                raise ContractError(f"node {node} has an empty score row")
-            types_row = (layer.edge_type[layer.row_ptr[node]:layer.row_ptr[node + 1]]
-                         if layer.edge_type is not None else None)
-            if k_prime is not None and mode == "sample":
-                keep, kept_full = prefilter_topk(vals, k_prime, tail_eps)
-                if kept_full:
-                    stats.prefilter_kept_full += 1
-                elif keep.size < cols.size:
-                    stats.prefilter_truncated += 1
-                cols, vals = cols[keep], vals[keep]
-                if types_row is not None:
-                    types_row = types_row[keep]
-            if mode == "top":
-                take = _top_indices(vals, deg)
-                stats.rows_sampled += 1
-            elif deg >= cols.size:
-                # full row, no draw: full-degree plans involve no randomness
-                take = np.arange(cols.size, dtype=np.int64)
-                stats.rows_sampled += 1
-            else:
-                rng = derive(seed, tag, epoch, batch_index, int(node))
-                take = reservoir_sample(vals, deg, rng, stats=stats)
-            chosen = cols[take]
-            key_global[qi, :chosen.size] = chosen
-            mask[qi, :chosen.size] = 1.0
-            if types_row is not None:
-                typ[qi, :chosen.size] = types_row[take]
+        key_global, mask, typ = _sample_layer(
+            scores.layers[li], q_nodes, degs[li], mode, k_prime, tail_eps,
+            stats, (seed, tag, epoch, batch_index, li))
         v_nodes = np.union1d(q_nodes, key_global[mask > 0])
         rev.append((q_nodes, v_nodes, key_global, mask, typ))
         q_nodes = v_nodes
@@ -402,11 +405,53 @@ def sample_batch(seeds, scores: ScoreSet, degs, seed: int, epoch: int,
     return BatchPlan(seeds=seeds, degs=degs, layers=tuple(layers), stats=stats)
 
 
-def _top_indices(vals: np.ndarray, deg: int) -> np.ndarray:
-    if deg >= vals.size:
-        return np.arange(vals.size, dtype=np.int64)
-    order = np.lexsort((np.arange(vals.size), -vals))
-    return np.sort(order[:deg]).astype(np.int64)
+def _sample_layer(layer: ScoreLayer, q_nodes, deg: int, mode: str, k_prime,
+                  tail_eps: float, stats: SampleStats, keys):
+    """(key_global, key_mask, key_type) blocks, (queries x deg), of one layer.
+
+    Every query row is gathered, prefiltered and selected in one pass.
+    The uniforms come from ``counter_uniform(keys, node, slot)``, ``slot``
+    being the entry's position in the node's full CSR row, so a row draws
+    the same keys whichever batch it is drawn in.  Top mode and rows that
+    fit the budget draw nothing.
+    """
+    nq = q_nodes.size
+    lo = layer.row_ptr[q_nodes]
+    lengths = layer.row_ptr[q_nodes + 1] - lo
+    if not lengths.all():
+        raise ContractError(f"node {q_nodes[np.argmin(lengths)]} has an empty score row")
+    row, slot = _segments(lengths)
+    pos = lo[row] + slot
+    w = layer.values[pos]
+    if w.size and w.min() < 0:
+        raise ContractError("negative score")
+    stats.rows_sampled += nq
+    if mode == "top":
+        take = _top_per_row(row, slot, deg, -w)
+    else:
+        csr_slot = slot
+        if k_prime is not None:
+            keep, kept_full, truncated = _prefilter(row, slot, lengths, w,
+                                                    k_prime, tail_eps)
+            stats.prefilter_kept_full += int(kept_full.sum())
+            stats.prefilter_truncated += int(truncated.sum())
+            row, csr_slot, pos, w = row[keep], slot[keep], pos[keep], w[keep]
+            lengths = np.bincount(row, minlength=nq)
+            _, slot = _segments(lengths)
+        positives = np.bincount(row, weights=w > 0, minlength=nq)
+        stats.uniform_fallbacks += int(((lengths > deg) & (positives == 0)).sum())
+        u = counter_uniform(keys, q_nodes[row], csr_slot)
+        take = _reservoir_select(row, slot, deg, w, u)
+
+    r, c = _segments(np.minimum(lengths, deg))
+    key_global = np.repeat(q_nodes[:, None], deg, axis=1)
+    key_global[r, c] = layer.col_idx[pos[take]]
+    mask = np.zeros((nq, deg), dtype=np.float64)
+    mask[r, c] = 1.0
+    typ = np.full((nq, deg), int(EdgeType.SELF_LOOP), dtype=np.int64)
+    if layer.edge_type is not None:
+        typ[r, c] = layer.edge_type[pos[take]]
+    return key_global, mask, typ
 
 
 def plan_geometries(plan: BatchPlan) -> list[LayerGeometry]:

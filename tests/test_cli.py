@@ -17,6 +17,7 @@ import pytest
 from sparsegt.cli import main
 from sparsegt.datasets import load_dataset
 from sparsegt.graphs import TEST
+from sparsegt.pipeline import metric_value
 from sparsegt.sampling import load_scores_npz, validate_scores
 
 GEN = ["--components", "4", "--component-size", "8", "--bridges", "1",
@@ -118,6 +119,31 @@ class TestWorkflow:
             assert int(cells[0]) == node
             assert cells[1] in ("0", "1")
             assert 0.0 <= float(cells[2]) <= 1.0
+
+
+    @pytest.mark.parametrize("ablation", ["none", "uniform", "max"])
+    def test_predict_reproduces_the_run_test_metric(self, ws, tmp_path,
+                                                    ablation):
+        # predict samples by the run's own law: the ablation's scores and
+        # mode, and the prefilter (k' = 4 at degree 1 cuts the rows)
+        fin, pred = str(tmp_path / "fin"), str(tmp_path / "pred")
+        assert main(["train-final", "--data", ws["data"], "--scores",
+                     ws["scores"], "--out", fin, "--width", "8", "--epochs",
+                     "4", "--degs", "1,1", "--batch-size", "16", "--seed",
+                     "3", "--eval-samples", "2", "--metric", "auc",
+                     "--ablation", ablation]) == 0
+        assert main(["predict", "--data", ws["data"], "--scores",
+                     ws["scores"], "--run", fin, "--out", pred, "--nodes",
+                     "test", "--samples", "2", "--seed", "3"]) == 0
+        g, _ = load_dataset(ws["data"])
+        with open(pred + "/predictions.csv") as fh:
+            rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+        nodes = np.array([int(r[0]) for r in rows])
+        probs = np.array([float(r[2]) for r in rows])
+        with open(fin + "/metrics.json") as fh:
+            expected = json.load(fh)["test_metric"]
+        got = metric_value("bce", "auc", probs, np.asarray(g.labels)[nodes])
+        assert got == pytest.approx(expected, abs=1e-9)
 
 
 class TestExitCodes:

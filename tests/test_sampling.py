@@ -8,7 +8,9 @@ derived by hand from sequential sampling without replacement,
 and those constants are frozen below.  The same law is also re-estimated
 inside the test by an independent two-step sequential sampler, so the
 reservoir implementation is checked against both the closed form and a
-second mechanism.
+second mechanism.  The batched plan sampler is checked against the same
+constants, and against the per-query loop it replaced (sampling_oracle)
+wherever the two must agree exactly.
 """
 
 import numpy as np
@@ -23,10 +25,12 @@ from sparsegt.rngutil import TAG_VAL, derive
 from sparsegt.sampling import (BatchPlan, SampleStats, ScoreLayer, ScoreSet,
                                attach_types, load_scores_npz, load_scores_text,
                                plan_geometries, prefilter_topk,
-                               reservoir_sample, reservoir_sample_many,
-                               resample_epoch, sample_batch, save_scores_npz,
-                               save_scores_text, scores_from_padded,
-                               uniform_scores, validate_scores)
+                               reservoir_sample, resample_epoch, sample_batch,
+                               save_scores_npz, save_scores_text,
+                               scores_from_padded, uniform_scores,
+                               validate_scores)
+from sampling_oracle import (prefilter_topk_loop, reservoir_sample_many,
+                             sample_batch_loop)
 
 W = np.array([0.5, 0.3, 0.2])
 # hand-derived k=2 inclusion law for W: 18/35, 13/40, 9/56
@@ -263,6 +267,35 @@ class TestBatchPlans:
         p2 = sample_batch(seeds, ss, (2, 2), seed=0, epoch=1, tag=TAG_VAL)
         assert self._masked_keys(p1) != self._masked_keys(p2)
 
+    def test_layers_draw_independently(self):
+        # node 0 queries both layers of identical score rows; shared draws
+        # would pick the same pair every time, independent ones agree with
+        # probability sum_pairs P(pair)^2 = 0.396
+        ss = _ring_scores()
+        epochs = 400
+        agree = 0
+        for epoch in range(epochs):
+            plan = sample_batch(np.array([0]), ss, (2, 2), seed=0, epoch=epoch)
+            rows = [pl.key_global[np.searchsorted(pl.q_nodes, 0)]
+                    for pl in plan.layers]
+            agree += set(rows[0]) == set(rows[1])
+        assert 0.25 < agree / epochs < 0.55
+
+    def test_row_draw_is_independent_of_its_batch(self):
+        # batch_index 0, as evaluation and predict pass it: a node's
+        # sampled row is the same in whichever chunk it is drawn
+        ss = _hub_scores(5)
+        nodes = derive(80, 1).permutation(ss.n)
+        rows = {}
+        for size in (1, 7, ss.n):
+            for start in range(0, ss.n, size):
+                plan = sample_batch(nodes[start:start + size], ss, (2, 3),
+                                    seed=1, epoch=3, k_prime=4)
+                for li, pl in enumerate(plan.layers):
+                    for qi, q in enumerate(pl.q_nodes):
+                        got = (tuple(pl.key_global[qi]), tuple(pl.key_mask[qi]))
+                        assert rows.setdefault((li, int(q)), got) == got
+
     def test_top_mode_is_deterministic_and_greedy(self):
         sl = ScoreLayer(row_ptr=np.array([0, 3, 6, 9]),
                         col_idx=np.tile([0, 1, 2], 3).astype(np.int64),
@@ -301,6 +334,13 @@ class TestBatchPlans:
             sample_batch(np.array([1]), ss, (2, 2), seed=0, epoch=1, mode="best")
         with pytest.raises(ContractError, match="nonempty"):
             sample_batch(np.array([], dtype=np.int64), ss, (2, 2), seed=0, epoch=1)
+        with pytest.raises(ContractError, match="k_prime"):
+            sample_batch(np.array([1]), ss, (2, 2), seed=0, epoch=1, k_prime=0)
+        neg = ScoreLayer(row_ptr=np.array([0, 3]), col_idx=np.arange(3),
+                         values=np.array([0.6, 0.5, -0.1]))
+        with pytest.raises(ContractError, match="negative"):
+            sample_batch(np.array([0]), ScoreSet(n=1, layers=(neg,)), (2,),
+                         seed=0, epoch=1)
 
     def test_empty_score_row_rejected(self):
         sl = ScoreLayer(row_ptr=np.array([0, 0, 1]),
@@ -309,6 +349,83 @@ class TestBatchPlans:
         ss = ScoreSet(n=2, layers=(sl,))
         with pytest.raises(ContractError, match="empty score row"):
             sample_batch(np.array([0]), ss, (1,), seed=0, epoch=1)
+
+
+# random typed supports: a few hub rows, some zero scores, rows of any length
+def _hub_scores(key, n=60, layers=2):
+    rng = derive(78, key)
+    out = []
+    for _ in range(layers):
+        rows = [np.unique(np.concatenate(
+            [[i], np.flatnonzero(rng.random(n) < (0.6 if i % 12 == 0 else 0.08))]))
+            for i in range(n)]
+        vals = [rng.dirichlet(np.full(r.size, 0.5)) for r in rows]
+        vals = [np.where(rng.random(v.size) < 0.2, 0.0, v) for v in vals]
+        lengths = np.array([r.size for r in rows])
+        out.append(ScoreLayer(
+            row_ptr=np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64),
+            col_idx=np.concatenate(rows).astype(np.int64),
+            values=np.concatenate(vals),
+            edge_type=rng.integers(0, 3, int(lengths.sum()))))
+    return ScoreSet(n=n, layers=tuple(out))
+
+
+def _assert_same_plan(a: BatchPlan, b: BatchPlan):
+    assert a.stats == b.stats
+    for x, y in zip(a.layers, b.layers):
+        for f in x.__dataclass_fields__:
+            np.testing.assert_array_equal(getattr(x, f), getattr(y, f), err_msg=f)
+
+
+class TestAgainstLoopOracle:
+    @pytest.mark.parametrize("mode,degs,k_prime", [
+        ("top", (3, 5), None),
+        ("top", (3, 5), 6),          # top mode ignores the prefilter
+        ("sample", (60, 60), None),  # full degree: every row fits
+        ("sample", (60, 60), 6),     # ...after prefiltering, too
+    ])
+    def test_plans_without_draws_are_identical(self, mode, degs, k_prime):
+        for key in range(6):
+            ss = _hub_scores(key)
+            seeds = derive(79, key).choice(ss.n, size=5 + key, replace=False)
+            kw = dict(seed=key, epoch=1, mode=mode, k_prime=k_prime,
+                      tail_eps=0.3)
+            _assert_same_plan(sample_batch(seeds, ss, degs, **kw),
+                              sample_batch_loop(seeds, ss, degs, **kw))
+
+    def test_prefilter_decisions_match_row_by_row(self):
+        ss = _hub_scores(3, layers=1)
+        layer = ss.layers[0]
+        decisions = set()
+        for node in range(ss.n):
+            _, vals = layer.row(node)
+            for k_prime in (1, 3, 6):
+                keep, full = prefilter_topk(vals, k_prime, tail_eps=0.3)
+                keep_o, full_o = prefilter_topk_loop(vals, k_prime, tail_eps=0.3)
+                np.testing.assert_array_equal(keep, keep_o)
+                assert full is full_o
+                a, b = SampleStats(), SampleStats()
+                kw = dict(seed=0, epoch=1, k_prime=k_prime, tail_eps=0.3)
+                sample_batch(np.array([node]), ss, (2,), stats=a, **kw)
+                sample_batch_loop(np.array([node]), ss, (2,), stats=b, **kw)
+                assert (a.prefilter_kept_full, a.prefilter_truncated) == \
+                    (b.prefilter_kept_full, b.prefilter_truncated)
+                decisions.add((a.prefilter_kept_full, a.prefilter_truncated))
+        assert decisions == {(0, 0), (1, 0), (0, 1)}
+
+    def test_batched_sampler_matches_pair_law(self):
+        sl = ScoreLayer(row_ptr=np.array([0, 3, 3, 3]),
+                        col_idx=np.arange(3, dtype=np.int64), values=W)
+        ss = ScoreSet(n=3, layers=(sl,))
+        draws = 20_000
+        pairs = np.empty((draws, 2), dtype=np.int64)
+        for epoch in range(draws):
+            pl = sample_batch(np.array([0]), ss, (2,), seed=4,
+                              epoch=epoch).layers[0]
+            pairs[epoch] = pl.key_global[0]
+        freq = TestReservoirLaw()._pair_freq(pairs, draws)
+        tv = 0.5 * sum(abs(freq[k] - PAIR_LAW[k]) for k in PAIR_LAW)
+        assert tv < 0.02, freq
 
 
 class TestResampleEpoch:
