@@ -23,13 +23,14 @@ from .graphs import (AttentionPattern, EdgeType, ExpanderGraph, Graph,
                      PatternLayer, augment, build_expander, edges_to_csr,
                      load_expander, load_graph, load_pattern, save_expander,
                      save_pattern, spectral_gap)
-from .pipeline import (EstimatorResult, FinalResult, TrainConfig, edge_percent,
-                       predict, train_estimator, train_final)
+from .pipeline import (EstimatorResult, FinalResult, TrainConfig,
+                       build_network, edge_percent, predict, train_estimator,
+                       train_final)
 from .sampling import (BatchPlan, SampleStats, ScoreLayer, ScoreSet,
-                       attach_types, load_scores_npz, load_scores_text,
-                       plan_geometries, prefilter_topk, reservoir_sample,
-                       resample_epoch, sample_batch, save_scores_npz,
-                       save_scores_text, uniform_scores, validate_scores)
+                       attach_types, load_scores_npz, plan_geometries,
+                       prefilter_topk, reservoir_sample, resample_epoch,
+                       sample_batch, save_scores_npz, uniform_scores,
+                       validate_scores)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

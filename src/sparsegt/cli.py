@@ -26,14 +26,13 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, datasets
-from .attention import ModelConfig, Network
 from .errors import (ContractError, DivergenceError, ExpanderGapError,
                      FormatError, ShapeError)
 from .graphs import (TEST, TRAIN, VAL, augment, build_expander, load_pattern,
                      save_expander, save_pattern)
 from .numerics import load_checkpoint
-from .pipeline import (TrainConfig, config_from_dict, final_sampler, predict,
-                       resolve_task, train_estimator, train_final)
+from .pipeline import (TrainConfig, build_network, config_from_dict,
+                       final_sampler, predict, train_estimator, train_final)
 from .sampling import load_scores_npz, validate_scores
 
 
@@ -200,13 +199,7 @@ def _cmd_predict(args) -> int:
     cfg = config_from_dict(stored)
     scores = load_scores_npz(args.scores)
     validate_scores(scores)
-    labels = np.asarray(g.labels)
-    loss_name, out_dim = resolve_task(labels, cfg.loss)
-    mcfg = ModelConfig(in_dim=g.features.shape[1], width=cfg.width,
-                       layers=cfg.layers, out_dim=out_dim, heads=cfg.heads,
-                       norm="batch", normalize_values=False, clip=cfg.clip,
-                       dropout=cfg.dropout, dtype=cfg.np_dtype)
-    net = Network(mcfg, seed=cfg.seed)
+    net, loss_name = build_network(g, cfg, "final")
     net.load_state_dict(load_checkpoint(run_dir / "ckpt" / "final.ckpt"))
     nodes = {"all": np.arange(g.n), "train": g.split_idx(TRAIN),
              "val": g.split_idx(VAL), "test": g.split_idx(TEST)}[args.nodes]
@@ -216,7 +209,7 @@ def _cmd_predict(args) -> int:
                            batch_size=cfg.batch_size, mode=mode,
                            k_prime=k_prime, tail_eps=cfg.tail_eps,
                            loss_name=loss_name)
-    probs2 = probs.reshape(nodes.size, -1)
+    probs2 = probs[:, None] if probs.ndim == 1 else probs
     with open(out / "predictions.csv", "w") as fh:
         width = probs2.shape[1]
         fh.write("node,pred," + ",".join(f"p{c}" for c in range(width)) + "\n")

@@ -451,15 +451,6 @@ def bce_with_logits(logits, targets) -> Tensor:
     return out
 
 
-def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Fraction of rows whose argmax (or thresholded sigmoid) hits the label."""
-    if logits.ndim == 2 and logits.shape[1] > 1:
-        pred = logits.argmax(axis=1)
-    else:
-        pred = (logits.reshape(-1) > 0).astype(np.int64)
-    return float((pred == labels.reshape(pred.shape)).mean())
-
-
 def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Binary AUC via the rank statistic; 0.5 when one class is absent."""
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)

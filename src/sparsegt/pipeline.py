@@ -6,14 +6,15 @@ out as per-layer sampling scores.  Phase two trains the full-width
 network on fixed-degree supports drawn from those scores, redrawing the
 supports every epoch so no neighbor is permanently hidden.  The phases
 share one ``TrainConfig``; what differs between them (normalization
-flavor, value normalization, temperature) is decided here, not by the
-caller.
+flavor, value normalization, dropout, temperature) is decided here, not by
+the caller.  Both run the same loop: train an epoch, score validation,
+keep the best state.
 
 Runs are deterministic in ``cfg.seed``: initialization, epoch shuffles,
 plan sampling draws and dropout masks all derive from it through disjoint
 tagged streams (see ``rngutil``).  When a run directory is given, each trainer
 leaves behind config.json, history.csv, a checkpoint and metrics.json
-so a finished run can be inspected or resumed without the Python objects.
+so a finished run can be inspected without the Python objects.
 """
 
 from __future__ import annotations
@@ -171,6 +172,81 @@ def metric_value(loss_name: str, metric: str, probs: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
+# What both phases share: the network, the update and the training loop
+
+
+def build_network(graph: Graph, cfg: TrainConfig, role: str):
+    """(untrained network, loss name) for the ``role`` phase of ``cfg``.
+
+    The estimator uses layer norm, length-normalized values (raw ones
+    under the no-vnorm ablation) and no dropout; the final network uses
+    batch norm, raw values and ``cfg.dropout``.  ``sparsegt predict``
+    rebuilds a finished run's network here before loading its checkpoint.
+    """
+    if role not in ("estimator", "final"):
+        raise ContractError(f"role must be estimator or final, got {role!r}")
+    loss_name, out_dim = resolve_task(graph.labels, cfg.loss)
+    estimator = role == "estimator"
+    mcfg = ModelConfig(in_dim=graph.features.shape[1], width=cfg.width,
+                       layers=cfg.layers, out_dim=out_dim, heads=cfg.heads,
+                       norm="layer" if estimator else "batch",
+                       normalize_values=estimator and cfg.ablation != "no-vnorm",
+                       clip=cfg.clip, dropout=0.0 if estimator else cfg.dropout,
+                       dtype=cfg.np_dtype)
+    return Network(mcfg, seed=cfg.seed), loss_name
+
+
+def _split_indices(graph: Graph):
+    train_idx = graph.split_idx(TRAIN)
+    if train_idx.size == 0:
+        raise ContractError("no training nodes in the split")
+    return train_idx, graph.split_idx(VAL), graph.split_idx(TEST)
+
+
+def _step(opt, loss, epoch: int) -> float:
+    """One update on ``loss``; returns the loss value.
+
+    A non-finite loss or update raises DivergenceError naming ``epoch``.
+    """
+    loss_val = float(loss.data)
+    if not np.isfinite(loss_val):
+        raise DivergenceError(f"non-finite loss at epoch {epoch}", epoch=epoch)
+    opt.zero_grad()
+    nm.backward(loss)
+    try:
+        opt.step(epoch)
+    except DivergenceError as exc:
+        raise DivergenceError(f"epoch {epoch}: {exc}", epoch=epoch) from None
+    return loss_val
+
+
+def _fit(net: Network, cfg: TrainConfig, loss_name: str, val_labels, run_epoch):
+    """Train ``net`` for ``cfg.epochs`` and leave it in its best state.
+
+    ``run_epoch(opt, epoch)`` trains one epoch and returns (loss,
+    validation probabilities, tau).  Returns (history, best epoch, best
+    validation metric, its tau); the metric stays -inf if no epoch ran.
+    """
+    history = []
+    best_val, best_epoch, best_tau = -np.inf, 0, 1.0
+    best_state = net.state_dict()
+    if cfg.epochs > 0:
+        sched = nm.CosineSchedule(cfg.lr, cfg.epochs, warmup=cfg.warmup)
+        opt = nm.AdamW(net.named_parameters(), sched, weight_decay=cfg.weight_decay)
+        for epoch in range(1, cfg.epochs + 1):
+            loss_val, val_probs, tau = run_epoch(opt, epoch)
+            val_m = (metric_value(loss_name, cfg.metric, val_probs, val_labels)
+                     if len(val_labels) else float("nan"))
+            history.append((epoch, loss_val, val_m, tau))
+            # without validation nodes the last epoch wins
+            if val_m > best_val or not len(val_labels):
+                best_val, best_epoch, best_tau = val_m, epoch, tau
+                best_state = net.state_dict()
+    net.load_state_dict(best_state)
+    return history, best_epoch, best_val, best_tau
+
+
+# ---------------------------------------------------------------------------
 # Phase one: the score estimator
 
 
@@ -202,56 +278,24 @@ def train_estimator(graph: Graph, pattern: AttentionPattern, cfg: TrainConfig,
     if cfg.layers != pattern.num_layers:
         raise ContractError(f"config says {cfg.layers} layers, "
                             f"pattern has {pattern.num_layers}")
+    net, loss_name = build_network(graph, cfg, "estimator")
+    train_idx, val_idx, test_idx = _split_indices(graph)
     labels = np.asarray(graph.labels)
-    loss_name, out_dim = resolve_task(labels, cfg.loss)
-    mcfg = ModelConfig(in_dim=graph.features.shape[1], width=cfg.width,
-                       layers=cfg.layers, out_dim=out_dim, heads=cfg.heads,
-                       norm="layer",
-                       normalize_values=cfg.ablation != "no-vnorm",
-                       clip=cfg.clip, dropout=0.0, dtype=cfg.np_dtype)
-    net = Network(mcfg, seed=cfg.seed)
-    geoms = [pattern_geometry(layer) for layer in pattern.layers]
     x = np.asarray(graph.features, dtype=cfg.np_dtype)
-    train_idx = graph.split_idx(TRAIN)
-    val_idx = graph.split_idx(VAL)
-    test_idx = graph.split_idx(TEST)
-    if train_idx.size == 0:
-        raise ContractError("no training nodes in the split")
+    geoms = [pattern_geometry(layer) for layer in pattern.layers]
     tsched = TemperatureSchedule(lam=cfg.lam, gamma=cfg.gamma)
 
-    history = []
-    best_val, best_epoch, best_tau = -np.inf, 0, 1.0
-    best_state = net.state_dict()
-    if cfg.epochs > 0:
-        sched = nm.CosineSchedule(cfg.lr, cfg.epochs, warmup=cfg.warmup)
-        opt = nm.AdamW(net.named_parameters(), sched, weight_decay=cfg.weight_decay)
-        for epoch in range(1, cfg.epochs + 1):
-            tau = 1.0 if cfg.ablation == "no-temp" else temperature_at(tsched, epoch)
-            opt.zero_grad()
-            logits, _ = net.forward(x, geoms, tau=tau, training=True)
-            loss = _loss_tensor(loss_name, nm.gather_rows(logits, train_idx),
-                                labels[train_idx])
-            loss_val = float(loss.data)
-            if not np.isfinite(loss_val):
-                raise DivergenceError(f"non-finite loss at epoch {epoch}", epoch=epoch)
-            nm.backward(loss)
-            try:
-                opt.step(epoch)
-            except DivergenceError as exc:
-                raise DivergenceError(f"epoch {epoch}: {exc}", epoch=epoch) from None
-            # layer norm and zero dropout make this forward valid for eval too
-            if val_idx.size:
-                val_probs = _probs_from_logits(loss_name, logits.data[val_idx])
-                val_m = metric_value(loss_name, cfg.metric, val_probs,
-                                     labels[val_idx])
-            else:
-                val_m = float("nan")
-            history.append((epoch, loss_val, val_m, tau))
-            # without validation nodes the last epoch wins
-            if val_m > best_val or val_idx.size == 0:
-                best_val, best_epoch, best_tau = val_m, epoch, tau
-                best_state = net.state_dict()
-    net.load_state_dict(best_state)
+    def run_epoch(opt, epoch):
+        tau = 1.0 if cfg.ablation == "no-temp" else temperature_at(tsched, epoch)
+        logits, _ = net.forward(x, geoms, tau=tau, training=True)
+        loss = _loss_tensor(loss_name, nm.gather_rows(logits, train_idx),
+                            labels[train_idx])
+        loss_val = _step(opt, loss, epoch)
+        # layer norm and zero dropout make this forward valid for eval too
+        return loss_val, _probs_from_logits(loss_name, logits.data[val_idx]), tau
+
+    history, best_epoch, best_val, best_tau = _fit(net, cfg, loss_name,
+                                                   labels[val_idx], run_epoch)
 
     with nm.no_grad():
         logits, padded = net.forward(x, geoms, tau=best_tau, training=False)
@@ -301,8 +345,9 @@ def train_final(graph: Graph, scores: ScoreSet, cfg: TrainConfig,
     patterns at the best validation state.  ``cfg.full_graph`` trains on
     the whole pattern instead (the sampling ablation's upper reference),
     still taking batch statistics over the training rows so the two modes
-    are comparable.  Legal ablations: none, uniform (ignore the scores),
-    max (top-deg selection instead of sampling).
+    are comparable; it attends over every entry, so its edge budget is
+    100%.  Legal ablations: none, uniform (ignore the scores), max
+    (top-deg selection instead of sampling).
     """
     if cfg.ablation not in ("none", "uniform", "max"):
         raise ContractError(f"final ablation must be none/uniform/max, "
@@ -314,84 +359,71 @@ def train_final(graph: Graph, scores: ScoreSet, cfg: TrainConfig,
         if sl.edge_type is None:
             raise ContractError(f"score layer {li + 1} lacks edge types; "
                                 "run attach_types first")
+    if (cfg.degs or not cfg.full_graph) and len(cfg.degs) != scores.num_layers:
+        raise ContractError(f"need {scores.num_layers} degree budgets, "
+                            f"got {len(cfg.degs)}")
     if not cfg.full_graph:
-        if len(cfg.degs) != scores.num_layers:
-            raise ContractError(f"need {scores.num_layers} degree budgets, "
-                                f"got {len(cfg.degs)}")
         validate_scores(scores)
-
+    net, loss_name = build_network(graph, cfg, "final")
+    train_idx, val_idx, test_idx = _split_indices(graph)
     labels = np.asarray(graph.labels)
-    loss_name, out_dim = resolve_task(labels, cfg.loss)
-    mcfg = ModelConfig(in_dim=graph.features.shape[1], width=cfg.width,
-                       layers=cfg.layers, out_dim=out_dim, heads=cfg.heads,
-                       norm="batch", normalize_values=False,
-                       clip=cfg.clip, dropout=cfg.dropout, dtype=cfg.np_dtype)
-    net = Network(mcfg, seed=cfg.seed)
     x = np.asarray(graph.features, dtype=cfg.np_dtype)
-    train_idx = graph.split_idx(TRAIN)
-    val_idx = graph.split_idx(VAL)
-    test_idx = graph.split_idx(TEST)
-    if train_idx.size == 0:
-        raise ContractError("no training nodes in the split")
-
-    eff_scores, mode, k_prime = final_sampler(cfg, scores)
     stats = SampleStats()
 
-    history = []
-    best_val, best_epoch = -np.inf, 0
-    best_state = net.state_dict()
-    if cfg.epochs > 0:
-        sched = nm.CosineSchedule(cfg.lr, cfg.epochs, warmup=cfg.warmup)
-        opt = nm.AdamW(net.named_parameters(), sched, weight_decay=cfg.weight_decay)
-        full_geoms = None
-        if cfg.full_graph:
-            full_geoms = [pattern_geometry(sl, stats_rows=train_idx)
-                          for sl in scores.layers]
-        for epoch in range(1, cfg.epochs + 1):
-            if cfg.full_graph:
-                epoch_loss = _full_graph_step(net, opt, x, full_geoms, labels,
-                                              train_idx, loss_name, cfg, epoch)
-                val_probs = _eval_full(net, x, full_geoms, loss_name, val_idx)
-            else:
-                epoch_loss = _sampled_epoch(net, opt, x, eff_scores, labels,
-                                            train_idx, loss_name, cfg, epoch,
-                                            mode, k_prime, stats)
-                val_probs = _eval_sampled(net, x, eff_scores, cfg, val_idx,
-                                          loss_name, epoch, TAG_VAL, mode, k_prime)
-            val_m = (metric_value(loss_name, cfg.metric, val_probs, labels[val_idx])
-                     if val_idx.size else float("nan"))
-            history.append((epoch, epoch_loss, val_m, 1.0))
-            # without validation nodes the last epoch wins
-            if val_m > best_val or val_idx.size == 0:
-                best_val, best_epoch = val_m, epoch
-                best_state = net.state_dict()
-    net.load_state_dict(best_state)
-
-    test_m = float("nan")
     if cfg.full_graph:
         geoms = [pattern_geometry(sl, stats_rows=train_idx) for sl in scores.layers]
-        if test_idx.size:
-            test_probs = _eval_full(net, x, geoms, loss_name, test_idx)
-            test_m = metric_value(loss_name, cfg.metric, test_probs,
-                                  labels[test_idx])
-        if best_val == -np.inf and val_idx.size:
-            best_val = metric_value(loss_name, cfg.metric,
-                                    _eval_full(net, x, geoms, loss_name, val_idx),
-                                    labels[val_idx])
+
+        def evaluate(nodes, epoch):     # the whole pattern draws nothing
+            with nm.no_grad():
+                logits, _ = net.forward(x, geoms, tau=1.0, training=False)
+            return _probs_from_logits(loss_name, logits.data[nodes])
+
+        def run_epoch(opt, epoch):
+            rng = derive(cfg.seed, TAG_DROPOUT, epoch) if cfg.dropout > 0 else None
+            logits, _ = net.forward(x, geoms, tau=1.0, training=True, dropout_rng=rng)
+            loss = _loss_tensor(loss_name, nm.gather_rows(logits, train_idx),
+                                labels[train_idx])
+            loss_val = _step(opt, loss, epoch)
+            return loss_val, evaluate(val_idx, epoch), 1.0
     else:
-        if test_idx.size:
+        eff_scores, mode, k_prime = final_sampler(cfg, scores)
+        law = dict(mode=mode, k_prime=k_prime, tail_eps=cfg.tail_eps)
+
+        def evaluate(nodes, epoch):
+            return _eval_sampled(net, x, eff_scores, cfg.degs, nodes, cfg.seed, epoch,
+                                 TAG_VAL, cfg.batch_size, loss_name=loss_name, **law)
+
+        def run_epoch(opt, epoch):
+            plans = resample_epoch(eff_scores, cfg.degs, train_idx, cfg.batch_size,
+                                   cfg.seed, epoch, stats=stats, **law)
+            total_loss, total_rows = 0.0, 0
+            for bi, plan in enumerate(plans):
+                rng = (derive(cfg.seed, TAG_DROPOUT, epoch, bi)
+                       if cfg.dropout > 0 else None)
+                logits, _ = net.forward(x[plan.input_nodes], plan_geometries(plan),
+                                        tau=1.0, training=True, dropout_rng=rng)
+                loss = _loss_tensor(loss_name, logits, labels[plan.seeds])
+                total_loss += _step(opt, loss, epoch) * plan.seeds.size
+                total_rows += plan.seeds.size
+            return total_loss / total_rows, evaluate(val_idx, epoch), 1.0
+
+    history, best_epoch, best_val, _ = _fit(net, cfg, loss_name, labels[val_idx],
+                                            run_epoch)
+
+    test_m = float("nan")
+    if test_idx.size:
+        if cfg.full_graph:
+            test_probs = evaluate(test_idx, 1)
+        else:
             test_probs, _ = predict(net, x, eff_scores, cfg.degs, test_idx,
                                     seed=cfg.seed, n_samples=cfg.eval_samples,
-                                    batch_size=cfg.batch_size, mode=mode,
-                                    k_prime=k_prime, tail_eps=cfg.tail_eps,
-                                    loss_name=loss_name)
-            test_m = metric_value(loss_name, cfg.metric, test_probs,
-                                  labels[test_idx])
-        if best_val == -np.inf and val_idx.size:
-            vp = _eval_sampled(net, x, eff_scores, cfg, val_idx, loss_name,
-                               1, TAG_VAL, mode, k_prime)
-            best_val = metric_value(loss_name, cfg.metric, vp, labels[val_idx])
-    pct = edge_percent(scores, cfg.degs) if cfg.degs else 100.0
+                                    batch_size=cfg.batch_size, loss_name=loss_name,
+                                    **law)
+        test_m = metric_value(loss_name, cfg.metric, test_probs, labels[test_idx])
+    if best_val == -np.inf and val_idx.size:
+        best_val = metric_value(loss_name, cfg.metric, evaluate(val_idx, 1),
+                                labels[val_idx])
+    pct = 100.0 if cfg.full_graph else edge_percent(scores, cfg.degs)
     result = FinalResult(network=net, history=history, best_epoch=best_epoch,
                          best_val=float(best_val), test_metric=test_m,
                          edge_pct=pct, loss_name=loss_name, sample_stats=stats)
@@ -423,71 +455,21 @@ def final_sampler(cfg: TrainConfig, scores: ScoreSet):
     return eff_scores, mode, k_prime
 
 
-def _sampled_epoch(net, opt, x, scores, labels, train_idx, loss_name, cfg,
-                   epoch, mode, k_prime, stats) -> float:
-    plans = resample_epoch(scores, cfg.degs, train_idx, cfg.batch_size,
-                           cfg.seed, epoch, mode=mode, k_prime=k_prime,
-                           tail_eps=cfg.tail_eps, stats=stats)
-    total_loss, total_rows = 0.0, 0
-    for bi, plan in enumerate(plans):
-        opt.zero_grad()
-        rng = (derive(cfg.seed, TAG_DROPOUT, epoch, bi)
-               if cfg.dropout > 0 else None)
-        logits, _ = net.forward(x[plan.input_nodes], plan_geometries(plan),
-                                tau=1.0, training=True, dropout_rng=rng)
-        loss = _loss_tensor(loss_name, logits, labels[plan.seeds])
-        loss_val = float(loss.data)
-        if not np.isfinite(loss_val):
-            raise DivergenceError(f"non-finite loss at epoch {epoch}", epoch=epoch)
-        nm.backward(loss)
-        try:
-            opt.step(epoch)
-        except DivergenceError as exc:
-            raise DivergenceError(f"epoch {epoch}: {exc}", epoch=epoch) from None
-        total_loss += loss_val * plan.seeds.size
-        total_rows += plan.seeds.size
-    return total_loss / total_rows
+def _eval_sampled(net, x, scores, degs, nodes, seed, epoch, tag, batch_size,
+                  mode, k_prime, tail_eps, loss_name) -> np.ndarray:
+    """Eval-mode probabilities for ``nodes`` under one sampled pattern.
 
-
-def _full_graph_step(net, opt, x, geoms, labels, train_idx, loss_name, cfg,
-                     epoch) -> float:
-    opt.zero_grad()
-    rng = derive(cfg.seed, TAG_DROPOUT, epoch) if cfg.dropout > 0 else None
-    logits, _ = net.forward(x, geoms, tau=1.0, training=True, dropout_rng=rng)
-    loss = _loss_tensor(loss_name, nm.gather_rows(logits, train_idx),
-                        labels[train_idx])
-    loss_val = float(loss.data)
-    if not np.isfinite(loss_val):
-        raise DivergenceError(f"non-finite loss at epoch {epoch}", epoch=epoch)
-    nm.backward(loss)
-    try:
-        opt.step(epoch)
-    except DivergenceError as exc:
-        raise DivergenceError(f"epoch {epoch}: {exc}", epoch=epoch) from None
-    return loss_val
-
-
-def _eval_full(net, x, geoms, loss_name, nodes) -> np.ndarray:
-    with nm.no_grad():
-        logits, _ = net.forward(x, geoms, tau=1.0, training=False)
-    return _probs_from_logits(loss_name, logits.data[nodes])
-
-
-def _eval_sampled(net, x, scores, cfg, nodes, loss_name, epoch, tag, mode,
-                  k_prime) -> np.ndarray:
-    """Eval-mode probabilities for ``nodes``, chunked at the batch size.
-
-    Every chunk passes batch_index 0: each query node's draws are keyed by
-    (seed, tag, epoch, layer, node) alone, so the result is identical
-    however the nodes are chunked.
+    The pattern is drawn on stream ``tag`` at epoch key ``epoch``, in
+    chunks of ``batch_size`` nodes.  Every chunk passes batch_index 0:
+    each query node's draws are keyed by (seed, tag, epoch, layer, node)
+    alone, so the result is identical however the nodes are chunked.
     """
-    out = []
+    out = [np.empty((0, net.cfg.out_dim), dtype=net.cfg.dtype)]
     with nm.no_grad():
-        for start in range(0, nodes.size, cfg.batch_size):
-            chunk = nodes[start:start + cfg.batch_size]
-            plan = sample_batch(chunk, scores, cfg.degs, cfg.seed, epoch,
-                                batch_index=0, mode=mode, k_prime=k_prime,
-                                tail_eps=cfg.tail_eps, tag=tag)
+        for start in range(0, nodes.size, batch_size):
+            plan = sample_batch(nodes[start:start + batch_size], scores, degs, seed,
+                                epoch, batch_index=0, mode=mode, k_prime=k_prime,
+                                tail_eps=tail_eps, tag=tag)
             logits, _ = net.forward(x[plan.input_nodes], plan_geometries(plan),
                                     tau=1.0, training=False)
             out.append(logits.data)
@@ -502,28 +484,16 @@ def predict(net: Network, features: np.ndarray, scores: ScoreSet, degs,
 
     Sample ``s`` uses epoch key ``s`` on the prediction stream, so the
     averaged patterns are disjoint draws yet the whole call is
-    reproducible.  Returns (probabilities, predicted labels).
+    reproducible.  Returns (probabilities, predicted labels); empty
+    ``nodes`` give empty arrays of the same layout.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
     if n_samples < 1:
         raise ContractError("n_samples must be positive")
     x = np.asarray(features, dtype=net.cfg.dtype)
-    acc = None
-    with nm.no_grad():
-        for s in range(1, n_samples + 1):
-            chunks = []
-            for start in range(0, nodes.size, batch_size):
-                chunk = nodes[start:start + batch_size]
-                plan = sample_batch(chunk, scores, degs, seed, s,
-                                    batch_index=0, mode=mode, k_prime=k_prime,
-                                    tail_eps=tail_eps, tag=TAG_PREDICT)
-                logits, _ = net.forward(x[plan.input_nodes],
-                                        plan_geometries(plan),
-                                        tau=1.0, training=False)
-                chunks.append(logits.data)
-            p = _probs_from_logits(loss_name, np.concatenate(chunks, axis=0))
-            acc = p if acc is None else acc + p
-    probs = acc / n_samples
+    probs = sum(_eval_sampled(net, x, scores, degs, nodes, seed, s, TAG_PREDICT,
+                              batch_size, mode, k_prime, tail_eps, loss_name)
+                for s in range(1, n_samples + 1)) / n_samples
     return probs, predicted_labels(loss_name, probs)
 
 

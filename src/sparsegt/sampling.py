@@ -22,13 +22,12 @@ node that queries two layers draws independently in each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
 from .attention import LayerGeometry
-from .errors import ContractError, FormatError, ShapeError
+from .errors import ContractError, ShapeError
 from .graphs import AttentionPattern, EdgeType
 from .rngutil import TAG_SAMPLE, TAG_SHUFFLE, counter_uniform, derive
 
@@ -122,53 +121,6 @@ def attach_types(scores: ScoreSet, pattern: AttentionPattern) -> ScoreSet:
         layers.append(ScoreLayer(row_ptr=sl.row_ptr, col_idx=sl.col_idx,
                                  values=sl.values, edge_type=pl.edge_type.copy()))
     return ScoreSet(n=scores.n, layers=tuple(layers))
-
-
-def save_scores_text(path, scores: ScoreSet) -> None:
-    """Plain-text dump: per layer a 'layer l n nnz' header, then 'i j score'."""
-    with open(path, "w") as fh:
-        for li, layer in enumerate(scores.layers, start=1):
-            fh.write(f"layer {li} {scores.n} {layer.nnz}\n")
-            rows = np.repeat(np.arange(scores.n), np.diff(layer.row_ptr))
-            for i, j, v in zip(rows, layer.col_idx, layer.values):
-                fh.write(f"{i} {j} {v:.6g}\n")
-
-
-def load_scores_text(path) -> ScoreSet:
-    layers = []
-    n = None
-    with open(path) as fh:
-        lines = fh.read().split("\n")
-    pos = 0
-    while pos < len(lines):
-        line = lines[pos].strip()
-        pos += 1
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 4 or parts[0] != "layer":
-            raise FormatError(f"{path}:{pos}: expected 'layer l n nnz' header")
-        _, _, n_str, nnz_str = parts
-        n = int(n_str)
-        nnz = int(nnz_str)
-        src = np.empty(nnz, dtype=np.int64)
-        dst = np.empty(nnz, dtype=np.int64)
-        val = np.empty(nnz, dtype=np.float64)
-        for e in range(nnz):
-            entry = lines[pos].split()
-            if len(entry) != 3:
-                raise FormatError(f"{path}:{pos + 1}: expected 'i j score'")
-            src[e], dst[e], val[e] = int(entry[0]), int(entry[1]), float(entry[2])
-            pos += 1
-        order = np.lexsort((dst, src))
-        src, dst, val = src[order], dst[order], val[order]
-        counts = np.bincount(src, minlength=n)
-        row_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=row_ptr[1:])
-        layers.append(ScoreLayer(row_ptr=row_ptr, col_idx=dst, values=val))
-    if n is None:
-        raise FormatError(f"{path}: empty score file")
-    return ScoreSet(n=n, layers=tuple(layers))
 
 
 def save_scores_npz(path, scores: ScoreSet) -> None:

@@ -8,6 +8,7 @@ entry point works outside this interpreter.
 """
 
 import json
+import shutil
 import subprocess
 import sys
 
@@ -17,8 +18,11 @@ import pytest
 from sparsegt.cli import main
 from sparsegt.datasets import load_dataset
 from sparsegt.graphs import TEST
-from sparsegt.pipeline import metric_value
-from sparsegt.sampling import load_scores_npz, validate_scores
+from sparsegt.numerics import load_checkpoint
+from sparsegt.pipeline import (build_network, config_from_dict, final_sampler,
+                               metric_value, predict)
+from sparsegt.sampling import (ScoreLayer, ScoreSet, load_scores_npz,
+                               save_scores_npz, validate_scores)
 
 GEN = ["--components", "4", "--component-size", "8", "--bridges", "1",
        "--seed", "1"]
@@ -125,7 +129,8 @@ class TestWorkflow:
     def test_predict_reproduces_the_run_test_metric(self, ws, tmp_path,
                                                     ablation):
         # predict samples by the run's own law: the ablation's scores and
-        # mode, and the prefilter (k' = 4 at degree 1 cuts the rows)
+        # mode (the prefilter is on too, but with k' = 4 it keeps every row
+        # of these flat scores whole; see test_predict_applies_the_prefilter)
         fin, pred = str(tmp_path / "fin"), str(tmp_path / "pred")
         assert main(["train-final", "--data", ws["data"], "--scores",
                      ws["scores"], "--out", fin, "--width", "8", "--epochs",
@@ -144,6 +149,55 @@ class TestWorkflow:
             expected = json.load(fh)["test_metric"]
         got = metric_value("bce", "auc", probs, np.asarray(g.labels)[nodes])
         assert got == pytest.approx(expected, abs=1e-9)
+
+    def test_predict_applies_the_prefilter(self, ws, tmp_path):
+        # scores raised to the 8th power put most of each row's mass on a
+        # few entries, so k' = 4 at degree 1 truncates rows
+        scores = load_scores_npz(ws["scores"])
+        layers = []
+        for sl in scores.layers:
+            v = sl.values ** 8
+            sums = np.repeat(np.add.reduceat(v, sl.row_ptr[:-1]),
+                             np.diff(sl.row_ptr))
+            layers.append(ScoreLayer(row_ptr=sl.row_ptr, col_idx=sl.col_idx,
+                                     values=v / sums, edge_type=sl.edge_type))
+        sharp = str(tmp_path / "sharp.npz")
+        save_scores_npz(sharp, ScoreSet(n=scores.n, layers=tuple(layers)))
+        fin, pred = str(tmp_path / "fin"), str(tmp_path / "pred")
+        assert main(["train-final", "--data", ws["data"], "--scores", sharp,
+                     "--out", fin, "--width", "8", "--epochs", "4", "--degs",
+                     "1,1", "--batch-size", "16", "--seed", "3"]) == 0
+        with open(fin + "/metrics.json") as fh:
+            assert json.load(fh)["prefilter_truncated"] > 0
+        assert main(["predict", "--data", ws["data"], "--scores", sharp,
+                     "--run", fin, "--out", pred, "--nodes", "all",
+                     "--samples", "2", "--seed", "5"]) == 0
+        g, _ = load_dataset(ws["data"])
+        with open(fin + "/config.json") as fh:
+            cfg = config_from_dict({k: v for k, v in json.load(fh).items()
+                                    if k != "role"})
+        net, loss_name = build_network(g, cfg, "final")
+        net.load_state_dict(load_checkpoint(fin + "/ckpt/final.ckpt"))
+        eff_scores, mode, k_prime = final_sampler(cfg, load_scores_npz(sharp))
+        assert k_prime == 4
+        probs, _ = predict(net, g.features, eff_scores, cfg.degs, np.arange(g.n),
+                           seed=5, n_samples=2, batch_size=cfg.batch_size,
+                           mode=mode, k_prime=k_prime, tail_eps=cfg.tail_eps,
+                           loss_name=loss_name)
+        with open(pred + "/predictions.csv") as fh:
+            written = [line.split(",")[2] for line in fh.read().splitlines()[1:]]
+        assert written == [f"{p:.6g}" for p in probs]
+
+    def test_predict_on_an_empty_node_set(self, ws, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(ws["data"], data)
+        split = (data / "split.csv").read_text().replace("val", "test")
+        (data / "split.csv").write_text(split)
+        pred = str(tmp_path / "pred")
+        assert main(["predict", "--data", str(data), "--scores", ws["scores"],
+                     "--run", ws["fin"], "--out", pred, "--nodes", "val"]) == 0
+        with open(pred + "/predictions.csv") as fh:
+            assert fh.read().splitlines() == ["node,pred,p0"]
 
 
 class TestExitCodes:

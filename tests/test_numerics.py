@@ -287,12 +287,6 @@ class TestLosses:
         loss = nm.bce_with_logits(_p([500.0, -500.0]), np.array([1.0, 0.0]))
         assert float(loss.data) == pytest.approx(0.0, abs=1e-12)
 
-    def test_accuracy_paths(self):
-        assert nm.accuracy(np.array([[2.0, 1.0], [0.0, 3.0]]),
-                           np.array([0, 0])) == 0.5
-        assert nm.accuracy(np.array([1.0, -1.0, 2.0]),
-                           np.array([1, 0, 1])) == 1.0
-
     def test_auc_hand_value(self):
         # pos {0.35, 0.8} vs neg {0.1, 0.4}: 3 of 4 pairs ordered right
         auc = nm.roc_auc(np.array([0.1, 0.4, 0.35, 0.8]),

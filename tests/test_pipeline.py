@@ -17,7 +17,7 @@ from sparsegt.attention import TemperatureSchedule, temperature_at
 from sparsegt.datasets import SyntheticSpec, gen_bridge_task, gen_dataset
 from sparsegt.errors import ContractError, DivergenceError
 from sparsegt.graphs import TEST, TRAIN, VAL, augment, build_expander
-from sparsegt.numerics import load_checkpoint
+from sparsegt.numerics import AdamW, load_checkpoint
 from sparsegt.pipeline import (TrainConfig, config_from_dict, config_to_dict,
                                edge_percent, metric_value, predict,
                                predicted_labels, resolve_task,
@@ -32,6 +32,12 @@ def _toy():
                                       component_size=8, num_bridges=1))
     pattern = augment(g, build_expander(32, num_cycles=2, seed=1), 2)
     return g, pattern
+
+
+def _without_val(g):
+    split = g.split.copy()
+    split[split == VAL] = TEST
+    return replace(g, split=split)
 
 
 @functools.lru_cache(maxsize=None)
@@ -194,12 +200,22 @@ class TestEstimator:
 
     def test_seed_determinism(self):
         g, pattern = _toy()
-        cfg = TrainConfig(width=4, layers=2, epochs=6, seed=5)
-        a = train_estimator(g, pattern, cfg)
-        b = train_estimator(g, pattern, cfg)
-        assert a.history == b.history
-        np.testing.assert_array_equal(a.scores.layers[0].values,
-                                      b.scores.layers[0].values)
+        runs = {}
+        for ablation in ("none", "no-temp", "no-vnorm"):
+            cfg = TrainConfig(width=4, layers=2, epochs=6, seed=5,
+                              ablation=ablation)
+            a = train_estimator(g, pattern, cfg)
+            b = train_estimator(g, pattern, cfg)
+            assert a.history == b.history, ablation
+            for la, lb in zip(a.scores.layers, b.scores.layers):
+                np.testing.assert_array_equal(la.values, lb.values)
+            runs[ablation] = a
+        # each ablation reaches the network it names
+        assert runs["no-temp"].history != runs["none"].history
+        assert [h[3] for h in runs["no-temp"].history] == [1.0] * 6
+        assert runs["no-temp"].tau_final == 1.0
+        assert runs["no-vnorm"].history != runs["none"].history
+        assert not runs["no-vnorm"].network.cfg.normalize_values
 
 
 class TestFinal:
@@ -220,10 +236,24 @@ class TestFinal:
 
     def test_seed_determinism(self):
         g, _ = _toy()
-        a = train_final(g, _toy_scores(), self._cfg(epochs=4))
-        b = train_final(g, _toy_scores(), self._cfg(epochs=4))
-        assert a.history == b.history
-        assert a.test_metric == b.test_metric
+        cases = {"plain": {}, "dropout": dict(dropout=0.3),
+                 "full-graph": dict(full_graph=True),
+                 "full-graph-dropout": dict(full_graph=True, dropout=0.3),
+                 "eval-samples": dict(eval_samples=3)}
+        runs = {}
+        for name, kw in cases.items():
+            a = train_final(g, _toy_scores(), self._cfg(epochs=4, **kw))
+            b = train_final(g, _toy_scores(), self._cfg(epochs=4, **kw))
+            assert a.history == b.history, name
+            assert a.test_metric == b.test_metric, name
+            for (_, pa), (_, pb) in zip(a.network.named_parameters(),
+                                        b.network.named_parameters()):
+                np.testing.assert_array_equal(pa.data, pb.data)
+            runs[name] = a
+        # dropout changes training; extra test-time samples do not
+        assert runs["dropout"].history != runs["plain"].history
+        assert runs["full-graph-dropout"].history != runs["full-graph"].history
+        assert runs["eval-samples"].history == runs["plain"].history
 
     def test_uniform_ablation_ignores_score_values(self):
         g, _ = _toy()
@@ -275,6 +305,37 @@ class TestFinal:
         res = train_final(g, _toy_scores(), self._cfg(epochs=0))
         assert res.history == []
         assert np.isfinite(res.test_metric)
+
+    def test_full_graph_checks_budgets_before_training(self, monkeypatch):
+        g, _ = _toy()
+        res = train_final(g, _toy_scores(), self._cfg(epochs=1, full_graph=True,
+                                                      degs=(2, 2)))
+        # the whole pattern is attended, whatever the budgets say
+        assert res.edge_pct == 100.0
+
+        def no_update(opt, epoch):
+            raise AssertionError("trained before checking the budgets")
+        monkeypatch.setattr(AdamW, "step", no_update)
+        with pytest.raises(ContractError, match="degree budgets"):
+            train_final(g, _toy_scores(), self._cfg(full_graph=True, degs=(4,)))
+
+
+@pytest.mark.parametrize("phase", ["estimator", "sampled", "full-graph"])
+def test_without_validation_nodes_the_last_epoch_wins(phase):
+    g, pattern = _toy()
+    g = _without_val(g)
+    if phase == "estimator":
+        res = train_estimator(g, pattern, TrainConfig(width=4, layers=2,
+                                                      epochs=4, seed=0))
+    else:
+        res = train_final(g, _toy_scores(), TrainConfig(
+            width=8, layers=2, epochs=4, batch_size=16, degs=(4, 4), seed=0,
+            full_graph=phase == "full-graph"))
+    assert [h[0] for h in res.history] == [1, 2, 3, 4]
+    assert np.isnan([h[2] for h in res.history]).all()
+    assert res.best_epoch == 4
+    assert np.isnan(res.best_val)
+    assert np.isfinite(res.test_metric)
 
 
 class TestFullDegreeEquivalence:
@@ -342,6 +403,20 @@ class TestPredict:
         assert np.all((p1 >= 0) & (p1 <= 1))
         with pytest.raises(ContractError):
             predict(res.network, g.features, scores, (3, 3), nodes, n_samples=0)
+
+    @pytest.mark.parametrize("loss", ["bce", "ce"])
+    def test_empty_nodes_give_empty_arrays(self, loss):
+        g, _ = _toy()
+        scores = _toy_scores()
+        res = train_final(g, scores, TrainConfig(width=8, layers=2, epochs=1,
+                                                 batch_size=16, degs=(3, 3),
+                                                 loss=loss, seed=1))
+        some_p, some_l = predict(res.network, g.features, scores, (3, 3),
+                                 [0, 1], loss_name=res.loss_name)
+        p, lab = predict(res.network, g.features, scores, (3, 3), [],
+                         n_samples=2, loss_name=res.loss_name)
+        assert p.shape == (0,) + some_p.shape[1:] and p.dtype == some_p.dtype
+        assert lab.shape == (0,) + some_l.shape[1:] and lab.dtype == some_l.dtype
 
 
 class TestRunDirs:

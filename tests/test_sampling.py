@@ -19,14 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from sparsegt.errors import ContractError, FormatError, ShapeError
+from sparsegt.errors import ContractError, ShapeError
 from sparsegt.graphs import AttentionPattern, EdgeType, PatternLayer
 from sparsegt.rngutil import TAG_VAL, derive
 from sparsegt.sampling import (BatchPlan, SampleStats, ScoreLayer, ScoreSet,
-                               attach_types, load_scores_npz, load_scores_text,
-                               plan_geometries, prefilter_topk,
-                               reservoir_sample, resample_epoch, sample_batch,
-                               save_scores_npz, save_scores_text,
+                               attach_types, load_scores_npz, plan_geometries,
+                               prefilter_topk, reservoir_sample,
+                               resample_epoch, sample_batch, save_scores_npz,
                                scores_from_padded, uniform_scores,
                                validate_scores)
 from sampling_oracle import (prefilter_topk_loop, reservoir_sample_many,
@@ -516,18 +515,6 @@ class TestScoreSets:
 
 
 class TestScoreIO:
-    def test_text_roundtrip(self, tmp_path):
-        ss = _ring_scores()
-        save_scores_text(tmp_path / "s.txt", ss)
-        back = load_scores_text(tmp_path / "s.txt")
-        assert back.n == 6 and back.num_layers == 2
-        for a, b in zip(ss.layers, back.layers):
-            np.testing.assert_array_equal(a.row_ptr, b.row_ptr)
-            np.testing.assert_array_equal(a.col_idx, b.col_idx)
-            np.testing.assert_allclose(a.values, b.values, rtol=1e-5)
-            assert b.edge_type is None          # text keeps scores only
-        validate_scores(back)
-
     def test_npz_roundtrip_keeps_types(self, tmp_path):
         ss = _ring_scores()
         save_scores_npz(tmp_path / "s.npz", ss)
@@ -535,15 +522,3 @@ class TestScoreIO:
         for a, b in zip(ss.layers, back.layers):
             np.testing.assert_array_equal(a.values, b.values)
             np.testing.assert_array_equal(a.edge_type, b.edge_type)
-
-    def test_text_format_errors(self, tmp_path):
-        bad = tmp_path / "bad.txt"
-        bad.write_text("layer 1 5\n")
-        with pytest.raises(FormatError, match="header"):
-            load_scores_text(bad)
-        bad.write_text("layer 1 2 2\n0 1\n")
-        with pytest.raises(FormatError, match="i j score"):
-            load_scores_text(bad)
-        bad.write_text("\n\n")
-        with pytest.raises(FormatError, match="empty"):
-            load_scores_text(bad)
