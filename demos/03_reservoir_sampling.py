@@ -15,9 +15,9 @@ while everything else holds still.
 
 import numpy as np
 
+from sparsegt.graphs import AttentionPattern, EdgeType, PatternLayer
 from sparsegt.rngutil import derive
-from sparsegt.sampling import (ScoreLayer, ScoreSet, reservoir_sample,
-                               sample_batch)
+from sparsegt.sampling import reservoir_sample, sample_batch
 
 W = np.array([0.5, 0.3, 0.2])
 
@@ -51,8 +51,10 @@ def main():
           f"{twin_a.random():.6f} == {twin_b.random():.6f}")
 
     # batch plans draw the same law from the counter-based plan stream
-    one_row = ScoreSet(n=3, layers=(ScoreLayer(
-        row_ptr=np.array([0, 3, 3, 3]), col_idx=np.arange(3), values=W),))
+    # a score set is a pattern whose layers carry values
+    one_row = AttentionPattern(n=3, layers=(PatternLayer(
+        row_ptr=np.array([0, 3, 3, 3]), col_idx=np.arange(3),
+        edge_type=np.full(3, EdgeType.GRAPH, dtype=np.int8), values=W),))
     print("\nsame node across epochs (seed and node fixed, epoch varies):")
     for epoch in range(6):
         plan = sample_batch(np.array([0]), one_row, (2,), seed=0, epoch=epoch)

@@ -14,7 +14,6 @@ most a bounded variance premium.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,9 +22,8 @@ from scipy.spatial.distance import cdist, pdist
 from .errors import ContractError, ShapeError
 from .graphs import AttentionPattern, Graph
 from .linalg import spectral_norm
-from .pipeline import TrainConfig, train_estimator
+from .pipeline import TrainConfig, train_estimator, write_json
 from .rngutil import TAG_ANALYSIS, derive
-from .sampling import ScoreSet
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +53,7 @@ def energy_distance(x, y) -> float:
 # Score profiling
 
 
-def attention_entropy(scores: ScoreSet) -> np.ndarray:
+def attention_entropy(scores: AttentionPattern) -> np.ndarray:
     """Mean Shannon entropy (nats) of the score rows, one value per layer."""
     out = []
     for layer in scores.layers:
@@ -68,7 +66,7 @@ def attention_entropy(scores: ScoreSet) -> np.ndarray:
     return np.asarray(out)
 
 
-def topk_mass(scores: ScoreSet, k: int) -> np.ndarray:
+def topk_mass(scores: AttentionPattern, k: int) -> np.ndarray:
     """Mean fraction of row mass in the k largest entries, per layer."""
     if k < 1:
         raise ContractError(f"k must be positive, got {k}")
@@ -87,12 +85,10 @@ def topk_mass(scores: ScoreSet, k: int) -> np.ndarray:
     return np.asarray(out)
 
 
-def edge_type_attribution(scores: ScoreSet) -> np.ndarray:
+def edge_type_attribution(scores: AttentionPattern) -> np.ndarray:
     """(layers, 3) mean per-row mass on graph, expander and self-loop entries."""
     out = np.zeros((scores.num_layers, 3))
     for li, layer in enumerate(scores.layers):
-        if layer.edge_type is None:
-            raise ContractError(f"layer {li + 1} lacks edge types")
         v = np.asarray(layer.values, dtype=np.float64)
         lengths = np.diff(layer.row_ptr)
         row_of = np.repeat(np.arange(scores.n), lengths)
@@ -105,30 +101,23 @@ def edge_type_attribution(scores: ScoreSet) -> np.ndarray:
     return out
 
 
-def profile_scores(scores: ScoreSet, topk: int = 4) -> dict:
+def profile_scores(scores: AttentionPattern, topk: int = 4) -> dict:
     """One dict of the per-layer profile measurements, JSON-friendly."""
-    prof = {"entropy": [float(v) for v in attention_entropy(scores)],
+    return {"entropy": [float(v) for v in attention_entropy(scores)],
             "topk": topk,
-            "topk_mass": [float(v) for v in topk_mass(scores, topk)]}
-    if all(layer.edge_type is not None for layer in scores.layers):
-        prof["edge_type_mass"] = edge_type_attribution(scores).tolist()
-    return prof
+            "topk_mass": [float(v) for v in topk_mass(scores, topk)],
+            "edge_type_mass": edge_type_attribution(scores).tolist()}
 
 
 def write_profile_csv(path, profile: dict) -> None:
     """Flat per-layer table of the ``profile_scores`` output."""
-    types = profile.get("edge_type_mass")
     with open(path, "w") as fh:
-        cols = "layer,entropy,topk_mass"
-        if types is not None:
-            cols += ",graph_mass,expander_mass,self_mass"
-        fh.write(cols + "\n")
-        for li, (ent, mass) in enumerate(zip(profile["entropy"],
-                                             profile["topk_mass"]), start=1):
-            row = f"{li},{ent:.8g},{mass:.8g}"
-            if types is not None:
-                row += "".join(f",{v:.8g}" for v in types[li - 1])
-            fh.write(row + "\n")
+        fh.write("layer,entropy,topk_mass,graph_mass,expander_mass,self_mass\n")
+        for li, (ent, mass, types) in enumerate(zip(
+                profile["entropy"], profile["topk_mass"],
+                profile["edge_type_mass"]), start=1):
+            fh.write(f"{li},{ent:.8g},{mass:.8g}"
+                     + "".join(f",{v:.8g}" for v in types) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +241,7 @@ def write_consistency_json(path, result: ConsistencyResult) -> None:
            "mean_dist_uniform": result.mean_dist_uniform,
            "mean_dist_random": result.mean_dist_random,
            "mean_dist_self": result.mean_dist_self}
-    with open(path, "w") as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    write_json(path, obj)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,8 @@ from .graphs import (TEST, TRAIN, VAL, augment, build_expander, load_pattern,
                      save_expander, save_pattern)
 from .numerics import load_checkpoint
 from .pipeline import (TrainConfig, build_network, config_from_dict,
-                       final_sampler, predict, train_estimator, train_final)
+                       final_sampler, predict, train_estimator, train_final,
+                       write_json)
 from .sampling import load_scores_npz, validate_scores
 
 
@@ -78,9 +79,7 @@ class _Manifest:
             resource.RUSAGE_SELF).ru_maxrss
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "manifest.json", "w") as fh:
-            fh.write(json.dumps(self.record, indent=2, sort_keys=True,
-                                default=str) + "\n")
+        write_json(out_dir / "manifest.json", self.record)
 
 
 def _check_out_dir(out_dir, force: bool) -> Path:
@@ -90,11 +89,6 @@ def _check_out_dir(out_dir, force: bool) -> Path:
                             "overwrite")
     out_dir.mkdir(parents=True, exist_ok=True)
     return out_dir
-
-
-def _load_data(data_dir):
-    g, spec = datasets.load_dataset(data_dir)
-    return g, spec
 
 
 def _resolve_input(path, *candidates):
@@ -144,7 +138,7 @@ def _cmd_gen(args) -> int:
 def _cmd_augment(args) -> int:
     out = _check_out_dir(args.out, args.force)
     manifest = _Manifest(args, [args.data])
-    g, _ = _load_data(args.data)
+    g, _ = datasets.load_dataset(args.data)
     x = build_expander(g.n, args.cycles, min_gap=args.min_gap,
                        max_retries=args.max_retries, seed=args.seed)
     pattern = augment(g, x, args.layers)
@@ -160,7 +154,7 @@ def _cmd_train_estimator(args) -> int:
     out = _check_out_dir(args.out, args.force)
     args.pattern = _resolve_input(args.pattern, "pattern.tsv")
     manifest = _Manifest(args, [args.data, args.pattern])
-    g, _ = _load_data(args.data)
+    g, _ = datasets.load_dataset(args.data)
     cfg = _train_config(args)
     pattern = load_pattern(args.pattern, g.n, cfg.layers)
     res = train_estimator(g, pattern, cfg, run_dir=out)
@@ -175,7 +169,7 @@ def _cmd_train_final(args) -> int:
     out = _check_out_dir(args.out, args.force)
     args.scores = _resolve_input(args.scores, "scores/scores.npz", "scores.npz")
     manifest = _Manifest(args, [args.data, args.scores])
-    g, _ = _load_data(args.data)
+    g, _ = datasets.load_dataset(args.data)
     cfg = _train_config(args)
     scores = load_scores_npz(args.scores)
     res = train_final(g, scores, cfg, run_dir=out)
@@ -189,7 +183,7 @@ def _cmd_predict(args) -> int:
     out = _check_out_dir(args.out, args.force)
     args.scores = _resolve_input(args.scores, "scores/scores.npz", "scores.npz")
     manifest = _Manifest(args, [args.data, args.scores, args.run])
-    g, _ = _load_data(args.data)
+    g, _ = datasets.load_dataset(args.data)
     run_dir = Path(args.run)
     with open(run_dir / "config.json") as fh:
         stored = json.load(fh)
@@ -239,30 +233,29 @@ def _cmd_analyze(args) -> int:
         scores = load_scores_npz(args.scores)
         profile = analysis.profile_scores(scores, topk=args.topk)
         analysis.write_profile_csv(out / "profile.csv", profile)
-        with open(out / "profile.json", "w") as fh:
-            fh.write(json.dumps(profile, indent=2, sort_keys=True) + "\n")
+        write_json(out / "profile.json", profile)
         print(f"entropy by layer: "
               + ", ".join(f"{v:.3f}" for v in profile["entropy"]))
     elif args.kind == "spectral":
         result = analysis.spectral_sample_check(n=args.n, seed=args.seed)
-        _dump(out / "spectral.json", result)
+        write_json(out / "spectral.json", result)
         print(f"error slope {result['slope']:.3f} (target -0.5)")
     elif args.kind == "projection":
         result = analysis.projection_distortion_check(seed=args.seed)
-        _dump(out / "projection.json", result)
+        write_json(out / "projection.json", result)
         print("mean distortion by width: "
               + ", ".join(f"{d}: {v:.4f}"
                           for d, v in result["mean_abs_distortion"].items()))
     elif args.kind == "noisy":
         result = analysis.noisy_sampling_check(n=args.n, alpha=args.alpha,
                                                seed=args.seed)
-        _dump(out / "noisy.json", result)
+        write_json(out / "noisy.json", result)
         print(f"noisy/exact error ratio {result['mean_ratio']:.3f} "
               f"(alpha {args.alpha})")
     else:                       # consistency
         if not (args.data and args.pattern):
             raise ContractError("consistency needs --data and --pattern")
-        g, _ = _load_data(args.data)
+        g, _ = datasets.load_dataset(args.data)
         cfg = _train_config(args)
         pattern = load_pattern(args.pattern, g.n, cfg.layers)
         widths = tuple(int(w) for w in args.widths.split(","))
@@ -280,11 +273,6 @@ def _cmd_analyze(args) -> int:
               f"self {result.mean_dist_self:.4f}")
     manifest.write(out)
     return 0
-
-
-def _dump(path, obj) -> None:
-    with open(path, "w") as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------

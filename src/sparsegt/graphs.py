@@ -72,6 +72,13 @@ class Graph:
         return np.flatnonzero(self.split == which)
 
 
+def _row_ptr(n: int, src: np.ndarray) -> np.ndarray:
+    """CSR row pointers of entries whose sorted row ids are ``src``."""
+    row_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=row_ptr[1:])
+    return row_ptr
+
+
 def edges_to_csr(n: int, src: np.ndarray, dst: np.ndarray, symmetrize: bool = True):
     """Sorted, deduplicated CSR from an edge list.
 
@@ -90,10 +97,7 @@ def edges_to_csr(n: int, src: np.ndarray, dst: np.ndarray, symmetrize: bool = Tr
         key = src * np.int64(n) + dst
         key = np.unique(key)
         src, dst = key // n, key % n
-    counts = np.bincount(src, minlength=n)
-    row_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=row_ptr[1:])
-    return row_ptr, dst.astype(np.int64)
+    return _row_ptr(n, src), dst.astype(np.int64)
 
 
 def _parse_edge_tsv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -333,11 +337,13 @@ def build_expander(n: int, num_cycles: int, min_gap: float = 0.05,
 
 @dataclass(frozen=True)
 class PatternLayer:
-    """One layer's attention support: CSR plus an edge-type tag per entry."""
+    """One layer's attention support: CSR plus an edge-type tag per entry,
+    and one attention score per entry (``values``) once it has been scored."""
 
     row_ptr: np.ndarray
     col_idx: np.ndarray
     edge_type: np.ndarray
+    values: np.ndarray | None = None
 
     @property
     def nnz(self) -> int:
@@ -355,8 +361,9 @@ class AttentionPattern:
     """Per-layer attention supports over n nodes.
 
     Augmentation produces identical layers (the same PatternLayer object
-    repeated), but the container allows them to differ so sparsified
-    variants can reuse the type.
+    repeated), but the container allows them to differ.  A score set is
+    a pattern whose layers carry values: the estimator's attention rows
+    over the support it attended, which the final phase samples from.
     """
 
     n: int
@@ -399,10 +406,7 @@ def augment(g: Graph, x: ExpanderGraph, layers: int) -> AttentionPattern:
     keep = np.ones(key.shape[0], dtype=bool)
     keep[1:] = key[1:] != key[:-1]   # first of each duplicate run has lowest type
     src, dst, typ = src[keep], dst[keep], typ[keep]
-    counts = np.bincount(src, minlength=n)
-    row_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=row_ptr[1:])
-    layer = PatternLayer(row_ptr=row_ptr, col_idx=dst, edge_type=typ)
+    layer = PatternLayer(row_ptr=_row_ptr(n, src), col_idx=dst, edge_type=typ)
     return AttentionPattern(n=n, layers=tuple([layer] * layers))
 
 
@@ -435,8 +439,5 @@ def load_pattern(path, n: int, layers: int) -> AttentionPattern:
         raise ContractError(f"{path}: node id out of range for n={n}")
     order = np.lexsort((dst, src))
     src, dst, typ = src[order], dst[order], typ[order]
-    counts = np.bincount(src, minlength=n)
-    row_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=row_ptr[1:])
-    layer = PatternLayer(row_ptr=row_ptr, col_idx=dst, edge_type=typ)
+    layer = PatternLayer(row_ptr=_row_ptr(n, src), col_idx=dst, edge_type=typ)
     return AttentionPattern(n=n, layers=tuple([layer] * layers))

@@ -20,7 +20,9 @@ so a finished run can be inspected without the Python objects.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+import math
+import os
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,12 +30,12 @@ import numpy as np
 from . import numerics as nm
 from .attention import (ModelConfig, Network, TemperatureSchedule,
                         pattern_geometry, temperature_at)
-from .errors import ContractError, DivergenceError
+from .errors import ContractError, DivergenceError, ShapeError
 from .graphs import TEST, TRAIN, VAL, AttentionPattern, Graph
 from .rngutil import TAG_DROPOUT, TAG_PREDICT, TAG_VAL, derive
-from .sampling import (SampleStats, ScoreSet, plan_geometries, resample_epoch,
-                       sample_batch, save_scores_npz, scores_from_padded,
-                       uniform_scores, validate_scores)
+from .sampling import (SampleStats, plan_geometries, resample_epoch,
+                       sample_batch, save_scores_npz, uniform_scores,
+                       validate_scores)
 
 _DTYPES = {"float32": np.float32, "float64": np.float64}
 _LOSSES = ("auto", "ce", "bce", "multilabel")
@@ -253,7 +255,7 @@ def _fit(net: Network, cfg: TrainConfig, loss_name: str, val_labels, run_epoch):
 @dataclass
 class EstimatorResult:
     network: Network
-    scores: ScoreSet
+    scores: AttentionPattern
     history: list
     best_epoch: int
     best_val: float
@@ -278,6 +280,8 @@ def train_estimator(graph: Graph, pattern: AttentionPattern, cfg: TrainConfig,
     if cfg.layers != pattern.num_layers:
         raise ContractError(f"config says {cfg.layers} layers, "
                             f"pattern has {pattern.num_layers}")
+    if pattern.n != graph.n:
+        raise ShapeError(f"pattern on {pattern.n} nodes, graph on {graph.n}")
     net, loss_name = build_network(graph, cfg, "estimator")
     train_idx, val_idx, test_idx = _split_indices(graph)
     labels = np.asarray(graph.labels)
@@ -299,7 +303,10 @@ def train_estimator(graph: Graph, pattern: AttentionPattern, cfg: TrainConfig,
 
     with nm.no_grad():
         logits, padded = net.forward(x, geoms, tau=best_tau, training=False)
-    scores = scores_from_padded(pattern, padded)
+    # a row's live slots lead its padded row, so they come out in CSR order
+    scores = replace(pattern, layers=tuple(
+        replace(layer, values=sc[geom.key_mask > 0])
+        for layer, geom, sc in zip(pattern.layers, geoms, padded)))
     validate_scores(scores)
     test_m = float("nan")
     if test_idx.size:
@@ -336,7 +343,7 @@ class FinalResult:
     sample_stats: SampleStats
 
 
-def train_final(graph: Graph, scores: ScoreSet, cfg: TrainConfig,
+def train_final(graph: Graph, scores: AttentionPattern, cfg: TrainConfig,
                 run_dir=None) -> FinalResult:
     """Minibatch training of the wide network on score-sampled supports.
 
@@ -355,10 +362,8 @@ def train_final(graph: Graph, scores: ScoreSet, cfg: TrainConfig,
     if cfg.layers != scores.num_layers:
         raise ContractError(f"config says {cfg.layers} layers, "
                             f"scores have {scores.num_layers}")
-    for li, sl in enumerate(scores.layers):
-        if sl.edge_type is None:
-            raise ContractError(f"score layer {li + 1} lacks edge types; "
-                                "run attach_types first")
+    if scores.n != graph.n:
+        raise ShapeError(f"scores on {scores.n} nodes, graph on {graph.n}")
     if (cfg.degs or not cfg.full_graph) and len(cfg.degs) != scores.num_layers:
         raise ContractError(f"need {scores.num_layers} degree budgets, "
                             f"got {len(cfg.degs)}")
@@ -438,7 +443,7 @@ def train_final(graph: Graph, scores: ScoreSet, cfg: TrainConfig,
     return result
 
 
-def final_sampler(cfg: TrainConfig, scores: ScoreSet):
+def final_sampler(cfg: TrainConfig, scores: AttentionPattern):
     """(scores, mode, k_prime) that a final run with ``cfg`` samples by.
 
     The uniform ablation samples uniform rows over the same support, the
@@ -476,7 +481,7 @@ def _eval_sampled(net, x, scores, degs, nodes, seed, epoch, tag, batch_size,
     return _probs_from_logits(loss_name, np.concatenate(out, axis=0))
 
 
-def predict(net: Network, features: np.ndarray, scores: ScoreSet, degs,
+def predict(net: Network, features: np.ndarray, scores: AttentionPattern, degs,
             nodes, seed: int = 0, n_samples: int = 1, batch_size: int = 256,
             mode: str = "sample", k_prime: int | None = None,
             tail_eps: float = 0.05, loss_name: str = "ce"):
@@ -491,6 +496,8 @@ def predict(net: Network, features: np.ndarray, scores: ScoreSet, degs,
     if n_samples < 1:
         raise ContractError("n_samples must be positive")
     x = np.asarray(features, dtype=net.cfg.dtype)
+    if x.shape[0] != scores.n:
+        raise ShapeError(f"{x.shape[0]} feature rows for scores on {scores.n} nodes")
     probs = sum(_eval_sampled(net, x, scores, degs, nodes, seed, s, TAG_PREDICT,
                               batch_size, mode, k_prime, tail_eps, loss_name)
                 for s in range(1, n_samples + 1)) / n_samples
@@ -501,7 +508,7 @@ def predict(net: Network, features: np.ndarray, scores: ScoreSet, degs,
 # Budget accounting
 
 
-def edge_percent(scores: ScoreSet, degs) -> float:
+def edge_percent(scores: AttentionPattern, degs) -> float:
     """Percentage of pattern entries a fixed-degree plan can ever touch.
 
     Per layer each row contributes min(deg, row length) reachable entries
@@ -526,9 +533,23 @@ def edge_percent(scores: ScoreSet, degs) -> float:
 # Run directory layout
 
 
-def _write_json(path, obj) -> None:
-    with open(path, "w") as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def _finite(obj):
+    """``obj`` with every non-finite float replaced by None."""
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
+def write_json(path, obj) -> None:
+    """Indented, key-sorted, strict JSON (non-finite floats become null),
+    serialised before any file is touched and moved into place with
+    ``os.replace``, so a failed write leaves the previous file whole."""
+    text = json.dumps(_finite(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    tmp = Path(f"{path}.tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
 
 
 def save_history_csv(path, history) -> None:
@@ -539,10 +560,10 @@ def save_history_csv(path, history) -> None:
 
 
 def _write_run(run_dir, cfg: TrainConfig, role: str, net: Network, history,
-               metrics: dict, scores: ScoreSet | None = None) -> None:
+               metrics: dict, scores: AttentionPattern | None = None) -> None:
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(run_dir / "config.json", {"role": role, **config_to_dict(cfg)})
+    write_json(run_dir / "config.json", {"role": role, **config_to_dict(cfg)})
     save_history_csv(run_dir / "history.csv", history)
     ckpt_dir = run_dir / "ckpt"
     ckpt_dir.mkdir(exist_ok=True)
@@ -551,4 +572,4 @@ def _write_run(run_dir, cfg: TrainConfig, role: str, net: Network, history,
         score_dir = run_dir / "scores"
         score_dir.mkdir(exist_ok=True)
         save_scores_npz(score_dir / "scores.npz", scores)
-    _write_json(run_dir / "metrics.json", metrics)
+    write_json(run_dir / "metrics.json", metrics)

@@ -22,132 +22,95 @@ node that queries two layers draws independently in each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .attention import LayerGeometry
-from .errors import ContractError, ShapeError
-from .graphs import AttentionPattern, EdgeType
+from .errors import ContractError, FormatError, ShapeError
+from .graphs import AttentionPattern, EdgeType, PatternLayer
 from .rngutil import TAG_SAMPLE, TAG_SHUFFLE, counter_uniform, derive
 
 
 # ---------------------------------------------------------------------------
-# Score sets
+# Score sets: patterns whose layers carry values
 
 
-@dataclass(frozen=True)
-class ScoreLayer:
-    """One layer's attention scores as CSR; edge types ride along when known."""
+def validate_scores(scores: AttentionPattern, tol: float = 1e-5) -> None:
+    """Every layer must be a score set over ``scores.n`` nodes.
 
-    row_ptr: np.ndarray
-    col_idx: np.ndarray
-    values: np.ndarray
-    edge_type: np.ndarray | None = None
-
-    @property
-    def nnz(self) -> int:
-        return int(self.col_idx.shape[0])
-
-    def row(self, i: int):
-        lo, hi = self.row_ptr[i], self.row_ptr[i + 1]
-        return self.col_idx[lo:hi], self.values[lo:hi]
-
-
-@dataclass(frozen=True)
-class ScoreSet:
-    n: int
-    layers: tuple
-
-    @property
-    def num_layers(self) -> int:
-        return len(self.layers)
-
-
-def validate_scores(scores: ScoreSet, tol: float = 1e-5) -> None:
-    """Rows must be distributions: nonnegative, summing to 1 within tol."""
-    for li, layer in enumerate(scores.layers):
-        if layer.values.size and layer.values.min() < 0:
-            raise ContractError(f"layer {li + 1}: negative score")
-        sums = np.add.reduceat(layer.values, layer.row_ptr[:-1])
-        sums = np.where(np.diff(layer.row_ptr) > 0, sums, 1.0)
+    ``row_ptr`` has n+1 entries, starts at 0 and never decreases;
+    ``col_idx``, ``edge_type`` and ``values`` hold one entry per slot;
+    rows are distributions (nonnegative, summing to 1 within tol); and
+    every column lies in [0, n).
+    """
+    n = scores.n
+    for li, layer in enumerate(scores.layers, start=1):
+        row_ptr, cols, vals = layer.row_ptr, layer.col_idx, layer.values
+        if np.shape(row_ptr) != (n + 1,):
+            raise ShapeError(f"layer {li}: row_ptr has shape {np.shape(row_ptr)} for n={n}")
+        lengths = np.diff(row_ptr)
+        if row_ptr[0] != 0 or (lengths < 0).any():
+            raise ContractError(f"layer {li}: row_ptr must start at 0 and never decrease")
+        if vals is None:
+            raise ContractError(f"layer {li}: no score values")
+        for name in ("col_idx", "edge_type", "values"):
+            if np.shape(getattr(layer, name)) != (row_ptr[-1],):
+                raise ShapeError(f"layer {li}: {name} has shape "
+                                 f"{np.shape(getattr(layer, name))}, not ({row_ptr[-1]},)")
+        if vals.size and vals.min() < 0:
+            raise ContractError(f"layer {li}: negative score")
+        sums = np.bincount(np.repeat(np.arange(n), lengths), weights=vals, minlength=n)
+        sums = np.where(lengths > 0, sums, 1.0)
         bad = np.flatnonzero(np.abs(sums - 1.0) > tol)
         if bad.size:
-            raise ContractError(
-                f"layer {li + 1}: row {bad[0]} sums to {sums[bad[0]]:.8f}")
+            raise ContractError(f"layer {li}: row {bad[0]} sums to {sums[bad[0]]:.8f}")
+        outside = np.flatnonzero((cols < 0) | (cols >= n))
+        if outside.size:
+            raise ContractError(f"layer {li}: column {cols[outside[0]]} outside [0, {n})")
 
 
-def scores_from_padded(pattern: AttentionPattern, padded) -> ScoreSet:
-    """ScoreSet from per-layer (n, k_max) padded score arrays.
-
-    Real entries sit at CSR positions 0..len-1 of each padded row, which
-    is how the forward pass lays its scores out.
-    """
-    layers = []
-    for layer, arr in zip(pattern.layers, padded):
-        lengths = np.diff(layer.row_ptr)
-        rows = np.repeat(np.arange(pattern.n, dtype=np.int64), lengths)
-        pos = np.arange(layer.nnz, dtype=np.int64) - np.repeat(layer.row_ptr[:-1], lengths)
-        layers.append(ScoreLayer(row_ptr=layer.row_ptr.copy(),
-                                 col_idx=layer.col_idx.copy(),
-                                 values=np.asarray(arr, dtype=np.float64)[rows, pos],
-                                 edge_type=layer.edge_type.copy()))
-    return ScoreSet(n=pattern.n, layers=tuple(layers))
-
-
-def uniform_scores(pattern: AttentionPattern | ScoreSet) -> ScoreSet:
+def uniform_scores(pattern: AttentionPattern) -> AttentionPattern:
     """Every row uniform over its support; the sampling ablation baseline.
 
-    Takes a pattern or a ScoreSet with edge types; the result keeps the
-    support and the types.
+    Each layer keeps its support and edge types and takes new values; any
+    values the pattern already carries are ignored.
     """
     layers = []
     for layer in pattern.layers:
         lengths = np.diff(layer.row_ptr)
         vals = 1.0 / np.repeat(lengths, lengths).astype(np.float64)
-        layers.append(ScoreLayer(row_ptr=layer.row_ptr.copy(),
-                                 col_idx=layer.col_idx.copy(),
-                                 values=vals, edge_type=layer.edge_type.copy()))
-    return ScoreSet(n=pattern.n, layers=tuple(layers))
+        layers.append(replace(layer, values=vals))
+    return replace(pattern, layers=tuple(layers))
 
 
-def attach_types(scores: ScoreSet, pattern: AttentionPattern) -> ScoreSet:
-    """Copy edge types onto a ScoreSet whose support matches the pattern."""
-    layers = []
-    for sl, pl in zip(scores.layers, pattern.layers):
-        if not (np.array_equal(sl.row_ptr, pl.row_ptr)
-                and np.array_equal(sl.col_idx, pl.col_idx)):
-            raise ContractError("score support does not match the pattern")
-        layers.append(ScoreLayer(row_ptr=sl.row_ptr, col_idx=sl.col_idx,
-                                 values=sl.values, edge_type=pl.edge_type.copy()))
-    return ScoreSet(n=scores.n, layers=tuple(layers))
-
-
-def save_scores_npz(path, scores: ScoreSet) -> None:
+def save_scores_npz(path, scores: AttentionPattern) -> None:
     """Binary variant mirroring the CSR arrays directly."""
     arrays = {"n": np.asarray(scores.n)}
     for li, layer in enumerate(scores.layers):
         arrays[f"row_ptr_{li}"] = layer.row_ptr
         arrays[f"col_idx_{li}"] = layer.col_idx
         arrays[f"values_{li}"] = layer.values
-        if layer.edge_type is not None:
-            arrays[f"edge_type_{li}"] = layer.edge_type
+        arrays[f"edge_type_{li}"] = layer.edge_type
     np.savez(path, **arrays)
 
 
-def load_scores_npz(path) -> ScoreSet:
+def load_scores_npz(path) -> AttentionPattern:
+    """A score set written by ``save_scores_npz``; FormatError if a layer lacks an array."""
     with np.load(path) as z:
         n = int(z["n"])
         layers = []
         li = 0
         while f"row_ptr_{li}" in z:
-            et = z[f"edge_type_{li}"] if f"edge_type_{li}" in z else None
-            layers.append(ScoreLayer(row_ptr=z[f"row_ptr_{li}"],
-                                     col_idx=z[f"col_idx_{li}"],
-                                     values=z[f"values_{li}"],
-                                     edge_type=et))
+            missing = [k for k in ("col_idx", "edge_type", "values") if f"{k}_{li}" not in z]
+            if missing:
+                raise FormatError(f"{path}: score layer {li + 1} has no {', '.join(missing)}")
+            layers.append(PatternLayer(row_ptr=z[f"row_ptr_{li}"],
+                                       col_idx=z[f"col_idx_{li}"],
+                                       edge_type=z[f"edge_type_{li}"],
+                                       values=z[f"values_{li}"]))
             li += 1
-    return ScoreSet(n=n, layers=tuple(layers))
+    return AttentionPattern(n=n, layers=tuple(layers))
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +266,7 @@ class BatchPlan:
         return self.layers[0].v_nodes
 
 
-def sample_batch(seeds, scores: ScoreSet, degs, seed: int, epoch: int,
+def sample_batch(seeds, scores: AttentionPattern, degs, seed: int, epoch: int,
                  batch_index: int = 0, mode: str = "sample",
                  k_prime: int | None = None, tail_eps: float = 0.05,
                  stats: SampleStats | None = None, tag: int = TAG_SAMPLE) -> BatchPlan:
@@ -331,6 +294,8 @@ def sample_batch(seeds, scores: ScoreSet, degs, seed: int, epoch: int,
         raise ContractError(f"unknown mode {mode!r}")
     if mode == "sample" and k_prime is not None and k_prime <= 0:
         raise ContractError(f"k_prime must be positive, got {k_prime}")
+    if any(layer.values is None for layer in scores.layers):
+        raise ContractError("the pattern carries no score values")
     if stats is None:
         stats = SampleStats()
 
@@ -357,7 +322,7 @@ def sample_batch(seeds, scores: ScoreSet, degs, seed: int, epoch: int,
     return BatchPlan(seeds=seeds, degs=degs, layers=tuple(layers), stats=stats)
 
 
-def _sample_layer(layer: ScoreLayer, q_nodes, deg: int, mode: str, k_prime,
+def _sample_layer(layer: PatternLayer, q_nodes, deg: int, mode: str, k_prime,
                   tail_eps: float, stats: SampleStats, keys):
     """(key_global, key_mask, key_type) blocks, (queries x deg), of one layer.
 
@@ -401,8 +366,7 @@ def _sample_layer(layer: ScoreLayer, q_nodes, deg: int, mode: str, k_prime,
     mask = np.zeros((nq, deg), dtype=np.float64)
     mask[r, c] = 1.0
     typ = np.full((nq, deg), int(EdgeType.SELF_LOOP), dtype=np.int64)
-    if layer.edge_type is not None:
-        typ[r, c] = layer.edge_type[pos[take]]
+    typ[r, c] = layer.edge_type[pos[take]]
     return key_global, mask, typ
 
 
@@ -414,7 +378,7 @@ def plan_geometries(plan: BatchPlan) -> list[LayerGeometry]:
             for pl in plan.layers]
 
 
-def resample_epoch(scores: ScoreSet, degs, train_nodes, batch_size: int,
+def resample_epoch(scores: AttentionPattern, degs, train_nodes, batch_size: int,
                    seed: int, epoch: int, mode: str = "sample",
                    k_prime: int | None = None, tail_eps: float = 0.05,
                    stats: SampleStats | None = None) -> list:

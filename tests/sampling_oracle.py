@@ -16,9 +16,9 @@ once, for the sampling-law tests.
 import numpy as np
 
 from sparsegt.errors import ContractError, ShapeError
-from sparsegt.graphs import EdgeType
+from sparsegt.graphs import AttentionPattern, EdgeType
 from sparsegt.rngutil import TAG_SAMPLE, derive
-from sparsegt.sampling import BatchPlan, PlanLayer, SampleStats, ScoreSet
+from sparsegt.sampling import BatchPlan, PlanLayer, SampleStats
 
 
 def reservoir_sample_loop(scores, k: int, rng: np.random.Generator,
@@ -98,7 +98,7 @@ def prefilter_topk_loop(scores, k_prime: int, tail_eps: float = 0.05):
     return keep, False
 
 
-def sample_batch_loop(seeds, scores: ScoreSet, degs, seed: int, epoch: int,
+def sample_batch_loop(seeds, scores: AttentionPattern, degs, seed: int, epoch: int,
                       batch_index: int = 0, mode: str = "sample",
                       k_prime: int | None = None, tail_eps: float = 0.05,
                       stats: SampleStats | None = None, tag: int = TAG_SAMPLE) -> BatchPlan:
@@ -138,20 +138,18 @@ def sample_batch_loop(seeds, scores: ScoreSet, degs, seed: int, epoch: int,
         mask = np.zeros((nq, deg), dtype=np.float64)
         typ = np.full((nq, deg), int(EdgeType.SELF_LOOP), dtype=np.int64)
         for qi, node in enumerate(q_nodes):
-            cols, vals = layer.row(int(node))
+            lo, hi = layer.row_ptr[node], layer.row_ptr[node + 1]
+            cols, vals, types_row = (layer.col_idx[lo:hi], layer.values[lo:hi],
+                                     layer.edge_type[lo:hi])
             if cols.size == 0:
                 raise ContractError(f"node {node} has an empty score row")
-            types_row = (layer.edge_type[layer.row_ptr[node]:layer.row_ptr[node + 1]]
-                         if layer.edge_type is not None else None)
             if k_prime is not None and mode == "sample":
                 keep, kept_full = prefilter_topk_loop(vals, k_prime, tail_eps)
                 if kept_full:
                     stats.prefilter_kept_full += 1
                 elif keep.size < cols.size:
                     stats.prefilter_truncated += 1
-                cols, vals = cols[keep], vals[keep]
-                if types_row is not None:
-                    types_row = types_row[keep]
+                cols, vals, types_row = cols[keep], vals[keep], types_row[keep]
             if mode == "top":
                 take = _top_indices(vals, deg)
                 stats.rows_sampled += 1
@@ -165,8 +163,7 @@ def sample_batch_loop(seeds, scores: ScoreSet, degs, seed: int, epoch: int,
             chosen = cols[take]
             key_global[qi, :chosen.size] = chosen
             mask[qi, :chosen.size] = 1.0
-            if types_row is not None:
-                typ[qi, :chosen.size] = types_row[take]
+            typ[qi, :chosen.size] = types_row[take]
         v_nodes = np.union1d(q_nodes, key_global[mask > 0])
         rev.append((q_nodes, v_nodes, key_global, mask, typ))
         q_nodes = v_nodes

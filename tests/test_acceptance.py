@@ -30,11 +30,12 @@ from sparsegt.analysis import (attention_entropy, consistency_study,
 from sparsegt.attention import (ModelConfig, Network, TemperatureSchedule,
                                 pattern_geometry, temperature_at)
 from sparsegt.datasets import SyntheticSpec, gen_bridge_task
-from sparsegt.graphs import EdgeType, PatternLayer, augment, build_expander
+from sparsegt.graphs import (AttentionPattern, EdgeType, PatternLayer, augment,
+                             build_expander)
 from sparsegt.pipeline import (TrainConfig, edge_percent, predict,
                                train_estimator, train_final)
 from sparsegt.rngutil import derive
-from sparsegt.sampling import ScoreLayer, ScoreSet, reservoir_sample
+from sparsegt.sampling import reservoir_sample
 
 SEEDS = range(10)
 EST = TrainConfig(width=8, layers=2, epochs=400, lr=0.01, seed=0)
@@ -222,14 +223,14 @@ def test_c10_batch_size_invariance():
 
 
 def test_c11_edge_percent_arithmetic():
-    sl = ScoreLayer(row_ptr=np.array([0, 3, 9, 18]),
-                    col_idx=np.arange(18) % 3, values=np.ones(18))
-    a = edge_percent(ScoreSet(n=3, layers=(sl,)), (5,))
-    two = ScoreSet(n=1, layers=(
-        ScoreLayer(row_ptr=np.array([0, 4]), col_idx=np.arange(4),
-                   values=np.ones(4)),
-        ScoreLayer(row_ptr=np.array([0, 8]), col_idx=np.arange(8),
-                   values=np.ones(8))))
+    def layer(row_ptr, col_idx):
+        return PatternLayer(row_ptr=np.array(row_ptr), col_idx=col_idx,
+                            edge_type=np.zeros(col_idx.size, dtype=np.int8),
+                            values=np.ones(col_idx.size))
+    a = edge_percent(AttentionPattern(n=3, layers=(
+        layer([0, 3, 9, 18], np.arange(18) % 3),)), (5,))
+    two = AttentionPattern(n=1, layers=(layer([0, 4], np.arange(4)),
+                                        layer([0, 8], np.arange(8))))
     b = edge_percent(two, (2, 4))
     c = edge_percent(two, (9, 9))
     ok = a == 100.0 * 13 / 18 and b == 50.0 and c == 100.0

@@ -21,20 +21,19 @@ from sparsegt.analysis import (ConsistencyResult, attention_entropy,
                                write_consistency_json, write_profile_csv)
 from sparsegt.datasets import SyntheticSpec, gen_bridge_task
 from sparsegt.errors import ContractError, ShapeError
-from sparsegt.graphs import augment, build_expander
+from sparsegt.graphs import AttentionPattern, PatternLayer, augment, build_expander
 from sparsegt.pipeline import TrainConfig
 from sparsegt.rngutil import derive
-from sparsegt.sampling import ScoreLayer, ScoreSet
 
 
 def _one_layer(rows, values, types=None):
     lengths = [len(r) for r in rows]
     row_ptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
-    return ScoreSet(n=len(rows), layers=(ScoreLayer(
+    types = (np.zeros(sum(lengths), dtype=np.int64) if types is None
+             else np.concatenate(types).astype(np.int64))
+    return AttentionPattern(n=len(rows), layers=(PatternLayer(
         row_ptr=row_ptr, col_idx=np.concatenate(rows).astype(np.int64),
-        values=np.concatenate(values),
-        edge_type=None if types is None
-        else np.concatenate(types).astype(np.int64)),))
+        values=np.concatenate(values), edge_type=types),))
 
 
 class TestEnergyDistance:
@@ -120,10 +119,6 @@ class TestEdgeTypes:
         np.testing.assert_allclose(edge_type_attribution(ss),
                                    [[0.3, 0.2, 0.5]], atol=1e-14)
 
-    def test_missing_types_rejected(self):
-        with pytest.raises(ContractError, match="edge types"):
-            edge_type_attribution(_one_layer([[0]], [[1.0]]))
-
 
 class TestProfiles:
     def test_profile_keys_and_csv(self, tmp_path):
@@ -134,13 +129,6 @@ class TestProfiles:
         lines = (tmp_path / "p.csv").read_text().splitlines()
         assert lines[0] == "layer,entropy,topk_mass,graph_mass,expander_mass,self_mass"
         assert len(lines) == 2
-
-    def test_profile_without_types(self, tmp_path):
-        prof = profile_scores(_one_layer([[0, 1]], [[0.5, 0.5]]))
-        assert "edge_type_mass" not in prof
-        write_profile_csv(tmp_path / "p.csv", prof)
-        assert (tmp_path / "p.csv").read_text().splitlines()[0] == \
-            "layer,entropy,topk_mass"
 
 
 class TestSpectralSampling:

@@ -11,18 +11,19 @@ import json
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sparsegt.cli import main
 from sparsegt.datasets import load_dataset
+from sparsegt.errors import FormatError
 from sparsegt.graphs import TEST
 from sparsegt.numerics import load_checkpoint
 from sparsegt.pipeline import (build_network, config_from_dict, final_sampler,
                                metric_value, predict)
-from sparsegt.sampling import (ScoreLayer, ScoreSet, load_scores_npz,
-                               save_scores_npz, validate_scores)
+from sparsegt.sampling import load_scores_npz, save_scores_npz, validate_scores
 
 GEN = ["--components", "4", "--component-size", "8", "--bridges", "1",
        "--seed", "1"]
@@ -159,10 +160,9 @@ class TestWorkflow:
             v = sl.values ** 8
             sums = np.repeat(np.add.reduceat(v, sl.row_ptr[:-1]),
                              np.diff(sl.row_ptr))
-            layers.append(ScoreLayer(row_ptr=sl.row_ptr, col_idx=sl.col_idx,
-                                     values=v / sums, edge_type=sl.edge_type))
+            layers.append(replace(sl, values=v / sums))
         sharp = str(tmp_path / "sharp.npz")
-        save_scores_npz(sharp, ScoreSet(n=scores.n, layers=tuple(layers)))
+        save_scores_npz(sharp, replace(scores, layers=tuple(layers)))
         fin, pred = str(tmp_path / "fin"), str(tmp_path / "pred")
         assert main(["train-final", "--data", ws["data"], "--scores", sharp,
                      "--out", fin, "--width", "8", "--epochs", "4", "--degs",
@@ -226,6 +226,15 @@ class TestExitCodes:
                      "--scores", ws["scores"], "--out", str(tmp_path / "f"),
                      "--degs", "0,4"]) == 2
 
+    def test_scores_for_another_graph(self, ws, tmp_path, capsys):
+        small = str(tmp_path / "small")
+        assert main(["gen", "--out", small, "--components", "2",
+                     "--component-size", "8", "--bridges", "1"]) == 0
+        assert main(["train-final", "--data", small, "--scores", ws["scores"],
+                     "--out", str(tmp_path / "f"), "--degs", "4,4",
+                     "--epochs", "1"]) == 2
+        assert "scores on 32 nodes, graph on 16" in capsys.readouterr().err
+
     def test_predict_rejects_estimator_run(self, ws, tmp_path, capsys):
         code = main(["predict", "--data", ws["data"], "--scores", ws["scores"],
                      "--run", ws["est"], "--out", str(tmp_path / "p")])
@@ -245,6 +254,23 @@ class TestAnalyze:
             prof = json.load(fh)
         assert len(prof["entropy"]) == 2
         assert prof["topk"] == 2
+
+    def test_scores_without_edge_types_are_malformed(self, ws, tmp_path, capsys):
+        with np.load(ws["scores"]) as z:
+            arrays = dict(z)
+        untyped = str(tmp_path / "untyped.npz")
+        np.savez(untyped, **{k: v for k, v in arrays.items()
+                             if not k.startswith("edge_type_")})
+        with pytest.raises(FormatError, match="layer 1 has no edge_type$"):
+            load_scores_npz(untyped)
+        assert main(["analyze", "--kind", "profile", "--scores", untyped,
+                     "--out", str(tmp_path / "an")]) == 2
+        assert "has no edge_type" in capsys.readouterr().err
+        # any other missing array is named too, not raised as a KeyError
+        del arrays["values_1"]
+        np.savez(tmp_path / "short.npz", **arrays)
+        with pytest.raises(FormatError, match="layer 2 has no values$"):
+            load_scores_npz(tmp_path / "short.npz")
 
     def test_profile_needs_scores(self, tmp_path):
         assert main(["analyze", "--kind", "profile",

@@ -8,22 +8,25 @@ same train rows either way.  In float64 the histories agree to round-off.
 """
 
 import functools
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from sparsegt.attention import TemperatureSchedule, temperature_at
+from sparsegt.attention import (TemperatureSchedule, pattern_geometry,
+                                temperature_at)
 from sparsegt.datasets import SyntheticSpec, gen_bridge_task, gen_dataset
-from sparsegt.errors import ContractError, DivergenceError
-from sparsegt.graphs import TEST, TRAIN, VAL, augment, build_expander
+from sparsegt.errors import ContractError, DivergenceError, ShapeError
+from sparsegt.graphs import (TEST, TRAIN, VAL, AttentionPattern, PatternLayer,
+                             augment, build_expander)
 from sparsegt.numerics import AdamW, load_checkpoint
 from sparsegt.pipeline import (TrainConfig, config_from_dict, config_to_dict,
                                edge_percent, metric_value, predict,
                                predicted_labels, resolve_task,
-                               save_history_csv, train_estimator, train_final)
-from sparsegt.sampling import (ScoreLayer, ScoreSet, load_scores_npz,
-                               uniform_scores, validate_scores)
+                               save_history_csv, train_estimator, train_final,
+                               write_json)
+from sparsegt.sampling import load_scores_npz, uniform_scores, validate_scores
 
 
 @functools.lru_cache(maxsize=None)
@@ -112,25 +115,25 @@ class TestMetrics:
                             np.array([0])) == 1.0
 
 
+def _one_layer(row_ptr, col_idx):
+    col_idx = np.asarray(col_idx, dtype=np.int64)
+    return AttentionPattern(n=len(row_ptr) - 1, layers=(PatternLayer(
+        row_ptr=np.asarray(row_ptr), col_idx=col_idx,
+        edge_type=np.zeros(col_idx.size, dtype=np.int8),
+        values=np.ones(col_idx.size)),))
+
+
 class TestEdgePercent:
     def test_hand_ratio(self):
         # rows of length 3, 6, 9 under degree 5: 13 of 18 entries reachable
-        sl = ScoreLayer(row_ptr=np.array([0, 3, 9, 18]),
-                        col_idx=np.arange(18) % 3,
-                        values=np.ones(18))
-        pct = edge_percent(ScoreSet(n=3, layers=(sl,)), (5,))
+        pct = edge_percent(_one_layer([0, 3, 9, 18], np.arange(18) % 3), (5,))
         assert pct == pytest.approx(72.22222222222223, abs=1e-10)
 
     def test_contracts(self):
-        sl = ScoreLayer(row_ptr=np.array([0, 1]), col_idx=np.array([0]),
-                        values=np.ones(1))
         with pytest.raises(ContractError, match="budgets"):
-            edge_percent(ScoreSet(n=1, layers=(sl,)), (2, 2))
-        empty = ScoreLayer(row_ptr=np.array([0, 0]),
-                           col_idx=np.array([], dtype=np.int64),
-                           values=np.array([]))
+            edge_percent(_one_layer([0, 1], [0]), (2, 2))
         with pytest.raises(ContractError, match="empty"):
-            edge_percent(ScoreSet(n=1, layers=(empty,)), (2,))
+            edge_percent(_one_layer([0, 0], []), (2,))
 
 
 class TestEstimator:
@@ -168,6 +171,19 @@ class TestEstimator:
             np.testing.assert_array_equal(sl.row_ptr, pl.row_ptr)
             np.testing.assert_array_equal(sl.col_idx, pl.col_idx)
             np.testing.assert_array_equal(sl.edge_type, pl.edge_type)
+
+    def test_scores_are_the_live_slots_of_the_best_forward(self):
+        g, pattern = _toy()
+        cfg = TrainConfig(width=4, layers=2, epochs=12, lr=0.02, seed=0)
+        res = train_estimator(g, pattern, cfg)
+        geoms = [pattern_geometry(layer) for layer in pattern.layers]
+        x = np.asarray(g.features, dtype=cfg.np_dtype)
+        _, padded = res.network.forward(x, geoms, tau=res.tau_final)
+        for sl, sc in zip(res.scores.layers, padded):
+            assert sl.values.dtype == np.float64
+            for i in range(g.n):
+                lo, hi = sl.row_ptr[i], sl.row_ptr[i + 1]
+                np.testing.assert_array_equal(sl.values[lo:hi], sc[i, :hi - lo])
 
     def test_zero_epochs_reads_init_scores(self):
         g, pattern = _toy()
@@ -266,11 +282,9 @@ class TestFinal:
             for i in range(len(sl.row_ptr) - 1):
                 lo, hi = sl.row_ptr[i], sl.row_ptr[i + 1]
                 vals[lo:hi] = vals[lo:hi][::-1]
-            return ScoreLayer(row_ptr=sl.row_ptr, col_idx=sl.col_idx,
-                              values=vals, edge_type=sl.edge_type)
+            return replace(sl, values=vals)
 
-        bent = ScoreSet(n=scores.n, layers=tuple(_rev(sl)
-                                                 for sl in scores.layers))
+        bent = replace(scores, layers=tuple(_rev(sl) for sl in scores.layers))
         cfg = self._cfg(epochs=3, ablation="uniform", prefilter=False)
         a = train_final(g, uniform_scores(_toy()[1]), cfg)
         b = train_final(g, bent, cfg)
@@ -288,15 +302,8 @@ class TestFinal:
             train_final(g, scores, self._cfg(ablation="no-temp"))
         with pytest.raises(ContractError, match="degree budgets"):
             train_final(g, scores, self._cfg(degs=(4,)))
-        untyped = ScoreSet(n=scores.n, layers=tuple(
-            ScoreLayer(row_ptr=sl.row_ptr, col_idx=sl.col_idx, values=sl.values)
-            for sl in scores.layers))
-        with pytest.raises(ContractError, match="attach_types"):
-            train_final(g, untyped, self._cfg())
-        broken = ScoreSet(n=scores.n, layers=tuple(
-            ScoreLayer(row_ptr=sl.row_ptr, col_idx=sl.col_idx,
-                       values=sl.values * 2.0, edge_type=sl.edge_type)
-            for sl in scores.layers))
+        broken = replace(scores, layers=tuple(
+            replace(sl, values=sl.values * 2.0) for sl in scores.layers))
         with pytest.raises(ContractError, match="sums"):
             train_final(g, broken, self._cfg())
 
@@ -318,6 +325,23 @@ class TestFinal:
         monkeypatch.setattr(AdamW, "step", no_update)
         with pytest.raises(ContractError, match="degree budgets"):
             train_final(g, _toy_scores(), self._cfg(full_graph=True, degs=(4,)))
+
+
+def test_node_counts_must_match():
+    g, pattern = _toy()
+    small = gen_bridge_task(SyntheticSpec(seed=2, num_components=2,
+                                          component_size=8, num_bridges=1))
+    small_pattern = augment(small, build_expander(16, num_cycles=2, seed=1), 2)
+    with pytest.raises(ShapeError, match="pattern on 16 nodes, graph on 32"):
+        train_estimator(g, small_pattern, TrainConfig(layers=2, epochs=1))
+    with pytest.raises(ShapeError, match="scores on 16 nodes, graph on 32"):
+        train_final(g, uniform_scores(small_pattern),
+                    TrainConfig(layers=2, epochs=1, degs=(4, 4)))
+    res = train_final(g, _toy_scores(), TrainConfig(width=8, layers=2, epochs=1,
+                                                    batch_size=16, degs=(3, 3)))
+    with pytest.raises(ShapeError, match="16 feature rows for scores on 32"):
+        predict(res.network, small.features, _toy_scores(), (3, 3), [0, 1],
+                loss_name=res.loss_name)
 
 
 @pytest.mark.parametrize("phase", ["estimator", "sampled", "full-graph"])
@@ -425,7 +449,6 @@ class TestRunDirs:
         cfg = TrainConfig(width=4, layers=2, epochs=3, seed=0)
         res = train_estimator(g, pattern, cfg, run_dir=tmp_path / "est")
         d = tmp_path / "est"
-        import json
         meta = json.loads((d / "config.json").read_text())
         assert meta["role"] == "estimator"
         assert config_from_dict({k: v for k, v in meta.items() if k != "role"}) == cfg
@@ -446,11 +469,46 @@ class TestRunDirs:
                           degs=(4, 4), seed=0)
         train_final(g, _toy_scores(), cfg, run_dir=tmp_path / "fin")
         d = tmp_path / "fin"
-        import json
         assert json.loads((d / "config.json").read_text())["role"] == "final"
         assert (d / "ckpt" / "final.ckpt").exists()
         metrics = json.loads((d / "metrics.json").read_text())
         assert {"edge_pct", "rows_sampled", "best_epoch"} <= set(metrics)
+
+
+class TestStrictJson:
+    def _strict(self, path):
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+        with open(path) as fh:
+            return json.load(fh, parse_constant=refuse)
+
+    @pytest.mark.parametrize("epochs", [4, 0])
+    def test_runs_without_validation_write_null(self, tmp_path, epochs):
+        # best_val is NaN after training without validation nodes and -inf
+        # when no epoch ran
+        g, pattern = _toy()
+        train_estimator(_without_val(g), pattern,
+                        TrainConfig(width=4, layers=2, epochs=epochs, seed=0),
+                        run_dir=tmp_path)
+        metrics = self._strict(tmp_path / "metrics.json")
+        assert metrics["best_val"] is None
+        assert np.isfinite(metrics["test_metric"])
+        self._strict(tmp_path / "config.json")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "ckpt", "config.json", "history.csv", "metrics.json", "scores"]
+
+    def test_nested_values_and_failed_writes(self, tmp_path):
+        path = tmp_path / "out.json"
+        write_json(path, {"b": [1.5, float("inf"), (float("-inf"), 2)],
+                          "a": {"x": float("nan")}})
+        assert path.read_text() == ('{\n  "a": {\n    "x": null\n  },\n'
+                                    '  "b": [\n    1.5,\n    null,\n    [\n'
+                                    '      null,\n      2\n    ]\n  ]\n}\n')
+        before = path.read_text()
+        with pytest.raises(TypeError):
+            write_json(path, {"a": object()})
+        assert path.read_text() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
 
 def test_history_csv_format(tmp_path):

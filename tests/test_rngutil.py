@@ -7,7 +7,8 @@ import pytest
 from scipy import stats as sps
 
 from sparsegt.rngutil import TAG_SAMPLE, counter_uniform
-from sparsegt.sampling import ScoreLayer, ScoreSet, sample_batch
+from sparsegt.graphs import AttentionPattern, PatternLayer
+from sparsegt.sampling import sample_batch
 
 KEYS = (5, TAG_SAMPLE, 7, 2, 1)        # seed, tag, epoch, batch_index, layer
 NODES = np.repeat(np.arange(1000), 100)
@@ -49,9 +50,10 @@ def test_no_overflow_warning_escapes():
         u = counter_uniform((big, big, 2 ** 63), np.array([big], dtype=np.uint64),
                             np.arange(10))
         assert np.all((u > 0) & (u < 1))
-        sl = ScoreLayer(row_ptr=np.array([0, 3]), values=np.array([0.5, 0.3, 0.2]),
-                        col_idx=np.zeros(3, dtype=np.int64))
-        sample_batch(np.array([0]), ScoreSet(n=1, layers=(sl,)), (2,),
+        sl = PatternLayer(row_ptr=np.array([0, 3]), values=np.array([0.5, 0.3, 0.2]),
+                          col_idx=np.zeros(3, dtype=np.int64),
+                          edge_type=np.zeros(3, dtype=np.int8))
+        sample_batch(np.array([0]), AttentionPattern(n=1, layers=(sl,)), (2,),
                      seed=2 ** 62, epoch=2 ** 40)
 
 

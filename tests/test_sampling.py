@@ -13,6 +13,8 @@ constants, and against the per-query loop it replaced (sampling_oracle)
 wherever the two must agree exactly.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,11 +24,10 @@ from scipy import stats as sps
 from sparsegt.errors import ContractError, ShapeError
 from sparsegt.graphs import AttentionPattern, EdgeType, PatternLayer
 from sparsegt.rngutil import TAG_VAL, derive
-from sparsegt.sampling import (BatchPlan, SampleStats, ScoreLayer, ScoreSet,
-                               attach_types, load_scores_npz, plan_geometries,
-                               prefilter_topk, reservoir_sample,
-                               resample_epoch, sample_batch, save_scores_npz,
-                               scores_from_padded, uniform_scores,
+from sparsegt.sampling import (BatchPlan, SampleStats, load_scores_npz,
+                               plan_geometries, prefilter_topk,
+                               reservoir_sample, resample_epoch, sample_batch,
+                               save_scores_npz, uniform_scores,
                                validate_scores)
 from sampling_oracle import (prefilter_topk_loop, reservoir_sample_many,
                              sample_batch_loop)
@@ -169,14 +170,22 @@ def _ring_scores(n=6, layers=2):
         typs.append([int(EdgeType.SELF_LOOP) if c == i else int(EdgeType.GRAPH)
                      for c in cols])
     row_ptr = np.arange(0, 3 * n + 1, 3, dtype=np.int64)
-    sl = ScoreLayer(row_ptr=row_ptr,
-                    col_idx=np.concatenate(rows).astype(np.int64),
-                    values=np.concatenate(vals),
-                    edge_type=np.concatenate(typs).astype(np.int64))
-    return ScoreSet(n=n, layers=(sl,) * layers)
+    sl = PatternLayer(row_ptr=row_ptr,
+                      col_idx=np.concatenate(rows).astype(np.int64),
+                      values=np.concatenate(vals),
+                      edge_type=np.concatenate(typs).astype(np.int64))
+    return AttentionPattern(n=n, layers=(sl,) * layers)
 
 
-def _assert_plan_invariants(plan: BatchPlan, scores: ScoreSet, seeds, degs):
+# one CSR score layer with every entry typed GRAPH
+def _scored(row_ptr, col_idx, values):
+    col_idx = np.asarray(col_idx, dtype=np.int64)
+    return PatternLayer(row_ptr=np.asarray(row_ptr), col_idx=col_idx,
+                        edge_type=np.zeros(col_idx.size, dtype=np.int8),
+                        values=np.asarray(values, dtype=np.float64))
+
+
+def _assert_plan_invariants(plan: BatchPlan, scores: AttentionPattern, seeds, degs):
     num_layers = len(plan.layers)
     np.testing.assert_array_equal(plan.layers[-1].q_nodes, seeds)
     np.testing.assert_array_equal(plan.input_nodes, plan.layers[0].v_nodes)
@@ -188,7 +197,7 @@ def _assert_plan_invariants(plan: BatchPlan, scores: ScoreSet, seeds, degs):
         np.testing.assert_array_equal(v[pl.key_local], pl.key_global)
         layer = scores.layers[li]
         for qi, node in enumerate(q):
-            cols, _ = layer.row(int(node))
+            cols = layer.row(int(node))
             live = pl.key_mask[qi] > 0
             assert live.sum() == min(degs[li], cols.size)
             assert set(pl.key_global[qi, live]) <= set(cols.tolist())
@@ -234,10 +243,8 @@ class TestBatchPlans:
         lengths = np.array([r.size for r in rows])
         row_ptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
         vals = np.concatenate([rng.dirichlet(np.ones(r.size)) for r in rows])
-        sl = ScoreLayer(row_ptr=row_ptr,
-                        col_idx=np.concatenate(rows).astype(np.int64),
-                        values=vals)
-        ss = ScoreSet(n=n, layers=(sl, sl))
+        sl = _scored(row_ptr, np.concatenate(rows), vals)
+        ss = AttentionPattern(n=n, layers=(sl, sl))
         seeds = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)),
                                    replace=False))
         plan = sample_batch(seeds, ss, (d1, d2), seed=key, epoch=1)
@@ -296,10 +303,9 @@ class TestBatchPlans:
                         assert rows.setdefault((li, int(q)), got) == got
 
     def test_top_mode_is_deterministic_and_greedy(self):
-        sl = ScoreLayer(row_ptr=np.array([0, 3, 6, 9]),
-                        col_idx=np.tile([0, 1, 2], 3).astype(np.int64),
-                        values=np.tile([0.3, 0.4, 0.3], 3))
-        ss = ScoreSet(n=3, layers=(sl,))
+        sl = _scored([0, 3, 6, 9], np.tile([0, 1, 2], 3),
+                     np.tile([0.3, 0.4, 0.3], 3))
+        ss = AttentionPattern(n=3, layers=(sl,))
         p1 = sample_batch(np.array([0]), ss, (2,), seed=0, epoch=1, mode="top")
         p9 = sample_batch(np.array([0]), ss, (2,), seed=5, epoch=9, mode="top")
         pl = p1.layers[-1]
@@ -313,8 +319,7 @@ class TestBatchPlans:
         # must keep the other whole
         vals = np.array([0.9, 0.02, 0.02, 0.02, 0.02, 0.02] + [1 / 6.0] * 6)
         cols = np.tile(np.arange(6), 2).astype(np.int64)
-        sl = ScoreLayer(row_ptr=np.array([0, 6, 12]), col_idx=cols, values=vals)
-        ss = ScoreSet(n=2, layers=(sl,))
+        ss = AttentionPattern(n=2, layers=(_scored([0, 6, 12], cols, vals),))
         stats = SampleStats()
         sample_batch(np.array([0, 1]), ss, (3,), seed=0, epoch=1,
                      k_prime=2, tail_eps=0.2, stats=stats)
@@ -335,17 +340,19 @@ class TestBatchPlans:
             sample_batch(np.array([], dtype=np.int64), ss, (2, 2), seed=0, epoch=1)
         with pytest.raises(ContractError, match="k_prime"):
             sample_batch(np.array([1]), ss, (2, 2), seed=0, epoch=1, k_prime=0)
-        neg = ScoreLayer(row_ptr=np.array([0, 3]), col_idx=np.arange(3),
-                         values=np.array([0.6, 0.5, -0.1]))
+        neg = _scored([0, 3], np.arange(3), [0.6, 0.5, -0.1])
         with pytest.raises(ContractError, match="negative"):
-            sample_batch(np.array([0]), ScoreSet(n=1, layers=(neg,)), (2,),
+            sample_batch(np.array([0]), AttentionPattern(n=1, layers=(neg,)), (2,),
                          seed=0, epoch=1)
 
+    def test_bare_pattern_rejected(self):
+        ring = _ring_scores().layers[0]
+        bare = AttentionPattern(n=6, layers=(replace(ring, values=None),) * 2)
+        with pytest.raises(ContractError, match="no score values"):
+            sample_batch(np.array([1]), bare, (2, 2), seed=0, epoch=1)
+
     def test_empty_score_row_rejected(self):
-        sl = ScoreLayer(row_ptr=np.array([0, 0, 1]),
-                        col_idx=np.array([1], dtype=np.int64),
-                        values=np.array([1.0]))
-        ss = ScoreSet(n=2, layers=(sl,))
+        ss = AttentionPattern(n=2, layers=(_scored([0, 0, 1], [1], [1.0]),))
         with pytest.raises(ContractError, match="empty score row"):
             sample_batch(np.array([0]), ss, (1,), seed=0, epoch=1)
 
@@ -361,12 +368,12 @@ def _hub_scores(key, n=60, layers=2):
         vals = [rng.dirichlet(np.full(r.size, 0.5)) for r in rows]
         vals = [np.where(rng.random(v.size) < 0.2, 0.0, v) for v in vals]
         lengths = np.array([r.size for r in rows])
-        out.append(ScoreLayer(
+        out.append(PatternLayer(
             row_ptr=np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64),
             col_idx=np.concatenate(rows).astype(np.int64),
             values=np.concatenate(vals),
             edge_type=rng.integers(0, 3, int(lengths.sum()))))
-    return ScoreSet(n=n, layers=tuple(out))
+    return AttentionPattern(n=n, layers=tuple(out))
 
 
 def _assert_same_plan(a: BatchPlan, b: BatchPlan):
@@ -397,7 +404,7 @@ class TestAgainstLoopOracle:
         layer = ss.layers[0]
         decisions = set()
         for node in range(ss.n):
-            _, vals = layer.row(node)
+            vals = layer.values[layer.row_ptr[node]:layer.row_ptr[node + 1]]
             for k_prime in (1, 3, 6):
                 keep, full = prefilter_topk(vals, k_prime, tail_eps=0.3)
                 keep_o, full_o = prefilter_topk_loop(vals, k_prime, tail_eps=0.3)
@@ -413,9 +420,7 @@ class TestAgainstLoopOracle:
         assert decisions == {(0, 0), (1, 0), (0, 1)}
 
     def test_batched_sampler_matches_pair_law(self):
-        sl = ScoreLayer(row_ptr=np.array([0, 3, 3, 3]),
-                        col_idx=np.arange(3, dtype=np.int64), values=W)
-        ss = ScoreSet(n=3, layers=(sl,))
+        ss = AttentionPattern(n=3, layers=(_scored([0, 3, 3, 3], np.arange(3), W),))
         draws = 20_000
         pairs = np.empty((draws, 2), dtype=np.int64)
         for epoch in range(draws):
@@ -457,61 +462,63 @@ class TestScoreSets:
         validate_scores(_ring_scores())
 
     def test_validate_flags_negative_and_bad_sum(self):
-        sl = ScoreLayer(row_ptr=np.array([0, 2]),
-                        col_idx=np.array([0, 1]),
-                        values=np.array([0.5, -0.1]))
+        sl = _scored([0, 2], [0, 1], [0.5, -0.1])
         with pytest.raises(ContractError, match="negative"):
-            validate_scores(ScoreSet(n=1, layers=(sl,)))
-        sl = ScoreLayer(row_ptr=np.array([0, 2]),
-                        col_idx=np.array([0, 1]),
-                        values=np.array([0.5, 0.4]))
+            validate_scores(AttentionPattern(n=1, layers=(sl,)))
+        sl = _scored([0, 2], [0, 1], [0.5, 0.4])
         with pytest.raises(ContractError, match="row 0"):
-            validate_scores(ScoreSet(n=1, layers=(sl,)))
+            validate_scores(AttentionPattern(n=1, layers=(sl,)))
 
     def test_validate_skips_interior_empty_rows(self):
-        sl = ScoreLayer(row_ptr=np.array([0, 2, 2, 3]),
-                        col_idx=np.array([0, 1, 2]),
-                        values=np.array([0.5, 0.5, 1.0]))
-        validate_scores(ScoreSet(n=3, layers=(sl,)))
+        sl = _scored([0, 2, 2, 3], [0, 1, 2], [0.5, 0.5, 1.0])
+        validate_scores(AttentionPattern(n=3, layers=(sl,)))
+
+    def test_validate_skips_trailing_empty_rows(self):
+        sl = _scored([0, 2, 2], [0, 1], [0.5, 0.5])
+        validate_scores(AttentionPattern(n=2, layers=(sl,)))
+
+    @pytest.mark.parametrize("field,value,error,message", [
+        ("row_ptr", np.arange(0, 19, 3)[:-1], ShapeError, "row_ptr has shape"),
+        ("row_ptr", np.arange(1, 20, 3), ContractError, "row_ptr must start at 0"),
+        ("row_ptr", np.array([0, 6, 3, 9, 12, 15, 18]), ContractError,
+         "row_ptr must start at 0 and never decrease"),
+        ("col_idx", np.zeros(17, dtype=np.int64), ShapeError, "col_idx has shape"),
+        ("edge_type", np.zeros(19, dtype=np.int8), ShapeError,
+         "edge_type has shape"),
+        ("values", np.full(17, 1 / 3), ShapeError, "values has shape"),
+        ("values", None, ContractError, "no score values"),
+        ("col_idx", np.where(np.arange(18) == 7, 6, _ring_scores().layers[0].col_idx),
+         ContractError, "column 6 outside"),
+        ("col_idx", np.where(np.arange(18) == 7, -1, _ring_scores().layers[0].col_idx),
+         ContractError, "column -1 outside"),
+    ])
+    def test_validate_checks_the_csr_arrays(self, field, value, error, message):
+        good = _ring_scores(layers=1).layers[0]
+        bad = AttentionPattern(n=6, layers=(good, replace(good, **{field: value})))
+        with pytest.raises(error, match=f"layer 2: {message}"):
+            validate_scores(bad)
+
+    def test_a_short_values_array_is_named_not_summed(self, tmp_path):
+        ss = _ring_scores()
+        save_scores_npz(tmp_path / "s.npz", ss)
+        with np.load(tmp_path / "s.npz") as z:
+            arrays = dict(z)
+        arrays["values_0"] = arrays["values_0"][:-1]
+        np.savez(tmp_path / "short.npz", **arrays)
+        with pytest.raises(ShapeError, match="layer 1: values has shape"):
+            validate_scores(load_scores_npz(tmp_path / "short.npz"))
 
     def test_uniform_scores(self):
+        ring = _ring_scores().layers[0]
         pat = AttentionPattern(n=6, layers=(PatternLayer(
-            row_ptr=_ring_scores().layers[0].row_ptr,
-            col_idx=_ring_scores().layers[0].col_idx,
-            edge_type=_ring_scores().layers[0].edge_type),) * 2)
+            row_ptr=ring.row_ptr, col_idx=ring.col_idx,
+            edge_type=ring.edge_type),) * 2)
         uni = uniform_scores(pat)
         validate_scores(uni)
         np.testing.assert_allclose(uni.layers[0].values, 1 / 3.0)
         np.testing.assert_array_equal(uni.layers[0].edge_type,
                                       pat.layers[0].edge_type)
-
-    def test_scores_from_padded_ignores_pad_values(self):
-        pl = PatternLayer(row_ptr=np.array([0, 2, 5]),
-                          col_idx=np.array([0, 1, 0, 1, 2]),
-                          edge_type=np.zeros(5, dtype=np.int64))
-        pat = AttentionPattern(n=2, layers=(pl,))
-        padded = np.array([[0.7, 0.3, 99.0],       # pad slot holds garbage
-                           [0.2, 0.5, 0.3]])
-        ss = scores_from_padded(pat, [padded])
-        np.testing.assert_allclose(ss.layers[0].values,
-                                   [0.7, 0.3, 0.2, 0.5, 0.3])
-        validate_scores(ss)
-
-    def test_attach_types_checks_support(self):
-        ss = _ring_scores()
-        pat = AttentionPattern(n=6, layers=(PatternLayer(
-            row_ptr=ss.layers[0].row_ptr, col_idx=ss.layers[0].col_idx,
-            edge_type=np.ones(ss.layers[0].nnz, dtype=np.int64)),) * 2)
-        typed = attach_types(ScoreSet(n=6, layers=(
-            ScoreLayer(row_ptr=ss.layers[0].row_ptr,
-                       col_idx=ss.layers[0].col_idx,
-                       values=ss.layers[0].values),) * 2), pat)
-        np.testing.assert_array_equal(typed.layers[0].edge_type, 1)
-        bad = PatternLayer(row_ptr=np.array([0, 1]),
-                           col_idx=np.array([0]),
-                           edge_type=np.array([2]))
-        with pytest.raises(ContractError, match="support"):
-            attach_types(ss, AttentionPattern(n=1, layers=(bad, bad)))
+        assert pat.layers[0].values is None      # the pattern is untouched
 
 
 class TestScoreIO:
