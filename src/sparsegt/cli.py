@@ -192,6 +192,8 @@ def _cmd_predict(args) -> int:
         raise ContractError(f"{run_dir} holds a {role} run, not a final one")
     cfg = config_from_dict(stored)
     scores = load_scores_npz(args.scores)
+    # predict checks only the scores it samples by, and under the uniform
+    # ablation those are not the file's
     validate_scores(scores)
     net, loss_name = build_network(g, cfg, "final")
     net.load_state_dict(load_checkpoint(run_dir / "ckpt" / "final.ckpt"))

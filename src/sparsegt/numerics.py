@@ -2,13 +2,22 @@
 
 The tape is the closure graph: each op returns a Tensor holding its
 inputs and a backward closure, and ``backward`` walks the graph in
-reverse topological order accumulating gradients.  Arrays are at most
-3-d; training runs in float32 and gradient checking in float64 (ops
-preserve whatever dtype their inputs carry).
+reverse topological order accumulating gradients.  Once a node's closure
+has run, ``backward`` drops the closure, the parent links and the node's
+gradient, so the tape is freed as soon as it has been walked; only
+leaves keep their ``grad``.  Arrays are at most 3-d; training runs in
+float32 and gradient checking in float64 (ops preserve whatever dtype
+their inputs carry).
+
+The backward of ``gather_rows`` (and batch norm's route back to its
+statistics rows) scatter-adds through a sparse operator: a CSC matrix
+whose column j holds a single 1 in row idx[j].  scipy applies it column
+by column into a zeroed output, so every row sums its gradients in index
+order starting from 0: the same bits as adding them one at a time.
 
 Also here because trainers need them next to the tape: the fused losses,
-AdamW with a cosine learning-rate schedule, the binary checkpoint
-format, and a central-difference gradient probe.
+AdamW with a cosine learning-rate schedule, and the binary checkpoint
+format.
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ import struct
 from contextlib import contextmanager
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ContractError, DivergenceError, FormatError, ShapeError
 
@@ -127,6 +137,7 @@ def backward(loss: Tensor) -> None:
     for node in reversed(order):
         if node._backward is not None:
             node._backward()
+            node._backward, node._parents, node.grad = None, (), None
 
 
 # ---------------------------------------------------------------------------
@@ -194,18 +205,33 @@ def batched_matmul(a, b) -> Tensor:
     return out
 
 
+def _scatter_rows(src: np.ndarray, idx: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """Zeros shaped like ``like`` with ``src[j]`` added to row ``idx[j]``, in order of j.
+
+    IndexError unless every index lies in [0, rows): scipy does not check
+    the indices of the operator it is handed.
+    """
+    rows, m = like.shape[0], idx.shape[0]
+    if m and (idx.min() < 0 or idx.max() >= rows):
+        bad = idx[(idx < 0) | (idx >= rows)][0]
+        raise IndexError(f"scatter index {bad} outside [0, {rows})")
+    op = sp.csc_matrix((np.ones(m, dtype=like.dtype), idx, np.arange(m + 1)),
+                       shape=(rows, m))
+    return op @ src
+
+
 def gather_rows(t, idx) -> Tensor:
-    """Select rows by index; backward scatter-adds."""
+    """Select rows by index; backward scatter-adds (see ``_scatter_rows``)."""
     t = as_tensor(t)
     idx = np.asarray(idx, dtype=np.int64)
     if idx.ndim != 1:
         raise ShapeError("gather_rows wants a flat index array")
+    if t.data.ndim not in (1, 2):
+        raise ShapeError(f"gather_rows wants a 1-d or 2-d tensor, got shape {t.data.shape}")
     out = Tensor(t.data[idx], requires_grad=_track(t))
     if out.requires_grad:
         def _bw():
-            g = np.zeros_like(t.data)
-            np.add.at(g, idx, out.grad)
-            t._acc(g)
+            t._acc(_scatter_rows(out.grad, idx, t.data))
         out._backward, out._parents = _bw, (t,)
     return out
 
@@ -372,8 +398,7 @@ def batch_norm(t, gamma, beta, running_mean, running_var, training: bool,
                     dmu = -(gx.sum(axis=0)) * inv
                     dvar = (gx * (x - mu)).sum(axis=0) * (-0.5) * inv ** 3
                     extra = (dmu + dvar * 2.0 * (x[rows] - mu)) / k
-                    dx = dx.copy()
-                    np.add.at(dx, rows, extra)
+                    dx = dx + _scatter_rows(extra, rows, dx)
                 t._acc(dx)
         out._backward, out._parents = _bw, (t, gamma, beta)
     return out
@@ -580,35 +605,3 @@ def load_checkpoint(path) -> dict:
     except (struct.error, ValueError) as exc:
         raise FormatError(f"{path}: truncated checkpoint ({exc})") from None
     return out
-
-
-# ---------------------------------------------------------------------------
-# Gradient probing
-
-
-def finite_difference(loss_fn, tensor: Tensor, h: float = 1e-5) -> np.ndarray:
-    """Central-difference d(loss)/d(tensor), elementwise.
-
-    ``loss_fn`` must rebuild the forward pass from current tensor values;
-    it is called under no_grad, twice per element.
-    """
-    flat = tensor.data.reshape(-1)
-    out = np.zeros_like(flat, dtype=np.float64)
-    with no_grad():
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + h
-            hi = float(as_tensor(loss_fn()).data)
-            flat[i] = keep - h
-            lo = float(as_tensor(loss_fn()).data)
-            flat[i] = keep
-            out[i] = (hi - lo) / (2 * h)
-    return out.reshape(tensor.data.shape)
-
-
-def max_relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> float:
-    """max |a-b| / max(|a|, |b|, floor) — the gradient-check metric."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
-    return float((np.abs(a - b) / denom).max())

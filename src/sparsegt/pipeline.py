@@ -490,11 +490,13 @@ def predict(net: Network, features: np.ndarray, scores: AttentionPattern, degs,
     Sample ``s`` uses epoch key ``s`` on the prediction stream, so the
     averaged patterns are disjoint draws yet the whole call is
     reproducible.  Returns (probabilities, predicted labels); empty
-    ``nodes`` give empty arrays of the same layout.
+    ``nodes`` give empty arrays of the same layout.  ``scores`` must pass
+    ``validate_scores``.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
     if n_samples < 1:
         raise ContractError("n_samples must be positive")
+    validate_scores(scores)
     x = np.asarray(features, dtype=net.cfg.dtype)
     if x.shape[0] != scores.n:
         raise ShapeError(f"{x.shape[0]} feature rows for scores on {scores.n} nodes")

@@ -23,6 +23,7 @@ import pytest
 from scipy import stats as sps
 
 from conftest import ACCEPTANCE
+from gradcheck import finite_difference, max_relative_error
 import sparsegt.numerics as nm
 from sparsegt.analysis import (attention_entropy, consistency_study,
                                projection_distortion_check,
@@ -104,9 +105,9 @@ def test_c02_gradient_correctness():
     nm.backward(loss_fn())
     worst = 0.0
     for name, p in net.named_parameters():
-        num = nm.finite_difference(loss_fn, p)
+        num = finite_difference(loss_fn, p)
         grad = np.zeros_like(p.data) if p.grad is None else p.grad
-        worst = max(worst, nm.max_relative_error(grad, num))
+        worst = max(worst, max_relative_error(grad, num))
     _report(2, "gradient correctness", worst < 1e-3,
             f"max relative error {worst:.2e} across all parameters "
             "of a 6-node 2-layer width-4 network (tol 1e-3)")

@@ -6,6 +6,7 @@ path must match it to float64 round-off.  Gradients of the whole network
 are then checked against finite differences, parameter by parameter.
 """
 
+import gc
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from sparsegt.attention import (LayerParams, ModelConfig, Network,
 from sparsegt.errors import ContractError, ShapeError
 from sparsegt.graphs import EdgeType, PatternLayer
 from sparsegt.rngutil import derive
+from gradcheck import finite_difference, max_relative_error
 
 G, X, S = int(EdgeType.GRAPH), int(EdgeType.EXPANDER), int(EdgeType.SELF_LOOP)
 
@@ -181,11 +183,11 @@ def _gradcheck_net(norm, normalize_values):
     nm.backward(loss_fn())
     worst = 0.0
     for name, p in net.named_parameters():
-        num = nm.finite_difference(loss_fn, p)
+        num = finite_difference(loss_fn, p)
         # a parameter the forward never touches (vscale when values are
         # raw) keeps grad None; the numeric gradient must agree it is zero
         grad = np.zeros_like(p.data) if p.grad is None else p.grad
-        err = nm.max_relative_error(grad, num)
+        err = max_relative_error(grad, num)
         assert err < 1e-3, f"{name}: {err}"
         worst = max(worst, err)
     return worst
@@ -197,6 +199,37 @@ class TestNetworkGradients:
 
     def test_batch_norm_net_gradcheck(self):
         assert _gradcheck_net("batch", False) < 1e-5
+
+
+class TestTape:
+    @pytest.mark.parametrize("norm", ["layer", "batch"])
+    def test_a_training_step_leaves_no_garbage(self, norm):
+        # backward releases each node once its closure has run, so the
+        # op/closure reference cycles are gone before the collector runs
+        cfg = ModelConfig(in_dim=3, width=4, layers=2, out_dim=2, heads=2,
+                          norm=norm, normalize_values=norm == "layer",
+                          dropout=0.25)
+        net = Network(cfg, seed=3)
+        stats = np.array([0, 2, 3]) if norm == "batch" else None
+        geoms = [pattern_geometry(_ragged(), stats_rows=stats)] * 2
+        feats = derive(0, 84).normal(size=(5, 3))
+        opt = nm.AdamW(net.named_parameters(), nm.CosineSchedule(0.01, 2))
+        gc.collect()
+        gc.disable()
+        try:
+            logits, _ = net.forward(feats, geoms, tau=0.8, training=True,
+                                    dropout_rng=derive(0, 85))
+            loss = nm.softmax_cross_entropy(logits, np.array([0, 1, 0, 1, 1]))
+            nm.backward(loss)
+            opt.step(1)
+            # leaves keep their gradients; the walked interior nodes do not
+            assert net.w_in.grad is not None and net.w_out.grad is not None
+            assert logits.grad is None and logits._parents == ()
+            del logits, loss
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert unreachable == 0
 
 
 class TestConfig:

@@ -235,6 +235,20 @@ class TestExitCodes:
                      "--epochs", "1"]) == 2
         assert "scores on 32 nodes, graph on 16" in capsys.readouterr().err
 
+    def test_predict_checks_the_score_file_of_a_uniform_run(self, ws, tmp_path,
+                                                            capsys):
+        fin = str(tmp_path / "fin")
+        assert main(["train-final", "--data", ws["data"], "--scores",
+                     ws["scores"], "--out", fin, "--degs", "4,4", "--epochs",
+                     "1", "--batch-size", "16", "--ablation", "uniform"]) == 0
+        scores = load_scores_npz(ws["scores"])
+        bad = str(tmp_path / "bad.npz")
+        save_scores_npz(bad, replace(scores, layers=tuple(
+            replace(sl, values=2.0 * sl.values) for sl in scores.layers)))
+        assert main(["predict", "--data", ws["data"], "--scores", bad,
+                     "--run", fin, "--out", str(tmp_path / "p")]) == 2
+        assert "sums to" in capsys.readouterr().err
+
     def test_predict_rejects_estimator_run(self, ws, tmp_path, capsys):
         code = main(["predict", "--data", ws["data"], "--scores", ws["scores"],
                      "--run", ws["est"], "--out", str(tmp_path / "p")])

@@ -1,10 +1,8 @@
 """The demos run to completion against the current package.
 
 Each demo runs in its own interpreter, as a user would start it, so a
-renamed or deleted export breaks this test rather than the demo.  Demo 05
-(the consistency study, 20-30 s on a two-core machine) is left out to keep the
-suite quick; the consistency harness it drives has its own tests in
-test_analysis.py and test_cli.py.
+renamed or deleted export breaks this test rather than the demo.  Demo 05,
+the consistency study, is the slowest (about 13 s on a two-core machine).
 """
 
 import os
@@ -16,7 +14,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = ("01_two_phase_pipeline.py", "02_expander_augmentation.py",
-         "03_reservoir_sampling.py", "04_sampling_phenomena.py")
+         "03_reservoir_sampling.py", "04_sampling_phenomena.py",
+         "05_consistency_study.py")
 
 
 @pytest.mark.parametrize("demo", DEMOS)

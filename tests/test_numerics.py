@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import sparsegt.numerics as nm
 from sparsegt.errors import ContractError, DivergenceError, FormatError, ShapeError
 from sparsegt.rngutil import derive
+from gradcheck import finite_difference, max_relative_error
 
 TOL = 1e-6
 
@@ -25,8 +26,8 @@ def _check_grads(loss_fn, tensors, tol=TOL):
     loss = loss_fn()
     nm.backward(loss)
     for t in tensors:
-        num = nm.finite_difference(loss_fn, t)
-        assert nm.max_relative_error(t.grad, num) < tol, t.grad
+        num = finite_difference(loss_fn, t)
+        assert max_relative_error(t.grad, num) < tol, t.grad
 
 
 class TestElementwiseOps:
@@ -78,10 +79,72 @@ class TestMatmulOps:
                                                     (2, 6))), [a, b])
 
     def test_gather_rows_with_repeats(self):
-        a = _p(np.arange(8, dtype=np.float64).reshape(4, 2))
-        idx = np.array([0, 2, 2, 3, 0])
-        _check_grads(lambda: nm.mean_all(nm.mul(nm.gather_rows(a, idx),
-                                                nm.gather_rows(a, idx))), [a])
+        # repeated rows, an empty index, and an index that skips rows
+        for idx in ([0, 2, 2, 3, 0], [], [3, 1, 3]):
+            a = _p(np.arange(8, dtype=np.float64).reshape(4, 2))
+            idx = np.array(idx, dtype=np.int64)
+            w = np.arange(1.0, idx.size + 1)[None, :]
+            _check_grads(lambda: nm.mean_all(nm.matmul(
+                w, nm.mul(nm.gather_rows(a, idx), nm.gather_rows(a, idx)))), [a])
+            untouched = np.setdiff1d(np.arange(4), idx)
+            assert (a.grad[untouched] == 0).all(), idx
+
+
+def _add_at(grad, idx, rows):
+    """The scatter-add oracle: one element-by-element unbuffered pass."""
+    g = np.zeros((rows,) + grad.shape[1:], dtype=grad.dtype)
+    np.add.at(g, idx, grad)
+    return g
+
+
+class TestScatter:
+    @pytest.mark.parametrize("dtype,uint", [(np.float32, np.uint32),
+                                            (np.float64, np.uint64)])
+    @pytest.mark.parametrize("width", [None, 1, 8], ids=["1d", "w1", "w8"])
+    @pytest.mark.parametrize("m", [0, 1, 500])
+    def test_gather_backward_matches_add_at_bit_for_bit(self, dtype, uint, width, m):
+        rng = derive(1, 120)
+        rows = 60
+        shape = (rows,) if width is None else (rows, width)
+        a = nm.param(np.zeros(shape), dtype)
+        # rows 50..59 are never gathered; 500 draws over 50 rows repeat
+        idx = rng.integers(0, rows - 10, size=m)
+        gshape = (m,) + shape[1:]
+        g = (rng.normal(size=gshape) * 10.0 ** rng.uniform(-10, 10, size=gshape)).astype(dtype)
+        out = nm.gather_rows(a, idx)
+        out.grad = g
+        out._backward()
+        assert a.grad.dtype == dtype and a.grad.shape == shape
+        np.testing.assert_array_equal(a.grad.view(uint), _add_at(g, idx, rows).view(uint))
+
+    def test_indices_outside_the_rows_raise(self):
+        a = _p(np.ones((3, 2)))
+        # the forward wraps a negative index; the backward refuses it
+        loss = nm.mean_all(nm.gather_rows(a, np.array([0, -1])))
+        with pytest.raises(IndexError, match="-1 outside"):
+            nm.backward(loss)
+        with pytest.raises(IndexError):
+            nm.gather_rows(a, np.array([0, 3]))
+        # handed straight to the operator, such an index would write out of bounds
+        with pytest.raises(IndexError, match="5 outside"):
+            nm._scatter_rows(np.ones((1, 2)), np.array([5]), np.zeros((3, 2)))
+
+    def test_batch_norm_stats_rows_outside_raise(self):
+        x = _p(np.arange(8.0).reshape(4, 2))
+        g, b = _p(np.ones(2)), _p(np.zeros(2))
+        out = nm.batch_norm(x, g, b, np.zeros(2), np.ones(2), training=True,
+                            stats_rows=np.array([0, -1]))
+        with pytest.raises(IndexError, match="-1 outside"):
+            nm.backward(nm.mean_all(out))
+        with pytest.raises(IndexError):
+            nm.batch_norm(x, g, b, np.zeros(2), np.ones(2), training=True,
+                          stats_rows=np.array([0, 4]))
+
+    def test_gather_rows_shape_contract(self):
+        with pytest.raises(ShapeError, match="flat index"):
+            nm.gather_rows(_p(np.ones((3, 2))), np.zeros((1, 1), dtype=np.int64))
+        with pytest.raises(ShapeError, match="1-d or 2-d tensor"):
+            nm.gather_rows(_p(np.ones((3, 2, 2))), np.array([0]))
 
 
 class TestMaskedSoftmax:
@@ -367,8 +430,3 @@ class TestCheckpoints:
         (tmp_path / "t.ckpt").write_bytes(blob[:-10])
         with pytest.raises(FormatError, match="truncated"):
             nm.load_checkpoint(tmp_path / "t.ckpt")
-
-
-def test_max_relative_error_floor():
-    assert nm.max_relative_error(np.array([0.0]), np.array([1e-9])) < 1e-2
-    assert nm.max_relative_error(np.array([1.0]), np.array([2.0])) == 0.5

@@ -442,6 +442,19 @@ class TestPredict:
         assert p.shape == (0,) + some_p.shape[1:] and p.dtype == some_p.dtype
         assert lab.shape == (0,) + some_l.shape[1:] and lab.dtype == some_l.dtype
 
+    def test_scores_are_validated(self):
+        g, pattern = _toy()
+        res = train_final(g, _toy_scores(), TrainConfig(width=8, layers=2, epochs=1,
+                                                        batch_size=16, degs=(3, 3)))
+        uni = uniform_scores(pattern)
+        cols = uni.layers[1].col_idx.copy()
+        cols[5] = 40
+        bad = replace(uni, layers=(uni.layers[0], replace(uni.layers[1], col_idx=cols)))
+        # a full-degree plan would gather row 40 of a 32-row tensor
+        with pytest.raises(ContractError, match="layer 2: column 40 outside"):
+            predict(res.network, g.features, bad, (40, 40), np.arange(g.n),
+                    loss_name=res.loss_name)
+
 
 class TestRunDirs:
     def test_estimator_layout(self, tmp_path):
