@@ -14,9 +14,11 @@ Two network flavors share this code.  The narrow score estimator runs
 with one head, layer norm, length-normalized values and an annealing
 softmax temperature; the wide final network runs with batch norm, raw
 values and temperature 1 over sampled fixed-degree patterns.  Both see
-their pattern through a ``LayerGeometry``: a padded (queries x degree)
-index block, so a full CSR pattern and a sampled plan drive the exact
-same forward code.
+their pattern through a ``LayerGeometry``, so a full CSR pattern and a
+sampled plan drive the exact same forward code.  The geometry carries
+its live slots as a CSR edge list, built once with it, and each head is
+one ``numerics.edge_attention`` tape node over that list, so a layer
+costs what its live edges cost.
 """
 
 from __future__ import annotations
@@ -50,11 +52,6 @@ def temperature_at(sched: TemperatureSchedule, epoch: int) -> float:
     return max(sched.gamma ** (epoch - sched.lam), sched.floor)
 
 
-def normalize_v(v, s, eps: float = 1e-6):
-    """Length-normalize value rows to a shared learnable scale."""
-    return nm.normalize_rows(v, s, eps=eps)
-
-
 @dataclass
 class ModelConfig:
     in_dim: int
@@ -84,18 +81,24 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class LayerGeometry:
-    """Padded attention support for one layer, in current-row coordinates.
+    """Attention support for one layer, in current-row coordinates.
 
-    ``key_rows[i, j]`` indexes into the rows of the incoming feature
-    matrix; pad slots point at the query's own self-loop entry and are
-    masked out.  ``stats_rows`` marks which OUTPUT rows constitute the
-    minibatch for batch-norm statistics (None means all of them).
+    Query i attends over rows ``col_idx[row_ptr[i]:row_ptr[i + 1]]`` of
+    the incoming feature matrix: the live slots as a CSR edge list.  The
+    ``key_*`` fields hold the same support as ``pad_edges`` blocks, the
+    layout scores come back in, and ``live`` the edges' flat positions in
+    them.  ``stats_rows`` marks which OUTPUT rows constitute the minibatch
+    for batch-norm statistics (None: all).
     """
 
     query_rows: np.ndarray
     key_rows: np.ndarray
     key_mask: np.ndarray
     key_type: np.ndarray
+    row_ptr: np.ndarray
+    col_idx: np.ndarray
+    edge_type: np.ndarray
+    live: np.ndarray
     stats_rows: np.ndarray | None = None
 
     @property
@@ -107,21 +110,29 @@ class LayerGeometry:
         return int(self.key_rows.shape[1])
 
 
+def pad_edges(row_ptr, cols, types, pad, width: int):
+    """(keys, mask, types) blocks (rows x width) of a CSR edge list, and its
+    live slots' flat positions: row i holds its edges in order, then pad
+    slots on key ``pad[i]``, typed self-loop, with mask 0."""
+    nq = row_ptr.shape[0] - 1
+    live = np.arange(cols.size) + np.repeat(np.arange(nq) * width - row_ptr[:-1], np.diff(row_ptr))
+    key = np.repeat(pad, width)
+    key[live] = cols
+    mask = np.zeros(nq * width, dtype=np.float64)
+    mask[live] = 1.0
+    typ = np.full(nq * width, int(EdgeType.SELF_LOOP), dtype=np.int64)
+    typ[live] = types
+    return key.reshape(nq, width), mask.reshape(nq, width), typ.reshape(nq, width), live
+
+
 def pattern_geometry(layer: PatternLayer, stats_rows=None) -> LayerGeometry:
     """Full-pattern geometry: every node queries its whole CSR row."""
     n = layer.row_ptr.shape[0] - 1
-    lengths = np.diff(layer.row_ptr)
-    kmax = int(lengths.max())
-    key = np.tile(np.arange(n, dtype=np.int64)[:, None], (1, kmax))
-    mask = np.zeros((n, kmax), dtype=np.float64)
-    typ = np.full((n, kmax), int(EdgeType.SELF_LOOP), dtype=np.int64)
-    rows = np.repeat(np.arange(n, dtype=np.int64), lengths)
-    pos = np.arange(layer.col_idx.shape[0], dtype=np.int64) - np.repeat(layer.row_ptr[:-1], lengths)
-    key[rows, pos] = layer.col_idx
-    mask[rows, pos] = 1.0
-    typ[rows, pos] = layer.edge_type
-    return LayerGeometry(query_rows=np.arange(n, dtype=np.int64), key_rows=key,
-                         key_mask=mask, key_type=typ,
+    key, mask, typ, live = pad_edges(layer.row_ptr, layer.col_idx, layer.edge_type,
+                                     np.arange(n), int(np.diff(layer.row_ptr).max()))
+    return LayerGeometry(query_rows=np.arange(n), key_rows=key, key_mask=mask, key_type=typ,
+                         row_ptr=layer.row_ptr, col_idx=layer.col_idx, edge_type=layer.edge_type,
+                         live=live,
                          stats_rows=None if stats_rows is None else np.asarray(stats_rows))
 
 
@@ -167,39 +178,30 @@ def attention_sublayer(h: nm.Tensor, geom: LayerGeometry, lp: LayerParams,
                        dropout_rng=None):
     """One attention layer with residual: returns (out rows=queries, scores).
 
-    Scores are the head-averaged attention distributions, detached, with
-    zeros in pad slots.
+    Each head is one ``nm.edge_attention`` node over the geometry's edge
+    list.  Scores are the head-averaged attention distributions, detached,
+    in the padded layout with zeros in pad slots.
     """
-    nq, k = geom.key_rows.shape
-    flat_keys = geom.key_rows.reshape(-1)
-    flat_types = geom.key_type.reshape(-1)
     xq = nm.gather_rows(h, geom.query_rows)
     scale = 1.0 / math.sqrt(cfg.d_head)
     head_sum = None
-    score_acc = np.zeros((nq, k), dtype=np.float64)
+    score_acc = np.zeros(geom.col_idx.shape[0], dtype=np.float64)
     for hp in lp.heads:
-        q = nm.matmul(xq, hp.wq)
-        kk = nm.matmul(h, hp.wk)
         vv = nm.matmul(h, hp.wv)
         if cfg.normalize_values:
-            vv = normalize_v(vv, lp.vscale)
-        emap = nm.matmul(lp.edge_emb, hp.we)
-        bvec = nm.matmul(lp.edge_emb, hp.wb)
-        k3 = nm.reshape(nm.gather_rows(kk, flat_keys), (nq, k, cfg.width))
-        e3 = nm.reshape(nm.gather_rows(emap, flat_types), (nq, k, cfg.width))
-        q3 = nm.reshape(q, (nq, cfg.width, 1))
-        logits = nm.reshape(nm.batched_matmul(nm.mul(k3, e3), q3), (nq, k))
-        logits = nm.mul(logits, np.asarray(scale, dtype=h.dtype))
-        bias = nm.reshape(nm.gather_rows(bvec, flat_types), (nq, k))
-        logits = nm.add(logits, bias)
-        sc = nm.masked_softmax(logits, geom.key_mask, temperature=tau, clip=cfg.clip)
-        v3 = nm.reshape(nm.gather_rows(vv, flat_keys), (nq, k, cfg.width))
-        out = nm.reshape(nm.batched_matmul(nm.reshape(sc, (nq, 1, k)), v3), (nq, cfg.width))
+            vv = nm.normalize_rows(vv, lp.vscale)   # to a shared learnable length
+        out, sc = nm.edge_attention(
+            nm.matmul(xq, hp.wq), nm.matmul(h, hp.wk), vv,
+            nm.matmul(lp.edge_emb, hp.we), nm.matmul(lp.edge_emb, hp.wb),
+            geom.row_ptr, geom.col_idx, geom.edge_type, scale,
+            temperature=tau, clip=cfg.clip)
         head_sum = out if head_sum is None else nm.add(head_sum, out)
-        score_acc += sc.data.astype(np.float64)
+        score_acc += sc
     if training and cfg.dropout > 0:
         head_sum = nm.dropout(head_sum, cfg.dropout, dropout_rng)
-    return nm.add(xq, head_sum), score_acc / len(lp.heads)
+    scores = np.zeros(geom.key_mask.shape)
+    scores.reshape(-1)[geom.live] = score_acc / len(lp.heads)
+    return nm.add(xq, head_sum), scores
 
 
 class Network:

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError
-from .graphs import Graph, TRAIN, VAL, TEST, edges_to_csr, save_split
+from .graphs import Graph, TRAIN, VAL, TEST, edges_to_csr, save_split, write_json
 from .rngutil import TAG_DATA, derive
 
 GENERATORS = ("bridge", "sbm_homophily", "sbm_heterophily")
@@ -56,12 +56,15 @@ class SyntheticSpec:
         if abs(sum(self.split) - 1.0) > 1e-9:
             raise ContractError(f"split fractions {self.split} do not sum to 1")
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
         d = asdict(self)
         d["split"] = list(self.split)
         if self.colors is not None:
             d["colors"] = list(self.colors)
-        return json.dumps(d, indent=2)
+        return d
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "SyntheticSpec":
@@ -258,7 +261,7 @@ def write_dataset(out_dir, g: Graph, spec: SyntheticSpec) -> dict:
     np.savetxt(out / "features.csv", g.features, delimiter=",", fmt="%.8g")
     np.savetxt(out / "labels.csv", g.labels, delimiter=",", fmt="%d")
     save_split(out / "split.csv", g.split)
-    (out / "spec.json").write_text(spec.to_json())
+    write_json(out / "spec.json", spec.to_dict())
     return {name: str(out / name) for name in
             ("edges.tsv", "features.csv", "labels.csv", "split.csv", "spec.json")}
 

@@ -17,6 +17,8 @@ reused across runs.
 from __future__ import annotations
 
 import json
+import math
+import os
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
@@ -27,7 +29,6 @@ import scipy.sparse as sp
 
 from . import rngutil
 from .errors import ContractError, ExpanderGapError, FormatError, ShapeError
-from .linalg import normalized_adjacency
 
 TRAIN, VAL, TEST = 0, 1, 2
 _SPLIT_NAMES = {"train": TRAIN, "val": VAL, "test": TEST}
@@ -227,13 +228,9 @@ class ExpanderGraph:
         data = np.ones(src.shape[0], dtype=np.float64)
         return sp.csr_matrix((data, (src, dst)), shape=(self.n, self.n))
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "n": self.n,
-            "seed": self.seed,
-            "cycles": [np.asarray(c).tolist() for c in self.cycles],
-            "gap": self.gap,
-        })
+    def to_dict(self) -> dict:
+        return {"n": self.n, "seed": self.seed, "gap": self.gap,
+                "cycles": [np.asarray(c).tolist() for c in self.cycles]}
 
     @classmethod
     def from_json(cls, text: str) -> "ExpanderGraph":
@@ -243,8 +240,27 @@ class ExpanderGraph:
                    gap=float(obj["gap"]))
 
 
+def _finite(obj):
+    """``obj`` with every non-finite float replaced by None."""
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
+def write_json(path, obj) -> None:
+    """Indented, key-sorted, strict JSON (non-finite floats become null),
+    serialised before any file is touched and moved into place with
+    ``os.replace``, so a failed write leaves the previous file whole."""
+    text = json.dumps(_finite(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    tmp = Path(f"{path}.tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
+
+
 def save_expander(path, x: ExpanderGraph) -> None:
-    Path(path).write_text(x.to_json())
+    write_json(path, x.to_dict())
 
 
 def load_expander(path) -> ExpanderGraph:
@@ -258,24 +274,27 @@ def spectral_gap(adj, dense_cutoff: int = 2048, tol: float = 1e-6) -> float:
     nodes and from deflated power iteration beyond that.  Disconnected or
     bipartite graphs come out at (numerically) zero.
     """
-    adj = sp.csr_matrix(adj)
+    adj = sp.csr_matrix(adj, dtype=np.float64)
     n = adj.shape[0]
     if n < 2:
         raise ContractError("spectral gap needs at least 2 nodes")
-    norm = normalized_adjacency(adj)
+    deg = np.asarray(adj.sum(axis=1)).ravel()
+    if np.any(deg <= 0):
+        raise ContractError("normalized adjacency undefined for isolated nodes")
+    dinv = sp.diags(1.0 / np.sqrt(deg))
+    norm = sp.csr_matrix(dinv @ adj @ dinv)
     if n <= dense_cutoff:
         vals = scipy.linalg.eigh(norm.toarray(), eigvals_only=True)
         return float(1.0 - max(vals[-2], abs(vals[0])))
-    return 1.0 - _deflated_radius(norm, adj, tol)
+    return 1.0 - _deflated_radius(norm, deg, tol)
 
 
-def _deflated_radius(norm: sp.csr_matrix, adj: sp.csr_matrix, tol: float) -> float:
+def _deflated_radius(norm: sp.csr_matrix, deg: np.ndarray, tol: float) -> float:
     # The top eigenpair of the normalized adjacency is known in closed
     # form (eigenvalue 1, eigenvector sqrt(deg)); deflate it and power-
     # iterate the SQUARE of the remainder so +/- eigenvalue pairs cannot
     # stall convergence.  The square's top eigenvalue is max(l2, |ln|)^2.
     n = norm.shape[0]
-    deg = np.asarray(adj.sum(axis=1)).ravel()
     v1 = np.sqrt(deg)
     v1 /= np.linalg.norm(v1)
 

@@ -9,8 +9,9 @@ leaves keep their ``grad``.  Arrays are at most 3-d; training runs in
 float32 and gradient checking in float64 (ops preserve whatever dtype
 their inputs carry).
 
-The backward of ``gather_rows`` (and batch norm's route back to its
-statistics rows) scatter-adds through a sparse operator: a CSC matrix
+An attention head is one node, ``edge_attention``, that works on the
+live edges of a CSR edge list and has a hand-written backward.  Every
+scatter-add in a backward goes through a sparse operator: a CSC matrix
 whose column j holds a single 1 in row idx[j].  scipy applies it column
 by column into a zeroed output, so every row sums its gradients in index
 order starting from 0: the same bits as adding them one at a time.
@@ -26,7 +27,7 @@ import struct
 from contextlib import contextmanager
 
 import numpy as np
-import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .errors import ContractError, DivergenceError, FormatError, ShapeError
 
@@ -72,18 +73,12 @@ class Tensor:
             self.grad = np.zeros_like(self.data)
         self.grad += g
 
-    def detach(self) -> np.ndarray:
-        return self.data.copy()
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, grad={self.requires_grad})"
 
     # light sugar so network code reads like the math
     def __add__(self, other):
         return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -157,19 +152,6 @@ def add(a, b) -> Tensor:
     return out
 
 
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data * b.data, requires_grad=_track(a, b))
-    if out.requires_grad:
-        def _bw():
-            if a.requires_grad:
-                a._acc(_unbroadcast(out.grad * b.data, a.data.shape))
-            if b.requires_grad:
-                b._acc(_unbroadcast(out.grad * a.data, b.data.shape))
-        out._backward, out._parents = _bw, (a, b)
-    return out
-
-
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2:
@@ -187,53 +169,123 @@ def matmul(a, b) -> Tensor:
     return out
 
 
-def batched_matmul(a, b) -> Tensor:
-    """(B,p,q) @ (B,q,r) -> (B,p,r) with matching batch dim."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 3 or b.data.ndim != 3:
-        raise ShapeError(f"batched_matmul is 3-d only, got {a.data.shape} @ {b.data.shape}")
-    if a.data.shape[0] != b.data.shape[0] or a.data.shape[2] != b.data.shape[1]:
-        raise ShapeError(f"batched_matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
-    out = Tensor(np.matmul(a.data, b.data), requires_grad=_track(a, b))
-    if out.requires_grad:
-        def _bw():
-            if a.requires_grad:
-                a._acc(np.matmul(out.grad, b.data.swapaxes(1, 2)))
-            if b.requires_grad:
-                b._acc(np.matmul(a.data.swapaxes(1, 2), out.grad))
-        out._backward, out._parents = _bw, (a, b)
+def _check_rows(idx: np.ndarray, rows: int, op: str) -> None:
+    """IndexError naming ``op`` unless every index lies in [0, rows)."""
+    if idx.size and (idx.min() < 0 or idx.max() >= rows):
+        bad = idx[(idx < 0) | (idx >= rows)][0]
+        raise IndexError(f"{op}: index {bad} outside [0, {rows})")
+
+
+def _spmm(fmt: str, ptr, idx, vals, dense, rows: int) -> np.ndarray:
+    """The (rows x len(dense)) ``fmt`` ("csr" or "csc") matrix of ``ptr``, ``idx`` and
+    ``vals`` times ``dense``, by the kernel scipy runs for ``matrix @ dense`` minus the
+    matrix object, which costs more than the product on plan blocks.  Callers check indices."""
+    if ptr.shape != ((rows if fmt == "csr" else dense.shape[0]) + 1,) \
+            or idx.shape != vals.shape or idx.shape[0] < ptr[-1]:
+        raise ShapeError(f"{fmt}: {ptr.shape} ptr, {idx.shape} idx, {rows} rows, {dense.shape}")
+    itype = np.int32 if ptr.dtype == idx.dtype == np.int32 else np.int64
+    dtype = np.result_type(vals, dense)
+    out = np.zeros((rows,) + dense.shape[1:], dtype=dtype)
+    getattr(_sparsetools, f"{fmt}_matvecs")(
+        rows, dense.shape[0], int(np.prod(dense.shape[1:])), ptr.astype(itype, copy=False),
+        idx.astype(itype, copy=False), vals.astype(dtype, copy=False),
+        dense.astype(dtype, copy=False).ravel(), out.ravel())
     return out
 
 
 def _scatter_rows(src: np.ndarray, idx: np.ndarray, like: np.ndarray) -> np.ndarray:
-    """Zeros shaped like ``like`` with ``src[j]`` added to row ``idx[j]``, in order of j.
-
-    IndexError unless every index lies in [0, rows): scipy does not check
-    the indices of the operator it is handed.
-    """
+    """Zeros shaped like ``like`` with ``src[j]`` added to row ``idx[j]``, in order of j;
+    IndexError unless every index lies in [0, rows): the kernel writes where they point."""
     rows, m = like.shape[0], idx.shape[0]
-    if m and (idx.min() < 0 or idx.max() >= rows):
-        bad = idx[(idx < 0) | (idx >= rows)][0]
-        raise IndexError(f"scatter index {bad} outside [0, {rows})")
-    op = sp.csc_matrix((np.ones(m, dtype=like.dtype), idx, np.arange(m + 1)),
-                       shape=(rows, m))
-    return op @ src
+    _check_rows(idx, rows, "scatter")
+    return _spmm("csc", np.arange(m + 1), idx, np.ones(m, dtype=like.dtype), src, rows)
 
 
 def gather_rows(t, idx) -> Tensor:
-    """Select rows by index; backward scatter-adds (see ``_scatter_rows``)."""
+    """Select rows by index, refusing one outside [0, rows) before any output exists
+    (numpy would wrap a negative one); backward scatter-adds (see ``_scatter_rows``)."""
     t = as_tensor(t)
     idx = np.asarray(idx, dtype=np.int64)
     if idx.ndim != 1:
         raise ShapeError("gather_rows wants a flat index array")
     if t.data.ndim not in (1, 2):
         raise ShapeError(f"gather_rows wants a 1-d or 2-d tensor, got shape {t.data.shape}")
-    out = Tensor(t.data[idx], requires_grad=_track(t))
+    _check_rows(idx, t.data.shape[0], "gather_rows")
+    out = Tensor(np.take(t.data, idx, axis=0), requires_grad=_track(t))
     if out.requires_grad:
         def _bw():
             t._acc(_scatter_rows(out.grad, idx, t.data))
         out._backward, out._parents = _bw, (t,)
     return out
+
+
+def edge_attention(q, k, v, emap, bias, row_ptr, cols, types, scale: float,
+                   temperature: float = 1.0, clip: float = 8.0):
+    """One attention head over a CSR edge list, as a single tape node.
+
+    Query i attends over edges e in ``row_ptr[i]:row_ptr[i+1]``, each
+    reading row ``cols[e]`` of ``k`` and ``v`` and, by type, a row of
+    ``emap`` (t, w) and ``bias`` (t, 1):
+        logit_e = scale * (q_i * emap[types[e]]) . k[cols[e]] + bias[types[e]]
+    The weights are each row's softmax of clip(logit) / temperature and the
+    output is CSR(weights) @ v.  q * emap is formed once per type, so the
+    logits are one dot per edge; the backward is written out by hand.  A
+    clipped logit passes no gradient.  A row without edges is a
+    ContractError, a column or type outside its table an IndexError.
+    Returns (out (queries, w), weights).
+    """
+    q, k, v, emap, bias = (as_tensor(x) for x in (q, k, v, emap, bias))
+    row_ptr, cols, types = np.asarray(row_ptr), np.asarray(cols), np.asarray(types)
+    (nq, w), n, t = q.data.shape, k.data.shape[0], emap.data.shape[0]
+    if (k.data.shape, v.data.shape, emap.data.shape, bias.data.shape, row_ptr.shape,
+            types.shape) != ((n, w), (n, w), (t, w), (t, 1), (nq + 1,), cols.shape) \
+            or row_ptr[0] != 0 or cols.shape != (row_ptr[-1],):
+        raise ShapeError(f"edge_attention shapes: {[x.data.shape for x in (q, k, v, emap, bias)]}"
+                         f", row_ptr {row_ptr.shape}, cols {cols.shape}, types {types.shape}")
+    if temperature <= 0:
+        raise ContractError(f"temperature must be positive, got {temperature}")
+    lengths = np.diff(row_ptr)
+    if nq and lengths.min() < 1:
+        raise ContractError(f"edge_attention: query row {np.argmin(lengths)} has no live slots")
+    _check_rows(cols, n, "edge_attention")
+    _check_rows(types, t, "edge_attention")
+    rows, starts = np.repeat(np.arange(nq), lengths), row_ptr[:-1]
+    qe = (emap.data[:, None, :] * q.data).reshape(t * nq, w)     # row j * nq + i: q_i * emap_j
+    qe_idx = types * np.intp(nq) + rows
+    # np.take copies the rows fancy indexing would, several times faster
+    qg, kg = np.take(qe, qe_idx, axis=0), np.take(k.data, cols, axis=0)
+    scale = q.data.dtype.type(scale)
+    logits = np.einsum("ew,ew->e", qg, kg) * scale + np.take(bias.data[:, 0], types)
+    y = logits.clip(-clip, clip) / temperature
+    if clip / temperature > 32:     # exp could overflow: shift each row's maximum to 0
+        y -= np.take(np.maximum.reduceat(y, starts), rows)
+    np.exp(y, out=y)
+    y /= np.take(np.add.reduceat(y, starts), rows)
+    out = Tensor(_spmm("csr", row_ptr, cols, y, v.data, nq),
+                 requires_grad=_track(q, k, v, emap, bias))
+    if out.requires_grad:
+        inside = np.abs(logits) <= clip
+
+        def _bw():
+            g = out.grad
+            if v.requires_grad:     # the CSR arrays read as CSC are the transpose
+                v._acc(_spmm("csc", row_ptr, cols, y, g, n))
+            dy = np.einsum("ew,ew->e", np.take(g, rows, axis=0), np.take(v.data, cols, axis=0))
+            dz = y * (dy - np.take(np.add.reduceat(dy * y, starts), rows)) / temperature
+            dlogit = np.where(inside, dz, 0)
+            if bias.requires_grad:
+                bias._acc(np.bincount(types, weights=dlogit, minlength=t)[:, None])
+            dlogit *= scale
+            if k.requires_grad:
+                k._acc(_scatter_rows(dlogit[:, None] * qg, cols, k.data))
+            if q.requires_grad or emap.requires_grad:
+                dqe = _scatter_rows(dlogit[:, None] * kg, qe_idx, qe).reshape(t, nq, w)
+                if q.requires_grad:
+                    q._acc(np.einsum("tiw,tw->iw", dqe, emap.data))
+                if emap.requires_grad:
+                    emap._acc(np.einsum("tiw,iw->tw", dqe, q.data))
+        out._backward, out._parents = _bw, (q, k, v, emap, bias)
+    return out, y
 
 
 def reshape(t, shape) -> Tensor:
@@ -279,42 +331,6 @@ def mean_all(t) -> Tensor:
         def _bw():
             t._acc(np.full_like(t.data, out.grad / t.data.size))
         out._backward, out._parents = _bw, (t,)
-    return out
-
-
-def masked_softmax(logits, mask, temperature: float = 1.0, clip: float = 8.0) -> Tensor:
-    """Row softmax of clip(logits)/temperature over unmasked entries.
-
-    Clipping happens before the temperature division, so annealing
-    sharpens within a fixed logit budget.  Masked entries get exact
-    zeros; a fully masked row is a contract violation, not a nan.
-    """
-    logits = as_tensor(logits)
-    mask = np.asarray(mask)
-    if logits.data.shape != mask.shape:
-        raise ShapeError(f"mask shape {mask.shape} != logits shape {logits.data.shape}")
-    if logits.data.ndim != 2:
-        raise ShapeError("masked_softmax expects 2-d logits")
-    if temperature <= 0:
-        raise ContractError(f"temperature must be positive, got {temperature}")
-    live = mask != 0
-    if not live.any(axis=1).all():
-        raise ContractError("masked_softmax row with no unmasked entries")
-    z = np.clip(logits.data, -clip, clip) / temperature
-    z = np.where(live, z, -np.inf)
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=1, keepdims=True)
-    y = y.astype(logits.data.dtype)
-    out = Tensor(y, requires_grad=_track(logits))
-    if out.requires_grad:
-        inside = (np.abs(logits.data) <= clip) & live
-        def _bw():
-            g = out.grad
-            dot = (g * y).sum(axis=1, keepdims=True)
-            dz = y * (g - dot) / temperature
-            logits._acc(np.where(inside, dz, 0.0))
-        out._backward, out._parents = _bw, (logits,)
     return out
 
 

@@ -19,9 +19,6 @@ so a finished run can be inspected without the Python objects.
 
 from __future__ import annotations
 
-import json
-import math
-import os
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -31,7 +28,7 @@ from . import numerics as nm
 from .attention import (ModelConfig, Network, TemperatureSchedule,
                         pattern_geometry, temperature_at)
 from .errors import ContractError, DivergenceError, ShapeError
-from .graphs import TEST, TRAIN, VAL, AttentionPattern, Graph
+from .graphs import TEST, TRAIN, VAL, AttentionPattern, Graph, write_json
 from .rngutil import TAG_DROPOUT, TAG_PREDICT, TAG_VAL, derive
 from .sampling import (SampleStats, plan_geometries, resample_epoch,
                        sample_batch, save_scores_npz, uniform_scores,
@@ -533,25 +530,6 @@ def edge_percent(scores: AttentionPattern, degs) -> float:
 
 # ---------------------------------------------------------------------------
 # Run directory layout
-
-
-def _finite(obj):
-    """``obj`` with every non-finite float replaced by None."""
-    if isinstance(obj, dict):
-        return {k: _finite(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_finite(v) for v in obj]
-    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
-
-
-def write_json(path, obj) -> None:
-    """Indented, key-sorted, strict JSON (non-finite floats become null),
-    serialised before any file is touched and moved into place with
-    ``os.replace``, so a failed write leaves the previous file whole."""
-    text = json.dumps(_finite(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
-    tmp = Path(f"{path}.tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
 
 
 def save_history_csv(path, history) -> None:

@@ -10,14 +10,14 @@ one vectorizable pass.
 Assembling a batch: starting from the loss nodes (seeds), walk the
 layers top-down; each layer's queries are the node set the layer above
 needs, each query samples deg_l keys from its score row, and the union
-becomes the support the layer below must produce.  The geometry is
-padded to fixed degree so the whole batch runs as dense batched matmuls;
-pad slots point at the query's own self-loop entry and are masked out of
-the softmax.  A layer's query rows are gathered, prefiltered and drawn in
-one vectorized pass; each score entry's uniform is the counter-based hash
-``rngutil.counter_uniform`` of (seed, tag, epoch, batch, layer, node, CSR
-slot), so plans are reproducible no matter how rows are visited, and a
-node that queries two layers draws independently in each.
+becomes the support the layer below must produce.  Each layer's drawn
+keys come out as a CSR edge list over its queries, which the attention op
+runs on, and padded to fixed degree.  A layer's query rows are
+gathered, prefiltered and drawn in one vectorized pass; each score
+entry's uniform is the counter-based hash ``rngutil.counter_uniform`` of
+(seed, tag, epoch, batch, layer, node, CSR slot), so plans are
+reproducible no matter how rows are visited, and a node that queries two
+layers draws independently in each.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .attention import LayerGeometry
+from .attention import LayerGeometry, pad_edges
 from .errors import ContractError, FormatError, ShapeError
-from .graphs import AttentionPattern, EdgeType, PatternLayer
+from .graphs import AttentionPattern, PatternLayer
 from .rngutil import TAG_SAMPLE, TAG_SHUFFLE, counter_uniform, derive
 
 
@@ -240,8 +240,10 @@ class PlanLayer:
     """Sampled fixed-degree support for one layer of one batch.
 
     ``v_nodes`` are the input rows (global ids, sorted), ``q_nodes`` the
-    output rows; locals index into ``v_nodes``.  Pad slots carry the
-    query's own self-loop entry with mask 0.
+    output rows; locals index into ``v_nodes``.  The drawn keys are the
+    CSR edge list (``row_ptr``, ``col_local``, ``edge_type``) and, as
+    ``pad_edges`` blocks (queries x deg), the ``key_*`` fields, where
+    ``live`` are the edges' flat positions.
     """
 
     q_nodes: np.ndarray
@@ -251,6 +253,10 @@ class PlanLayer:
     key_local: np.ndarray
     key_mask: np.ndarray
     key_type: np.ndarray
+    row_ptr: np.ndarray
+    col_local: np.ndarray
+    edge_type: np.ndarray
+    live: np.ndarray
     stats_local: np.ndarray
 
 
@@ -303,28 +309,30 @@ def sample_batch(seeds, scores: AttentionPattern, degs, seed: int, epoch: int,
     rev = []
     q_nodes = seeds
     for li in range(num_layers - 1, -1, -1):
-        key_global, mask, typ = _sample_layer(
-            scores.layers[li], q_nodes, degs[li], mode, k_prime, tail_eps,
-            stats, (seed, tag, epoch, batch_index, li))
-        v_nodes = np.union1d(q_nodes, key_global[mask > 0])
-        rev.append((q_nodes, v_nodes, key_global, mask, typ))
+        padded, edges = _sample_layer(scores.layers[li], q_nodes, degs[li], mode,
+                                      k_prime, tail_eps, stats,
+                                      (seed, tag, epoch, batch_index, li))
+        v_nodes = np.union1d(q_nodes, edges[1])
+        rev.append((q_nodes, v_nodes, padded, edges))
         q_nodes = v_nodes
 
     layers = []
-    for li, (q, v, key_global, mask, typ) in enumerate(reversed(rev)):
-        query_local = np.searchsorted(v, q)
+    for li, (q, v, (key_global, mask, typ, live), (row_ptr, _, types)) in \
+            enumerate(reversed(rev)):
         key_local = np.searchsorted(v, key_global)
         stats_local = np.searchsorted(q, seeds) if li < num_layers - 1 else np.arange(seeds.size)
-        layers.append(PlanLayer(q_nodes=q, v_nodes=v, query_local=query_local,
+        layers.append(PlanLayer(q_nodes=q, v_nodes=v, query_local=np.searchsorted(v, q),
                                 key_global=key_global, key_local=key_local,
-                                key_mask=mask, key_type=typ,
+                                key_mask=mask, key_type=typ, row_ptr=row_ptr,
+                                col_local=np.take(key_local, live), edge_type=types, live=live,
                                 stats_local=stats_local.astype(np.int64)))
     return BatchPlan(seeds=seeds, degs=degs, layers=tuple(layers), stats=stats)
 
 
 def _sample_layer(layer: PatternLayer, q_nodes, deg: int, mode: str, k_prime,
                   tail_eps: float, stats: SampleStats, keys):
-    """(key_global, key_mask, key_type) blocks, (queries x deg), of one layer.
+    """The keys one layer's queries draw: ``pad_edges`` blocks
+    (queries x deg) and the CSR edge list (row_ptr, global columns, types).
 
     Every query row is gathered, prefiltered and selected in one pass.
     The uniforms come from ``counter_uniform(keys, node, slot)``, ``slot``
@@ -360,21 +368,17 @@ def _sample_layer(layer: PatternLayer, q_nodes, deg: int, mode: str, k_prime,
         u = counter_uniform(keys, q_nodes[row], csr_slot)
         take = _reservoir_select(row, slot, deg, w, u)
 
-    r, c = _segments(np.minimum(lengths, deg))
-    key_global = np.repeat(q_nodes[:, None], deg, axis=1)
-    key_global[r, c] = layer.col_idx[pos[take]]
-    mask = np.zeros((nq, deg), dtype=np.float64)
-    mask[r, c] = 1.0
-    typ = np.full((nq, deg), int(EdgeType.SELF_LOOP), dtype=np.int64)
-    typ[r, c] = layer.edge_type[pos[take]]
-    return key_global, mask, typ
+    row_ptr = np.concatenate(([0], np.cumsum(np.minimum(lengths, deg))))
+    cols, types = layer.col_idx[pos[take]], layer.edge_type[pos[take]]
+    return pad_edges(row_ptr, cols, types, q_nodes, deg), (row_ptr, cols, types)
 
 
 def plan_geometries(plan: BatchPlan) -> list[LayerGeometry]:
     """The per-layer geometries a Network consumes, in forward order."""
     return [LayerGeometry(query_rows=pl.query_local, key_rows=pl.key_local,
                           key_mask=pl.key_mask, key_type=pl.key_type,
-                          stats_rows=pl.stats_local)
+                          row_ptr=pl.row_ptr, col_idx=pl.col_local, edge_type=pl.edge_type,
+                          live=pl.live, stats_rows=pl.stats_local)
             for pl in plan.layers]
 
 

@@ -173,9 +173,13 @@ def sample_batch_loop(seeds, scores: AttentionPattern, degs, seed: int, epoch: i
         query_local = np.searchsorted(v, q)
         key_local = np.searchsorted(v, key_global)
         stats_local = np.searchsorted(q, seeds) if li < num_layers - 1 else np.arange(seeds.size)
+        live = mask > 0
         layers.append(PlanLayer(q_nodes=q, v_nodes=v, query_local=query_local,
                                 key_global=key_global, key_local=key_local,
                                 key_mask=mask, key_type=typ,
+                                row_ptr=np.concatenate(([0], np.cumsum(live.sum(axis=1)))),
+                                col_local=key_local[live], edge_type=typ[live],
+                                live=np.flatnonzero(live),
                                 stats_local=stats_local.astype(np.int64)))
     return BatchPlan(seeds=seeds, degs=degs, layers=tuple(layers), stats=stats)
 

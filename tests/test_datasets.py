@@ -5,6 +5,8 @@ components: a node is positive iff its merged component carries both
 colors.  The generator must agree node for node.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
@@ -198,6 +200,36 @@ class TestDiskRoundtrip:
         np.testing.assert_array_equal(g2.labels, g.labels)
         np.testing.assert_array_equal(g2.split, g.split)
         assert spec2 == spec
+
+    def test_the_old_spec_layout_still_loads(self, tmp_path):
+        spec = SyntheticSpec(seed=9, num_components=4, component_size=8,
+                             num_bridges=1)
+        write_dataset(tmp_path / "d", gen_bridge_task(spec), spec)
+        # indented, in field order, no trailing newline
+        (tmp_path / "d" / "spec.json").write_text(spec.to_json())
+        assert load_dataset(tmp_path / "d")[1] == spec
+
+    def test_a_failed_spec_write_leaves_the_previous_file_whole(self, tmp_path,
+                                                                monkeypatch):
+        spec = SyntheticSpec(seed=9, num_components=4, component_size=8,
+                             num_bridges=1)
+        g = gen_bridge_task(spec)
+        write_dataset(tmp_path / "d", g, spec)
+        before = (tmp_path / "d" / "spec.json").read_text()
+
+        def torn(self, text, *args, **kwargs):
+            with open(self, "w") as fh:
+                fh.write(text[:len(text) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", torn)
+        with pytest.raises(OSError, match="disk full"):
+            write_dataset(tmp_path / "d", g, SyntheticSpec(seed=10, num_components=4,
+                                                           component_size=8,
+                                                           num_bridges=1))
+        monkeypatch.undo()
+        assert (tmp_path / "d" / "spec.json").read_text() == before
+        assert load_dataset(tmp_path / "d")[1] == spec
 
     def test_spec_json_roundtrip(self):
         spec = SyntheticSpec(generator="bridge", seed=3, colors=(0, 1, 1, 0),

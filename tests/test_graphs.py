@@ -1,5 +1,8 @@
 """Graph containers, expander certification, and pattern assembly."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -194,6 +197,32 @@ class TestExpander:
         y = load_expander(tmp_path / "x.json")
         assert y.n == x.n and y.gap == x.gap
         assert np.array_equal(np.c_[x.edge_arrays()], np.c_[y.edge_arrays()])
+
+    def test_the_old_compact_layout_still_loads(self, tmp_path):
+        x = build_expander(30, 2, seed=9)
+        (tmp_path / "x.json").write_text(json.dumps({
+            "n": x.n, "seed": x.seed, "cycles": [c.tolist() for c in x.cycles],
+            "gap": x.gap}))
+        y = load_expander(tmp_path / "x.json")
+        assert y.gap == x.gap
+        assert np.array_equal(np.c_[x.edge_arrays()], np.c_[y.edge_arrays()])
+
+    def test_a_failed_write_leaves_the_previous_file_whole(self, tmp_path, monkeypatch):
+        path = tmp_path / "x.json"
+        save_expander(path, build_expander(30, 2, seed=9))
+        before = path.read_text()
+
+        def torn(self, text, *args, **kwargs):
+            with open(self, "w") as fh:
+                fh.write(text[:len(text) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", torn)
+        with pytest.raises(OSError, match="disk full"):
+            save_expander(path, build_expander(30, 2, seed=10))
+        monkeypatch.undo()
+        assert path.read_text() == before
+        assert load_expander(path).seed == 9
 
 
 class TestAugment:
