@@ -58,7 +58,10 @@ def main():
     print("\nsame node across epochs (seed and node fixed, epoch varies):")
     for epoch in range(6):
         plan = sample_batch(np.array([0]), one_row, (2,), seed=0, epoch=epoch)
-        print(f"  epoch {epoch}: kept {plan.layers[0].key_global[0]}")
+        pl = plan.layers[0]
+        # query 0's drawn keys: its CSR row, mapped back to global node ids
+        row = pl.geometry.col_idx[pl.geometry.row_ptr[0]:pl.geometry.row_ptr[1]]
+        print(f"  epoch {epoch}: kept {pl.v_nodes[row]}")
 
 
 if __name__ == "__main__":

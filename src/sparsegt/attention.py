@@ -15,22 +15,21 @@ with one head, layer norm, length-normalized values and an annealing
 softmax temperature; the wide final network runs with batch norm, raw
 values and temperature 1 over sampled fixed-degree patterns.  Both see
 their pattern through a ``LayerGeometry``, so a full CSR pattern and a
-sampled plan drive the exact same forward code.  The geometry carries
-its live slots as a CSR edge list, built once with it, and each head is
-one ``numerics.edge_attention`` tape node over that list, so a layer
-costs what its live edges cost.
+sampled plan drive the exact same forward code.  A geometry is a CSR
+edge list and each head is one ``numerics.edge_attention`` tape node
+over it, so a layer costs what its edges cost.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics as nm
 from .errors import ContractError, ShapeError
-from .graphs import EdgeType, PatternLayer
+from .graphs import PatternLayer
 from .rngutil import TAG_INIT, derive
 
 
@@ -84,21 +83,15 @@ class LayerGeometry:
     """Attention support for one layer, in current-row coordinates.
 
     Query i attends over rows ``col_idx[row_ptr[i]:row_ptr[i + 1]]`` of
-    the incoming feature matrix: the live slots as a CSR edge list.  The
-    ``key_*`` fields hold the same support as ``pad_edges`` blocks, the
-    layout scores come back in, and ``live`` the edges' flat positions in
-    them.  ``stats_rows`` marks which OUTPUT rows constitute the minibatch
-    for batch-norm statistics (None: all).
+    the incoming feature matrix, along edges typed ``edge_type``: a CSR
+    edge list.  ``stats_rows`` marks which OUTPUT rows constitute the
+    minibatch for batch-norm statistics (None: all).
     """
 
     query_rows: np.ndarray
-    key_rows: np.ndarray
-    key_mask: np.ndarray
-    key_type: np.ndarray
     row_ptr: np.ndarray
     col_idx: np.ndarray
     edge_type: np.ndarray
-    live: np.ndarray
     stats_rows: np.ndarray | None = None
 
     @property
@@ -106,33 +99,19 @@ class LayerGeometry:
         return int(self.query_rows.shape[0])
 
     @property
-    def degree(self) -> int:
-        return int(self.key_rows.shape[1])
-
-
-def pad_edges(row_ptr, cols, types, pad, width: int):
-    """(keys, mask, types) blocks (rows x width) of a CSR edge list, and its
-    live slots' flat positions: row i holds its edges in order, then pad
-    slots on key ``pad[i]``, typed self-loop, with mask 0."""
-    nq = row_ptr.shape[0] - 1
-    live = np.arange(cols.size) + np.repeat(np.arange(nq) * width - row_ptr[:-1], np.diff(row_ptr))
-    key = np.repeat(pad, width)
-    key[live] = cols
-    mask = np.zeros(nq * width, dtype=np.float64)
-    mask[live] = 1.0
-    typ = np.full(nq * width, int(EdgeType.SELF_LOOP), dtype=np.int64)
-    typ[live] = types
-    return key.reshape(nq, width), mask.reshape(nq, width), typ.reshape(nq, width), live
+    def key_mask(self) -> np.ndarray:
+        """(queries x longest row) mask of each row's edges, left-aligned:
+        the slots a padded layout would hold.  Only ``perfbench/tracing.py``
+        reads it, to count them."""
+        lengths = np.diff(self.row_ptr)
+        return np.arange(lengths.max(initial=0)) < lengths[:, None]
 
 
 def pattern_geometry(layer: PatternLayer, stats_rows=None) -> LayerGeometry:
     """Full-pattern geometry: every node queries its whole CSR row."""
-    n = layer.row_ptr.shape[0] - 1
-    key, mask, typ, live = pad_edges(layer.row_ptr, layer.col_idx, layer.edge_type,
-                                     np.arange(n), int(np.diff(layer.row_ptr).max()))
-    return LayerGeometry(query_rows=np.arange(n), key_rows=key, key_mask=mask, key_type=typ,
-                         row_ptr=layer.row_ptr, col_idx=layer.col_idx, edge_type=layer.edge_type,
-                         live=live,
+    return LayerGeometry(query_rows=np.arange(layer.row_ptr.shape[0] - 1),
+                         row_ptr=layer.row_ptr, col_idx=layer.col_idx,
+                         edge_type=layer.edge_type,
                          stats_rows=None if stats_rows is None else np.asarray(stats_rows))
 
 
@@ -179,8 +158,8 @@ def attention_sublayer(h: nm.Tensor, geom: LayerGeometry, lp: LayerParams,
     """One attention layer with residual: returns (out rows=queries, scores).
 
     Each head is one ``nm.edge_attention`` node over the geometry's edge
-    list.  Scores are the head-averaged attention distributions, detached,
-    in the padded layout with zeros in pad slots.
+    list.  Scores are the head-averaged attention distributions, detached:
+    one float64 per edge, aligned with ``geom.col_idx``.
     """
     xq = nm.gather_rows(h, geom.query_rows)
     scale = 1.0 / math.sqrt(cfg.d_head)
@@ -199,9 +178,7 @@ def attention_sublayer(h: nm.Tensor, geom: LayerGeometry, lp: LayerParams,
         score_acc += sc
     if training and cfg.dropout > 0:
         head_sum = nm.dropout(head_sum, cfg.dropout, dropout_rng)
-    scores = np.zeros(geom.key_mask.shape)
-    scores.reshape(-1)[geom.live] = score_acc / len(lp.heads)
-    return nm.add(xq, head_sum), scores
+    return nm.add(xq, head_sum), score_acc / len(lp.heads)
 
 
 class Network:
@@ -285,7 +262,8 @@ class Network:
         Layer ``i``'s output rows are its geometry's query rows, which
         must be the row coordinates layer ``i+1`` indexes into; the last
         layer's queries are the rows the logits describe.  Returns
-        (logits Tensor, list of per-layer score arrays).
+        (logits Tensor, list of per-layer scores), each layer's scores
+        aligned with its geometry's ``col_idx``.
         """
         if len(geoms) != self.cfg.layers:
             raise ShapeError(f"{len(geoms)} geometries for {self.cfg.layers} layers")

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
@@ -101,22 +102,38 @@ def edges_to_csr(n: int, src: np.ndarray, dst: np.ndarray, symmetrize: bool = Tr
     return _row_ptr(n, src), dst.astype(np.int64)
 
 
-def _parse_edge_tsv(path) -> tuple[np.ndarray, np.ndarray]:
-    src, dst = [], []
+def _parse_edge_tsv(path, n: int, columns=("src", "dst")) -> np.ndarray:
+    """(columns x edges) int64 array of a tab-separated edge file.
+
+    The first two columns are node ids in [0, n); a third is an
+    ``EdgeType``.  A malformed line, a non-integer field or a value out of
+    range raises FormatError naming ``path:line``.
+    """
+    rows, linenos = [], []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
             parts = stripped.split("\t")
-            if len(parts) != 2:
-                raise FormatError(f"{path}:{lineno}: expected 'src<TAB>dst', got {line!r}")
+            if len(parts) != len(columns):
+                raise FormatError(f"{path}:{lineno}: expected "
+                                  f"'{'<TAB>'.join(columns)}', got {line!r}")
             try:
-                src.append(int(parts[0]))
-                dst.append(int(parts[1]))
+                rows.append([int(p) for p in parts])
             except ValueError:
-                raise FormatError(f"{path}:{lineno}: non-integer node id") from None
-    return np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+                raise FormatError(f"{path}:{lineno}: non-integer field") from None
+            linenos.append(lineno)
+    fields = np.array(rows, dtype=np.int64).reshape(-1, len(columns)).T.copy()
+    bad_id = ((fields[:2] < 0) | (fields[:2] >= n)).any(axis=0)
+    bad_type = ((fields[2:] < 0) | (fields[2:] >= len(EdgeType))).any(axis=0)
+    bad = np.flatnonzero(bad_id | bad_type)
+    if bad.size:
+        i = bad[0]
+        what = (f"node id out of range for n={n}" if bad_id[i]
+                else f"edge type {fields[2, i]} outside [0, {len(EdgeType)})")
+        raise FormatError(f"{path}:{linenos[i]}: {what}")
+    return fields
 
 
 def load_graph(edge_list_path, features_path, labels_path, n: int,
@@ -127,13 +144,7 @@ def load_graph(edge_list_path, features_path, labels_path, n: int,
     or label row count other than n raises ShapeError.  Without a split
     file every node is marked TRAIN.
     """
-    src, dst = _parse_edge_tsv(edge_list_path)
-    bad = np.flatnonzero((src < 0) | (src >= n) | (dst < 0) | (dst >= n))
-    if bad.size:
-        # recover the line number of the first offender for the message
-        idx = int(bad[0])
-        lineno = _edge_line_number(edge_list_path, idx)
-        raise FormatError(f"{edge_list_path}:{lineno}: node id out of range for n={n}")
+    src, dst = _parse_edge_tsv(edge_list_path, n)
     row_ptr, col_idx = edges_to_csr(n, src, dst, symmetrize=symmetrize)
 
     features = np.loadtxt(features_path, delimiter=",", ndmin=2, dtype=np.float64)
@@ -150,19 +161,6 @@ def load_graph(edge_list_path, features_path, labels_path, n: int,
         split = _parse_split(split_path, n)
     return Graph(n=n, row_ptr=row_ptr, col_idx=col_idx,
                  features=features, labels=labels, split=split)
-
-
-def _edge_line_number(path, edge_index: int) -> int:
-    seen = -1
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            seen += 1
-            if seen == edge_index:
-                return lineno
-    return -1
 
 
 def _parse_split(path, n: int) -> np.ndarray:
@@ -249,14 +247,25 @@ def _finite(obj):
     return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
+@contextmanager
+def atomic_path(path):
+    """A temp path beside ``path``, moved onto it with ``os.replace`` when
+    the block ends; a block that raises leaves ``path`` whole and no temp
+    file behind."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_json(path, obj) -> None:
     """Indented, key-sorted, strict JSON (non-finite floats become null),
-    serialised before any file is touched and moved into place with
-    ``os.replace``, so a failed write leaves the previous file whole."""
+    serialised before any file is touched and written atomically."""
     text = json.dumps(_finite(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
-    tmp = Path(f"{path}.tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    with atomic_path(path) as tmp:
+        tmp.write_text(text)
 
 
 def save_expander(path, x: ExpanderGraph) -> None:
@@ -441,22 +450,9 @@ def save_pattern(path, pattern: AttentionPattern) -> None:
 
 
 def load_pattern(path, n: int, layers: int) -> AttentionPattern:
-    src, dst, typ = [], [], []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = stripped.split("\t")
-            if len(parts) != 3:
-                raise FormatError(f"{path}:{lineno}: expected 'src<TAB>dst<TAB>type'")
-            src.append(int(parts[0])); dst.append(int(parts[1])); typ.append(int(parts[2]))
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    typ = np.asarray(typ, dtype=np.int8)
-    if src.size and (src.min() < 0 or src.max() >= n or dst.min() < 0 or dst.max() >= n):
-        raise ContractError(f"{path}: node id out of range for n={n}")
-    order = np.lexsort((dst, src))
-    src, dst, typ = src[order], dst[order], typ[order]
-    layer = PatternLayer(row_ptr=_row_ptr(n, src), col_idx=dst, edge_type=typ)
+    """A support written by ``save_pattern``, repeated over ``layers``."""
+    edges = _parse_edge_tsv(path, n, ("src", "dst", "type"))
+    src, dst, typ = edges[:, np.lexsort((edges[1], edges[0]))]
+    layer = PatternLayer(row_ptr=_row_ptr(n, src), col_idx=dst,
+                         edge_type=typ.astype(np.int8))
     return AttentionPattern(n=n, layers=tuple([layer] * layers))

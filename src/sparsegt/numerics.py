@@ -30,6 +30,7 @@ import numpy as np
 from scipy.sparse import _sparsetools
 
 from .errors import ContractError, DivergenceError, FormatError, ShapeError
+from .graphs import atomic_path
 
 _GRAD_ENABLED = True
 
@@ -584,8 +585,9 @@ _CKPT_VERSION = 1
 
 
 def save_checkpoint(path, named_arrays: dict) -> None:
-    """Binary dump: magic, version, count, then name/dims/float32-LE data."""
-    with open(path, "wb") as fh:
+    """Binary dump: magic, version, count, then name/dims/float32-LE data,
+    written atomically."""
+    with atomic_path(path) as tmp, open(tmp, "wb") as fh:
         fh.write(_CKPT_MAGIC)
         fh.write(struct.pack("<II", _CKPT_VERSION, len(named_arrays)))
         for name, arr in named_arrays.items():

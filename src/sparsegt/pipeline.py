@@ -28,7 +28,7 @@ from . import numerics as nm
 from .attention import (ModelConfig, Network, TemperatureSchedule,
                         pattern_geometry, temperature_at)
 from .errors import ContractError, DivergenceError, ShapeError
-from .graphs import TEST, TRAIN, VAL, AttentionPattern, Graph, write_json
+from .graphs import TEST, TRAIN, VAL, AttentionPattern, Graph, atomic_path, write_json
 from .rngutil import TAG_DROPOUT, TAG_PREDICT, TAG_VAL, derive
 from .sampling import (SampleStats, plan_geometries, resample_epoch,
                        sample_batch, save_scores_npz, uniform_scores,
@@ -299,11 +299,9 @@ def train_estimator(graph: Graph, pattern: AttentionPattern, cfg: TrainConfig,
                                                    labels[val_idx], run_epoch)
 
     with nm.no_grad():
-        logits, padded = net.forward(x, geoms, tau=best_tau, training=False)
-    # a row's live slots lead its padded row, so they come out in CSR order
+        logits, layer_scores = net.forward(x, geoms, tau=best_tau, training=False)
     scores = replace(pattern, layers=tuple(
-        replace(layer, values=sc[geom.key_mask > 0])
-        for layer, geom, sc in zip(pattern.layers, geoms, padded)))
+        replace(layer, values=sc) for layer, sc in zip(pattern.layers, layer_scores)))
     validate_scores(scores)
     test_m = float("nan")
     if test_idx.size:
@@ -533,7 +531,7 @@ def edge_percent(scores: AttentionPattern, degs) -> float:
 
 
 def save_history_csv(path, history) -> None:
-    with open(path, "w") as fh:
+    with atomic_path(path) as tmp, open(tmp, "w") as fh:
         fh.write("epoch,loss,val_metric,tau\n")
         for epoch, loss, val_m, tau in history:
             fh.write(f"{epoch},{loss:.10g},{val_m:.10g},{tau:.10g}\n")

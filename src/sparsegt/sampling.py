@@ -12,12 +12,11 @@ layers top-down; each layer's queries are the node set the layer above
 needs, each query samples deg_l keys from its score row, and the union
 becomes the support the layer below must produce.  Each layer's drawn
 keys come out as a CSR edge list over its queries, which the attention op
-runs on, and padded to fixed degree.  A layer's query rows are
-gathered, prefiltered and drawn in one vectorized pass; each score
-entry's uniform is the counter-based hash ``rngutil.counter_uniform`` of
-(seed, tag, epoch, batch, layer, node, CSR slot), so plans are
-reproducible no matter how rows are visited, and a node that queries two
-layers draws independently in each.
+runs on.  A layer's query rows are gathered, prefiltered and drawn in one
+vectorized pass; each score entry's uniform is the counter-based hash
+``rngutil.counter_uniform`` of (seed, tag, epoch, batch, layer, node, CSR
+slot), so plans are reproducible no matter how rows are visited, and a
+node that queries two layers draws independently in each.
 """
 
 from __future__ import annotations
@@ -26,9 +25,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .attention import LayerGeometry, pad_edges
+from .attention import LayerGeometry
 from .errors import ContractError, FormatError, ShapeError
-from .graphs import AttentionPattern, PatternLayer
+from .graphs import AttentionPattern, EdgeType, PatternLayer, atomic_path
 from .rngutil import TAG_SAMPLE, TAG_SHUFFLE, counter_uniform, derive
 
 
@@ -41,8 +40,8 @@ def validate_scores(scores: AttentionPattern, tol: float = 1e-5) -> None:
 
     ``row_ptr`` has n+1 entries, starts at 0 and never decreases;
     ``col_idx``, ``edge_type`` and ``values`` hold one entry per slot;
-    rows are distributions (nonnegative, summing to 1 within tol); and
-    every column lies in [0, n).
+    rows are distributions (finite, nonnegative, summing to 1 within
+    tol); every column lies in [0, n); and every type is an ``EdgeType``.
     """
     n = scores.n
     for li, layer in enumerate(scores.layers, start=1):
@@ -58,6 +57,8 @@ def validate_scores(scores: AttentionPattern, tol: float = 1e-5) -> None:
             if np.shape(getattr(layer, name)) != (row_ptr[-1],):
                 raise ShapeError(f"layer {li}: {name} has shape "
                                  f"{np.shape(getattr(layer, name))}, not ({row_ptr[-1]},)")
+        if not np.isfinite(vals).all():
+            raise ContractError(f"layer {li}: non-finite score")
         if vals.size and vals.min() < 0:
             raise ContractError(f"layer {li}: negative score")
         sums = np.bincount(np.repeat(np.arange(n), lengths), weights=vals, minlength=n)
@@ -68,6 +69,11 @@ def validate_scores(scores: AttentionPattern, tol: float = 1e-5) -> None:
         outside = np.flatnonzero((cols < 0) | (cols >= n))
         if outside.size:
             raise ContractError(f"layer {li}: column {cols[outside[0]]} outside [0, {n})")
+        types = layer.edge_type
+        outside = np.flatnonzero((types < 0) | (types >= len(EdgeType)))
+        if outside.size:
+            raise ContractError(f"layer {li}: edge type {types[outside[0]]} outside "
+                                f"[0, {len(EdgeType)})")
 
 
 def uniform_scores(pattern: AttentionPattern) -> AttentionPattern:
@@ -92,7 +98,9 @@ def save_scores_npz(path, scores: AttentionPattern) -> None:
         arrays[f"col_idx_{li}"] = layer.col_idx
         arrays[f"values_{li}"] = layer.values
         arrays[f"edge_type_{li}"] = layer.edge_type
-    np.savez(path, **arrays)
+    # through a handle: np.savez appends .npz to a file name that lacks it
+    with atomic_path(path) as tmp, open(tmp, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 def load_scores_npz(path) -> AttentionPattern:
@@ -239,25 +247,16 @@ def prefilter_topk(scores, k_prime: int, tail_eps: float = 0.05):
 class PlanLayer:
     """Sampled fixed-degree support for one layer of one batch.
 
-    ``v_nodes`` are the input rows (global ids, sorted), ``q_nodes`` the
-    output rows; locals index into ``v_nodes``.  The drawn keys are the
-    CSR edge list (``row_ptr``, ``col_local``, ``edge_type``) and, as
-    ``pad_edges`` blocks (queries x deg), the ``key_*`` fields, where
-    ``live`` are the edges' flat positions.
+    ``v_nodes`` are the input rows (global ids, sorted) and ``q_nodes``
+    the output rows.  ``geometry`` holds the drawn keys as a CSR edge list
+    over the queries, in local rows: its ``query_rows`` and ``col_idx``
+    index into ``v_nodes``, so query i drew the global keys
+    ``v_nodes[col_idx[row_ptr[i]:row_ptr[i + 1]]]``.
     """
 
     q_nodes: np.ndarray
     v_nodes: np.ndarray
-    query_local: np.ndarray
-    key_global: np.ndarray
-    key_local: np.ndarray
-    key_mask: np.ndarray
-    key_type: np.ndarray
-    row_ptr: np.ndarray
-    col_local: np.ndarray
-    edge_type: np.ndarray
-    live: np.ndarray
-    stats_local: np.ndarray
+    geometry: LayerGeometry
 
 
 @dataclass(frozen=True)
@@ -309,30 +308,27 @@ def sample_batch(seeds, scores: AttentionPattern, degs, seed: int, epoch: int,
     rev = []
     q_nodes = seeds
     for li in range(num_layers - 1, -1, -1):
-        padded, edges = _sample_layer(scores.layers[li], q_nodes, degs[li], mode,
-                                      k_prime, tail_eps, stats,
-                                      (seed, tag, epoch, batch_index, li))
-        v_nodes = np.union1d(q_nodes, edges[1])
-        rev.append((q_nodes, v_nodes, padded, edges))
+        row_ptr, cols, types = _sample_layer(scores.layers[li], q_nodes, degs[li], mode,
+                                             k_prime, tail_eps, stats,
+                                             (seed, tag, epoch, batch_index, li))
+        v_nodes = np.union1d(q_nodes, cols)
+        rev.append((q_nodes, v_nodes, row_ptr, cols, types))
         q_nodes = v_nodes
 
     layers = []
-    for li, (q, v, (key_global, mask, typ, live), (row_ptr, _, types)) in \
-            enumerate(reversed(rev)):
-        key_local = np.searchsorted(v, key_global)
+    for li, (q, v, row_ptr, cols, types) in enumerate(reversed(rev)):
         stats_local = np.searchsorted(q, seeds) if li < num_layers - 1 else np.arange(seeds.size)
-        layers.append(PlanLayer(q_nodes=q, v_nodes=v, query_local=np.searchsorted(v, q),
-                                key_global=key_global, key_local=key_local,
-                                key_mask=mask, key_type=typ, row_ptr=row_ptr,
-                                col_local=np.take(key_local, live), edge_type=types, live=live,
-                                stats_local=stats_local.astype(np.int64)))
+        geom = LayerGeometry(query_rows=np.searchsorted(v, q), row_ptr=row_ptr,
+                             col_idx=np.searchsorted(v, cols), edge_type=types,
+                             stats_rows=stats_local.astype(np.int64))
+        layers.append(PlanLayer(q_nodes=q, v_nodes=v, geometry=geom))
     return BatchPlan(seeds=seeds, degs=degs, layers=tuple(layers), stats=stats)
 
 
 def _sample_layer(layer: PatternLayer, q_nodes, deg: int, mode: str, k_prime,
                   tail_eps: float, stats: SampleStats, keys):
-    """The keys one layer's queries draw: ``pad_edges`` blocks
-    (queries x deg) and the CSR edge list (row_ptr, global columns, types).
+    """The keys one layer's queries draw, as a CSR edge list over the
+    queries: (row_ptr, global columns, edge types).
 
     Every query row is gathered, prefiltered and selected in one pass.
     The uniforms come from ``counter_uniform(keys, node, slot)``, ``slot``
@@ -369,17 +365,12 @@ def _sample_layer(layer: PatternLayer, q_nodes, deg: int, mode: str, k_prime,
         take = _reservoir_select(row, slot, deg, w, u)
 
     row_ptr = np.concatenate(([0], np.cumsum(np.minimum(lengths, deg))))
-    cols, types = layer.col_idx[pos[take]], layer.edge_type[pos[take]]
-    return pad_edges(row_ptr, cols, types, q_nodes, deg), (row_ptr, cols, types)
+    return row_ptr, layer.col_idx[pos[take]], layer.edge_type[pos[take]]
 
 
 def plan_geometries(plan: BatchPlan) -> list[LayerGeometry]:
     """The per-layer geometries a Network consumes, in forward order."""
-    return [LayerGeometry(query_rows=pl.query_local, key_rows=pl.key_local,
-                          key_mask=pl.key_mask, key_type=pl.key_type,
-                          row_ptr=pl.row_ptr, col_idx=pl.col_local, edge_type=pl.edge_type,
-                          live=pl.live, stats_rows=pl.stats_local)
-            for pl in plan.layers]
+    return [pl.geometry for pl in plan.layers]
 
 
 def resample_epoch(scores: AttentionPattern, degs, train_nodes, batch_size: int,

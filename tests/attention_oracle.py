@@ -1,10 +1,11 @@
 """The composed attention path that ``numerics.edge_attention`` replaced.
 
-Each head of ``composed_sublayer`` is built from small taped ops over the
-geometry's padded (queries x degree) block: four row gathers, an
-elementwise product, two batched matmuls, reshapes, a masked softmax and
-the adds, with every gradient coming from the ops' own backwards.  It is
-the slow path the fused op is checked against (``test_edge_attention``);
+Each head of ``composed_sublayer`` is built from small taped ops over a
+padded (queries x longest row) block that ``pad_edges`` builds from the
+geometry's edge list: four row gathers, an elementwise product, two
+batched matmuls, reshapes, a masked softmax and the adds, with every
+gradient coming from the ops' own backwards.  It is the slow path the
+fused op is checked against (``test_edge_attention``);
 ``composed_sublayer`` has the signature of ``attention_sublayer``, so a
 test can run a whole network through either.
 """
@@ -15,6 +16,7 @@ import numpy as np
 
 import sparsegt.numerics as nm
 from sparsegt.errors import ContractError, ShapeError
+from sparsegt.graphs import EdgeType
 
 
 def mul(a, b) -> nm.Tensor:
@@ -84,11 +86,31 @@ def masked_softmax(logits, mask, temperature: float = 1.0, clip: float = 8.0) ->
     return out
 
 
+def pad_edges(geom):
+    """(keys, mask, types) blocks (queries x longest row) of the geometry's
+    edge list, and its edges' flat positions in them: row i holds its
+    edges in order, then pad slots on key ``query_rows[i]``, typed
+    self-loop, with mask 0."""
+    row_ptr = geom.row_ptr
+    nq = row_ptr.shape[0] - 1
+    width = int(np.diff(row_ptr).max())
+    live = np.arange(row_ptr[-1]) + np.repeat(np.arange(nq) * width - row_ptr[:-1],
+                                              np.diff(row_ptr))
+    key = np.repeat(geom.query_rows, width)
+    key[live] = geom.col_idx
+    mask = np.zeros(nq * width, dtype=np.float64)
+    mask[live] = 1.0
+    typ = np.full(nq * width, int(EdgeType.SELF_LOOP), dtype=np.int64)
+    typ[live] = geom.edge_type
+    return key.reshape(nq, width), mask.reshape(nq, width), typ.reshape(nq, width), live
+
+
 def composed_sublayer(h, geom, lp, cfg, tau, training=False, dropout_rng=None):
     """``attention_sublayer`` over the padded block, one small op at a time."""
-    nq, k = geom.key_rows.shape
-    flat_keys = geom.key_rows.reshape(-1)
-    flat_types = geom.key_type.reshape(-1)
+    key_rows, key_mask, key_type, live = pad_edges(geom)
+    nq, k = key_rows.shape
+    flat_keys = key_rows.reshape(-1)
+    flat_types = key_type.reshape(-1)
     xq = nm.gather_rows(h, geom.query_rows)
     scale = 1.0 / math.sqrt(cfg.d_head)
     head_sum = None
@@ -108,11 +130,11 @@ def composed_sublayer(h, geom, lp, cfg, tau, training=False, dropout_rng=None):
         logits = mul(logits, np.asarray(scale, dtype=h.dtype))
         bias = nm.reshape(nm.gather_rows(bvec, flat_types), (nq, k))
         logits = nm.add(logits, bias)
-        sc = masked_softmax(logits, geom.key_mask, temperature=tau, clip=cfg.clip)
+        sc = masked_softmax(logits, key_mask, temperature=tau, clip=cfg.clip)
         v3 = nm.reshape(nm.gather_rows(vv, flat_keys), (nq, k, cfg.width))
         out = nm.reshape(batched_matmul(nm.reshape(sc, (nq, 1, k)), v3), (nq, cfg.width))
         head_sum = out if head_sum is None else nm.add(head_sum, out)
         score_acc += sc.data.astype(np.float64)
     if training and cfg.dropout > 0:
         head_sum = nm.dropout(head_sum, cfg.dropout, dropout_rng)
-    return nm.add(xq, head_sum), score_acc / len(lp.heads)
+    return nm.add(xq, head_sum), score_acc.reshape(-1)[live] / len(lp.heads)

@@ -64,21 +64,23 @@ class TestTemperature:
 
 class TestPatternGeometry:
     def test_matches_csr_rows(self):
+        # every node queries its own row: the geometry is the layer's CSR
         pl = _ragged()
         geom = pattern_geometry(pl)
-        assert geom.degree == 3
         assert geom.num_queries == 5
         np.testing.assert_array_equal(geom.query_rows, np.arange(5))
-        for i in range(5):
-            cols = pl.row(i)
-            np.testing.assert_array_equal(geom.key_rows[i, :cols.size], cols)
-            np.testing.assert_array_equal(geom.key_type[i, :cols.size],
-                                          pl.row_types(i))
-            np.testing.assert_array_equal(geom.key_mask[i, :cols.size], 1.0)
-            # pad slots point at the query itself, typed self-loop, masked
-            np.testing.assert_array_equal(geom.key_rows[i, cols.size:], i)
-            np.testing.assert_array_equal(geom.key_type[i, cols.size:], S)
-            np.testing.assert_array_equal(geom.key_mask[i, cols.size:], 0.0)
+        assert geom.row_ptr is pl.row_ptr
+        assert geom.col_idx is pl.col_idx
+        assert geom.edge_type is pl.edge_type
+
+    def test_key_mask_marks_each_rows_slots(self):
+        geom = pattern_geometry(_ragged())
+        mask = geom.key_mask
+        assert mask.size == geom.num_queries * 3        # queries x longest row
+        assert np.count_nonzero(mask) == geom.row_ptr[-1]
+        # each row's slots come first
+        np.testing.assert_array_equal(mask.sum(axis=1), [3, 3, 2, 3, 2])
+        np.testing.assert_array_equal(mask[2], [True, True, False])
 
     def test_stats_rows_passthrough(self):
         geom = pattern_geometry(_ragged(), stats_rows=[0, 2])
@@ -89,10 +91,9 @@ class TestPatternGeometry:
 def _oracle(h, pl, lp, cfg, tau):
     """Per-edge loop transcription of the layer definition."""
     n = pl.row_ptr.shape[0] - 1
-    kmax = int(np.diff(pl.row_ptr).max())
     emb = lp.edge_emb.data
     out = np.zeros((n, cfg.width))
-    scores = np.zeros((n, kmax))
+    scores = np.zeros(pl.nnz)
     for i in range(n):
         cols, typs = pl.row(i), pl.row_types(i)
         acc = np.zeros(cfg.width)
@@ -113,7 +114,7 @@ def _oracle(h, pl, lp, cfg, tau):
                     v = float(lp.vscale.data[0]) * v / max(np.linalg.norm(v), 1e-6)
                 acc += pj * v
         out[i] = h[i] + acc
-        scores[i, :cols.size] = row_sc / len(lp.heads)
+        scores[pl.row_ptr[i]:pl.row_ptr[i + 1]] = row_sc / len(lp.heads)
     return out, scores
 
 
@@ -136,16 +137,17 @@ class TestSublayerOracle:
         np.testing.assert_allclose(out.data, want_out, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(sc, want_sc, rtol=1e-10, atol=1e-12)
 
-    def test_scores_are_padded_distributions(self):
+    def test_scores_are_row_distributions(self):
+        # one float64 score per edge, aligned with col_idx; rows sum to 1
         cfg = ModelConfig(in_dim=6, width=4, layers=1, out_dim=2, heads=2,
-                          dtype=np.float64)
+                          dtype=np.float32)
         pl = _ragged()
-        _, sc = attention_sublayer(nm.Tensor(derive(0, 79).normal(size=(5, 4))),
-                                   pattern_geometry(pl),
+        h = derive(0, 79).normal(size=(5, 4)).astype(np.float32)
+        _, sc = attention_sublayer(nm.Tensor(h), pattern_geometry(pl),
                                    LayerParams(cfg, derive(0, 80)), cfg, 1.0)
-        np.testing.assert_allclose(sc.sum(axis=1), 1.0, atol=1e-10)
-        for i in range(5):
-            np.testing.assert_array_equal(sc[i, pl.row(i).size:], 0.0)
+        assert sc.shape == pl.col_idx.shape and sc.dtype == np.float64
+        assert (sc > 0).all()
+        np.testing.assert_allclose(np.add.reduceat(sc, pl.row_ptr[:-1]), 1.0, atol=1e-6)
 
     def test_value_scale_only_scales_the_update(self):
         cfg = ModelConfig(in_dim=4, width=4, layers=1, out_dim=2, heads=1,

@@ -249,6 +249,39 @@ class TestExitCodes:
                      "--run", fin, "--out", str(tmp_path / "p")]) == 2
         assert "sums to" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("values", np.nan, "non-finite score"),
+        ("edge_type", 7, "edge type 7 outside"),
+    ])
+    def test_predict_rejects_a_malformed_score_file(self, ws, tmp_path, capsys,
+                                                    field, value, message):
+        scores = load_scores_npz(ws["scores"])
+        layer = scores.layers[1]
+        arr = getattr(layer, field).copy()
+        arr[3] = value
+        bad = str(tmp_path / "bad.npz")
+        save_scores_npz(bad, replace(scores, layers=(scores.layers[0],
+                                                     replace(layer, **{field: arr}))))
+        assert main(["predict", "--data", ws["data"], "--scores", bad,
+                     "--run", ws["fin"], "--out", str(tmp_path / "p")]) == 2
+        assert f"layer 2: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column,value,message", [
+        (1, "x", "non-integer field"),
+        (2, "7", "edge type 7 outside"),
+    ])
+    def test_train_estimator_rejects_a_malformed_pattern(self, ws, tmp_path, capsys,
+                                                         column, value, message):
+        lines = open(ws["pattern"]).read().splitlines()
+        fields = lines[5].split("\t")
+        fields[column] = value
+        lines[5] = "\t".join(fields)
+        bad = tmp_path / "pattern.tsv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["train-estimator", "--data", ws["data"], "--pattern", str(bad),
+                     "--out", str(tmp_path / "e"), "--epochs", "1"]) == 2
+        assert f"pattern.tsv:6: {message}" in capsys.readouterr().err
+
     def test_predict_rejects_estimator_run(self, ws, tmp_path, capsys):
         code = main(["predict", "--data", ws["data"], "--scores", ws["scores"],
                      "--run", ws["est"], "--out", str(tmp_path / "p")])

@@ -285,3 +285,16 @@ class TestAugment:
         (tmp_path / "p.tsv").write_text("0\t1\n")
         with pytest.raises(FormatError, match=":1:"):
             load_pattern(tmp_path / "p.tsv", 2, 1)
+
+    @pytest.mark.parametrize("line,message", [
+        ("0\t1\tx", "non-integer field"),
+        ("0\t1.5\t0", "non-integer field"),
+        ("0\t1\t3", "edge type 3 outside"),
+        ("0\t1\t-1", "edge type -1 outside"),
+        ("0\t2\t0", "node id out of range for n=2"),
+        ("-1\t0\t0", "node id out of range for n=2"),
+    ])
+    def test_pattern_bad_field_names_the_line(self, tmp_path, line, message):
+        (tmp_path / "p.tsv").write_text(f"# attention pattern n=2\n0\t0\t2\n{line}\n")
+        with pytest.raises(FormatError, match=f"p.tsv:3: {message}"):
+            load_pattern(tmp_path / "p.tsv", 2, 1)

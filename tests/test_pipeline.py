@@ -20,13 +20,14 @@ from sparsegt.datasets import SyntheticSpec, gen_bridge_task, gen_dataset
 from sparsegt.errors import ContractError, DivergenceError, ShapeError
 from sparsegt.graphs import (TEST, TRAIN, VAL, AttentionPattern, PatternLayer,
                              augment, build_expander)
-from sparsegt.numerics import AdamW, load_checkpoint
+from sparsegt.numerics import AdamW, load_checkpoint, save_checkpoint
 from sparsegt.pipeline import (TrainConfig, config_from_dict, config_to_dict,
                                edge_percent, metric_value, predict,
                                predicted_labels, resolve_task,
                                save_history_csv, train_estimator, train_final,
                                write_json)
-from sparsegt.sampling import load_scores_npz, uniform_scores, validate_scores
+from sparsegt.sampling import (load_scores_npz, save_scores_npz, uniform_scores,
+                               validate_scores)
 
 
 @functools.lru_cache(maxsize=None)
@@ -178,12 +179,11 @@ class TestEstimator:
         res = train_estimator(g, pattern, cfg)
         geoms = [pattern_geometry(layer) for layer in pattern.layers]
         x = np.asarray(g.features, dtype=cfg.np_dtype)
-        _, padded = res.network.forward(x, geoms, tau=res.tau_final)
-        for sl, sc in zip(res.scores.layers, padded):
+        _, flat = res.network.forward(x, geoms, tau=res.tau_final)
+        for sl, sc in zip(res.scores.layers, flat):
             assert sl.values.dtype == np.float64
-            for i in range(g.n):
-                lo, hi = sl.row_ptr[i], sl.row_ptr[i + 1]
-                np.testing.assert_array_equal(sl.values[lo:hi], sc[i, :hi - lo])
+            assert sc.shape == sl.col_idx.shape
+            np.testing.assert_array_equal(sl.values, sc)     # bit for bit
 
     def test_zero_epochs_reads_init_scores(self):
         g, pattern = _toy()
@@ -531,3 +531,35 @@ def test_history_csv_format(tmp_path):
     assert lines[0] == "epoch,loss,val_metric,tau"
     assert lines[1] == "1,0.5,0.25,1"
     assert lines[2].startswith("2,0.25,nan,")
+
+
+class _Boom:
+    """A payload item that fails the write once the writer reaches it."""
+
+    def __array__(self, *args, **kwargs):
+        raise OSError("disk full")
+
+    def __format__(self, spec):
+        raise OSError("disk full")
+
+
+def _score_set(edge_type):
+    return AttentionPattern(n=2, layers=(PatternLayer(
+        row_ptr=np.array([0, 1, 2]), col_idx=np.array([0, 1]),
+        edge_type=edge_type, values=np.ones(2)),))
+
+
+@pytest.mark.parametrize("write,good,bad", [
+    (save_history_csv, [(1, 0.5, 0.25, 1.0)],
+     [(1, 0.75, 0.25, 1.0), (2, _Boom(), 0.25, 1.0)]),
+    (save_checkpoint, {"w": np.ones(3)}, {"w": np.zeros(3), "x": _Boom()}),
+    (save_scores_npz, _score_set(np.array([2, 2])), _score_set(_Boom())),
+], ids=["history", "checkpoint", "scores"])
+def test_a_failed_write_leaves_the_previous_file_whole(tmp_path, write, good, bad):
+    path = tmp_path / "out"
+    write(path, good)
+    before = path.read_bytes()
+    with pytest.raises(OSError, match="disk full"):
+        write(path, bad)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]

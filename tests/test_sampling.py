@@ -13,7 +13,7 @@ constants, and against the per-query loop it replaced (sampling_oracle)
 wherever the two must agree exactly.
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+from sparsegt.attention import LayerGeometry
 from sparsegt.errors import ContractError, ShapeError
 from sparsegt.graphs import AttentionPattern, EdgeType, PatternLayer
 from sparsegt.rngutil import TAG_VAL, derive
@@ -177,6 +178,13 @@ def _ring_scores(n=6, layers=2):
     return AttentionPattern(n=n, layers=(sl,) * layers)
 
 
+def _ring_values_with_row(row_values, row=1):
+    """The ring's score values with one row's three replaced."""
+    vals = _ring_scores().layers[0].values.copy()
+    vals[3 * row:3 * row + 3] = row_values
+    return vals
+
+
 # one CSR score layer with every entry typed GRAPH
 def _scored(row_ptr, col_idx, values):
     col_idx = np.asarray(col_idx, dtype=np.int64)
@@ -185,37 +193,45 @@ def _scored(row_ptr, col_idx, values):
                         values=np.asarray(values, dtype=np.float64))
 
 
+def _drawn(pl, qi):
+    """Global ids and edge types of the keys query ``qi`` of a plan layer drew."""
+    geom = pl.geometry
+    lo, hi = geom.row_ptr[qi], geom.row_ptr[qi + 1]
+    return pl.v_nodes[geom.col_idx[lo:hi]], geom.edge_type[lo:hi]
+
+
 def _assert_plan_invariants(plan: BatchPlan, scores: AttentionPattern, seeds, degs):
     num_layers = len(plan.layers)
     np.testing.assert_array_equal(plan.layers[-1].q_nodes, seeds)
     np.testing.assert_array_equal(plan.input_nodes, plan.layers[0].v_nodes)
     for li, pl in enumerate(plan.layers):
-        v, q = pl.v_nodes, pl.q_nodes
+        v, q, geom = pl.v_nodes, pl.q_nodes, pl.geometry
         assert np.all(np.diff(v) > 0)                    # sorted, unique
         assert np.isin(q, v).all()
-        np.testing.assert_array_equal(v[pl.query_local], q)
-        np.testing.assert_array_equal(v[pl.key_local], pl.key_global)
+        np.testing.assert_array_equal(v[geom.query_rows], q)
+        assert geom.row_ptr.shape == (q.size + 1,) and geom.row_ptr[0] == 0
+        assert 0 <= geom.col_idx.min() and geom.col_idx.max() < v.size
         layer = scores.layers[li]
         for qi, node in enumerate(q):
-            cols = layer.row(int(node))
-            live = pl.key_mask[qi] > 0
-            assert live.sum() == min(degs[li], cols.size)
-            assert set(pl.key_global[qi, live]) <= set(cols.tolist())
-            # pads sit on the query's own self-loop
-            np.testing.assert_array_equal(pl.key_global[qi, ~live], node)
-            np.testing.assert_array_equal(pl.key_type[qi, ~live],
-                                          int(EdgeType.SELF_LOOP))
+            row_type = dict(zip(layer.row(int(node)).tolist(),
+                                layer.row_types(int(node)).tolist()))
+            keys, types = _drawn(pl, qi)
+            assert keys.size == min(degs[li], len(row_type))
+            assert np.unique(keys).size == keys.size
+            # every drawn edge is an entry of the score row, with its type
+            assert set(keys.tolist()) <= row_type.keys()
+            assert [row_type[k] for k in keys.tolist()] == types.tolist()
+        # the tracer's padded view: queries x longest row, one slot per edge
+        longest = np.diff(geom.row_ptr).max()
+        assert geom.key_mask.size == q.size * longest
+        assert np.count_nonzero(geom.key_mask) == geom.row_ptr[-1]
         if li < num_layers - 1:
             np.testing.assert_array_equal(pl.q_nodes, plan.layers[li + 1].v_nodes)
-            np.testing.assert_array_equal(q[pl.stats_local], plan.seeds)
+            np.testing.assert_array_equal(q[geom.stats_rows], plan.seeds)
         else:
-            np.testing.assert_array_equal(pl.stats_local, np.arange(seeds.size))
-    geoms = plan_geometries(plan)
-    for pl, geom in zip(plan.layers, geoms):
-        assert geom.key_rows is pl.key_local
-        assert geom.query_rows is pl.query_local
-        assert geom.stats_rows is pl.stats_local
-        assert geom.key_rows.max() < pl.v_nodes.size
+            np.testing.assert_array_equal(geom.stats_rows, np.arange(seeds.size))
+    for pl, geom in zip(plan.layers, plan_geometries(plan)):
+        assert geom is pl.geometry
 
 
 class TestBatchPlans:
@@ -249,14 +265,11 @@ class TestBatchPlans:
                                    replace=False))
         plan = sample_batch(seeds, ss, (d1, d2), seed=key, epoch=1)
         _assert_plan_invariants(plan, ss, seeds, (d1, d2))
-        again = sample_batch(seeds, ss, (d1, d2), seed=key, epoch=1)
-        for a, b in zip(plan.layers, again.layers):
-            np.testing.assert_array_equal(a.key_global, b.key_global)
-            np.testing.assert_array_equal(a.key_mask, b.key_mask)
+        _assert_same_plan(plan, sample_batch(seeds, ss, (d1, d2), seed=key, epoch=1))
 
     def _masked_keys(self, plan):
         pl = plan.layers[-1]
-        return [(int(q), tuple(sorted(pl.key_global[qi, pl.key_mask[qi] > 0])))
+        return [(int(q), tuple(sorted(_drawn(pl, qi)[0])))
                 for qi, q in enumerate(pl.q_nodes)]
 
     def test_epoch_changes_the_draw(self):
@@ -282,7 +295,7 @@ class TestBatchPlans:
         agree = 0
         for epoch in range(epochs):
             plan = sample_batch(np.array([0]), ss, (2, 2), seed=0, epoch=epoch)
-            rows = [pl.key_global[np.searchsorted(pl.q_nodes, 0)]
+            rows = [_drawn(pl, np.searchsorted(pl.q_nodes, 0))[0]
                     for pl in plan.layers]
             agree += set(rows[0]) == set(rows[1])
         assert 0.25 < agree / epochs < 0.55
@@ -299,7 +312,7 @@ class TestBatchPlans:
                                     seed=1, epoch=3, k_prime=4)
                 for li, pl in enumerate(plan.layers):
                     for qi, q in enumerate(pl.q_nodes):
-                        got = (tuple(pl.key_global[qi]), tuple(pl.key_mask[qi]))
+                        got = tuple(map(tuple, _drawn(pl, qi)))
                         assert rows.setdefault((li, int(q)), got) == got
 
     def test_top_mode_is_deterministic_and_greedy(self):
@@ -308,11 +321,9 @@ class TestBatchPlans:
         ss = AttentionPattern(n=3, layers=(sl,))
         p1 = sample_batch(np.array([0]), ss, (2,), seed=0, epoch=1, mode="top")
         p9 = sample_batch(np.array([0]), ss, (2,), seed=5, epoch=9, mode="top")
-        pl = p1.layers[-1]
         # 0.4 wins, then the 0.3 tie resolves to the lower index
-        np.testing.assert_array_equal(
-            np.sort(pl.key_global[0, pl.key_mask[0] > 0]), [0, 1])
-        np.testing.assert_array_equal(pl.key_global, p9.layers[-1].key_global)
+        np.testing.assert_array_equal(np.sort(_drawn(p1.layers[-1], 0)[0]), [0, 1])
+        _assert_same_plan(p1, p9)
 
     def test_prefilter_counters(self):
         # node 0 has a heavy head, node 1 is flat; k'=2 truncates one and
@@ -379,8 +390,11 @@ def _hub_scores(key, n=60, layers=2):
 def _assert_same_plan(a: BatchPlan, b: BatchPlan):
     assert a.stats == b.stats
     for x, y in zip(a.layers, b.layers):
-        for f in x.__dataclass_fields__:
-            np.testing.assert_array_equal(getattr(x, f), getattr(y, f), err_msg=f)
+        np.testing.assert_array_equal(x.q_nodes, y.q_nodes, err_msg="q_nodes")
+        np.testing.assert_array_equal(x.v_nodes, y.v_nodes, err_msg="v_nodes")
+        for f in fields(LayerGeometry):
+            np.testing.assert_array_equal(getattr(x.geometry, f.name),
+                                          getattr(y.geometry, f.name), err_msg=f.name)
 
 
 class TestAgainstLoopOracle:
@@ -426,7 +440,7 @@ class TestAgainstLoopOracle:
         for epoch in range(draws):
             pl = sample_batch(np.array([0]), ss, (2,), seed=4,
                               epoch=epoch).layers[0]
-            pairs[epoch] = pl.key_global[0]
+            pairs[epoch] = _drawn(pl, 0)[0]
         freq = TestReservoirLaw()._pair_freq(pairs, draws)
         tv = 0.5 * sum(abs(freq[k] - PAIR_LAW[k]) for k in PAIR_LAW)
         assert tv < 0.02, freq
@@ -491,6 +505,15 @@ class TestScoreSets:
          ContractError, "column 6 outside"),
         ("col_idx", np.where(np.arange(18) == 7, -1, _ring_scores().layers[0].col_idx),
          ContractError, "column -1 outside"),
+        ("values", _ring_values_with_row([np.nan, 1.0, 0.0]), ContractError,
+         "non-finite score"),
+        ("values", _ring_values_with_row([np.nan] * 3), ContractError, "non-finite score"),
+        ("values", _ring_values_with_row([np.inf, 0.0, 0.0]), ContractError,
+         "non-finite score"),
+        ("edge_type", np.where(np.arange(18) == 5, 7, _ring_scores().layers[0].edge_type),
+         ContractError, "edge type 7 outside"),
+        ("edge_type", np.where(np.arange(18) == 5, -1, _ring_scores().layers[0].edge_type),
+         ContractError, "edge type -1 outside"),
     ])
     def test_validate_checks_the_csr_arrays(self, field, value, error, message):
         good = _ring_scores(layers=1).layers[0]
