@@ -20,7 +20,7 @@ import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
 from .errors import ContractError, ShapeError
-from .graphs import AttentionPattern, Graph
+from .graphs import AttentionPattern, Graph, atomic_path
 from .pipeline import TrainConfig, train_estimator, write_json
 from .rngutil import TAG_ANALYSIS, derive
 
@@ -110,7 +110,7 @@ def profile_scores(scores: AttentionPattern, topk: int = 4) -> dict:
 
 def write_profile_csv(path, profile: dict) -> None:
     """Flat per-layer table of the ``profile_scores`` output."""
-    with open(path, "w") as fh:
+    with atomic_path(path) as tmp, open(tmp, "w") as fh:
         fh.write("layer,entropy,topk_mass,graph_mass,expander_mass,self_mass\n")
         for li, (ent, mass, types) in enumerate(zip(
                 profile["entropy"], profile["topk_mass"],

@@ -6,7 +6,10 @@ Subcommands cover the full workflow: ``gen`` a synthetic dataset,
 ``predict`` from a finished run, and ``analyze`` for the measurement
 harnesses.  Every command that produces a directory drops a
 manifest.json recording the exact invocation, content hashes of its
-inputs, wall-clock time and peak memory, so results stay attributable.
+inputs, wall-clock time, peak memory and exit code, so results stay
+attributable.  A command that fails (exit 2 or 3) after claiming its
+directory records its error there too; a directory refused because it
+already holds a run keeps its manifest.
 
 Exit codes: 0 success, 2 bad arguments or malformed inputs, 3 a runtime
 failure such as no expander reaching the gap target or a diverged run.
@@ -28,8 +31,8 @@ import numpy as np
 from . import analysis, datasets
 from .errors import (ContractError, DivergenceError, ExpanderGapError,
                      FormatError, ShapeError)
-from .graphs import (TEST, TRAIN, VAL, augment, build_expander, load_pattern,
-                     save_expander, save_pattern)
+from .graphs import (TEST, TRAIN, VAL, atomic_path, augment, build_expander,
+                     load_pattern, save_expander, save_pattern)
 from .numerics import load_checkpoint
 from .pipeline import (TrainConfig, build_network, config_from_dict,
                        final_sampler, predict, train_estimator, train_final,
@@ -59,36 +62,49 @@ def _hash_inputs(paths) -> dict:
 
 
 class _Manifest:
-    """Collects provenance while a command runs; write() finishes it."""
+    """Provenance of one command: ``claim`` takes the output directory,
+    ``hash_inputs`` records the inputs, and ``write`` finishes the record
+    with the exit code (and the error, if any) once the command ends."""
 
-    def __init__(self, args, inputs):
+    def __init__(self, args):
+        self.args = args
         self.started = time.time()
+        self.out_dir = None
         self.record = {
             "command": args.command,
             "argv": sys.argv[1:],
-            "options": {k: v for k, v in sorted(vars(args).items())
-                        if k not in ("func", "command")},
-            "inputs": _hash_inputs(inputs),
+            "inputs": {},
             "started": datetime.fromtimestamp(self.started,
                                               timezone.utc).isoformat(),
         }
 
-    def write(self, out_dir) -> None:
+    def claim(self, out_dir, force: bool) -> Path:
+        """``out_dir``, created; refused if it already holds a run, unless
+        ``force``.  A refused directory's manifest is never rewritten."""
+        out_dir = Path(out_dir)
+        if (out_dir / "manifest.json").exists() and not force:
+            raise ContractError(f"{out_dir} already holds a run; pass --force to "
+                                "overwrite")
+        out_dir.mkdir(parents=True, exist_ok=True)
+        self.out_dir = out_dir
+        return out_dir
+
+    def hash_inputs(self, paths) -> None:
+        self.record["inputs"] = _hash_inputs(paths)
+
+    def write(self, exit_code: int, error: str | None = None) -> None:
+        """Write manifest.json into the claimed directory, if any."""
+        if self.out_dir is None:
+            return
+        self.record["options"] = {k: v for k, v in sorted(vars(self.args).items())
+                                  if k not in ("func", "command")}
+        self.record["exit_code"] = exit_code
+        if error is not None:
+            self.record["error"] = error
         self.record["wall_seconds"] = round(time.time() - self.started, 3)
         self.record["peak_rss_kb"] = resource.getrusage(
             resource.RUSAGE_SELF).ru_maxrss
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_json(out_dir / "manifest.json", self.record)
-
-
-def _check_out_dir(out_dir, force: bool) -> Path:
-    out_dir = Path(out_dir)
-    if (out_dir / "manifest.json").exists() and not force:
-        raise ContractError(f"{out_dir} already holds a run; pass --force to "
-                            "overwrite")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir
+        write_json(self.out_dir / "manifest.json", self.record)
 
 
 def _resolve_input(path, *candidates):
@@ -118,9 +134,8 @@ def _train_config(args) -> TrainConfig:
 # Subcommands
 
 
-def _cmd_gen(args) -> int:
-    out = _check_out_dir(args.out, args.force)
-    manifest = _Manifest(args, [])
+def _cmd_gen(args, manifest) -> int:
+    out = manifest.claim(args.out, args.force)
     spec = datasets.SyntheticSpec(
         generator=args.generator, seed=args.seed,
         num_components=args.components, component_size=args.component_size,
@@ -129,60 +144,56 @@ def _cmd_gen(args) -> int:
         p_inter=args.p_inter, feature_dim=args.feature_dim)
     g = datasets.gen_dataset(spec)
     datasets.write_dataset(out, g, spec)
-    manifest.write(out)
     print(f"wrote {g.n} nodes, {g.num_edges} directed edges, "
           f"homophily {datasets.homophily_ratio(g):.3f} to {out}")
     return 0
 
 
-def _cmd_augment(args) -> int:
-    out = _check_out_dir(args.out, args.force)
-    manifest = _Manifest(args, [args.data])
+def _cmd_augment(args, manifest) -> int:
+    out = manifest.claim(args.out, args.force)
+    manifest.hash_inputs([args.data])
     g, _ = datasets.load_dataset(args.data)
     x = build_expander(g.n, args.cycles, min_gap=args.min_gap,
                        max_retries=args.max_retries, seed=args.seed)
     pattern = augment(g, x, args.layers)
     save_expander(out / "expander.json", x)
     save_pattern(out / "pattern.tsv", pattern)
-    manifest.write(out)
     print(f"expander gap {x.gap:.4f} (degree {x.degree}); pattern has "
           f"{pattern.m_aug} entries per layer, {pattern.num_layers} layers")
     return 0
 
 
-def _cmd_train_estimator(args) -> int:
-    out = _check_out_dir(args.out, args.force)
+def _cmd_train_estimator(args, manifest) -> int:
+    out = manifest.claim(args.out, args.force)
     args.pattern = _resolve_input(args.pattern, "pattern.tsv")
-    manifest = _Manifest(args, [args.data, args.pattern])
+    manifest.hash_inputs([args.data, args.pattern])
     g, _ = datasets.load_dataset(args.data)
     cfg = _train_config(args)
     pattern = load_pattern(args.pattern, g.n, cfg.layers)
     res = train_estimator(g, pattern, cfg, run_dir=out)
-    manifest.write(out)
     print(f"best epoch {res.best_epoch}: val {res.best_val:.4f}, "
           f"test {res.test_metric:.4f}, tau {res.tau_final:.3f}; "
           f"scores in {out / 'scores'}")
     return 0
 
 
-def _cmd_train_final(args) -> int:
-    out = _check_out_dir(args.out, args.force)
+def _cmd_train_final(args, manifest) -> int:
+    out = manifest.claim(args.out, args.force)
     args.scores = _resolve_input(args.scores, "scores/scores.npz", "scores.npz")
-    manifest = _Manifest(args, [args.data, args.scores])
+    manifest.hash_inputs([args.data, args.scores])
     g, _ = datasets.load_dataset(args.data)
     cfg = _train_config(args)
     scores = load_scores_npz(args.scores)
     res = train_final(g, scores, cfg, run_dir=out)
-    manifest.write(out)
     print(f"best epoch {res.best_epoch}: val {res.best_val:.4f}, "
           f"test {res.test_metric:.4f}, edge budget {res.edge_pct:.1f}%")
     return 0
 
 
-def _cmd_predict(args) -> int:
-    out = _check_out_dir(args.out, args.force)
+def _cmd_predict(args, manifest) -> int:
+    out = manifest.claim(args.out, args.force)
     args.scores = _resolve_input(args.scores, "scores/scores.npz", "scores.npz")
-    manifest = _Manifest(args, [args.data, args.scores, args.run])
+    manifest.hash_inputs([args.data, args.scores, args.run])
     g, _ = datasets.load_dataset(args.data)
     run_dir = Path(args.run)
     with open(run_dir / "config.json") as fh:
@@ -205,8 +216,15 @@ def _cmd_predict(args) -> int:
                            batch_size=cfg.batch_size, mode=mode,
                            k_prime=k_prime, tail_eps=cfg.tail_eps,
                            loss_name=loss_name)
+    write_predictions(out / "predictions.csv", nodes, probs, preds)
+    print(f"wrote predictions for {nodes.size} nodes to {out / 'predictions.csv'}")
+    return 0
+
+
+def write_predictions(path, nodes, probs, preds) -> None:
+    """One CSV row per node: its id, predicted label and class probabilities."""
     probs2 = probs[:, None] if probs.ndim == 1 else probs
-    with open(out / "predictions.csv", "w") as fh:
+    with atomic_path(path) as tmp, open(tmp, "w") as fh:
         width = probs2.shape[1]
         fh.write("node,pred," + ",".join(f"p{c}" for c in range(width)) + "\n")
         for i, node in enumerate(nodes):
@@ -215,20 +233,16 @@ def _cmd_predict(args) -> int:
             pred = str(pv[0]) if pv.size == 1 else ";".join(str(v) for v in pv)
             pvals = ",".join(f"{v:.6g}" for v in probs2[i])
             fh.write(f"{node},{pred},{pvals}\n")
-    manifest.write(out)
-    print(f"wrote predictions for {nodes.size} nodes to {out / 'predictions.csv'}")
-    return 0
 
 
-def _cmd_analyze(args) -> int:
-    out = _check_out_dir(args.out, args.force)
+def _cmd_analyze(args, manifest) -> int:
+    out = manifest.claim(args.out, args.force)
     if args.scores:
         args.scores = _resolve_input(args.scores, "scores/scores.npz",
                                      "scores.npz")
     if args.pattern:
         args.pattern = _resolve_input(args.pattern, "pattern.tsv")
-    inputs = [p for p in (args.scores, args.data, args.pattern) if p]
-    manifest = _Manifest(args, inputs)
+    manifest.hash_inputs([p for p in (args.scores, args.data, args.pattern) if p])
     if args.kind == "profile":
         if not args.scores:
             raise ContractError("profile needs --scores")
@@ -273,7 +287,6 @@ def _cmd_analyze(args) -> int:
         print(f"baselines: random {result.mean_dist_random:.4f}, "
               f"uniform {result.mean_dist_uniform:.4f}, "
               f"self {result.mean_dist_self:.4f}")
-    manifest.write(out)
     return 0
 
 
@@ -407,15 +420,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    manifest = _Manifest(args)
     try:
-        return args.func(args)
+        code = args.func(args, manifest)
     except (FormatError, ShapeError, ContractError, FileNotFoundError,
             IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        manifest.write(2, str(exc))
         return 2
     except (ExpanderGapError, DivergenceError) as exc:
         print(f"failed: {exc}", file=sys.stderr)
+        manifest.write(3, str(exc))
         return 3
+    manifest.write(code)
+    return code
 
 
 if __name__ == "__main__":

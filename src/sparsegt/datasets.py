@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError
-from .graphs import Graph, TRAIN, VAL, TEST, edges_to_csr, save_split, write_json
+from .graphs import (Graph, TRAIN, VAL, TEST, atomic_path, edges_to_csr, save_split,
+                     write_json)
 from .rngutil import TAG_DATA, derive
 
 GENERATORS = ("bridge", "sbm_homophily", "sbm_heterophily")
@@ -254,12 +255,14 @@ def write_dataset(out_dir, g: Graph, spec: SyntheticSpec) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     rows = np.repeat(np.arange(g.n), np.diff(g.row_ptr))
     keep = rows < g.col_idx          # one direction per undirected edge
-    with open(out / "edges.tsv", "w") as fh:
+    with atomic_path(out / "edges.tsv") as tmp, open(tmp, "w") as fh:
         fh.write(f"# undirected edge list, n={g.n}\n")
         for a, b in zip(rows[keep], g.col_idx[keep]):
             fh.write(f"{a}\t{b}\n")
-    np.savetxt(out / "features.csv", g.features, delimiter=",", fmt="%.8g")
-    np.savetxt(out / "labels.csv", g.labels, delimiter=",", fmt="%d")
+    for name, table, fmt in (("features.csv", g.features, "%.8g"),
+                             ("labels.csv", g.labels, "%d")):
+        with atomic_path(out / name) as tmp, open(tmp, "w") as fh:
+            np.savetxt(fh, table, delimiter=",", fmt=fmt)
     save_split(out / "split.csv", g.split)
     write_json(out / "spec.json", spec.to_dict())
     return {name: str(out / name) for name in

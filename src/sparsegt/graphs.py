@@ -179,7 +179,7 @@ def _parse_split(path, n: int) -> np.ndarray:
 
 def save_split(path, split: np.ndarray) -> None:
     names = {v: k for k, v in _SPLIT_NAMES.items()}
-    with open(path, "w") as fh:
+    with atomic_path(path) as tmp, open(tmp, "w") as fh:
         for s in split:
             fh.write(names[int(s)] + "\n")
 
@@ -443,7 +443,7 @@ def save_pattern(path, pattern: AttentionPattern) -> None:
     layer = pattern.layers[0]
     n = pattern.n
     src = np.repeat(np.arange(n, dtype=np.int64), np.diff(layer.row_ptr))
-    with open(path, "w") as fh:
+    with atomic_path(path) as tmp, open(tmp, "w") as fh:
         fh.write(f"# attention pattern n={n}\n")
         for s, d, t in zip(src, layer.col_idx, layer.edge_type):
             fh.write(f"{s}\t{d}\t{int(t)}\n")

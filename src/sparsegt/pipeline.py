@@ -30,8 +30,8 @@ from .attention import (ModelConfig, Network, TemperatureSchedule,
 from .errors import ContractError, DivergenceError, ShapeError
 from .graphs import TEST, TRAIN, VAL, AttentionPattern, Graph, atomic_path, write_json
 from .rngutil import TAG_DROPOUT, TAG_PREDICT, TAG_VAL, derive
-from .sampling import (SampleStats, plan_geometries, resample_epoch,
-                       sample_batch, save_scores_npz, uniform_scores,
+from .sampling import (SampleStats, assemble, draw_rows, plan_geometries,
+                       resample_epoch, save_scores_npz, uniform_scores,
                        validate_scores)
 
 _DTYPES = {"float32": np.float32, "float64": np.float64}
@@ -82,6 +82,8 @@ class TrainConfig:
             raise ContractError("epochs must be nonnegative")
         if self.eval_samples < 1:
             raise ContractError("eval_samples must be positive")
+        if self.batch_size < 1:
+            raise ContractError(f"batch_size must be positive, got {self.batch_size}")
         self.degs = tuple(int(d) for d in self.degs)
 
     @property
@@ -459,20 +461,24 @@ def _eval_sampled(net, x, scores, degs, nodes, seed, epoch, tag, batch_size,
                   mode, k_prime, tail_eps, loss_name) -> np.ndarray:
     """Eval-mode probabilities for ``nodes`` under one sampled pattern.
 
-    The pattern is drawn on stream ``tag`` at epoch key ``epoch``, in
-    chunks of ``batch_size`` nodes.  Every chunk passes batch_index 0:
-    each query node's draws are keyed by (seed, tag, epoch, layer, node)
-    alone, so the result is identical however the nodes are chunked.
+    Every node's rows are drawn once, over the whole node set, on stream
+    ``tag`` at epoch key ``epoch`` with batch_index 0.  ``batch_size``
+    bounds only the rows of one forward: each chunk of that many nodes
+    assembles its plan from the drawn rows it reaches.  A row's draw is
+    keyed by (seed, tag, epoch, layer, node) alone, so the result is the
+    one a separate draw per chunk would give, however the nodes are
+    chunked.  Nodes repeated within one chunk raise ContractError.
     """
     out = [np.empty((0, net.cfg.out_dim), dtype=net.cfg.dtype)]
-    with nm.no_grad():
-        for start in range(0, nodes.size, batch_size):
-            plan = sample_batch(nodes[start:start + batch_size], scores, degs, seed,
-                                epoch, batch_index=0, mode=mode, k_prime=k_prime,
-                                tail_eps=tail_eps, tag=tag)
-            logits, _ = net.forward(x[plan.input_nodes], plan_geometries(plan),
-                                    tau=1.0, training=False)
-            out.append(logits.data)
+    if nodes.size:
+        drawn = draw_rows(np.unique(nodes), scores, degs, seed, epoch, batch_index=0,
+                          mode=mode, k_prime=k_prime, tail_eps=tail_eps, tag=tag)
+        with nm.no_grad():
+            for start in range(0, nodes.size, batch_size):
+                plan = assemble(drawn, nodes[start:start + batch_size])
+                logits, _ = net.forward(x[plan.input_nodes], plan_geometries(plan),
+                                        tau=1.0, training=False)
+                out.append(logits.data)
     return _probs_from_logits(loss_name, np.concatenate(out, axis=0))
 
 
@@ -484,13 +490,17 @@ def predict(net: Network, features: np.ndarray, scores: AttentionPattern, degs,
 
     Sample ``s`` uses epoch key ``s`` on the prediction stream, so the
     averaged patterns are disjoint draws yet the whole call is
-    reproducible.  Returns (probabilities, predicted labels); empty
-    ``nodes`` give empty arrays of the same layout.  ``scores`` must pass
-    ``validate_scores``.
+    reproducible.  Each sample draws every node's rows once, over the
+    whole node set; ``batch_size`` (positive) bounds only the nodes, and
+    so the rows, of one forward pass, and does not change the draw.
+    Returns (probabilities, predicted labels); empty ``nodes`` give empty
+    arrays of the same layout.  ``scores`` must pass ``validate_scores``.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
     if n_samples < 1:
         raise ContractError("n_samples must be positive")
+    if batch_size < 1:
+        raise ContractError(f"batch_size must be positive, got {batch_size}")
     validate_scores(scores)
     x = np.asarray(features, dtype=net.cfg.dtype)
     if x.shape[0] != scores.n:

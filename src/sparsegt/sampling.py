@@ -17,6 +17,13 @@ vectorized pass; each score entry's uniform is the counter-based hash
 ``rngutil.counter_uniform`` of (seed, tag, epoch, batch, layer, node, CSR
 slot), so plans are reproducible no matter how rows are visited, and a
 node that queries two layers draws independently in each.
+
+Plans are built in two steps: ``draw_rows`` draws the rows a node set
+reaches, and a plan indexes drawn rows into its layers' input rows.
+A training batch is its own draw (``sample_batch``).  Evaluation draws
+once over every node it scores and ``assemble``s each chunk's plan from
+the rows that chunk reaches: with the draws keyed alike, each row comes
+out as a draw of that chunk alone would give it.
 """
 
 from __future__ import annotations
@@ -262,7 +269,6 @@ class PlanLayer:
 @dataclass(frozen=True)
 class BatchPlan:
     seeds: np.ndarray
-    degs: tuple
     layers: tuple            # forward order: layers[0] runs first
     stats: SampleStats
 
@@ -271,11 +277,45 @@ class BatchPlan:
         return self.layers[0].v_nodes
 
 
+@dataclass(frozen=True)
+class DrawnLayer:
+    """One layer's drawn keys as a CSR edge list in global ids.
+
+    Query ``q_nodes[i]`` drew the keys ``cols[row_ptr[i]:row_ptr[i + 1]]``
+    with types ``types[row_ptr[i]:row_ptr[i + 1]]``.  ``v_nodes`` is the
+    sorted union of queries and keys: the queries of the layer below.
+    """
+
+    q_nodes: np.ndarray
+    v_nodes: np.ndarray
+    row_ptr: np.ndarray
+    cols: np.ndarray
+    types: np.ndarray
+
+
 def sample_batch(seeds, scores: AttentionPattern, degs, seed: int, epoch: int,
                  batch_index: int = 0, mode: str = "sample",
                  k_prime: int | None = None, tail_eps: float = 0.05,
                  stats: SampleStats | None = None, tag: int = TAG_SAMPLE) -> BatchPlan:
-    """Top-down support construction for one seed batch.
+    """Top-down support construction for one seed batch: the rows
+    ``draw_rows(seeds, ...)`` draws, indexed into a plan.  The seeds keep
+    their order as the last layer's queries.
+    """
+    if stats is None:
+        stats = SampleStats()
+    seeds = np.asarray(seeds, dtype=np.int64)
+    drawn = draw_rows(seeds, scores, degs, seed, epoch, batch_index, mode=mode,
+                      k_prime=k_prime, tail_eps=tail_eps, stats=stats, tag=tag)
+    return _plan(seeds, drawn, stats)
+
+
+def draw_rows(nodes, scores: AttentionPattern, degs, seed: int, epoch: int,
+              batch_index: int = 0, mode: str = "sample",
+              k_prime: int | None = None, tail_eps: float = 0.05,
+              stats: SampleStats | None = None,
+              tag: int = TAG_SAMPLE) -> tuple[DrawnLayer, ...]:
+    """The rows ``nodes`` reach, drawn top-down; returns the layers top-down
+    (the first is the last layer, whose queries are ``nodes``).
 
     Walking layers L..1: queries are what the layer above needs, each
     query draws deg_l keys from its score row, and query+key union is the
@@ -285,11 +325,7 @@ def sample_batch(seeds, scores: AttentionPattern, degs, seed: int, epoch: int,
     ``tag`` namespaces the random streams so training, validation and
     prediction plans never share draws.
     """
-    seeds = np.asarray(seeds, dtype=np.int64)
-    if seeds.ndim != 1 or seeds.size == 0:
-        raise ContractError("seeds must be a nonempty 1-d array")
-    if np.unique(seeds).size != seeds.size:
-        raise ContractError("duplicate seed nodes")
+    nodes = _seed_array(nodes)
     degs = tuple(int(d) for d in degs)
     if len(degs) != scores.num_layers:
         raise ShapeError(f"{len(degs)} degree budgets for {scores.num_layers} layers")
@@ -304,25 +340,78 @@ def sample_batch(seeds, scores: AttentionPattern, degs, seed: int, epoch: int,
     if stats is None:
         stats = SampleStats()
 
-    num_layers = scores.num_layers
-    rev = []
-    q_nodes = seeds
-    for li in range(num_layers - 1, -1, -1):
+    drawn = []
+    q_nodes = nodes
+    for li in range(scores.num_layers - 1, -1, -1):
         row_ptr, cols, types = _sample_layer(scores.layers[li], q_nodes, degs[li], mode,
                                              k_prime, tail_eps, stats,
                                              (seed, tag, epoch, batch_index, li))
-        v_nodes = np.union1d(q_nodes, cols)
-        rev.append((q_nodes, v_nodes, row_ptr, cols, types))
+        v_nodes = _union(q_nodes, cols)
+        drawn.append(DrawnLayer(q_nodes, v_nodes, row_ptr, cols, types))
         q_nodes = v_nodes
+    return tuple(drawn)
 
+
+def assemble(drawn: tuple[DrawnLayer, ...], seeds) -> BatchPlan:
+    """The plan of ``seeds`` from rows ``draw_rows`` drew over a sorted node
+    set that holds them: the arrays ``sample_batch`` builds for ``seeds``
+    when their draws are keyed alike (same seed, tag, epoch and batch).
+
+    Walking the drawn layers top-down, each layer's queries find their
+    rows by a search into the drawn queries and take them with a CSR
+    gather; query+key union is the next layer's queries.  Nothing is
+    drawn, so the plan's stats stay zero.
+    """
+    seeds = _seed_array(seeds)
+    rows = []
+    q_nodes = seeds
+    for layer in drawn:
+        at = np.minimum(np.searchsorted(layer.q_nodes, q_nodes), layer.q_nodes.size - 1)
+        if (layer.q_nodes[at] != q_nodes).any():   # only seeds can miss
+            raise ContractError("seed nodes outside the drawn node set")
+        lo = layer.row_ptr[at]
+        lengths = layer.row_ptr[at + 1] - lo
+        row_ptr = np.concatenate(([0], np.cumsum(lengths)))
+        pos = np.arange(row_ptr[-1]) + np.repeat(lo - row_ptr[:-1], lengths)
+        cols = layer.cols[pos]
+        v_nodes = _union(q_nodes, cols)
+        rows.append(DrawnLayer(q_nodes, v_nodes, row_ptr, cols, layer.types[pos]))
+        q_nodes = v_nodes
+    return _plan(seeds, rows, SampleStats())
+
+
+def _seed_array(seeds) -> np.ndarray:
+    seeds = np.asarray(seeds, dtype=np.int64)
+    if seeds.ndim != 1 or seeds.size == 0:
+        raise ContractError("seeds must be a nonempty 1-d array")
+    if np.unique(seeds).size != seeds.size:
+        raise ContractError("duplicate seed nodes")
+    return seeds
+
+
+def _union(a, b) -> np.ndarray:
+    """``np.union1d(a, b)`` by one sort of the concatenation; on plan-sized
+    arrays numpy's hashing ``unique`` takes about ten times as long."""
+    both = np.concatenate((a, b))
+    both.sort()
+    return both[np.concatenate(([True], both[1:] != both[:-1]))]
+
+
+def _plan(seeds, drawn, stats: SampleStats) -> BatchPlan:
+    """The plan whose layers are ``drawn`` (top-down, the first one's
+    queries being ``seeds``), with each layer's keys and queries indexed
+    into its input rows."""
+    num_layers = len(drawn)
     layers = []
-    for li, (q, v, row_ptr, cols, types) in enumerate(reversed(rev)):
-        stats_local = np.searchsorted(q, seeds) if li < num_layers - 1 else np.arange(seeds.size)
-        geom = LayerGeometry(query_rows=np.searchsorted(v, q), row_ptr=row_ptr,
-                             col_idx=np.searchsorted(v, cols), edge_type=types,
-                             stats_rows=stats_local.astype(np.int64))
-        layers.append(PlanLayer(q_nodes=q, v_nodes=v, geometry=geom))
-    return BatchPlan(seeds=seeds, degs=degs, layers=tuple(layers), stats=stats)
+    for li, d in enumerate(reversed(drawn)):
+        stats_local = (np.searchsorted(d.q_nodes, seeds) if li < num_layers - 1
+                       else np.arange(seeds.size))
+        geom = LayerGeometry(query_rows=np.searchsorted(d.v_nodes, d.q_nodes),
+                             row_ptr=d.row_ptr,
+                             col_idx=np.searchsorted(d.v_nodes, d.cols),
+                             edge_type=d.types, stats_rows=stats_local.astype(np.int64))
+        layers.append(PlanLayer(q_nodes=d.q_nodes, v_nodes=d.v_nodes, geometry=geom))
+    return BatchPlan(seeds=seeds, layers=tuple(layers), stats=stats)
 
 
 def _sample_layer(layer: PatternLayer, q_nodes, deg: int, mode: str, k_prime,

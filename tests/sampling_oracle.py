@@ -11,15 +11,23 @@ from different draws.
 
 ``reservoir_sample_many`` draws many independent samples of one row at
 once, for the sampling-law tests.
+
+``predict_per_chunk`` is ``sparsegt.pipeline.predict`` as it was before
+evaluation drew each node's rows once per call: one ``sample_batch`` per
+chunk of ``batch_size`` nodes.  Draws are keyed by node, not by chunk, so
+its probabilities must equal ``predict``'s bit for bit.
 """
 
 import numpy as np
 
+from sparsegt import numerics as nm
 from sparsegt.attention import LayerGeometry
 from sparsegt.errors import ContractError, ShapeError
 from sparsegt.graphs import AttentionPattern, EdgeType
-from sparsegt.rngutil import TAG_SAMPLE, derive
-from sparsegt.sampling import BatchPlan, PlanLayer, SampleStats
+from sparsegt.pipeline import _probs_from_logits
+from sparsegt.rngutil import TAG_PREDICT, TAG_SAMPLE, derive
+from sparsegt.sampling import (BatchPlan, PlanLayer, SampleStats, plan_geometries,
+                               sample_batch)
 
 
 def reservoir_sample_loop(scores, k: int, rng: np.random.Generator,
@@ -178,7 +186,7 @@ def sample_batch_loop(seeds, scores: AttentionPattern, degs, seed: int, epoch: i
                              col_idx=np.searchsorted(v, key_global[live]),
                              edge_type=typ[live], stats_rows=stats_local.astype(np.int64))
         layers.append(PlanLayer(q_nodes=q, v_nodes=v, geometry=geom))
-    return BatchPlan(seeds=seeds, degs=degs, layers=tuple(layers), stats=stats)
+    return BatchPlan(seeds=seeds, layers=tuple(layers), stats=stats)
 
 
 def _top_indices(vals: np.ndarray, deg: int) -> np.ndarray:
@@ -186,3 +194,31 @@ def _top_indices(vals: np.ndarray, deg: int) -> np.ndarray:
         return np.arange(vals.size, dtype=np.int64)
     order = np.lexsort((np.arange(vals.size), -vals))
     return np.sort(order[:deg]).astype(np.int64)
+
+
+def _eval_per_chunk(net, x, scores, degs, nodes, seed, epoch, tag, batch_size,
+                    mode, k_prime, tail_eps, loss_name) -> np.ndarray:
+    out = [np.empty((0, net.cfg.out_dim), dtype=net.cfg.dtype)]
+    with nm.no_grad():
+        for start in range(0, nodes.size, batch_size):
+            plan = sample_batch(nodes[start:start + batch_size], scores, degs, seed,
+                                epoch, batch_index=0, mode=mode, k_prime=k_prime,
+                                tail_eps=tail_eps, tag=tag)
+            logits, _ = net.forward(x[plan.input_nodes], plan_geometries(plan),
+                                    tau=1.0, training=False)
+            out.append(logits.data)
+    return _probs_from_logits(loss_name, np.concatenate(out, axis=0))
+
+
+def predict_per_chunk(net, features, scores: AttentionPattern, degs, nodes,
+                      seed: int = 0, n_samples: int = 1, batch_size: int = 256,
+                      mode: str = "sample", k_prime: int | None = None,
+                      tail_eps: float = 0.05, loss_name: str = "ce") -> np.ndarray:
+    """Sample-averaged probabilities, each chunk of ``batch_size`` nodes
+    drawing its own plan; sample ``s`` uses epoch key ``s`` on the
+    prediction stream."""
+    nodes = np.asarray(nodes, dtype=np.int64)
+    x = np.asarray(features, dtype=net.cfg.dtype)
+    return sum(_eval_per_chunk(net, x, scores, degs, nodes, seed, s, TAG_PREDICT,
+                               batch_size, mode, k_prime, tail_eps, loss_name)
+               for s in range(1, n_samples + 1)) / n_samples

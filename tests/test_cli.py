@@ -78,6 +78,7 @@ class TestWorkflow:
                 "peak_rss_kb"} <= set(m)
         assert m["options"]["width"] == 4
         assert "func" not in m["options"]
+        assert m["exit_code"] == 0 and "error" not in m
         assert m["wall_seconds"] >= 0
         assert m["peak_rss_kb"] > 0
         # every input file is content-hashed
@@ -204,8 +205,11 @@ class TestExitCodes:
     def test_refuses_overwrite_without_force(self, tmp_path, capsys):
         out = str(tmp_path / "d")
         assert main(["gen", "--out", out] + GEN) == 0
+        manifest = (tmp_path / "d" / "manifest.json").read_bytes()
         assert main(["gen", "--out", out] + GEN) == 2
         assert "already holds a run" in capsys.readouterr().err
+        # the refused directory keeps the finished run's manifest
+        assert (tmp_path / "d" / "manifest.json").read_bytes() == manifest
         assert main(["gen", "--out", out, "--force"] + GEN) == 0
 
     def test_missing_data_dir(self, tmp_path, capsys):
@@ -219,7 +223,10 @@ class TestExitCodes:
                      "--out", str(tmp_path / "aug"), "--cycles", "2",
                      "--min-gap", "0.999", "--max-retries", "2"])
         assert code == 3
-        assert capsys.readouterr().err.startswith("failed:")
+        err = capsys.readouterr().err
+        assert err.startswith("failed:")
+        m = json.loads((tmp_path / "aug" / "manifest.json").read_text())
+        assert m["exit_code"] == 3 and f"failed: {m['error']}" == err.strip()
 
     def test_bad_degs(self, ws, tmp_path):
         assert main(["train-final", "--data", ws["data"],
@@ -234,6 +241,11 @@ class TestExitCodes:
                      "--out", str(tmp_path / "f"), "--degs", "4,4",
                      "--epochs", "1"]) == 2
         assert "scores on 32 nodes, graph on 16" in capsys.readouterr().err
+        m = json.loads((tmp_path / "f" / "manifest.json").read_text())
+        assert m["exit_code"] == 2
+        assert m["error"] == "scores on 32 nodes, graph on 16"
+        assert m["command"] == "train-final" and m["options"]["degs"] == "4,4"
+        assert any(k.endswith("scores.npz") for k in m["inputs"])
 
     def test_predict_checks_the_score_file_of_a_uniform_run(self, ws, tmp_path,
                                                             capsys):

@@ -8,6 +8,7 @@ same train rows either way.  In float64 the histories agree to round-off.
 """
 
 import functools
+import itertools
 import json
 from dataclasses import replace
 
@@ -16,18 +17,22 @@ import pytest
 
 from sparsegt.attention import (TemperatureSchedule, pattern_geometry,
                                 temperature_at)
-from sparsegt.datasets import SyntheticSpec, gen_bridge_task, gen_dataset
+from sparsegt.analysis import write_profile_csv
+from sparsegt.cli import write_predictions
+from sparsegt.datasets import SyntheticSpec, gen_bridge_task, gen_dataset, write_dataset
 from sparsegt.errors import ContractError, DivergenceError, ShapeError
 from sparsegt.graphs import (TEST, TRAIN, VAL, AttentionPattern, PatternLayer,
-                             augment, build_expander)
+                             augment, build_expander, save_pattern, save_split)
 from sparsegt.numerics import AdamW, load_checkpoint, save_checkpoint
 from sparsegt.pipeline import (TrainConfig, config_from_dict, config_to_dict,
                                edge_percent, metric_value, predict,
                                predicted_labels, resolve_task,
                                save_history_csv, train_estimator, train_final,
                                write_json)
+from sparsegt.rngutil import derive
 from sparsegt.sampling import (load_scores_npz, save_scores_npz, uniform_scores,
                                validate_scores)
+from sampling_oracle import predict_per_chunk
 
 
 @functools.lru_cache(maxsize=None)
@@ -55,7 +60,7 @@ class TestConfig:
     def test_validation(self):
         for bad in (dict(loss="hinge"), dict(metric="f1"), dict(ablation="x"),
                     dict(dtype="float16"), dict(dropout=1.0), dict(epochs=-1),
-                    dict(eval_samples=0)):
+                    dict(eval_samples=0), dict(batch_size=0), dict(batch_size=-5)):
             with pytest.raises(ContractError):
                 TrainConfig(**bad)
 
@@ -395,7 +400,74 @@ class TestFullDegreeEquivalence:
         assert a.sample_stats.uniform_fallbacks == 0
 
 
+@functools.lru_cache(maxsize=None)
+def _toy_final():
+    g, _ = _toy()
+    return train_final(g, _toy_scores(), TrainConfig(width=8, layers=2, epochs=2,
+                                                     batch_size=16, degs=(3, 3),
+                                                     seed=1))
+
+
 class TestPredict:
+    @pytest.mark.parametrize("batch_size", [1, 5, 64, 32])
+    def test_matches_one_draw_per_chunk(self, batch_size):
+        g, pattern = _toy()
+        res = _toy_final()
+        nodes = derive(5, 1).permutation(g.n)
+        for scores in (_toy_scores(), uniform_scores(pattern)):
+            for n_samples, mode, k_prime in itertools.product(
+                    (1, 3), ("sample", "top"), (None, 16, 2)):
+                kw = dict(seed=4, n_samples=n_samples, batch_size=batch_size,
+                          mode=mode, k_prime=k_prime, loss_name=res.loss_name)
+                probs, _ = predict(res.network, g.features, scores, (3, 3), nodes, **kw)
+                np.testing.assert_array_equal(
+                    probs, predict_per_chunk(res.network, g.features, scores, (3, 3),
+                                             nodes, **kw))
+
+    def test_duplicates_only_within_one_chunk(self):
+        g, _ = _toy()
+        res = _toy_final()
+        kw = dict(seed=4, loss_name=res.loss_name)
+        nodes = np.array([3, 5, 3])
+        probs, _ = predict(res.network, g.features, _toy_scores(), (3, 3), nodes,
+                           batch_size=2, **kw)
+        np.testing.assert_array_equal(probs[0], probs[2])
+        np.testing.assert_array_equal(
+            probs, predict_per_chunk(res.network, g.features, _toy_scores(), (3, 3),
+                                     nodes, batch_size=2, **kw))
+        with pytest.raises(ContractError, match="duplicate"):
+            predict(res.network, g.features, _toy_scores(), (3, 3), nodes,
+                    batch_size=3, **kw)
+
+    def test_an_empty_row_reached_through_a_lower_layer(self):
+        g, pattern = _toy()
+        res = _toy_final()
+        uni = uniform_scores(pattern)
+        first, last = uni.layers
+        seed_node = 0
+        row = last.col_idx[last.row_ptr[seed_node]:last.row_ptr[seed_node + 1]]
+        hole = int(row[row != seed_node][0])
+        keep = np.ones(first.col_idx.size, dtype=bool)
+        keep[first.row_ptr[hole]:first.row_ptr[hole + 1]] = False
+        lengths = np.diff(first.row_ptr)
+        lengths[hole] = 0
+        holed = replace(first, row_ptr=np.concatenate(([0], np.cumsum(lengths))),
+                        col_idx=first.col_idx[keep], edge_type=first.edge_type[keep],
+                        values=first.values[keep])
+        scores = replace(uni, layers=(holed, last))
+        # full degree: the seed's last-layer row reaches ``hole`` for sure
+        with pytest.raises(ContractError, match=f"node {hole} has an empty score row"):
+            predict(res.network, g.features, scores, (40, 40), [seed_node],
+                    loss_name=res.loss_name)
+
+    @pytest.mark.parametrize("batch_size", [0, -5])
+    def test_batch_size_must_be_positive(self, batch_size):
+        g, _ = _toy()
+        res = _toy_final()
+        with pytest.raises(ContractError, match="batch_size must be positive"):
+            predict(res.network, g.features, _toy_scores(), (3, 3), np.arange(10),
+                    batch_size=batch_size, loss_name=res.loss_name)
+
     def test_chunking_invariance(self):
         g, _ = _toy()
         scores = _toy_scores()
@@ -542,6 +614,11 @@ class _Boom:
     def __format__(self, spec):
         raise OSError("disk full")
 
+    def __int__(self):
+        raise OSError("disk full")
+
+    __float__ = __int__
+
 
 def _score_set(edge_type):
     return AttentionPattern(n=2, layers=(PatternLayer(
@@ -549,17 +626,47 @@ def _score_set(edge_type):
         edge_type=edge_type, values=np.ones(2)),))
 
 
+def _with_boom(values, at):
+    out = np.array(values, dtype=object)
+    out[at] = _Boom()
+    return out
+
+
+def _profile(entropy):
+    return {"entropy": entropy, "topk_mass": [0.9] * len(entropy),
+            "edge_type_mass": [[0.25, 0.25, 0.5]] * len(entropy)}
+
+
+_DATA = gen_dataset(SyntheticSpec(seed=3, num_components=2, component_size=6,
+                                  num_bridges=1))
+
+
+def _write_data(path, g):
+    write_dataset(path, g, SyntheticSpec())
+
+
 @pytest.mark.parametrize("write,good,bad", [
     (save_history_csv, [(1, 0.5, 0.25, 1.0)],
      [(1, 0.75, 0.25, 1.0), (2, _Boom(), 0.25, 1.0)]),
     (save_checkpoint, {"w": np.ones(3)}, {"w": np.zeros(3), "x": _Boom()}),
     (save_scores_npz, _score_set(np.array([2, 2])), _score_set(_Boom())),
-], ids=["history", "checkpoint", "scores"])
+    (lambda path, rows: write_predictions(path, *rows),
+     (np.arange(2), np.array([0.25, 0.75]), np.array([0, 1])),
+     (np.arange(2), _with_boom([0.5, 0.5], 1), np.array([1, 0]))),
+    (write_profile_csv, _profile([0.5]), _profile([0.25, _Boom()])),
+    (save_pattern, _score_set(np.array([2, 2])),
+     _score_set(_with_boom([1, 0], 1))),
+    (save_split, np.array([TRAIN, TEST]), _with_boom([VAL, TRAIN], 1)),
+    # a directory of files: the features table fails after the edge list
+    (_write_data, _DATA, replace(_DATA, features=_with_boom(_DATA.features, (5, 1)))),
+], ids=["history", "checkpoint", "scores", "predictions", "profile", "pattern",
+        "split", "dataset"])
 def test_a_failed_write_leaves_the_previous_file_whole(tmp_path, write, good, bad):
-    path = tmp_path / "out"
-    write(path, good)
-    before = path.read_bytes()
+    def files():
+        return {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+
+    write(tmp_path / "out", good)
+    before = files()
     with pytest.raises(OSError, match="disk full"):
-        write(path, bad)
-    assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        write(tmp_path / "out", bad)
+    assert files() == before
