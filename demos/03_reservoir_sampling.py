@@ -7,27 +7,45 @@ weights the joint law has a short closed form,
     P({i, j}) = p_i p_j (1/(1 - p_i) + 1/(1 - p_j)),
 
 which is the probability either order of the sequential draw produces
-the pair.  The demo checks both k=1 and k=2 empirically and then shows
-the two properties the training loop leans on: a full-degree row
-consumes no randomness at all, and the epoch index changes the draw
-while everything else holds still.
+the pair.  The demo checks both k=1 and k=2 empirically on the sampler
+that training and prediction use, ``draw_rows``: a score set in which
+50,000 nodes share one row gives 50,000 independent samples of that row
+in a single call, since every uniform is keyed by its node.  It then
+shows the two properties the training loop leans on: a row that fits its
+budget comes back whole, with nothing left to chance, and the epoch
+index changes the draw while everything else holds still.
 """
 
 import numpy as np
 
 from sparsegt.graphs import AttentionPattern, EdgeType, PatternLayer
-from sparsegt.rngutil import derive
-from sparsegt.sampling import reservoir_sample, sample_batch
+from sparsegt.sampling import draw_rows
 
 W = np.array([0.5, 0.3, 0.2])
 
 
+def identical_rows(weights, num_rows):
+    """A score set (a pattern whose layer carries values) in which node i's
+    row lies over columns 0..k-1 with the k ``weights``, for every node."""
+    k = weights.size
+    return AttentionPattern(n=num_rows, layers=(PatternLayer(
+        row_ptr=np.arange(0, k * num_rows + 1, k),
+        col_idx=np.tile(np.arange(k), num_rows),
+        edge_type=np.full(k * num_rows, EdgeType.GRAPH, dtype=np.int8),
+        values=np.tile(weights, num_rows)),))
+
+
+def draw(scores, nodes, k, epoch):
+    """Each node's drawn columns, one row of the result per node."""
+    (layer,) = draw_rows(nodes, scores, (k,), seed=0, epoch=epoch)
+    return layer.cols.reshape(nodes.size, -1)
+
+
 def main():
-    rng = derive(0, 1)
     n = 50_000
-    counts = np.zeros(3)
-    for _ in range(n):
-        counts[reservoir_sample(W, 1, rng)[0]] += 1
+    scores = identical_rows(W, n)
+    nodes = np.arange(n)
+    counts = np.bincount(draw(scores, nodes, 1, epoch=1)[:, 0], minlength=3)
     print("k=1 inclusion over weights (0.5, 0.3, 0.2):")
     for i in range(3):
         print(f"  item {i}: empirical {counts[i] / n:.4f}, law {W[i]:.4f}")
@@ -36,32 +54,20 @@ def main():
     for i in range(3):
         for j in range(i + 1, 3):
             pair_law[(i, j)] = W[i] * W[j] * (1 / (1 - W[i]) + 1 / (1 - W[j]))
-    pairs = {p: 0 for p in pair_law}
-    for _ in range(n):
-        pairs[tuple(sorted(reservoir_sample(W, 2, rng)))] += 1
+    pairs = draw(scores, nodes, 2, epoch=2)
     print("\nk=2 pair frequencies:")
-    for p, law in pair_law.items():
-        print(f"  {p}: empirical {pairs[p] / n:.4f}, law {law:.4f}")
+    for (i, j), law in pair_law.items():
+        freq = np.mean((pairs[:, 0] == i) & (pairs[:, 1] == j))
+        print(f"  {(i, j)}: empirical {freq:.4f}, law {law:.4f}")
 
-    # full-degree rows are returned whole, untouched by the generator
-    twin_a, twin_b = derive(7, 7), derive(7, 7)
-    take = reservoir_sample(W, 3, twin_a)
-    print(f"\nk >= row size returns every index in order: {take}")
-    print(f"and consumes no randomness: next draws match, "
-          f"{twin_a.random():.6f} == {twin_b.random():.6f}")
+    # a row that fits its budget draws nothing: the same whole row, in
+    # CSR order, in every epoch
+    whole = [draw(scores, nodes[:1], 3, epoch)[0].tolist() for epoch in range(3)]
+    print(f"\nk >= row size returns every index in order, epochs 0-2: {whole}")
 
-    # batch plans draw the same law from the counter-based plan stream
-    # a score set is a pattern whose layers carry values
-    one_row = AttentionPattern(n=3, layers=(PatternLayer(
-        row_ptr=np.array([0, 3, 3, 3]), col_idx=np.arange(3),
-        edge_type=np.full(3, EdgeType.GRAPH, dtype=np.int8), values=W),))
     print("\nsame node across epochs (seed and node fixed, epoch varies):")
     for epoch in range(6):
-        plan = sample_batch(np.array([0]), one_row, (2,), seed=0, epoch=epoch)
-        pl = plan.layers[0]
-        # query 0's drawn keys: its CSR row, mapped back to global node ids
-        row = pl.geometry.col_idx[pl.geometry.row_ptr[0]:pl.geometry.row_ptr[1]]
-        print(f"  epoch {epoch}: kept {pl.v_nodes[row]}")
+        print(f"  epoch {epoch}: kept {draw(scores, nodes[:1], 2, epoch)[0]}")
 
 
 if __name__ == "__main__":

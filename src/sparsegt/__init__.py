@@ -27,9 +27,8 @@ from .pipeline import (EstimatorResult, FinalResult, TrainConfig,
                        build_network, edge_percent, predict, train_estimator,
                        train_final)
 from .sampling import (BatchPlan, SampleStats, load_scores_npz,
-                       plan_geometries, prefilter_topk, reservoir_sample,
-                       resample_epoch, sample_batch, save_scores_npz,
-                       uniform_scores, validate_scores)
+                       plan_geometries, resample_epoch, sample_batch,
+                       save_scores_npz, uniform_scores, validate_scores)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

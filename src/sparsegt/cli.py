@@ -123,7 +123,7 @@ def _train_config(args) -> TrainConfig:
     fields = ("width", "layers", "heads", "epochs", "lr", "weight_decay",
               "batch_size", "dropout", "lam", "gamma", "seed", "loss",
               "metric", "ablation", "full_graph", "prefilter", "warmup",
-              "clip", "eval_samples", "dtype")
+              "eval_samples", "dtype")
     kwargs = {f: getattr(args, f) for f in fields if hasattr(args, f)}
     if getattr(args, "degs", None):
         kwargs["degs"] = tuple(int(d) for d in args.degs.split(","))

@@ -20,6 +20,8 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import ContractError
 from .graphs import (Graph, TRAIN, VAL, TEST, atomic_path, edges_to_csr, save_split,
@@ -64,9 +66,6 @@ class SyntheticSpec:
             d["colors"] = list(self.colors)
         return d
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
     @classmethod
     def from_json(cls, text: str) -> "SyntheticSpec":
         d = json.loads(text)
@@ -75,22 +74,6 @@ class SyntheticSpec:
         if d.get("colors") is not None:
             d["colors"] = tuple(d["colors"])
         return cls(**d)
-
-
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, a):
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
 
 
 def _bridge_pairs(num_components: int, num_bridges: int, colors: np.ndarray):
@@ -172,18 +155,12 @@ def gen_bridge_task(spec: SyntheticSpec) -> Graph:
 
     row_ptr, col_idx = edges_to_csr(n, np.asarray(src), np.asarray(dst), symmetrize=True)
 
-    uf = _UnionFind(n)
-    rows = np.repeat(np.arange(n), np.diff(row_ptr))
-    for a, b in zip(rows, col_idx):
-        uf.union(int(a), int(b))
+    adjacency = csr_matrix((np.ones(col_idx.size), col_idx, row_ptr), shape=(n, n))
+    num_merged, merged = connected_components(adjacency, directed=False)
     node_color = np.repeat(colors, size)
-    roots = np.asarray([uf.find(v) for v in range(n)])
-    labels = np.zeros(n, dtype=np.int64)
-    for root in np.unique(roots):
-        members = roots == root
-        present = np.unique(node_color[members])
-        if present.size == 2:
-            labels[members] = 1
+    # per merged component, how many nodes of each color it holds
+    held = np.bincount(2 * merged + node_color, minlength=2 * num_merged)
+    labels = (held.reshape(num_merged, 2) > 0).all(axis=1)[merged].astype(np.int64)
 
     onehot = np.eye(2)[node_color]
     features = onehot + rng.normal(0.0, spec.noise, size=(n, 2))

@@ -1,11 +1,13 @@
 """Attention-score-guided neighbor sampling and batch assembly.
 
-Sampling one row: weighted reservoir sampling draws k of a row's
+Sampling a row: weighted reservoir sampling draws k of a row's
 neighbors without replacement, each neighbor's inclusion biased by its
 attention score.  Every neighbor gets the key log(u) / a (u uniform on
 (0,1), a its score) and the k largest keys win; this reproduces
 sequential sampling-without-replacement proportional to the scores in
-one vectorizable pass.
+one vectorizable pass.  There is one sampler, ``draw_rows``, and it
+selects in many rows at once; training, validation and prediction all
+draw through it, and a single row is a draw over one node.
 
 Assembling a batch: starting from the loss nodes (seeds), walk the
 layers top-down; each layer's queries are the node set the layer above
@@ -202,48 +204,6 @@ def _prefilter(row, slot, lengths, w, k_prime: int, tail_eps: float):
     long_row = lengths > k_prime
     kept_full = long_row & (total > 0) & (total - kept > tail_eps * total)
     return keep | kept_full[row], kept_full, long_row & ~kept_full
-
-
-def reservoir_sample(scores, k: int, rng: np.random.Generator,
-                     stats: SampleStats | None = None) -> np.ndarray:
-    """k distinct indices of one score row, inclusion biased by score.
-
-    The single-row entry to the selection ``sample_batch`` runs, fed by
-    ``rng`` instead of the plan stream: key log(u)/a, the k largest win.
-    An all-zero row falls back to a uniform draw and is counted in
-    ``stats``.  A row of at most k entries draws nothing.
-    """
-    w = np.asarray(scores, dtype=np.float64)
-    if k <= 0:
-        raise ContractError(f"sample size must be positive, got {k}")
-    if w.ndim != 1:
-        raise ShapeError("reservoir_sample expects a flat score row")
-    if w.size and w.min() < 0:
-        raise ContractError("negative score")
-    if stats is not None:
-        stats.rows_sampled += 1
-    if k >= w.size:
-        return np.arange(w.size, dtype=np.int64)
-    if stats is not None and not (w > 0).any():
-        stats.uniform_fallbacks += 1
-    row, slot = _segments(np.array([w.size]))
-    return np.flatnonzero(_reservoir_select(row, slot, k, w, rng.random(w.size)))
-
-
-def prefilter_topk(scores, k_prime: int, tail_eps: float = 0.05):
-    """Indices of the top k' scores of one row (ties to the lower index),
-    or the full row when truncation would drop more than ``tail_eps`` of
-    the mass.  The single-row entry to the prefilter ``sample_batch`` runs.
-
-    Returns (indices, kept_full).
-    """
-    w = np.asarray(scores, dtype=np.float64)
-    if k_prime <= 0:
-        raise ContractError(f"k_prime must be positive, got {k_prime}")
-    lengths = np.array([w.size])
-    row, slot = _segments(lengths)
-    keep, kept_full, _ = _prefilter(row, slot, lengths, w, k_prime, tail_eps)
-    return np.flatnonzero(keep), bool(kept_full[0])
 
 
 # ---------------------------------------------------------------------------

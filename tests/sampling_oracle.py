@@ -9,8 +9,11 @@ Plans that involve no randomness, and every prefilter decision, must
 match the batched sampler exactly; sampled plans follow the same law
 from different draws.
 
-``reservoir_sample_many`` draws many independent samples of one row at
-once, for the sampling-law tests.
+``identical_rows`` and ``draw_many`` are the sampling-law fixture: a
+score set of N copies of one row, so that one ``draw_rows`` call returns
+N samples of that row from the library's own stream.  Each uniform is
+keyed by its node, so the N samples are independent, and the law tests
+check the sampler that training and prediction run, not a copy of it.
 
 ``predict_per_chunk`` is ``sparsegt.pipeline.predict`` as it was before
 evaluation drew each node's rows once per call: one ``sample_batch`` per
@@ -23,11 +26,11 @@ import numpy as np
 from sparsegt import numerics as nm
 from sparsegt.attention import LayerGeometry
 from sparsegt.errors import ContractError, ShapeError
-from sparsegt.graphs import AttentionPattern, EdgeType
+from sparsegt.graphs import AttentionPattern, EdgeType, PatternLayer
 from sparsegt.pipeline import _probs_from_logits
 from sparsegt.rngutil import TAG_PREDICT, TAG_SAMPLE, derive
-from sparsegt.sampling import (BatchPlan, PlanLayer, SampleStats, plan_geometries,
-                               sample_batch)
+from sparsegt.sampling import (BatchPlan, PlanLayer, SampleStats, draw_rows,
+                               plan_geometries, sample_batch)
 
 
 def reservoir_sample_loop(scores, k: int, rng: np.random.Generator,
@@ -68,22 +71,27 @@ def reservoir_sample_loop(scores, k: int, rng: np.random.Generator,
     return np.sort(np.concatenate([np.flatnonzero(positive), fill])).astype(np.int64)
 
 
-def reservoir_sample_many(scores, k: int, rng: np.random.Generator,
-                          draws: int) -> np.ndarray:
-    """(draws, k) independent reservoir samples of one row, vectorized.
+def identical_rows(weights, num_rows: int) -> AttentionPattern:
+    """A one-layer score set whose first ``num_rows`` nodes share one row:
+    node i's row lies over columns 0..k-1 with the k ``weights``."""
+    w = np.asarray(weights, dtype=np.float64)
+    n = max(num_rows, w.size)
+    lengths = np.where(np.arange(n) < num_rows, w.size, 0)
+    return AttentionPattern(n=n, layers=(PatternLayer(
+        row_ptr=np.concatenate(([0], np.cumsum(lengths))).astype(np.int64),
+        col_idx=np.tile(np.arange(w.size, dtype=np.int64), num_rows),
+        edge_type=np.full(num_rows * w.size, EdgeType.GRAPH, dtype=np.int8),
+        values=np.tile(w, num_rows)),))
 
-    Same key law as ``reservoir_sample_loop``; requires at least k positive
-    scores so no completion path is needed.
-    """
-    w = np.asarray(scores, dtype=np.float64)
-    if int((w > 0).sum()) < k:
-        raise ContractError("vectorized sampling needs k positive scores")
-    u = rng.random((draws, w.size))
-    with np.errstate(divide="ignore", over="ignore"):
-        keys = np.log(u) / np.where(w > 0, w, np.nan)
-    keys = np.where(w > 0, keys, -np.inf)
-    idx = np.argpartition(keys, w.size - k, axis=1)[:, w.size - k:]
-    return np.sort(idx, axis=1).astype(np.int64)
+
+def draw_many(weights, k: int, draws: int, seed: int, epoch: int = 0,
+              stats: SampleStats | None = None) -> np.ndarray:
+    """(draws, min(k, row size)) column indices: one ``draw_rows`` call
+    over ``identical_rows(weights, draws)``, row i being node i's draw,
+    ascending."""
+    (layer,) = draw_rows(np.arange(draws), identical_rows(weights, draws), (k,),
+                         seed, epoch, stats=stats)
+    return layer.cols.reshape(draws, -1)
 
 
 def prefilter_topk_loop(scores, k_prime: int, tail_eps: float = 0.05):

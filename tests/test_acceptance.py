@@ -24,6 +24,7 @@ from scipy import stats as sps
 
 from conftest import ACCEPTANCE
 from gradcheck import finite_difference, max_relative_error
+from sampling_oracle import draw_many
 import sparsegt.numerics as nm
 from sparsegt.analysis import (attention_entropy, consistency_study,
                                projection_distortion_check,
@@ -36,7 +37,6 @@ from sparsegt.graphs import (AttentionPattern, EdgeType, PatternLayer, augment,
 from sparsegt.pipeline import (TrainConfig, edge_percent, predict,
                                train_estimator, train_final)
 from sparsegt.rngutil import derive
-from sparsegt.sampling import reservoir_sample
 
 SEEDS = range(10)
 EST = TrainConfig(width=8, layers=2, epochs=400, lr=0.01, seed=0)
@@ -114,19 +114,18 @@ def test_c02_gradient_correctness():
 
 
 def test_c03_reservoir_law():
-    rng = derive(0, 404)
+    # 100k independent draws per part from one draw_rows call each: node
+    # i of a score set of identical rows is draw i
     w1 = np.array([0.9, 0.05, 0.05])
-    counts = np.zeros(3)
-    for _ in range(100_000):
-        counts[reservoir_sample(w1, 1, rng)[0]] += 1
+    counts = np.bincount(draw_many(w1, 1, 100_000, seed=0, epoch=1)[:, 0],
+                         minlength=3).astype(np.float64)
     dev = float(np.abs(counts / 1e5 - w1).max())
     pval = float(sps.chisquare(counts, 1e5 * w1).pvalue)
 
     w2 = np.array([0.4, 0.3, 0.2, 0.1])
-    pairs = {}
-    for _ in range(100_000):
-        key = tuple(sorted(reservoir_sample(w2, 2, rng)))
-        pairs[key] = pairs.get(key, 0) + 1
+    drawn = draw_many(w2, 2, 100_000, seed=0, epoch=2)
+    codes, counts2 = np.unique(drawn[:, 0] * 4 + drawn[:, 1], return_counts=True)
+    pairs = {(int(k) // 4, int(k) % 4): int(c) for k, c in zip(codes, counts2)}
     # independent implementation: sequential sampling without
     # replacement, first index by inverse cdf, second renormalized
     m = 1_000_000

@@ -1,10 +1,14 @@
 """Synthetic generators: label correctness, balance, splits, disk formats.
 
-Bridge-task labels are recomputed from scratch with scipy connected
-components: a node is positive iff its merged component carries both
-colors.  The generator must agree node for node.
+Bridge-task labels are recomputed from scratch: a node is positive iff
+its merged component carries both colors, decided here one component at
+a time from the colors present in it.  The components come from scipy,
+as in the generator; the label rule is this file's own, and hand-built
+cases pin the components themselves.  The generator must agree node for
+node.
 """
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -206,7 +210,7 @@ class TestDiskRoundtrip:
                              num_bridges=1)
         write_dataset(tmp_path / "d", gen_bridge_task(spec), spec)
         # indented, in field order, no trailing newline
-        (tmp_path / "d" / "spec.json").write_text(spec.to_json())
+        (tmp_path / "d" / "spec.json").write_text(json.dumps(spec.to_dict()))
         assert load_dataset(tmp_path / "d")[1] == spec
 
     def test_a_failed_spec_write_leaves_the_previous_file_whole(self, tmp_path,
@@ -234,7 +238,7 @@ class TestDiskRoundtrip:
     def test_spec_json_roundtrip(self):
         spec = SyntheticSpec(generator="bridge", seed=3, colors=(0, 1, 1, 0),
                              num_components=4, num_bridges=1)
-        assert SyntheticSpec.from_json(spec.to_json()) == spec
+        assert SyntheticSpec.from_json(json.dumps(spec.to_dict())) == spec
 
     def test_unknown_generator_rejected(self):
         with pytest.raises(ContractError, match="generator"):

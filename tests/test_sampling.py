@@ -7,9 +7,13 @@ derived by hand from sequential sampling without replacement,
 
 and those constants are frozen below.  The same law is also re-estimated
 inside the test by an independent two-step sequential sampler, so the
-reservoir implementation is checked against both the closed form and a
-second mechanism.  The batched plan sampler is checked against the same
-constants, and against the per-query loop it replaced (sampling_oracle)
+sampler is checked against both the closed form and a second mechanism.
+Every law check draws through the library's own sampler, ``draw_rows``:
+a score set of many identical rows (sampling_oracle.identical_rows)
+gives one independent sample per node in one call.  The degenerate
+paths (completion, uniform fallback, prefilter decisions) are checked
+through ``draw_rows`` and ``sample_batch`` and their ``SampleStats``, and
+against the per-query loop the batched sampler replaced (sampling_oracle)
 wherever the two must agree exactly.
 """
 
@@ -26,12 +30,10 @@ from sparsegt.errors import ContractError, ShapeError
 from sparsegt.graphs import AttentionPattern, EdgeType, PatternLayer
 from sparsegt.rngutil import TAG_VAL, derive
 from sparsegt.sampling import (BatchPlan, SampleStats, assemble, draw_rows,
-                               load_scores_npz,
-                               plan_geometries, prefilter_topk,
-                               reservoir_sample, resample_epoch, sample_batch,
-                               save_scores_npz, uniform_scores,
+                               load_scores_npz, plan_geometries, resample_epoch,
+                               sample_batch, save_scores_npz, uniform_scores,
                                validate_scores)
-from sampling_oracle import (prefilter_topk_loop, reservoir_sample_many,
+from sampling_oracle import (draw_many, identical_rows, prefilter_topk_loop,
                              sample_batch_loop)
 
 W = np.array([0.5, 0.3, 0.2])
@@ -39,6 +41,22 @@ W = np.array([0.5, 0.3, 0.2])
 PAIR_LAW = {(0, 1): 0.5142857142857142,
             (0, 2): 0.325,
             (1, 2): 0.16071428571428573}
+PAIR_CODE = {(0, 1): 1, (0, 2): 2, (1, 2): 5}
+
+
+def _pair_codes(pairs):
+    """Each sampled pair of W's indices as min * 3 + max."""
+    return pairs.min(axis=-1) * 3 + pairs.max(axis=-1)
+
+
+def _pair_freq(pairs):
+    code = _pair_codes(pairs)
+    return {key: np.mean(code == PAIR_CODE[key]) for key in PAIR_LAW}
+
+
+def _pair_tv(pairs):
+    freq = _pair_freq(pairs)
+    return 0.5 * sum(abs(freq[k] - PAIR_LAW[k]) for k in PAIR_LAW), freq
 
 
 class TestReservoirLaw:
@@ -47,22 +65,14 @@ class TestReservoirLaw:
 
     def test_k1_frequencies_match_scores(self):
         draws = 20_000
-        picks = reservoir_sample_many(W, 1, derive(3, 1), draws)[:, 0]
+        picks = draw_many(W, 1, draws, seed=3, epoch=1)[:, 0]
         counts = np.bincount(picks, minlength=3)
         freq = counts / draws
         assert np.abs(freq - W).max() < 0.01
         assert sps.chisquare(counts, W * draws).pvalue > 0.001
 
-    def _pair_freq(self, pairs, draws):
-        code = pairs.min(axis=1) * 3 + pairs.max(axis=1)
-        return {key: np.mean(code == {(0, 1): 1, (0, 2): 2, (1, 2): 5}[key])
-                for key in PAIR_LAW}
-
     def test_k2_matches_hand_law(self):
-        draws = 30_000
-        pairs = reservoir_sample_many(W, 2, derive(3, 2), draws)
-        freq = self._pair_freq(pairs, draws)
-        tv = 0.5 * sum(abs(freq[k] - PAIR_LAW[k]) for k in PAIR_LAW)
+        tv, freq = _pair_tv(draw_many(W, 2, 30_000, seed=3, epoch=2))
         assert tv < 0.02, freq
 
     def test_k2_matches_sequential_sampler(self):
@@ -76,89 +86,100 @@ class TestReservoirLaw:
         for f, (a, b) in {0: (1, 2), 1: (0, 2), 2: (0, 1)}.items():
             m = first == f
             second[m] = np.where(u[m] < W[a] / (W[a] + W[b]), a, b)
-        seq = self._pair_freq(np.column_stack([first, second]), draws)
-        res = self._pair_freq(reservoir_sample_many(W, 2, derive(3, 4), draws),
-                              draws)
+        seq = _pair_freq(np.column_stack([first, second]))
+        res = _pair_freq(draw_many(W, 2, draws, seed=3, epoch=4))
         for k in PAIR_LAW:
             assert abs(seq[k] - PAIR_LAW[k]) < 0.02
             assert abs(res[k] - seq[k]) < 0.03
 
 
 class TestReservoirPaths:
-    def test_full_row_consumes_no_randomness(self):
-        rng, twin = derive(9, 1), derive(9, 1)
-        np.testing.assert_array_equal(reservoir_sample(W, 3, rng), [0, 1, 2])
-        np.testing.assert_array_equal(reservoir_sample(W, 7, rng), [0, 1, 2])
-        assert rng.random() == twin.random()
-
     def test_completion_keeps_every_positive_entry(self):
-        w = np.array([0.0, 0.6, 0.0, 0.4, 0.0])
-        for t in range(50):
-            take = reservoir_sample(w, 4, derive(9, 2, t))
-            assert take.size == 4
-            assert np.array_equal(np.unique(take), take)
-            assert {1, 3} <= set(take.tolist())
+        stats = SampleStats()
+        take = draw_many([0.0, 0.6, 0.0, 0.4, 0.0], 4, 50, seed=9, stats=stats)
+        assert take.shape == (50, 4)
+        assert (np.diff(take, axis=1) > 0).all()
+        assert ((take == 1).any(axis=1) & (take == 3).any(axis=1)).all()
+        assert stats.uniform_fallbacks == 0
 
     def test_all_zero_row_falls_back_to_uniform(self):
         stats = SampleStats()
-        seen = set()
-        for t in range(60):
-            take = reservoir_sample(np.zeros(6), 3, derive(9, 3, t), stats=stats)
-            assert take.size == 3
-            seen.update(take.tolist())
+        take = draw_many(np.zeros(6), 3, 60, seed=9, stats=stats)
+        assert take.shape == (60, 3)
+        assert (np.diff(take, axis=1) > 0).all()
         assert stats.uniform_fallbacks == 60
         assert stats.rows_sampled == 60
-        assert seen == set(range(6))
+        assert set(take.ravel().tolist()) == set(range(6))
 
     def test_contract_errors(self):
-        rng = derive(9, 4)
+        ss = identical_rows(W, 4)
         with pytest.raises(ContractError, match="positive"):
-            reservoir_sample(W, 0, rng)
-        with pytest.raises(ShapeError):
-            reservoir_sample(np.ones((2, 2)), 1, rng)
+            draw_rows(np.arange(4), ss, (0,), seed=0, epoch=0)
+        with pytest.raises(ShapeError, match="degree budgets"):
+            draw_rows(np.arange(4), ss, (2, 2), seed=0, epoch=0)
+        neg = replace(ss.layers[0], values=np.where(np.arange(12) == 10, -0.1, 0.5))
         with pytest.raises(ContractError, match="negative"):
-            reservoir_sample(np.array([0.5, -0.1]), 1, rng)
-        with pytest.raises(ContractError, match="positive scores"):
-            reservoir_sample_many(np.array([0.5, 0.0, 0.0]), 2, rng, 4)
+            draw_rows(np.arange(4), replace(ss, layers=(neg,)), (2,), seed=0, epoch=0)
 
-    @given(st.lists(st.floats(0, 10, allow_nan=False), min_size=1, max_size=12),
+    @given(st.lists(st.lists(st.floats(0, 10, allow_nan=False), min_size=1,
+                             max_size=12), min_size=1, max_size=8),
            st.integers(1, 15), st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
-    def test_sample_shape_invariants(self, w, k, key):
-        w = np.asarray(w)
-        take = reservoir_sample(w, k, derive(11, key))
-        assert take.size == min(k, w.size)
-        assert np.array_equal(np.unique(take), take)
-        assert take.min() >= 0 and take.max() < w.size
-        npos = int((w > 0).sum())
-        if k < w.size and npos >= k:
-            assert np.all(w[take] > 0)
+    def test_sample_shape_invariants(self, rows, deg, key):
+        # each row over a random column set of a 12-node score set
+        rng = derive(11, key)
+        n = 12
+        cols = [np.sort(rng.choice(n, size=len(r), replace=False)) for r in rows]
+        lengths = np.array([len(r) for r in rows] + [0] * (n - len(rows)))
+        ss = AttentionPattern(n=n, layers=(_scored(
+            np.concatenate(([0], np.cumsum(lengths))), np.concatenate(cols),
+            np.concatenate(rows)),))
+        (drawn,) = draw_rows(np.arange(len(rows)), ss, (deg,), seed=key, epoch=1)
+        for i, (w, row_cols) in enumerate(zip(rows, cols)):
+            w = np.asarray(w)
+            take = drawn.cols[drawn.row_ptr[i]:drawn.row_ptr[i + 1]]
+            assert take.size == min(deg, w.size)
+            assert (np.diff(take) > 0).all()
+            assert np.isin(take, row_cols).all()
+            if (w > 0).sum() >= deg:
+                assert np.all(w[np.searchsorted(row_cols, take)] > 0)
 
 
 class TestPrefilter:
+    # one row, drawn with a budget of its whole length: nothing is left to
+    # chance, and the drawn columns are exactly the entries the prefilter kept
+    def _kept(self, values, k_prime, tail_eps=0.05):
+        plan = sample_batch(np.array([0]), identical_rows(values, 1),
+                            (len(values),), seed=0, epoch=0, k_prime=k_prime,
+                            tail_eps=tail_eps)
+        return (_drawn(plan.layers[0], 0)[0],
+                (plan.stats.prefilter_kept_full, plan.stats.prefilter_truncated))
+
     def test_short_row_passes_through(self):
-        keep, full = prefilter_topk(W, 5)
+        keep, decision = self._kept(W, 5)
         np.testing.assert_array_equal(keep, [0, 1, 2])
-        assert full is False
+        assert decision == (0, 0)
 
     def test_truncates_light_tail(self):
-        keep, full = prefilter_topk(np.array([0.6, 0.38, 0.01, 0.01]), 2)
+        keep, decision = self._kept([0.6, 0.38, 0.01, 0.01], 2)
         np.testing.assert_array_equal(keep, [0, 1])
-        assert full is False
+        assert decision == (0, 1)
 
     def test_tie_prefers_lower_index(self):
-        keep, _ = prefilter_topk(np.array([0.32, 0.32, 0.32, 0.04]), 2,
-                                 tail_eps=0.5)
+        keep, decision = self._kept([0.32, 0.32, 0.32, 0.04], 2, tail_eps=0.5)
         np.testing.assert_array_equal(keep, [0, 1])
+        assert decision == (0, 1)
 
     def test_heavy_tail_keeps_full_row(self):
-        keep, full = prefilter_topk(np.array([0.4, 0.3, 0.3]), 1)
+        keep, decision = self._kept([0.4, 0.3, 0.3], 1)
         np.testing.assert_array_equal(keep, [0, 1, 2])
-        assert full is True
+        assert decision == (1, 0)
 
     def test_k_prime_contract(self):
-        with pytest.raises(ContractError):
-            prefilter_topk(W, 0)
+        for k_prime in (0, -1):
+            with pytest.raises(ContractError, match="k_prime"):
+                draw_rows(np.arange(2), identical_rows(W, 2), (2,), seed=0, epoch=0,
+                          k_prime=k_prime)
 
 
 # ring support over n nodes: each row is {i-1, i, i+1} with fixed scores
@@ -440,36 +461,50 @@ class TestAgainstLoopOracle:
                               sample_batch_loop(seeds, ss, degs, **kw))
 
     def test_prefilter_decisions_match_row_by_row(self):
+        # a budget above every row's length: each query comes back as
+        # exactly the entries the prefilter kept, in CSR order
         ss = _hub_scores(3, layers=1)
         layer = ss.layers[0]
         decisions = set()
-        for node in range(ss.n):
-            vals = layer.values[layer.row_ptr[node]:layer.row_ptr[node + 1]]
-            for k_prime in (1, 3, 6):
-                keep, full = prefilter_topk(vals, k_prime, tail_eps=0.3)
-                keep_o, full_o = prefilter_topk_loop(vals, k_prime, tail_eps=0.3)
-                np.testing.assert_array_equal(keep, keep_o)
-                assert full is full_o
-                a, b = SampleStats(), SampleStats()
-                kw = dict(seed=0, epoch=1, k_prime=k_prime, tail_eps=0.3)
-                sample_batch(np.array([node]), ss, (2,), stats=a, **kw)
-                sample_batch_loop(np.array([node]), ss, (2,), stats=b, **kw)
-                assert (a.prefilter_kept_full, a.prefilter_truncated) == \
-                    (b.prefilter_kept_full, b.prefilter_truncated)
-                decisions.add((a.prefilter_kept_full, a.prefilter_truncated))
+        for k_prime in (1, 3, 6):
+            stats = SampleStats()
+            (drawn,) = draw_rows(np.arange(ss.n), ss, (ss.n,), seed=0, epoch=1,
+                                 k_prime=k_prime, tail_eps=0.3, stats=stats)
+            kept_full = truncated = 0
+            for node in range(ss.n):
+                lo, hi = layer.row_ptr[node], layer.row_ptr[node + 1]
+                keep, full = prefilter_topk_loop(layer.values[lo:hi], k_prime,
+                                                 tail_eps=0.3)
+                np.testing.assert_array_equal(
+                    drawn.cols[drawn.row_ptr[node]:drawn.row_ptr[node + 1]],
+                    layer.col_idx[lo + keep])
+                cut = not full and keep.size < hi - lo
+                kept_full += full
+                truncated += cut
+                decisions.add((int(full), int(cut)))
+            assert (stats.prefilter_kept_full, stats.prefilter_truncated) == \
+                (kept_full, truncated)
+            b = SampleStats()
+            sample_batch_loop(np.arange(ss.n), ss, (ss.n,), seed=0, epoch=1,
+                              k_prime=k_prime, tail_eps=0.3, stats=b)
+            assert (b.prefilter_kept_full, b.prefilter_truncated) == \
+                (kept_full, truncated)
         assert decisions == {(0, 0), (1, 0), (0, 1)}
 
     def test_batched_sampler_matches_pair_law(self):
-        ss = AttentionPattern(n=3, layers=(_scored([0, 3, 3, 3], np.arange(3), W),))
-        draws = 20_000
-        pairs = np.empty((draws, 2), dtype=np.int64)
-        for epoch in range(draws):
-            pl = sample_batch(np.array([0]), ss, (2,), seed=4,
-                              epoch=epoch).layers[0]
-            pairs[epoch] = _drawn(pl, 0)[0]
-        freq = TestReservoirLaw()._pair_freq(pairs, draws)
-        tv = 0.5 * sum(abs(freq[k] - PAIR_LAW[k]) for k in PAIR_LAW)
+        # 2000 nodes share W's row; each is drawn in 10 epochs.  The pooled
+        # pairs follow the law, and a node's pairs in consecutive epochs
+        # are independent: their joint law is the product law.
+        pairs = np.stack([draw_many(W, 2, 2000, seed=4, epoch=epoch)
+                          for epoch in range(10)])
+        tv, freq = _pair_tv(pairs.reshape(-1, 2))
         assert tv < 0.02, freq
+        codes = _pair_codes(pairs)
+        joint = codes[:-1] * 6 + codes[1:]
+        tv = 0.5 * sum(abs(np.mean(joint == PAIR_CODE[a] * 6 + PAIR_CODE[b])
+                           - PAIR_LAW[a] * PAIR_LAW[b])
+                       for a in PAIR_LAW for b in PAIR_LAW)
+        assert tv < 0.02, tv
 
 
 class TestResampleEpoch:
