@@ -228,7 +228,7 @@ class Network:
             arr = np.asarray(state[name], dtype=p.data.dtype)
             if arr.shape != p.data.shape:
                 raise ShapeError(f"{name}: checkpoint shape {arr.shape} != {p.data.shape}")
-            p.data = arr.copy()
+            p.data[...] = arr      # in place: the data may be a view of an optimizer's arena
         for name, b in self.named_buffers():
             if name in state:
                 b[...] = np.asarray(state[name], dtype=b.dtype)

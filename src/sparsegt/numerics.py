@@ -17,13 +17,13 @@ by column into a zeroed output, so every row sums its gradients in index
 order starting from 0: the same bits as adding them one at a time.
 
 Also here because trainers need them next to the tape: the fused losses,
-AdamW with a cosine learning-rate schedule, and the binary checkpoint
-format.
+AdamW with a cosine learning-rate schedule over one flat parameter
+arena, and checkpoints as npz archives.
 """
 
 from __future__ import annotations
 
-import struct
+import zipfile
 from contextlib import contextmanager
 
 import numpy as np
@@ -535,91 +535,110 @@ class CosineSchedule:
 
 
 class AdamW:
-    """AdamW with decoupled weight decay over a named parameter list."""
+    """AdamW with decoupled weight decay over a named parameter list.
+
+    The parameters live in one flat arena: construction copies them, in
+    list order, into one contiguous buffer and makes each ``p.data`` a
+    view of its slice, so the list must share one dtype.  The moments
+    ``m`` and ``v`` are flat arrays over the same offsets.  A step copies
+    the gradients into a flat buffer and updates each contiguous run of
+    parameters that have a gradient with whole-run ufuncs; a parameter
+    without one keeps its value and moments.  One finiteness check over
+    the gradients comes first, so a DivergenceError, which names the
+    first parameter with a non-finite gradient, leaves every value, both
+    moments and ``step_count`` as they were.
+    """
 
     def __init__(self, named_params, schedule: CosineSchedule,
                  weight_decay: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         self.named_params = list(named_params)
+        dtypes = {p.data.dtype for _, p in self.named_params}
+        if len(dtypes) > 1:
+            raise ContractError(f"AdamW needs one parameter dtype, got {sorted(map(str, dtypes))}")
         self.schedule = schedule
         self.weight_decay = weight_decay
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in self.named_params}
-        self.v = {name: np.zeros_like(p.data) for name, p in self.named_params}
+        self.offsets = np.cumsum([0] + [p.data.size for _, p in self.named_params]).tolist()
+        self.flat = np.zeros(self.offsets[-1], dtype=dtypes.pop() if dtypes else np.float32)
+        for (_, p), lo, hi in zip(self.named_params, self.offsets, self.offsets[1:]):
+            self.flat[lo:hi] = p.data.ravel()
+            p.data = self.flat[lo:hi].reshape(p.data.shape)
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
+        self._grad = np.zeros_like(self.flat)
+        self._runs = {}     # which parameters have a gradient -> [(lo, hi, their tensors)]
 
     def zero_grad(self) -> None:
         for _, p in self.named_params:
             p.grad = None
 
+    def _runs_for(self, has_grad: tuple) -> list:
+        runs = self._runs.get(has_grad)
+        if runs is None:
+            runs = []
+            for (_, p), has, lo, hi in zip(self.named_params, has_grad,
+                                           self.offsets, self.offsets[1:]):
+                if has and runs and runs[-1][1] == lo:
+                    runs[-1][1] = hi
+                    runs[-1][2].append(p)
+                elif has:
+                    runs.append([lo, hi, [p]])
+            self._runs[has_grad] = runs
+        return runs
+
     def step(self, epoch: int) -> float:
         """One update at the scheduled rate for ``epoch``; returns the lr used."""
+        runs = self._runs_for(tuple(p.grad is not None for _, p in self.named_params))
+        grad = self._grad
+        for lo, hi, ps in runs:
+            np.concatenate([p.grad for p in ps], axis=None, out=grad[lo:hi])
+        # slots of parameters without a gradient hold finite values from earlier
+        # steps: zeros (a failed check refills them) or gradients that passed it
+        if not np.isfinite(grad).all():
+            bad = int(np.flatnonzero(~np.isfinite(grad))[0])
+            grad.fill(0)
+            name = self.named_params[int(np.searchsorted(self.offsets, bad, side="right")) - 1][0]
+            raise DivergenceError(f"non-finite gradient in {name!r}")
         lr = self.schedule.lr_at(epoch)
         self.step_count += 1
         t = self.step_count
         b1, b2 = self.beta1, self.beta2
-        for name, p in self.named_params:
-            if p.grad is None:
-                continue
-            g = p.grad
-            if not np.isfinite(g).all():
-                raise DivergenceError(f"non-finite gradient in {name!r}")
-            m = self.m[name]
-            v = self.v[name]
+        for lo, hi, _ in runs:
+            g, m, v, w = grad[lo:hi], self.m[lo:hi], self.v[lo:hi], self.flat[lo:hi]
             m *= b1
             m += (1 - b1) * g
             v *= b2
             v += (1 - b2) * g * g
             mhat = m / (1 - b1 ** t)
             vhat = v / (1 - b2 ** t)
-            p.data -= (lr * (mhat / (np.sqrt(vhat) + self.eps)
-                             + self.weight_decay * p.data)).astype(p.data.dtype)
+            w -= (lr * (mhat / (np.sqrt(vhat) + self.eps)
+                        + self.weight_decay * w)).astype(w.dtype)
         return lr
 
 
 # ---------------------------------------------------------------------------
 # Checkpoints
 
-_CKPT_MAGIC = b"SGTCKPT\x00"
-_CKPT_VERSION = 1
-
 
 def save_checkpoint(path, named_arrays: dict) -> None:
-    """Binary dump: magic, version, count, then name/dims/float32-LE data,
+    """Every array under its name and in its own dtype, as an npz archive
     written atomically."""
+    # through a handle: np.savez appends .npz to a file name that lacks it
     with atomic_path(path) as tmp, open(tmp, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<II", _CKPT_VERSION, len(named_arrays)))
-        for name, arr in named_arrays.items():
-            arr = np.asarray(arr, dtype="<f4")
-            raw = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b"")
-            fh.write(np.ascontiguousarray(arr).tobytes())
+        np.savez(fh, **named_arrays)
 
 
 def load_checkpoint(path) -> dict:
+    """The arrays ``save_checkpoint`` wrote; FormatError naming ``path`` if
+    numpy cannot read them back without unpickling."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:8] != _CKPT_MAGIC:
-        raise FormatError(f"{path}: not a checkpoint (bad magic)")
-    version, count = struct.unpack_from("<II", blob, 8)
-    if version != _CKPT_VERSION:
-        raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    off = 16
-    out = {}
-    try:
-        for _ in range(count):
-            (nlen,) = struct.unpack_from("<H", blob, off); off += 2
-            name = blob[off:off + nlen].decode("utf-8"); off += nlen
-            (ndim,) = struct.unpack_from("<B", blob, off); off += 1
-            dims = struct.unpack_from(f"<{ndim}I", blob, off); off += 4 * ndim
-            size = int(np.prod(dims)) if ndim else 1
-            arr = np.frombuffer(blob, dtype="<f4", count=size, offset=off)
-            off += 4 * size
-            out[name] = arr.reshape(dims).copy()
-    except (struct.error, ValueError) as exc:
-        raise FormatError(f"{path}: truncated checkpoint ({exc})") from None
-    return out
+        try:
+            z = np.load(fh, allow_pickle=False)
+            if not isinstance(z, np.lib.npyio.NpzFile):
+                raise ValueError("one array, not an archive")
+            with z:
+                return {name: z[name] for name in z.files}
+        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise FormatError(f"{path}: not a readable checkpoint ({exc})") from None

@@ -32,6 +32,7 @@ from sparsegt.pipeline import (TrainConfig, config_from_dict, config_to_dict,
 from sparsegt.rngutil import derive
 from sparsegt.sampling import (load_scores_npz, save_scores_npz, uniform_scores,
                                validate_scores)
+from adamw_oracle import adamw_loop_step
 from sampling_oracle import predict_per_chunk
 
 
@@ -332,6 +333,32 @@ class TestFinal:
             train_final(g, _toy_scores(), self._cfg(full_graph=True, degs=(4,)))
 
 
+@pytest.mark.parametrize("phase", ["estimator", "final-max"])
+def test_the_arena_trains_like_the_loop_oracle(phase, monkeypatch):
+    # the estimator updates every parameter in one run; the final network has
+    # no value scale gradient, so each step runs as one run per layer plus one
+    g, pattern = _toy()
+
+    def train():
+        if phase == "estimator":
+            res = train_estimator(g, pattern, TrainConfig(width=4, layers=2, epochs=20,
+                                                          lr=0.02, seed=0))
+        else:
+            res = train_final(g, _toy_scores(), TrainConfig(
+                width=8, layers=2, epochs=3, batch_size=16, degs=(4, 4), seed=0,
+                ablation="max"))
+        return res.network.state_dict(), np.array(res.history)
+
+    state, history = train()
+    monkeypatch.setattr(AdamW, "step", adamw_loop_step)
+    ref_state, ref_history = train()
+    np.testing.assert_array_equal(history, ref_history)
+    assert state.keys() == ref_state.keys()
+    for name in state:
+        assert state[name].dtype == ref_state[name].dtype
+        np.testing.assert_array_equal(state[name], ref_state[name])
+
+
 def test_node_counts_must_match():
     g, pattern = _toy()
     small = gen_bridge_task(SyntheticSpec(seed=2, num_components=2,
@@ -547,6 +574,21 @@ class TestRunDirs:
         metrics = json.loads((d / "metrics.json").read_text())
         assert {"best_epoch", "best_val", "test_metric", "tau_final",
                 "loss"} <= set(metrics)
+
+    def test_final_checkpoint_holds_exact_values(self, tmp_path):
+        # float64 weights and batch norm's float64 running buffers come back
+        # bit for bit, so a reloaded network predicts what the trained one did
+        g, _ = _toy()
+        cfg = TrainConfig(width=8, layers=2, epochs=3, batch_size=16,
+                          degs=(4, 4), seed=0, dtype="float64")
+        res = train_final(g, _toy_scores(), cfg, run_dir=tmp_path / "fin")
+        state = res.network.state_dict()
+        back = load_checkpoint(tmp_path / "fin" / "ckpt" / "final.ckpt")
+        assert back.keys() == state.keys()
+        assert {"layer0.n1_mean", "layer1.n2_var"} <= back.keys()
+        for name in state:
+            assert back[name].dtype == state[name].dtype == np.float64
+            np.testing.assert_array_equal(back[name], state[name])
 
     def test_final_layout(self, tmp_path):
         g, _ = _toy()
