@@ -47,6 +47,11 @@ def no_grad():
         _GRAD_ENABLED = saved
 
 
+def grad_enabled() -> bool:
+    """False inside ``no_grad``."""
+    return _GRAD_ENABLED
+
+
 class Tensor:
     """An ndarray with an optional gradient and a link back into the tape."""
 
@@ -71,8 +76,11 @@ class Tensor:
 
     def _acc(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # 0 + g: a -0.0 lands as +0.0 and a wider g rounds once, as
+            # adding into zeros would, without the pass that writes them
+            self.grad = np.add(g, 0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, grad={self.requires_grad})"

@@ -19,6 +19,7 @@ so a finished run can be inspected without the Python objects.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -30,9 +31,8 @@ from .attention import (ModelConfig, Network, TemperatureSchedule,
 from .errors import ContractError, DivergenceError, ShapeError
 from .graphs import TEST, TRAIN, VAL, AttentionPattern, Graph, atomic_path, write_json
 from .rngutil import TAG_DROPOUT, TAG_PREDICT, TAG_VAL, derive
-from .sampling import (SampleStats, assemble, draw_rows, plan_geometries,
-                       resample_epoch, save_scores_npz, uniform_scores,
-                       validate_scores)
+from .sampling import (SampleStats, plan_geometries, resample_epoch, sample_batch,
+                       save_scores_npz, uniform_scores, validate_scores)
 
 _DTYPES = {"float32": np.float32, "float64": np.float64}
 _LOSSES = ("auto", "ce", "bce", "multilabel")
@@ -461,25 +461,25 @@ def _eval_sampled(net, x, scores, degs, nodes, seed, epoch, tag, batch_size,
                   mode, k_prime, tail_eps, loss_name) -> np.ndarray:
     """Eval-mode probabilities for ``nodes`` under one sampled pattern.
 
-    Every node's rows are drawn once, over the whole node set, on stream
-    ``tag`` at epoch key ``epoch`` with batch_index 0.  ``batch_size``
-    bounds only the rows of one forward: each chunk of that many nodes
-    assembles its plan from the drawn rows it reaches.  A row's draw is
-    keyed by (seed, tag, epoch, layer, node) alone, so the result is the
-    one a separate draw per chunk would give, however the nodes are
-    chunked.  Nodes repeated within one chunk raise ContractError.
+    One plan is drawn over the distinct nodes, sorted, on stream ``tag``
+    at epoch key ``epoch`` with batch_index 0, and one forward computes
+    it layer by layer, so each reached row is drawn once and computed
+    once per layer; repeated nodes share their row.  A row's draw is
+    keyed by (seed, tag, epoch, layer, node) alone, so it is the one a
+    separate plan per chunk would draw.  ``batch_size`` caps each layer
+    slice at ``batch_size * prod(1 + deg)`` query rows, the most input
+    rows a chunk of that many nodes can reach.
     """
-    out = [np.empty((0, net.cfg.out_dim), dtype=net.cfg.dtype)]
-    if nodes.size:
-        drawn = draw_rows(np.unique(nodes), scores, degs, seed, epoch, batch_index=0,
-                          mode=mode, k_prime=k_prime, tail_eps=tail_eps, tag=tag)
-        with nm.no_grad():
-            for start in range(0, nodes.size, batch_size):
-                plan = assemble(drawn, nodes[start:start + batch_size])
-                logits, _ = net.forward(x[plan.input_nodes], plan_geometries(plan),
-                                        tau=1.0, training=False)
-                out.append(logits.data)
-    return _probs_from_logits(loss_name, np.concatenate(out, axis=0))
+    if not nodes.size:
+        return _probs_from_logits(loss_name, np.empty((0, net.cfg.out_dim)))
+    distinct, at = np.unique(nodes, return_inverse=True)
+    plan = sample_batch(distinct, scores, degs, seed, epoch, batch_index=0, mode=mode,
+                        k_prime=k_prime, tail_eps=tail_eps, tag=tag)
+    with nm.no_grad():
+        logits, _ = net.forward(x[plan.input_nodes], plan_geometries(plan), tau=1.0,
+                                training=False,
+                                max_rows=batch_size * math.prod(1 + d for d in degs))
+    return _probs_from_logits(loss_name, logits.data[at])
 
 
 def predict(net: Network, features: np.ndarray, scores: AttentionPattern, degs,
@@ -491,8 +491,10 @@ def predict(net: Network, features: np.ndarray, scores: AttentionPattern, degs,
     Sample ``s`` uses epoch key ``s`` on the prediction stream, so the
     averaged patterns are disjoint draws yet the whole call is
     reproducible.  Each sample draws every node's rows once, over the
-    whole node set; ``batch_size`` (positive) bounds only the nodes, and
-    so the rows, of one forward pass, and does not change the draw.
+    whole node set, and computes each reached row once per layer;
+    ``batch_size`` (positive) bounds only the query rows of one layer
+    slice, at ``batch_size * prod(1 + deg)``, and does not change the
+    draw.  A node outside [0, n) is an IndexError.
     Returns (probabilities, predicted labels); empty ``nodes`` give empty
     arrays of the same layout.  ``scores`` must pass ``validate_scores``.
     """

@@ -21,11 +21,12 @@ slot), so plans are reproducible no matter how rows are visited, and a
 node that queries two layers draws independently in each.
 
 Plans are built in two steps: ``draw_rows`` draws the rows a node set
-reaches, and a plan indexes drawn rows into its layers' input rows.
-A training batch is its own draw (``sample_batch``).  Evaluation draws
-once over every node it scores and ``assemble``s each chunk's plan from
-the rows that chunk reaches: with the draws keyed alike, each row comes
-out as a draw of that chunk alone would give it.
+reaches, and ``sample_batch`` indexes the drawn rows into its layers'
+input rows.  A training batch is one plan per chunk of seeds.  An
+evaluation draws one plan over every distinct node it scores and the
+network computes it layer by layer: with the draws keyed alike (batch
+index 0), a query draws the same keys in that plan as in the plan of
+any chunk that holds it.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 
 from .attention import LayerGeometry
 from .errors import ContractError, FormatError, ShapeError
-from .graphs import AttentionPattern, EdgeType, PatternLayer, atomic_path
+from .graphs import AttentionPattern, EdgeType, PatternLayer, atomic_path, sorted_union
 from .rngutil import TAG_SAMPLE, TAG_SHUFFLE, counter_uniform, derive
 
 
@@ -283,9 +284,13 @@ def draw_rows(nodes, scores: AttentionPattern, degs, seed: int, epoch: int,
     draw with a deterministic top-deg selection (the max-selection
     ablation).  ``k_prime`` enables score prefiltering before sampling.
     ``tag`` namespaces the random streams so training, validation and
-    prediction plans never share draws.
+    prediction plans never share draws.  A node outside [0, n) is an
+    IndexError, raised before anything is drawn.
     """
     nodes = _seed_array(nodes)
+    outside = nodes[(nodes < 0) | (nodes >= scores.n)]
+    if outside.size:
+        raise IndexError(f"node {outside[0]} outside [0, {scores.n})")
     degs = tuple(int(d) for d in degs)
     if len(degs) != scores.num_layers:
         raise ShapeError(f"{len(degs)} degree budgets for {scores.num_layers} layers")
@@ -306,38 +311,10 @@ def draw_rows(nodes, scores: AttentionPattern, degs, seed: int, epoch: int,
         row_ptr, cols, types = _sample_layer(scores.layers[li], q_nodes, degs[li], mode,
                                              k_prime, tail_eps, stats,
                                              (seed, tag, epoch, batch_index, li))
-        v_nodes = _union(q_nodes, cols)
+        v_nodes = sorted_union(q_nodes, cols)
         drawn.append(DrawnLayer(q_nodes, v_nodes, row_ptr, cols, types))
         q_nodes = v_nodes
     return tuple(drawn)
-
-
-def assemble(drawn: tuple[DrawnLayer, ...], seeds) -> BatchPlan:
-    """The plan of ``seeds`` from rows ``draw_rows`` drew over a sorted node
-    set that holds them: the arrays ``sample_batch`` builds for ``seeds``
-    when their draws are keyed alike (same seed, tag, epoch and batch).
-
-    Walking the drawn layers top-down, each layer's queries find their
-    rows by a search into the drawn queries and take them with a CSR
-    gather; query+key union is the next layer's queries.  Nothing is
-    drawn, so the plan's stats stay zero.
-    """
-    seeds = _seed_array(seeds)
-    rows = []
-    q_nodes = seeds
-    for layer in drawn:
-        at = np.minimum(np.searchsorted(layer.q_nodes, q_nodes), layer.q_nodes.size - 1)
-        if (layer.q_nodes[at] != q_nodes).any():   # only seeds can miss
-            raise ContractError("seed nodes outside the drawn node set")
-        lo = layer.row_ptr[at]
-        lengths = layer.row_ptr[at + 1] - lo
-        row_ptr = np.concatenate(([0], np.cumsum(lengths)))
-        pos = np.arange(row_ptr[-1]) + np.repeat(lo - row_ptr[:-1], lengths)
-        cols = layer.cols[pos]
-        v_nodes = _union(q_nodes, cols)
-        rows.append(DrawnLayer(q_nodes, v_nodes, row_ptr, cols, layer.types[pos]))
-        q_nodes = v_nodes
-    return _plan(seeds, rows, SampleStats())
 
 
 def _seed_array(seeds) -> np.ndarray:
@@ -347,14 +324,6 @@ def _seed_array(seeds) -> np.ndarray:
     if np.unique(seeds).size != seeds.size:
         raise ContractError("duplicate seed nodes")
     return seeds
-
-
-def _union(a, b) -> np.ndarray:
-    """``np.union1d(a, b)`` by one sort of the concatenation; on plan-sized
-    arrays numpy's hashing ``unique`` takes about ten times as long."""
-    both = np.concatenate((a, b))
-    both.sort()
-    return both[np.concatenate(([True], both[1:] != both[:-1]))]
 
 
 def _plan(seeds, drawn, stats: SampleStats) -> BatchPlan:

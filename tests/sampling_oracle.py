@@ -16,9 +16,10 @@ keyed by its node, so the N samples are independent, and the law tests
 check the sampler that training and prediction run, not a copy of it.
 
 ``predict_per_chunk`` is ``sparsegt.pipeline.predict`` as it was before
-evaluation drew each node's rows once per call: one ``sample_batch`` per
-chunk of ``batch_size`` nodes.  Draws are keyed by node, not by chunk, so
-its probabilities must equal ``predict``'s bit for bit.
+evaluation computed one plan layer by layer: one ``sample_batch`` and one
+forward per chunk of ``batch_size`` nodes.  Draws are keyed by node, not
+by chunk, so its probabilities equal ``predict``'s bit for bit when one
+chunk holds every node, and to BLAS round-off (about 1e-16) otherwise.
 """
 
 import numpy as np

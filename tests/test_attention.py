@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import sparsegt.numerics as nm
-from sparsegt.attention import (LayerParams, ModelConfig, Network,
+from sparsegt.attention import (LayerGeometry, LayerParams, ModelConfig, Network,
                                 TemperatureSchedule, attention_sublayer,
                                 pattern_geometry, temperature_at)
 from sparsegt.errors import ContractError, ShapeError
@@ -315,3 +315,56 @@ class TestForwardContracts:
         np.testing.assert_array_equal(l1.data, l2.data)
         for a, b in zip(s1, s2):
             np.testing.assert_array_equal(a, b)
+
+
+def _plan_geometries(key, sizes=(30, 20, 9), deg=4):
+    """Random geometries laid out as a sampled plan lays them: layer i
+    reads ``sizes[i]`` rows and outputs the ``sizes[i + 1]`` of them its
+    (sorted) query rows name, each attending over 1..deg rows."""
+    rng = derive(86, key)
+    geoms = []
+    for n_in, n_out in zip(sizes, sizes[1:]):
+        lengths = rng.integers(1, deg + 1, n_out)
+        geoms.append(LayerGeometry(
+            query_rows=np.sort(rng.choice(n_in, n_out, replace=False)),
+            row_ptr=np.concatenate(([0], np.cumsum(lengths))),
+            col_idx=rng.integers(0, n_in, lengths.sum()),
+            edge_type=rng.integers(0, 3, lengths.sum())))
+    return geoms
+
+
+class TestSlicedForward:
+    @pytest.mark.parametrize("norm", ["layer", "batch"])
+    def test_slices_match_the_whole_layer(self, norm):
+        net = Network(ModelConfig(in_dim=3, width=4, layers=2, out_dim=2, heads=2,
+                                  norm=norm, dtype=np.float64), seed=6)
+        rng = derive(87, 0)
+        for lp in net.layers:          # eval batch norm reads these
+            for buf in (lp.n1_mean, lp.n2_mean):
+                buf[:] = rng.normal(size=buf.size)
+            for buf in (lp.n1_var, lp.n2_var):
+                buf[:] = rng.uniform(0.5, 2.0, size=buf.size)
+        geoms = _plan_geometries(0)
+        feats = rng.normal(size=(30, 3))
+        with nm.no_grad():
+            whole, whole_scores = net.forward(feats, geoms, tau=0.7)
+            for m in (1, 3, 7):
+                part, part_scores = net.forward(feats, geoms, tau=0.7, max_rows=m)
+                # BLAS blocks a slice's rows apart from the whole layer's
+                np.testing.assert_allclose(part.data, whole.data, rtol=1e-15, atol=1e-15)
+                for a, b in zip(part_scores, whole_scores):
+                    np.testing.assert_allclose(a, b, rtol=0, atol=1e-15)
+
+    def test_slicing_is_for_evaluation_only(self):
+        net = Network(ModelConfig(in_dim=3, width=4, layers=2, out_dim=2,
+                                  norm="batch", dtype=np.float64), seed=6)
+        geoms = _plan_geometries(1)
+        feats = np.zeros((30, 3))
+        with nm.no_grad():
+            for m in (0, -2):
+                with pytest.raises(ContractError, match="max_rows must be positive"):
+                    net.forward(feats, geoms, max_rows=m)
+            with pytest.raises(ContractError, match="evaluation"):
+                net.forward(feats, geoms, training=True, max_rows=3)
+        with pytest.raises(ContractError, match="evaluation"):
+            net.forward(feats, geoms, max_rows=3)

@@ -338,6 +338,25 @@ class TestDropoutAndTape:
         nm.backward(nm.mean_all(mul(x, x)))
         np.testing.assert_allclose(x.grad, 2 * first)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_first_gradient_is_zeros_plus_g(self, dtype):
+        # bit for bit what adding into zeros gives: -0.0 lands as +0.0, and
+        # a float64 gradient into a float32 tensor rounds once (the fourth
+        # entry sits just past a float32 tie: once it rounds away from 1,
+        # through an intermediate rounding it would tie back to 1)
+        g = np.array([-0.0, 0.0, 1.5, -(1.0 + 2.0 ** -24 + 2.0 ** -50), 1e-300])
+        t = nm.param(np.ones(g.size), dtype)
+        t._acc(g)
+        want = np.zeros(g.size, dtype=dtype)
+        want += g
+        assert t.grad.dtype == dtype and t.grad.tobytes() == want.tobytes()
+        assert not np.signbit(t.grad[0])
+        if dtype is np.float32:
+            assert t.grad[3] == np.float32(-(1.0 + 2.0 ** -23))
+        t._acc(g)
+        want += g
+        assert t.grad.tobytes() == want.tobytes()
+
     def test_tensor_dim_limit(self):
         with pytest.raises(ShapeError):
             nm.Tensor(np.zeros((1, 1, 1, 1)))

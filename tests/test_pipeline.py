@@ -15,6 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from sparsegt import attention
 from sparsegt.attention import (TemperatureSchedule, pattern_geometry,
                                 temperature_at)
 from sparsegt.analysis import write_profile_csv
@@ -29,9 +30,9 @@ from sparsegt.pipeline import (TrainConfig, config_from_dict, config_to_dict,
                                predicted_labels, resolve_task,
                                save_history_csv, train_estimator, train_final,
                                write_json)
-from sparsegt.rngutil import derive
-from sparsegt.sampling import (load_scores_npz, save_scores_npz, uniform_scores,
-                               validate_scores)
+from sparsegt.rngutil import TAG_PREDICT, derive
+from sparsegt.sampling import (load_scores_npz, sample_batch, save_scores_npz,
+                               uniform_scores, validate_scores)
 from adamw_oracle import adamw_loop_step
 from sampling_oracle import predict_per_chunk
 
@@ -447,24 +448,59 @@ class TestPredict:
                 kw = dict(seed=4, n_samples=n_samples, batch_size=batch_size,
                           mode=mode, k_prime=k_prime, loss_name=res.loss_name)
                 probs, _ = predict(res.network, g.features, scores, (3, 3), nodes, **kw)
-                np.testing.assert_array_equal(
-                    probs, predict_per_chunk(res.network, g.features, scores, (3, 3),
-                                             nodes, **kw))
+                oracle = predict_per_chunk(res.network, g.features, scores, (3, 3),
+                                           nodes, **kw)
+                if batch_size >= g.n:       # one chunk: the very same forward
+                    np.testing.assert_array_equal(probs, oracle)
+                else:   # the eval forward runs in float64, and BLAS blocks rows apart
+                    np.testing.assert_allclose(probs, oracle, rtol=0, atol=1e-15)
 
-    def test_duplicates_only_within_one_chunk(self):
+    def test_repeated_nodes_get_identical_rows(self):
         g, _ = _toy()
         res = _toy_final()
         kw = dict(seed=4, loss_name=res.loss_name)
-        nodes = np.array([3, 5, 3])
-        probs, _ = predict(res.network, g.features, _toy_scores(), (3, 3), nodes,
-                           batch_size=2, **kw)
-        np.testing.assert_array_equal(probs[0], probs[2])
-        np.testing.assert_array_equal(
-            probs, predict_per_chunk(res.network, g.features, _toy_scores(), (3, 3),
-                                     nodes, batch_size=2, **kw))
-        with pytest.raises(ContractError, match="duplicate"):
-            predict(res.network, g.features, _toy_scores(), (3, 3), nodes,
-                    batch_size=3, **kw)
+        for batch_size in (1, 2, 3, 64):
+            probs, _ = predict(res.network, g.features, _toy_scores(), (3, 3),
+                               [3, 5, 3], batch_size=batch_size, **kw)
+            once, _ = predict(res.network, g.features, _toy_scores(), (3, 3),
+                              [3, 5], batch_size=batch_size, **kw)
+            np.testing.assert_array_equal(probs, once[[0, 1, 0]])
+
+    @pytest.mark.parametrize("batch_size", [1, 5])
+    def test_each_reached_row_is_computed_once_per_layer(self, batch_size, monkeypatch):
+        g, _ = _toy()
+        res = _toy_final()
+        net, scores = res.network, _toy_scores()
+        queries, largest = [0] * len(net.layers), [0]
+        sublayer = attention.attention_sublayer
+
+        def counting(h, geom, lp, *args, **kwargs):
+            queries[net.layers.index(lp)] += geom.num_queries
+            largest[0] = max(largest[0], geom.num_queries)
+            return sublayer(h, geom, lp, *args, **kwargs)
+
+        monkeypatch.setattr(attention, "attention_sublayer", counting)
+        nodes = np.concatenate((derive(5, 2).permutation(g.n)[:12], [7, 7]))
+        predict(net, g.features, scores, (3, 3), nodes, seed=4, batch_size=batch_size,
+                loss_name=res.loss_name)
+        plan = sample_batch(np.unique(nodes), scores, (3, 3), seed=4, epoch=1,
+                            tag=TAG_PREDICT)
+        assert queries == [pl.q_nodes.size for pl in plan.layers]
+        assert queries[0] > queries[1] == np.unique(nodes).size
+        assert largest[0] <= batch_size * 4 * 4       # batch_size * prod(1 + deg)
+
+    @pytest.mark.parametrize("nodes,mode", [([0, -3], "top"), ([-1], "sample"),
+                                            ([32], "sample")])
+    def test_nodes_outside_the_graph_are_refused(self, nodes, mode):
+        g, _ = _toy()
+        res = _toy_final()
+        assert g.n == 32
+        bad = next(v for v in nodes if not 0 <= v < g.n)
+        with pytest.raises(IndexError, match=rf"node {bad} outside \[0, 32\)"):
+            predict(res.network, g.features, _toy_scores(), (3, 3), nodes, mode=mode,
+                    loss_name=res.loss_name)
+        with pytest.raises(IndexError, match=rf"node {bad} outside \[0, 32\)"):
+            sample_batch(nodes, _toy_scores(), (3, 3), seed=0, epoch=1, mode=mode)
 
     def test_an_empty_row_reached_through_a_lower_layer(self):
         g, pattern = _toy()

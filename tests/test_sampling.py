@@ -29,7 +29,7 @@ from sparsegt.attention import LayerGeometry
 from sparsegt.errors import ContractError, ShapeError
 from sparsegt.graphs import AttentionPattern, EdgeType, PatternLayer
 from sparsegt.rngutil import TAG_VAL, derive
-from sparsegt.sampling import (BatchPlan, SampleStats, assemble, draw_rows,
+from sparsegt.sampling import (BatchPlan, SampleStats, draw_rows,
                                load_scores_npz, plan_geometries, resample_epoch,
                                sample_batch, save_scores_npz, uniform_scores,
                                validate_scores)
@@ -340,27 +340,21 @@ class TestBatchPlans:
     @pytest.mark.parametrize("mode,k_prime", [("sample", None), ("sample", 4),
                                               ("top", None)])
     def test_assembled_chunks_equal_their_own_draws(self, mode, k_prime):
-        # one draw over every node, then each chunk's plan gathered from it
+        # a chunk's plan draws, query by query and layer by layer, what the
+        # plan over every node draws: evaluation computes that one plan
         ss = _hub_scores(6)
         nodes = derive(80, 2).permutation(ss.n)
         kw = dict(seed=1, epoch=3, mode=mode, k_prime=k_prime)
-        drawn = draw_rows(np.sort(nodes), ss, (2, 3), **kw)
+        whole = sample_batch(np.sort(nodes), ss, (2, 3), **kw)
         for size in (1, 7, ss.n):
             for start in range(0, ss.n, size):
-                chunk = nodes[start:start + size]
-                own = sample_batch(chunk, ss, (2, 3), **kw)
-                _assert_same_plan(assemble(drawn, chunk), replace(own, stats=SampleStats()))
-
-    def test_assemble_contract_errors(self):
-        ss = _ring_scores()
-        drawn = draw_rows(np.array([1, 2, 4]), ss, (2, 2), seed=0, epoch=1)
-        with pytest.raises(ContractError, match="duplicate"):
-            assemble(drawn, np.array([4, 1, 4]))
-        for outside in ([0], [5], [2, 3]):
-            with pytest.raises(ContractError, match="outside the drawn node set"):
-                assemble(drawn, np.array(outside))
-        with pytest.raises(ContractError, match="nonempty"):
-            assemble(drawn, np.array([], dtype=np.int64))
+                own = sample_batch(nodes[start:start + size], ss, (2, 3), **kw)
+                for pl, wl in zip(own.layers, whole.layers):
+                    at = np.searchsorted(wl.q_nodes, pl.q_nodes)
+                    np.testing.assert_array_equal(wl.q_nodes[at], pl.q_nodes)
+                    for qi, wi in enumerate(at):
+                        for got, want in zip(_drawn(pl, qi), _drawn(wl, wi)):
+                            np.testing.assert_array_equal(got, want)
 
     def test_top_mode_is_deterministic_and_greedy(self):
         sl = _scored([0, 3, 6, 9], np.tile([0, 1, 2], 3),
