@@ -19,7 +19,7 @@ index changes the draw while everything else holds still.
 import numpy as np
 
 from sparsegt.graphs import AttentionPattern, EdgeType, PatternLayer
-from sparsegt.sampling import draw_rows
+from sparsegt.sampling import draw_rows, sampling_law
 
 W = np.array([0.5, 0.3, 0.2])
 
@@ -37,7 +37,7 @@ def identical_rows(weights, num_rows):
 
 def draw(scores, nodes, k, epoch):
     """Each node's drawn columns, one row of the result per node."""
-    (layer,) = draw_rows(nodes, scores, (k,), seed=0, epoch=epoch)
+    (layer,) = draw_rows(nodes, sampling_law(scores), (k,), seed=0, epoch=epoch)
     return layer.cols.reshape(nodes.size, -1)
 
 

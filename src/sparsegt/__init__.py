@@ -24,11 +24,12 @@ from .graphs import (AttentionPattern, EdgeType, ExpanderGraph, Graph,
                      load_expander, load_graph, load_pattern, save_expander,
                      save_pattern, spectral_gap)
 from .pipeline import (EstimatorResult, FinalResult, TrainConfig,
-                       build_network, edge_percent, predict, train_estimator,
-                       train_final)
-from .sampling import (BatchPlan, SampleStats, load_scores_npz,
+                       build_network, edge_percent, predict, predict_by_law,
+                       train_estimator, train_final)
+from .sampling import (BatchPlan, SampleStats, SamplingLaw, load_scores_npz,
                        plan_geometries, resample_epoch, sample_batch,
-                       save_scores_npz, uniform_scores, validate_scores)
+                       sampling_law, save_scores_npz, uniform_scores,
+                       validate_scores)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

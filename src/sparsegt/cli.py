@@ -35,7 +35,7 @@ from .graphs import (TEST, TRAIN, VAL, atomic_path, augment, build_expander,
                      load_pattern, save_expander, save_pattern)
 from .numerics import load_checkpoint
 from .pipeline import (TrainConfig, build_network, config_from_dict,
-                       final_sampler, predict, train_estimator, train_final,
+                       final_sampler, predict_by_law, train_estimator, train_final,
                        write_json)
 from .sampling import load_scores_npz, validate_scores
 
@@ -203,19 +203,16 @@ def _cmd_predict(args, manifest) -> int:
         raise ContractError(f"{run_dir} holds a {role} run, not a final one")
     cfg = config_from_dict(stored)
     scores = load_scores_npz(args.scores)
-    # predict checks only the scores it samples by, and under the uniform
+    # the law holds only the scores it samples by, and under the uniform
     # ablation those are not the file's
     validate_scores(scores)
     net, loss_name = build_network(g, cfg, "final")
     net.load_state_dict(load_checkpoint(run_dir / "ckpt" / "final.ckpt"))
     nodes = {"all": np.arange(g.n), "train": g.split_idx(TRAIN),
              "val": g.split_idx(VAL), "test": g.split_idx(TEST)}[args.nodes]
-    eff_scores, mode, k_prime = final_sampler(cfg, scores)
-    probs, preds = predict(net, g.features, eff_scores, cfg.degs, nodes,
-                           seed=args.seed, n_samples=args.samples,
-                           batch_size=cfg.batch_size, mode=mode,
-                           k_prime=k_prime, tail_eps=cfg.tail_eps,
-                           loss_name=loss_name)
+    probs, preds = predict_by_law(net, g.features, final_sampler(cfg, scores), cfg.degs,
+                                  nodes, seed=args.seed, n_samples=args.samples,
+                                  batch_size=cfg.batch_size, loss_name=loss_name)
     write_predictions(out / "predictions.csv", nodes, probs, preds)
     print(f"wrote predictions for {nodes.size} nodes to {out / 'predictions.csv'}")
     return 0

@@ -31,8 +31,9 @@ from .attention import (ModelConfig, Network, TemperatureSchedule,
 from .errors import ContractError, DivergenceError, ShapeError
 from .graphs import TEST, TRAIN, VAL, AttentionPattern, Graph, atomic_path, write_json
 from .rngutil import TAG_DROPOUT, TAG_PREDICT, TAG_VAL, derive
-from .sampling import (SampleStats, plan_geometries, resample_epoch, sample_batch,
-                       save_scores_npz, uniform_scores, validate_scores)
+from .sampling import (SampleStats, SamplingLaw, plan_geometries, resample_epoch,
+                       sample_batch, sampling_law, save_scores_npz, uniform_scores,
+                       validate_scores)
 
 _DTYPES = {"float32": np.float32, "float64": np.float64}
 _LOSSES = ("auto", "ce", "bce", "multilabel")
@@ -388,16 +389,15 @@ def train_final(graph: Graph, scores: AttentionPattern, cfg: TrainConfig,
             loss_val = _step(opt, loss, epoch)
             return loss_val, evaluate(val_idx, epoch), 1.0
     else:
-        eff_scores, mode, k_prime = final_sampler(cfg, scores)
-        law = dict(mode=mode, k_prime=k_prime, tail_eps=cfg.tail_eps)
+        law = final_sampler(cfg, scores)
 
         def evaluate(nodes, epoch):
-            return _eval_sampled(net, x, eff_scores, cfg.degs, nodes, cfg.seed, epoch,
-                                 TAG_VAL, cfg.batch_size, loss_name=loss_name, **law)
+            return _eval_sampled(net, x, law, cfg.degs, nodes, cfg.seed, epoch,
+                                 TAG_VAL, cfg.batch_size, loss_name)
 
         def run_epoch(opt, epoch):
-            plans = resample_epoch(eff_scores, cfg.degs, train_idx, cfg.batch_size,
-                                   cfg.seed, epoch, stats=stats, **law)
+            plans = resample_epoch(law, cfg.degs, train_idx, cfg.batch_size,
+                                   cfg.seed, epoch, stats=stats)
             total_loss, total_rows = 0.0, 0
             for bi, plan in enumerate(plans):
                 rng = (derive(cfg.seed, TAG_DROPOUT, epoch, bi)
@@ -417,10 +417,10 @@ def train_final(graph: Graph, scores: AttentionPattern, cfg: TrainConfig,
         if cfg.full_graph:
             test_probs = evaluate(test_idx, 1)
         else:
-            test_probs, _ = predict(net, x, eff_scores, cfg.degs, test_idx,
-                                    seed=cfg.seed, n_samples=cfg.eval_samples,
-                                    batch_size=cfg.batch_size, loss_name=loss_name,
-                                    **law)
+            test_probs, _ = predict_by_law(net, x, law, cfg.degs, test_idx,
+                                           seed=cfg.seed, n_samples=cfg.eval_samples,
+                                           batch_size=cfg.batch_size,
+                                           loss_name=loss_name)
         test_m = metric_value(loss_name, cfg.metric, test_probs, labels[test_idx])
     if best_val == -np.inf and val_idx.size:
         best_val = metric_value(loss_name, cfg.metric, evaluate(val_idx, 1),
@@ -436,17 +436,19 @@ def train_final(graph: Graph, scores: AttentionPattern, cfg: TrainConfig,
                     "rows_sampled": stats.rows_sampled,
                     "uniform_fallbacks": stats.uniform_fallbacks,
                     "prefilter_truncated": stats.prefilter_truncated,
-                    "prefilter_kept_full": stats.prefilter_kept_full})
+                    "prefilter_kept_full": stats.prefilter_kept_full,
+                    "sampling_law": None if cfg.full_graph else law.summary()})
     return result
 
 
-def final_sampler(cfg: TrainConfig, scores: AttentionPattern):
-    """(scores, mode, k_prime) that a final run with ``cfg`` samples by.
+def final_sampler(cfg: TrainConfig, scores: AttentionPattern) -> SamplingLaw:
+    """The sampling law a final run with ``cfg`` draws by, built once.
 
     The uniform ablation samples uniform rows over the same support, the
     max ablation selects the top-deg scores instead of drawing, and
     otherwise the prefilter keeps the top 4*max(degs) scores of each row.
-    Training, evaluation and predicting from a finished run all use it.
+    A run's training plans, validation and test metric share one law;
+    ``sparsegt predict`` builds the same law from a finished run's config.
     """
     eff_scores = uniform_scores(scores) if cfg.ablation == "uniform" else scores
     mode = "top" if cfg.ablation == "max" else "sample"
@@ -454,11 +456,11 @@ def final_sampler(cfg: TrainConfig, scores: AttentionPattern):
     if (cfg.prefilter and mode == "sample" and cfg.ablation != "uniform"
             and not cfg.full_graph):
         k_prime = 4 * max(cfg.degs)
-    return eff_scores, mode, k_prime
+    return sampling_law(eff_scores, mode, k_prime, cfg.tail_eps)
 
 
-def _eval_sampled(net, x, scores, degs, nodes, seed, epoch, tag, batch_size,
-                  mode, k_prime, tail_eps, loss_name) -> np.ndarray:
+def _eval_sampled(net, x, law, degs, nodes, seed, epoch, tag, batch_size,
+                  loss_name) -> np.ndarray:
     """Eval-mode probabilities for ``nodes`` under one sampled pattern.
 
     One plan is drawn over the distinct nodes, sorted, on stream ``tag``
@@ -473,8 +475,7 @@ def _eval_sampled(net, x, scores, degs, nodes, seed, epoch, tag, batch_size,
     if not nodes.size:
         return _probs_from_logits(loss_name, np.empty((0, net.cfg.out_dim)))
     distinct, at = np.unique(nodes, return_inverse=True)
-    plan = sample_batch(distinct, scores, degs, seed, epoch, batch_index=0, mode=mode,
-                        k_prime=k_prime, tail_eps=tail_eps, tag=tag)
+    plan = sample_batch(distinct, law, degs, seed, epoch, batch_index=0, tag=tag)
     with nm.no_grad():
         logits, _ = net.forward(x[plan.input_nodes], plan_geometries(plan), tau=1.0,
                                 training=False,
@@ -488,6 +489,22 @@ def predict(net: Network, features: np.ndarray, scores: AttentionPattern, degs,
             tail_eps: float = 0.05, loss_name: str = "ce"):
     """Average class probabilities over freshly sampled patterns.
 
+    ``scores`` must pass ``validate_scores``; ``mode``, ``k_prime`` and
+    ``tail_eps`` name the law drawn by (see ``sampling_law``), built once
+    per call and shared by all ``n_samples`` draws.  The rest is
+    ``predict_by_law``.
+    """
+    validate_scores(scores)
+    return predict_by_law(net, features, sampling_law(scores, mode, k_prime, tail_eps),
+                          degs, nodes, seed=seed, n_samples=n_samples,
+                          batch_size=batch_size, loss_name=loss_name)
+
+
+def predict_by_law(net: Network, features: np.ndarray, law: SamplingLaw, degs, nodes,
+                   seed: int = 0, n_samples: int = 1, batch_size: int = 256,
+                   loss_name: str = "ce"):
+    """Average class probabilities over patterns freshly drawn by ``law``.
+
     Sample ``s`` uses epoch key ``s`` on the prediction stream, so the
     averaged patterns are disjoint draws yet the whole call is
     reproducible.  Each sample draws every node's rows once, over the
@@ -496,19 +513,18 @@ def predict(net: Network, features: np.ndarray, scores: AttentionPattern, degs,
     slice, at ``batch_size * prod(1 + deg)``, and does not change the
     draw.  A node outside [0, n) is an IndexError.
     Returns (probabilities, predicted labels); empty ``nodes`` give empty
-    arrays of the same layout.  ``scores`` must pass ``validate_scores``.
+    arrays of the same layout.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
     if n_samples < 1:
         raise ContractError("n_samples must be positive")
     if batch_size < 1:
         raise ContractError(f"batch_size must be positive, got {batch_size}")
-    validate_scores(scores)
     x = np.asarray(features, dtype=net.cfg.dtype)
-    if x.shape[0] != scores.n:
-        raise ShapeError(f"{x.shape[0]} feature rows for scores on {scores.n} nodes")
-    probs = sum(_eval_sampled(net, x, scores, degs, nodes, seed, s, TAG_PREDICT,
-                              batch_size, mode, k_prime, tail_eps, loss_name)
+    if x.shape[0] != law.n:
+        raise ShapeError(f"{x.shape[0]} feature rows for scores on {law.n} nodes")
+    probs = sum(_eval_sampled(net, x, law, degs, nodes, seed, s, TAG_PREDICT,
+                              batch_size, loss_name)
                 for s in range(1, n_samples + 1)) / n_samples
     return probs, predicted_labels(loss_name, probs)
 

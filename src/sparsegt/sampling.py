@@ -9,13 +9,21 @@ one vectorizable pass.  There is one sampler, ``draw_rows``, and it
 selects in many rows at once; training, validation and prediction all
 draw through it, and a single row is a draw over one node.
 
+The law: everything a draw needs that the scores alone decide is
+prepared once by ``sampling_law`` -- each row's top-k' prefilter (kept
+entries as CSR, each with its slot in the full score row) and each kept
+entry's race offset -log(a).  A draw then only hashes uniforms and
+ranks log(-log u) + offset within the rows longer than their budget.
+A final run builds one ``SamplingLaw`` and its training plans,
+validation and test metric all read it.
+
 Assembling a batch: starting from the loss nodes (seeds), walk the
 layers top-down; each layer's queries are the node set the layer above
 needs, each query samples deg_l keys from its score row, and the union
 becomes the support the layer below must produce.  Each layer's drawn
 keys come out as a CSR edge list over its queries, which the attention op
-runs on.  A layer's query rows are gathered, prefiltered and drawn in one
-vectorized pass; each score entry's uniform is the counter-based hash
+runs on.  A layer's query rows are gathered from the law and drawn in
+one vectorized pass; each score entry's uniform is the counter-based hash
 ``rngutil.counter_uniform`` of (seed, tag, epoch, batch, layer, node, CSR
 slot), so plans are reproducible no matter how rows are visited, and a
 node that queries two layers draws independently in each.
@@ -132,7 +140,7 @@ def load_scores_npz(path) -> AttentionPattern:
 
 
 # ---------------------------------------------------------------------------
-# Reservoir sampling
+# Sampling laws
 #
 # Rows are processed in bulk, laid end to end as (row id, slot) pairs with
 # row ids ascending; one segment-wise sort then selects in every row.
@@ -174,37 +182,117 @@ def _top_per_row(row, slot, k: int, key) -> np.ndarray:
 _NEVER = 2048.0
 
 
-def _reservoir_select(row, slot, k: int, w, u) -> np.ndarray:
-    """Efraimidis-Spirakis selection in every row, as exponential races.
+@dataclass(frozen=True)
+class LawLayer:
+    """What one score layer's draws need, prepared once.
 
-    Entry i finishes at E_i / w_i with E_i = -log(u_i) ~ Exp(1), and the
-    first k finishers win: the same order as the keys log(u_i)/w_i,
-    largest first.  Times are compared in log space so that no score
-    overflows them.  A zero score never finishes: it lands after every
-    positive one and completes k only when positives run out, in the
-    order of its own E, i.e. uniformly, so an all-zero row becomes a
-    uniform draw.  Rows of at most k entries are kept whole.
+    The entries a draw can select (the prefilter's kept set) as CSR over
+    all n rows: ``row_ptr``, ``col_idx`` and ``edge_type``.  ``slot`` is
+    each kept entry's position in its full score row, the counter of its
+    uniform.  ``offset`` is its race offset: ``-log w``, or ``_NEVER`` for
+    a zero score, in sample mode, and ``-w`` in top mode.  Per row:
+    ``kept_full`` (the prefilter refused to truncate), ``truncated`` and
+    ``no_positive`` (a nonempty row without a positive kept score).
+    ``entries_total`` counts the score layer's entries.
     """
-    log_e = np.log(-np.log(u))
+
+    row_ptr: np.ndarray
+    col_idx: np.ndarray
+    edge_type: np.ndarray
+    slot: np.ndarray
+    offset: np.ndarray
+    kept_full: np.ndarray
+    truncated: np.ndarray
+    no_positive: np.ndarray
+    entries_total: int
+
+
+@dataclass(frozen=True)
+class SamplingLaw:
+    """The law every draw of a run reads: ``mode`` and one ``LawLayer``
+    per score layer, over ``n`` nodes.  Built by ``sampling_law``."""
+
+    n: int
+    mode: str
+    layers: tuple
+
+    @property
+    def num_layers(self) -> int:
+        return len(self.layers)
+
+    def summary(self) -> list:
+        """Per layer: rows truncated, rows kept full and rows without a
+        positive score, and the entries kept against the score set's."""
+        return [{"layer": li,
+                 "rows_truncated": int(np.count_nonzero(ll.truncated)),
+                 "rows_kept_full": int(np.count_nonzero(ll.kept_full)),
+                 "rows_no_positive": int(np.count_nonzero(ll.no_positive)),
+                 "entries_kept": int(ll.row_ptr[-1]),
+                 "entries_total": ll.entries_total}
+                for li, ll in enumerate(self.layers, start=1)]
+
+
+def sampling_law(scores: AttentionPattern, mode: str = "sample",
+                 k_prime: int | None = None, tail_eps: float = 0.05) -> SamplingLaw:
+    """Everything a draw from ``scores`` needs that depends on the scores
+    alone, computed once: the top-k' prefilter and the race offsets.
+
+    ``mode="top"`` makes every draw a deterministic top-deg selection (the
+    max-selection ablation) and ignores ``k_prime``.  In sample mode
+    ``k_prime`` keeps the k' largest scores of each longer row, ties to
+    the lower slot, unless that would drop more than ``tail_eps`` of the
+    row's mass, in which case the row is kept whole.  A bad mode, a
+    nonpositive ``k_prime``, a layer without values and a negative or
+    non-finite score are ContractErrors.
+    """
+    if mode not in ("sample", "top"):
+        raise ContractError(f"unknown mode {mode!r}")
+    if k_prime is not None and k_prime <= 0:
+        raise ContractError(f"k_prime must be positive, got {k_prime}")
+    for li, layer in enumerate(scores.layers, start=1):
+        if layer.values is None:
+            raise ContractError("the pattern carries no score values")
+        if not np.isfinite(layer.values).all():
+            raise ContractError(f"layer {li}: non-finite score")
+        if layer.values.size and layer.values.min() < 0:
+            raise ContractError(f"layer {li}: negative score")
+    prefilter = k_prime if mode == "sample" else None
+    return SamplingLaw(n=scores.n, mode=mode, layers=tuple(
+        _law_layer(layer, mode, prefilter, tail_eps) for layer in scores.layers))
+
+
+def _law_layer(layer: PatternLayer, mode: str, k_prime, tail_eps: float) -> LawLayer:
+    lengths = np.diff(layer.row_ptr)
+    n = lengths.size
+    row, slot = _segments(lengths)
+    w = layer.values
+    keep = np.ones(row.size, dtype=bool)
+    kept_full, truncated = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    if k_prime is not None:
+        # only rows longer than k' can lose entries: rank just those
+        long_row = lengths > k_prime
+        ranked = long_row[row]
+        keep[ranked] = _top_per_row(row[ranked], slot[ranked], k_prime, -w[ranked])
+        total = np.bincount(row, weights=w, minlength=n)
+        kept = np.bincount(row, weights=np.where(keep, w, 0.0), minlength=n)
+        kept_full = long_row & (total > 0) & (total - kept > tail_eps * total)
+        truncated = long_row & ~kept_full
+        keep |= kept_full[row]
+    row, w = row[keep], w[keep]
     positive = w > 0
-    finish = np.where(positive, log_e - np.log(np.where(positive, w, 1.0)),
-                      _NEVER + log_e)
-    return _top_per_row(row, slot, k, finish)
-
-
-def _prefilter(row, slot, lengths, w, k_prime: int, tail_eps: float):
-    """Top-k' truncation of every row at once, ties to the lower index.
-
-    Returns the mask of entries to keep and two per-row flags: truncation
-    refused because it would drop more than ``tail_eps`` of the row's mass
-    (the row is kept whole), and truncation applied.
-    """
-    keep = _top_per_row(row, slot, k_prime, -w)
-    total = np.bincount(row, weights=w, minlength=lengths.size)
-    kept = np.bincount(row, weights=np.where(keep, w, 0.0), minlength=lengths.size)
-    long_row = lengths > k_prime
-    kept_full = long_row & (total > 0) & (total - kept > tail_eps * total)
-    return keep | kept_full[row], kept_full, long_row & ~kept_full
+    if mode == "top":
+        offset = -w
+    else:
+        offset = np.where(positive, -np.log(np.where(positive, w, 1.0)), _NEVER)
+    kept_lengths = np.bincount(row, minlength=n)
+    return LawLayer(
+        row_ptr=np.concatenate(([0], np.cumsum(kept_lengths))),
+        col_idx=layer.col_idx[keep], edge_type=layer.edge_type[keep],
+        slot=slot[keep], offset=offset,
+        kept_full=kept_full, truncated=truncated,
+        no_positive=(kept_lengths > 0) & (np.bincount(row, weights=positive,
+                                                      minlength=n) == 0),
+        entries_total=int(lengths.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +342,9 @@ class DrawnLayer:
     types: np.ndarray
 
 
-def sample_batch(seeds, scores: AttentionPattern, degs, seed: int, epoch: int,
-                 batch_index: int = 0, mode: str = "sample",
-                 k_prime: int | None = None, tail_eps: float = 0.05,
-                 stats: SampleStats | None = None, tag: int = TAG_SAMPLE) -> BatchPlan:
+def sample_batch(seeds, law: SamplingLaw, degs, seed: int, epoch: int,
+                 batch_index: int = 0, stats: SampleStats | None = None,
+                 tag: int = TAG_SAMPLE) -> BatchPlan:
     """Top-down support construction for one seed batch: the rows
     ``draw_rows(seeds, ...)`` draws, indexed into a plan.  The seeds keep
     their order as the last layer's queries.
@@ -265,52 +352,43 @@ def sample_batch(seeds, scores: AttentionPattern, degs, seed: int, epoch: int,
     if stats is None:
         stats = SampleStats()
     seeds = np.asarray(seeds, dtype=np.int64)
-    drawn = draw_rows(seeds, scores, degs, seed, epoch, batch_index, mode=mode,
-                      k_prime=k_prime, tail_eps=tail_eps, stats=stats, tag=tag)
+    drawn = draw_rows(seeds, law, degs, seed, epoch, batch_index, stats=stats, tag=tag)
     return _plan(seeds, drawn, stats)
 
 
-def draw_rows(nodes, scores: AttentionPattern, degs, seed: int, epoch: int,
-              batch_index: int = 0, mode: str = "sample",
-              k_prime: int | None = None, tail_eps: float = 0.05,
-              stats: SampleStats | None = None,
+def draw_rows(nodes, law: SamplingLaw, degs, seed: int, epoch: int,
+              batch_index: int = 0, stats: SampleStats | None = None,
               tag: int = TAG_SAMPLE) -> tuple[DrawnLayer, ...]:
-    """The rows ``nodes`` reach, drawn top-down; returns the layers top-down
-    (the first is the last layer, whose queries are ``nodes``).
+    """The rows ``nodes`` reach, drawn top-down by ``law``; returns the
+    layers top-down (the first is the last layer, whose queries are
+    ``nodes``).
 
     Walking layers L..1: queries are what the layer above needs, each
-    query draws deg_l keys from its score row, and query+key union is the
-    support the layer below must produce.  ``mode="top"`` replaces the
-    draw with a deterministic top-deg selection (the max-selection
-    ablation).  ``k_prime`` enables score prefiltering before sampling.
-    ``tag`` namespaces the random streams so training, validation and
-    prediction plans never share draws.  A node outside [0, n) is an
-    IndexError, raised before anything is drawn.
+    query draws deg_l keys from its row of the law, and query+key union is
+    the support the layer below must produce.  ``tag`` namespaces the
+    random streams so training, validation and prediction plans never
+    share draws.  A node outside [0, n) is an IndexError, raised before
+    anything is drawn.
     """
+    if not isinstance(law, SamplingLaw):
+        raise ContractError("draws read a SamplingLaw; build one with sampling_law")
     nodes = _seed_array(nodes)
-    outside = nodes[(nodes < 0) | (nodes >= scores.n)]
+    outside = nodes[(nodes < 0) | (nodes >= law.n)]
     if outside.size:
-        raise IndexError(f"node {outside[0]} outside [0, {scores.n})")
+        raise IndexError(f"node {outside[0]} outside [0, {law.n})")
     degs = tuple(int(d) for d in degs)
-    if len(degs) != scores.num_layers:
-        raise ShapeError(f"{len(degs)} degree budgets for {scores.num_layers} layers")
+    if len(degs) != law.num_layers:
+        raise ShapeError(f"{len(degs)} degree budgets for {law.num_layers} layers")
     if any(d < 1 for d in degs):
         raise ContractError("degree budgets must be positive")
-    if mode not in ("sample", "top"):
-        raise ContractError(f"unknown mode {mode!r}")
-    if mode == "sample" and k_prime is not None and k_prime <= 0:
-        raise ContractError(f"k_prime must be positive, got {k_prime}")
-    if any(layer.values is None for layer in scores.layers):
-        raise ContractError("the pattern carries no score values")
     if stats is None:
         stats = SampleStats()
 
     drawn = []
     q_nodes = nodes
-    for li in range(scores.num_layers - 1, -1, -1):
-        row_ptr, cols, types = _sample_layer(scores.layers[li], q_nodes, degs[li], mode,
-                                             k_prime, tail_eps, stats,
-                                             (seed, tag, epoch, batch_index, li))
+    for li in range(law.num_layers - 1, -1, -1):
+        row_ptr, cols, types = _draw_layer(law.layers[li], law.mode, q_nodes, degs[li],
+                                           stats, (seed, tag, epoch, batch_index, li))
         v_nodes = sorted_union(q_nodes, cols)
         drawn.append(DrawnLayer(q_nodes, v_nodes, row_ptr, cols, types))
         q_nodes = v_nodes
@@ -329,61 +407,67 @@ def _seed_array(seeds) -> np.ndarray:
 def _plan(seeds, drawn, stats: SampleStats) -> BatchPlan:
     """The plan whose layers are ``drawn`` (top-down, the first one's
     queries being ``seeds``), with each layer's keys and queries indexed
-    into its input rows."""
-    num_layers = len(drawn)
+    into its input rows.
+
+    Each layer's input rows hold the layer above's, so one index map,
+    rewritten layer by layer top-down, serves every lookup: a layer's
+    seeds are looked up in its queries, the inputs of the layer above,
+    before the map takes the layer's own inputs.
+    """
+    local = np.empty(drawn[-1].v_nodes[-1] + 1, dtype=np.int64)
+    stats_rows = np.arange(seeds.size, dtype=np.int64)
     layers = []
-    for li, d in enumerate(reversed(drawn)):
-        stats_local = (np.searchsorted(d.q_nodes, seeds) if li < num_layers - 1
-                       else np.arange(seeds.size))
-        geom = LayerGeometry(query_rows=np.searchsorted(d.v_nodes, d.q_nodes),
-                             row_ptr=d.row_ptr,
-                             col_idx=np.searchsorted(d.v_nodes, d.cols),
-                             edge_type=d.types, stats_rows=stats_local.astype(np.int64))
+    for d in drawn:
+        if layers:
+            stats_rows = local[seeds]
+        local[d.v_nodes] = np.arange(d.v_nodes.size)
+        geom = LayerGeometry(query_rows=local[d.q_nodes], row_ptr=d.row_ptr,
+                             col_idx=local[d.cols], edge_type=d.types,
+                             stats_rows=stats_rows)
         layers.append(PlanLayer(q_nodes=d.q_nodes, v_nodes=d.v_nodes, geometry=geom))
-    return BatchPlan(seeds=seeds, layers=tuple(layers), stats=stats)
+    return BatchPlan(seeds=seeds, layers=tuple(reversed(layers)), stats=stats)
 
 
-def _sample_layer(layer: PatternLayer, q_nodes, deg: int, mode: str, k_prime,
-                  tail_eps: float, stats: SampleStats, keys):
+def _draw_layer(ll: LawLayer, mode: str, q_nodes, deg: int, stats: SampleStats, keys):
     """The keys one layer's queries draw, as a CSR edge list over the
     queries: (row_ptr, global columns, edge types).
 
-    Every query row is gathered, prefiltered and selected in one pass.
-    The uniforms come from ``counter_uniform(keys, node, slot)``, ``slot``
-    being the entry's position in the node's full CSR row, so a row draws
-    the same keys whichever batch it is drawn in.  Top mode and rows that
-    fit the budget draw nothing.
+    A row of at most ``deg`` kept entries is taken whole.  The others race
+    in one pass (Efraimidis-Spirakis as exponential races): entry i
+    finishes at log(E_i) + offset_i with E_i = -log(u_i) ~ Exp(1), and the
+    first ``deg`` finishers win, the order of the keys log(u_i)/w_i,
+    largest first.  A zero score never finishes: it lands after every
+    positive one and completes ``deg`` only when positives run out, in
+    the order of its own E, i.e. uniformly, so an all-zero row becomes a
+    uniform draw.  In top mode the offsets alone decide.  The uniforms
+    come from ``counter_uniform(keys, node, slot)``, ``slot`` being the
+    entry's position in the node's full score row, so a row draws the
+    same keys whichever batch it is drawn in.
     """
-    nq = q_nodes.size
-    lo = layer.row_ptr[q_nodes]
-    lengths = layer.row_ptr[q_nodes + 1] - lo
+    lo = ll.row_ptr[q_nodes]
+    lengths = ll.row_ptr[q_nodes + 1] - lo
     if not lengths.all():
         raise ContractError(f"node {q_nodes[np.argmin(lengths)]} has an empty score row")
+    racing = lengths > deg
+    stats.rows_sampled += q_nodes.size
+    stats.prefilter_kept_full += int(np.count_nonzero(ll.kept_full[q_nodes]))
+    stats.prefilter_truncated += int(np.count_nonzero(ll.truncated[q_nodes]))
+    if mode == "sample":
+        stats.uniform_fallbacks += int(np.count_nonzero(racing & ll.no_positive[q_nodes]))
     row, slot = _segments(lengths)
     pos = lo[row] + slot
-    w = layer.values[pos]
-    if w.size and w.min() < 0:
-        raise ContractError("negative score")
-    stats.rows_sampled += nq
-    if mode == "top":
-        take = _top_per_row(row, slot, deg, -w)
-    else:
-        csr_slot = slot
-        if k_prime is not None:
-            keep, kept_full, truncated = _prefilter(row, slot, lengths, w,
-                                                    k_prime, tail_eps)
-            stats.prefilter_kept_full += int(kept_full.sum())
-            stats.prefilter_truncated += int(truncated.sum())
-            row, csr_slot, pos, w = row[keep], slot[keep], pos[keep], w[keep]
-            lengths = np.bincount(row, minlength=nq)
-            _, slot = _segments(lengths)
-        positives = np.bincount(row, weights=w > 0, minlength=nq)
-        stats.uniform_fallbacks += int(((lengths > deg) & (positives == 0)).sum())
-        u = counter_uniform(keys, q_nodes[row], csr_slot)
-        take = _reservoir_select(row, slot, deg, w, u)
-
+    race = racing[row]
+    if race.any():
+        row, slot, at = row[race], slot[race], pos[race]
+        finish = ll.offset[at]
+        if mode == "sample":
+            u = counter_uniform(keys, q_nodes[row], ll.slot[at])
+            finish = np.log(-np.log(u)) + finish
+        take = np.ones(pos.size, dtype=bool)
+        take[race] = _top_per_row(row, slot, deg, finish)
+        pos = pos[take]
     row_ptr = np.concatenate(([0], np.cumsum(np.minimum(lengths, deg))))
-    return row_ptr, layer.col_idx[pos[take]], layer.edge_type[pos[take]]
+    return row_ptr, ll.col_idx[pos], ll.edge_type[pos]
 
 
 def plan_geometries(plan: BatchPlan) -> list[LayerGeometry]:
@@ -391,10 +475,8 @@ def plan_geometries(plan: BatchPlan) -> list[LayerGeometry]:
     return [pl.geometry for pl in plan.layers]
 
 
-def resample_epoch(scores: AttentionPattern, degs, train_nodes, batch_size: int,
-                   seed: int, epoch: int, mode: str = "sample",
-                   k_prime: int | None = None, tail_eps: float = 0.05,
-                   stats: SampleStats | None = None) -> list:
+def resample_epoch(law: SamplingLaw, degs, train_nodes, batch_size: int,
+                   seed: int, epoch: int, stats: SampleStats | None = None) -> list:
     """Fresh plans covering ``train_nodes`` once, in shuffled order.
 
     Deterministic in (seed, epoch): the shuffle and every per-query draw
@@ -408,7 +490,5 @@ def resample_epoch(scores: AttentionPattern, degs, train_nodes, batch_size: int,
     plans = []
     for bi, start in enumerate(range(0, shuffled.size, batch_size)):
         chunk = shuffled[start:start + batch_size]
-        plans.append(sample_batch(chunk, scores, degs, seed, epoch, bi,
-                                  mode=mode, k_prime=k_prime, tail_eps=tail_eps,
-                                  stats=stats))
+        plans.append(sample_batch(chunk, law, degs, seed, epoch, bi, stats=stats))
     return plans

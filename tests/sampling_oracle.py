@@ -9,6 +9,13 @@ Plans that involve no randomness, and every prefilter decision, must
 match the batched sampler exactly; sampled plans follow the same law
 from different draws.
 
+``sample_batch_per_draw`` is ``sparsegt.sampling.sample_batch`` as it was
+before draws read a prepared ``SamplingLaw``: every draw gathers its query
+rows from the score set, prefilters them (``_prefilter``), and races them
+with ``log(-log u) - log w`` (``_reservoir_select``), and the plan looks
+its rows up with ``np.searchsorted``.  Plans and ``SampleStats`` drawn
+through a law must equal it bit for bit.
+
 ``identical_rows`` and ``draw_many`` are the sampling-law fixture: a
 score set of N copies of one row, so that one ``draw_rows`` call returns
 N samples of that row from the library's own stream.  Each uniform is
@@ -27,11 +34,12 @@ import numpy as np
 from sparsegt import numerics as nm
 from sparsegt.attention import LayerGeometry
 from sparsegt.errors import ContractError, ShapeError
-from sparsegt.graphs import AttentionPattern, EdgeType, PatternLayer
+from sparsegt.graphs import AttentionPattern, EdgeType, PatternLayer, sorted_union
 from sparsegt.pipeline import _probs_from_logits
-from sparsegt.rngutil import TAG_PREDICT, TAG_SAMPLE, derive
-from sparsegt.sampling import (BatchPlan, PlanLayer, SampleStats, draw_rows,
-                               plan_geometries, sample_batch)
+from sparsegt.rngutil import TAG_PREDICT, TAG_SAMPLE, counter_uniform, derive
+from sparsegt.sampling import (_NEVER, BatchPlan, PlanLayer, SampleStats, _segments,
+                               _top_per_row, draw_rows, plan_geometries, sample_batch,
+                               sampling_law)
 
 
 def reservoir_sample_loop(scores, k: int, rng: np.random.Generator,
@@ -90,8 +98,8 @@ def draw_many(weights, k: int, draws: int, seed: int, epoch: int = 0,
     """(draws, min(k, row size)) column indices: one ``draw_rows`` call
     over ``identical_rows(weights, draws)``, row i being node i's draw,
     ascending."""
-    (layer,) = draw_rows(np.arange(draws), identical_rows(weights, draws), (k,),
-                         seed, epoch, stats=stats)
+    (layer,) = draw_rows(np.arange(draws), sampling_law(identical_rows(weights, draws)),
+                         (k,), seed, epoch, stats=stats)
     return layer.cols.reshape(draws, -1)
 
 
@@ -205,14 +213,13 @@ def _top_indices(vals: np.ndarray, deg: int) -> np.ndarray:
     return np.sort(order[:deg]).astype(np.int64)
 
 
-def _eval_per_chunk(net, x, scores, degs, nodes, seed, epoch, tag, batch_size,
-                    mode, k_prime, tail_eps, loss_name) -> np.ndarray:
+def _eval_per_chunk(net, x, law, degs, nodes, seed, epoch, tag, batch_size,
+                    loss_name) -> np.ndarray:
     out = [np.empty((0, net.cfg.out_dim), dtype=net.cfg.dtype)]
     with nm.no_grad():
         for start in range(0, nodes.size, batch_size):
-            plan = sample_batch(nodes[start:start + batch_size], scores, degs, seed,
-                                epoch, batch_index=0, mode=mode, k_prime=k_prime,
-                                tail_eps=tail_eps, tag=tag)
+            plan = sample_batch(nodes[start:start + batch_size], law, degs, seed,
+                                epoch, batch_index=0, tag=tag)
             logits, _ = net.forward(x[plan.input_nodes], plan_geometries(plan),
                                     tau=1.0, training=False)
             out.append(logits.data)
@@ -228,6 +235,102 @@ def predict_per_chunk(net, features, scores: AttentionPattern, degs, nodes,
     prediction stream."""
     nodes = np.asarray(nodes, dtype=np.int64)
     x = np.asarray(features, dtype=net.cfg.dtype)
-    return sum(_eval_per_chunk(net, x, scores, degs, nodes, seed, s, TAG_PREDICT,
-                               batch_size, mode, k_prime, tail_eps, loss_name)
+    law = sampling_law(scores, mode, k_prime, tail_eps)
+    return sum(_eval_per_chunk(net, x, law, degs, nodes, seed, s, TAG_PREDICT,
+                               batch_size, loss_name)
                for s in range(1, n_samples + 1)) / n_samples
+
+
+# ---------------------------------------------------------------------------
+# The per-draw sampler: every draw prefilters and weighs its rows afresh
+
+
+def _reservoir_select(row, slot, k: int, w, u) -> np.ndarray:
+    """Efraimidis-Spirakis selection in every row, as exponential races
+    in log space; a zero score never finishes, so an all-zero row becomes
+    a uniform draw."""
+    log_e = np.log(-np.log(u))
+    positive = w > 0
+    finish = np.where(positive, log_e - np.log(np.where(positive, w, 1.0)),
+                      _NEVER + log_e)
+    return _top_per_row(row, slot, k, finish)
+
+
+def _prefilter(row, slot, lengths, w, k_prime: int, tail_eps: float):
+    """Top-k' truncation of every row at once, ties to the lower index.
+
+    Returns the mask of entries to keep and two per-row flags: truncation
+    refused because it would drop more than ``tail_eps`` of the row's mass
+    (the row is kept whole), and truncation applied.
+    """
+    keep = _top_per_row(row, slot, k_prime, -w)
+    total = np.bincount(row, weights=w, minlength=lengths.size)
+    kept = np.bincount(row, weights=np.where(keep, w, 0.0), minlength=lengths.size)
+    long_row = lengths > k_prime
+    kept_full = long_row & (total > 0) & (total - kept > tail_eps * total)
+    return keep | kept_full[row], kept_full, long_row & ~kept_full
+
+
+def _sample_layer(layer: PatternLayer, q_nodes, deg: int, mode: str, k_prime,
+                  tail_eps: float, stats: SampleStats, keys):
+    """(row_ptr, global columns, edge types) one layer's queries draw."""
+    nq = q_nodes.size
+    lo = layer.row_ptr[q_nodes]
+    lengths = layer.row_ptr[q_nodes + 1] - lo
+    if not lengths.all():
+        raise ContractError(f"node {q_nodes[np.argmin(lengths)]} has an empty score row")
+    row, slot = _segments(lengths)
+    pos = lo[row] + slot
+    w = layer.values[pos]
+    if w.size and w.min() < 0:
+        raise ContractError("negative score")
+    stats.rows_sampled += nq
+    if mode == "top":
+        take = _top_per_row(row, slot, deg, -w)
+    else:
+        csr_slot = slot
+        if k_prime is not None:
+            keep, kept_full, truncated = _prefilter(row, slot, lengths, w,
+                                                    k_prime, tail_eps)
+            stats.prefilter_kept_full += int(kept_full.sum())
+            stats.prefilter_truncated += int(truncated.sum())
+            row, csr_slot, pos, w = row[keep], slot[keep], pos[keep], w[keep]
+            lengths = np.bincount(row, minlength=nq)
+            _, slot = _segments(lengths)
+        positives = np.bincount(row, weights=w > 0, minlength=nq)
+        stats.uniform_fallbacks += int(((lengths > deg) & (positives == 0)).sum())
+        u = counter_uniform(keys, q_nodes[row], csr_slot)
+        take = _reservoir_select(row, slot, deg, w, u)
+
+    row_ptr = np.concatenate(([0], np.cumsum(np.minimum(lengths, deg))))
+    return row_ptr, layer.col_idx[pos[take]], layer.edge_type[pos[take]]
+
+
+def sample_batch_per_draw(seeds, scores: AttentionPattern, degs, seed: int, epoch: int,
+                          batch_index: int = 0, mode: str = "sample",
+                          k_prime: int | None = None, tail_eps: float = 0.05,
+                          stats: SampleStats | None = None,
+                          tag: int = TAG_SAMPLE) -> BatchPlan:
+    """One seed batch's plan, each layer gathered, prefiltered and drawn
+    straight from ``scores``."""
+    if stats is None:
+        stats = SampleStats()
+    seeds = np.asarray(seeds, dtype=np.int64)
+    drawn = []
+    q_nodes = seeds
+    for li in range(scores.num_layers - 1, -1, -1):
+        row_ptr, cols, types = _sample_layer(scores.layers[li], q_nodes, int(degs[li]),
+                                             mode, k_prime, tail_eps, stats,
+                                             (seed, tag, epoch, batch_index, li))
+        v_nodes = sorted_union(q_nodes, cols)
+        drawn.append((q_nodes, v_nodes, row_ptr, cols, types))
+        q_nodes = v_nodes
+    layers = []
+    for li, (q, v, row_ptr, cols, types) in enumerate(reversed(drawn)):
+        stats_local = (np.searchsorted(q, seeds) if li < len(drawn) - 1
+                       else np.arange(seeds.size))
+        geom = LayerGeometry(query_rows=np.searchsorted(v, q), row_ptr=row_ptr,
+                             col_idx=np.searchsorted(v, cols), edge_type=types,
+                             stats_rows=stats_local.astype(np.int64))
+        layers.append(PlanLayer(q_nodes=q, v_nodes=v, geometry=geom))
+    return BatchPlan(seeds=seeds, layers=tuple(layers), stats=stats)

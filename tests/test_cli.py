@@ -169,7 +169,8 @@ class TestWorkflow:
                      "--out", fin, "--width", "8", "--epochs", "4", "--degs",
                      "1,1", "--batch-size", "16", "--seed", "3"]) == 0
         with open(fin + "/metrics.json") as fh:
-            assert json.load(fh)["prefilter_truncated"] > 0
+            metrics = json.load(fh)
+        assert metrics["prefilter_truncated"] > 0
         assert main(["predict", "--data", ws["data"], "--scores", sharp,
                      "--run", fin, "--out", pred, "--nodes", "all",
                      "--samples", "2", "--seed", "5"]) == 0
@@ -179,12 +180,13 @@ class TestWorkflow:
                                     if k != "role"})
         net, loss_name = build_network(g, cfg, "final")
         net.load_state_dict(load_checkpoint(fin + "/ckpt/final.ckpt"))
-        eff_scores, mode, k_prime = final_sampler(cfg, load_scores_npz(sharp))
-        assert k_prime == 4
-        probs, _ = predict(net, g.features, eff_scores, cfg.degs, np.arange(g.n),
-                           seed=5, n_samples=2, batch_size=cfg.batch_size,
-                           mode=mode, k_prime=k_prime, tail_eps=cfg.tail_eps,
-                           loss_name=loss_name)
+        law = final_sampler(cfg, load_scores_npz(sharp))
+        assert metrics["sampling_law"] == law.summary()
+        assert law.summary()[0]["rows_truncated"] > 0
+        probs, _ = predict(net, g.features, load_scores_npz(sharp), cfg.degs,
+                           np.arange(g.n), seed=5, n_samples=2,
+                           batch_size=cfg.batch_size, k_prime=4,
+                           tail_eps=cfg.tail_eps, loss_name=loss_name)
         with open(pred + "/predictions.csv") as fh:
             written = [line.split(",")[2] for line in fh.read().splitlines()[1:]]
         assert written == [f"{p:.6g}" for p in probs]

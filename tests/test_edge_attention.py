@@ -22,7 +22,7 @@ from sparsegt.attention import (LayerGeometry, LayerParams, ModelConfig, Network
 from sparsegt.errors import ContractError
 from sparsegt.graphs import AttentionPattern, PatternLayer
 from sparsegt.rngutil import derive
-from sparsegt.sampling import plan_geometries, sample_batch
+from sparsegt.sampling import plan_geometries, sample_batch, sampling_law
 
 ORACLE_TOL = 1e-12
 
@@ -59,7 +59,7 @@ def _case(role, heads, key):
     else:
         scores = AttentionPattern(n=n, layers=tuple(_scored(rng, pl) for pl in layers))
         seeds = rng.choice(n, size=9, replace=False)
-        plan = sample_batch(seeds, scores, (3, 4), seed=key, epoch=1)
+        plan = sample_batch(seeds, sampling_law(scores), (3, 4), seed=key, epoch=1)
         geoms = plan_geometries(plan)
         rows = plan.input_nodes.size
         cfg = dict(norm="batch", normalize_values=False, dropout=0.2)

@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sparsegt import attention
+from sparsegt import attention, pipeline
 from sparsegt.attention import (TemperatureSchedule, pattern_geometry,
                                 temperature_at)
 from sparsegt.analysis import write_profile_csv
@@ -31,8 +31,8 @@ from sparsegt.pipeline import (TrainConfig, config_from_dict, config_to_dict,
                                save_history_csv, train_estimator, train_final,
                                write_json)
 from sparsegt.rngutil import TAG_PREDICT, derive
-from sparsegt.sampling import (load_scores_npz, sample_batch, save_scores_npz,
-                               uniform_scores, validate_scores)
+from sparsegt.sampling import (load_scores_npz, sample_batch, sampling_law,
+                               save_scores_npz, uniform_scores, validate_scores)
 from adamw_oracle import adamw_loop_step
 from sampling_oracle import predict_per_chunk
 
@@ -483,7 +483,7 @@ class TestPredict:
         nodes = np.concatenate((derive(5, 2).permutation(g.n)[:12], [7, 7]))
         predict(net, g.features, scores, (3, 3), nodes, seed=4, batch_size=batch_size,
                 loss_name=res.loss_name)
-        plan = sample_batch(np.unique(nodes), scores, (3, 3), seed=4, epoch=1,
+        plan = sample_batch(np.unique(nodes), sampling_law(scores), (3, 3), seed=4, epoch=1,
                             tag=TAG_PREDICT)
         assert queries == [pl.q_nodes.size for pl in plan.layers]
         assert queries[0] > queries[1] == np.unique(nodes).size
@@ -500,7 +500,8 @@ class TestPredict:
             predict(res.network, g.features, _toy_scores(), (3, 3), nodes, mode=mode,
                     loss_name=res.loss_name)
         with pytest.raises(IndexError, match=rf"node {bad} outside \[0, 32\)"):
-            sample_batch(nodes, _toy_scores(), (3, 3), seed=0, epoch=1, mode=mode)
+            sample_batch(nodes, sampling_law(_toy_scores(), mode=mode), (3, 3), seed=0,
+                         epoch=1)
 
     def test_an_empty_row_reached_through_a_lower_layer(self):
         g, pattern = _toy()
@@ -591,6 +592,38 @@ class TestPredict:
                     loss_name=res.loss_name)
 
 
+class TestOneLawPerRun:
+    @pytest.fixture
+    def count(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return sampling_law(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "sampling_law", counting)
+        return calls
+
+    @pytest.mark.parametrize("kw,laws", [({}, 1), (dict(eval_samples=3), 1),
+                                         (dict(ablation="max"), 1),
+                                         (dict(full_graph=True), 0)])
+    def test_train_final_builds_one_law(self, count, kw, laws):
+        g, _ = _toy()
+        train_final(g, _toy_scores(), TrainConfig(width=8, layers=2, epochs=3,
+                                                  batch_size=16, degs=(4, 4),
+                                                  seed=0, **kw))
+        assert len(count) == laws
+
+    @pytest.mark.parametrize("n_samples", [1, 4])
+    def test_predict_builds_one_law_per_call(self, count, n_samples):
+        g, _ = _toy()
+        res = _toy_final()
+        for calls in (1, 2):
+            predict(res.network, g.features, _toy_scores(), (3, 3), np.arange(g.n),
+                    n_samples=n_samples, batch_size=5, loss_name=res.loss_name)
+            assert len(count) == calls
+
+
 class TestRunDirs:
     def test_estimator_layout(self, tmp_path):
         g, pattern = _toy()
@@ -636,6 +669,17 @@ class TestRunDirs:
         assert (d / "ckpt" / "final.ckpt").exists()
         metrics = json.loads((d / "metrics.json").read_text())
         assert {"edge_pct", "rows_sampled", "best_epoch"} <= set(metrics)
+        # the law the run drew by, layer by layer
+        law = metrics["sampling_law"]
+        assert [layer["layer"] for layer in law] == [1, 2]
+        for layer, sl in zip(law, _toy_scores().layers):
+            assert set(layer) == {"layer", "rows_truncated", "rows_kept_full",
+                                  "rows_no_positive", "entries_kept", "entries_total"}
+            assert layer["entries_total"] == sl.values.size
+            assert layer["entries_kept"] <= layer["entries_total"]
+            assert layer["rows_truncated"] + layer["rows_kept_full"] <= g.n
+            assert layer["rows_no_positive"] == 0
+        assert law == sampling_law(_toy_scores(), k_prime=16).summary()
 
 
 class TestStrictJson:

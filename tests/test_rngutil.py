@@ -8,7 +8,7 @@ from scipy import stats as sps
 
 from sparsegt.rngutil import TAG_SAMPLE, counter_uniform
 from sparsegt.graphs import AttentionPattern, PatternLayer
-from sparsegt.sampling import sample_batch
+from sparsegt.sampling import sample_batch, sampling_law
 
 KEYS = (5, TAG_SAMPLE, 7, 2, 1)        # seed, tag, epoch, batch_index, layer
 NODES = np.repeat(np.arange(1000), 100)
@@ -53,8 +53,8 @@ def test_no_overflow_warning_escapes():
         sl = PatternLayer(row_ptr=np.array([0, 3]), values=np.array([0.5, 0.3, 0.2]),
                           col_idx=np.zeros(3, dtype=np.int64),
                           edge_type=np.zeros(3, dtype=np.int8))
-        sample_batch(np.array([0]), AttentionPattern(n=1, layers=(sl,)), (2,),
-                     seed=2 ** 62, epoch=2 ** 40)
+        sample_batch(np.array([0]), sampling_law(AttentionPattern(n=1, layers=(sl,))),
+                     (2,), seed=2 ** 62, epoch=2 ** 40)
 
 
 def test_rejects_bad_keys():

@@ -14,7 +14,10 @@ gives one independent sample per node in one call.  The degenerate
 paths (completion, uniform fallback, prefilter decisions) are checked
 through ``draw_rows`` and ``sample_batch`` and their ``SampleStats``, and
 against the per-query loop the batched sampler replaced (sampling_oracle)
-wherever the two must agree exactly.
+wherever the two must agree exactly.  Draws read a ``SamplingLaw`` prepared
+once; every plan and counter they give must equal, bit for bit, those of
+the per-draw sampler that prefiltered and weighed its rows on each draw
+(``sample_batch_per_draw``).
 """
 
 from dataclasses import fields, replace
@@ -31,10 +34,10 @@ from sparsegt.graphs import AttentionPattern, EdgeType, PatternLayer
 from sparsegt.rngutil import TAG_VAL, derive
 from sparsegt.sampling import (BatchPlan, SampleStats, draw_rows,
                                load_scores_npz, plan_geometries, resample_epoch,
-                               sample_batch, save_scores_npz, uniform_scores,
-                               validate_scores)
+                               sample_batch, sampling_law, save_scores_npz,
+                               uniform_scores, validate_scores)
 from sampling_oracle import (draw_many, identical_rows, prefilter_topk_loop,
-                             sample_batch_loop)
+                             sample_batch_loop, sample_batch_per_draw)
 
 W = np.array([0.5, 0.3, 0.2])
 # hand-derived k=2 inclusion law for W: 18/35, 13/40, 9/56
@@ -114,12 +117,12 @@ class TestReservoirPaths:
     def test_contract_errors(self):
         ss = identical_rows(W, 4)
         with pytest.raises(ContractError, match="positive"):
-            draw_rows(np.arange(4), ss, (0,), seed=0, epoch=0)
+            draw_rows(np.arange(4), sampling_law(ss), (0,), seed=0, epoch=0)
         with pytest.raises(ShapeError, match="degree budgets"):
-            draw_rows(np.arange(4), ss, (2, 2), seed=0, epoch=0)
+            draw_rows(np.arange(4), sampling_law(ss), (2, 2), seed=0, epoch=0)
         neg = replace(ss.layers[0], values=np.where(np.arange(12) == 10, -0.1, 0.5))
         with pytest.raises(ContractError, match="negative"):
-            draw_rows(np.arange(4), replace(ss, layers=(neg,)), (2,), seed=0, epoch=0)
+            sampling_law(replace(ss, layers=(neg,)))
 
     @given(st.lists(st.lists(st.floats(0, 10, allow_nan=False), min_size=1,
                              max_size=12), min_size=1, max_size=8),
@@ -134,7 +137,8 @@ class TestReservoirPaths:
         ss = AttentionPattern(n=n, layers=(_scored(
             np.concatenate(([0], np.cumsum(lengths))), np.concatenate(cols),
             np.concatenate(rows)),))
-        (drawn,) = draw_rows(np.arange(len(rows)), ss, (deg,), seed=key, epoch=1)
+        (drawn,) = draw_rows(np.arange(len(rows)), sampling_law(ss), (deg,), seed=key,
+                             epoch=1)
         for i, (w, row_cols) in enumerate(zip(rows, cols)):
             w = np.asarray(w)
             take = drawn.cols[drawn.row_ptr[i]:drawn.row_ptr[i + 1]]
@@ -149,9 +153,9 @@ class TestPrefilter:
     # one row, drawn with a budget of its whole length: nothing is left to
     # chance, and the drawn columns are exactly the entries the prefilter kept
     def _kept(self, values, k_prime, tail_eps=0.05):
-        plan = sample_batch(np.array([0]), identical_rows(values, 1),
-                            (len(values),), seed=0, epoch=0, k_prime=k_prime,
-                            tail_eps=tail_eps)
+        law = sampling_law(identical_rows(values, 1), k_prime=k_prime,
+                           tail_eps=tail_eps)
+        plan = sample_batch(np.array([0]), law, (len(values),), seed=0, epoch=0)
         return (_drawn(plan.layers[0], 0)[0],
                 (plan.stats.prefilter_kept_full, plan.stats.prefilter_truncated))
 
@@ -177,9 +181,9 @@ class TestPrefilter:
 
     def test_k_prime_contract(self):
         for k_prime in (0, -1):
-            with pytest.raises(ContractError, match="k_prime"):
-                draw_rows(np.arange(2), identical_rows(W, 2), (2,), seed=0, epoch=0,
-                          k_prime=k_prime)
+            for mode in ("sample", "top"):
+                with pytest.raises(ContractError, match="k_prime"):
+                    sampling_law(identical_rows(W, 2), mode=mode, k_prime=k_prime)
 
 
 # ring support over n nodes: each row is {i-1, i, i+1} with fixed scores
@@ -260,7 +264,7 @@ class TestBatchPlans:
     def test_ring_plan_invariants(self):
         ss = _ring_scores()
         seeds = np.array([1, 4])
-        plan = sample_batch(seeds, ss, (2, 2), seed=0, epoch=1)
+        plan = sample_batch(seeds, sampling_law(ss), (2, 2), seed=0, epoch=1)
         _assert_plan_invariants(plan, ss, seeds, (2, 2))
         assert plan.stats.rows_sampled == sum(pl.q_nodes.size
                                               for pl in plan.layers)
@@ -268,7 +272,7 @@ class TestBatchPlans:
     def test_unsorted_seeds_keep_their_order(self):
         ss = _ring_scores()
         seeds = np.array([4, 1])
-        plan = sample_batch(seeds, ss, (2, 2), seed=0, epoch=1)
+        plan = sample_batch(seeds, sampling_law(ss), (2, 2), seed=0, epoch=1)
         _assert_plan_invariants(plan, ss, seeds, (2, 2))
 
     @given(st.integers(0, 10**6), st.integers(4, 10),
@@ -285,9 +289,10 @@ class TestBatchPlans:
         ss = AttentionPattern(n=n, layers=(sl, sl))
         seeds = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)),
                                    replace=False))
-        plan = sample_batch(seeds, ss, (d1, d2), seed=key, epoch=1)
+        law = sampling_law(ss)
+        plan = sample_batch(seeds, law, (d1, d2), seed=key, epoch=1)
         _assert_plan_invariants(plan, ss, seeds, (d1, d2))
-        _assert_same_plan(plan, sample_batch(seeds, ss, (d1, d2), seed=key, epoch=1))
+        _assert_same_plan(plan, sample_batch(seeds, law, (d1, d2), seed=key, epoch=1))
 
     def _masked_keys(self, plan):
         pl = plan.layers[-1]
@@ -295,14 +300,14 @@ class TestBatchPlans:
                 for qi, q in enumerate(pl.q_nodes)]
 
     def test_epoch_changes_the_draw(self):
-        ss = _ring_scores()
+        ss = sampling_law(_ring_scores())
         seeds = np.arange(6)
         p1 = sample_batch(seeds, ss, (2, 2), seed=0, epoch=1)
         p2 = sample_batch(seeds, ss, (2, 2), seed=0, epoch=2)
         assert self._masked_keys(p1) != self._masked_keys(p2)
 
     def test_tag_namespaces_the_draw(self):
-        ss = _ring_scores()
+        ss = sampling_law(_ring_scores())
         seeds = np.arange(6)
         p1 = sample_batch(seeds, ss, (2, 2), seed=0, epoch=1)
         p2 = sample_batch(seeds, ss, (2, 2), seed=0, epoch=1, tag=TAG_VAL)
@@ -312,7 +317,7 @@ class TestBatchPlans:
         # node 0 queries both layers of identical score rows; shared draws
         # would pick the same pair every time, independent ones agree with
         # probability sum_pairs P(pair)^2 = 0.396
-        ss = _ring_scores()
+        ss = sampling_law(_ring_scores())
         epochs = 400
         agree = 0
         for epoch in range(epochs):
@@ -326,12 +331,13 @@ class TestBatchPlans:
         # batch_index 0, as evaluation and predict pass it: a node's
         # sampled row is the same in whichever chunk it is drawn
         ss = _hub_scores(5)
+        law = sampling_law(ss, k_prime=4)
         nodes = derive(80, 1).permutation(ss.n)
         rows = {}
         for size in (1, 7, ss.n):
             for start in range(0, ss.n, size):
-                plan = sample_batch(nodes[start:start + size], ss, (2, 3),
-                                    seed=1, epoch=3, k_prime=4)
+                plan = sample_batch(nodes[start:start + size], law, (2, 3),
+                                    seed=1, epoch=3)
                 for li, pl in enumerate(plan.layers):
                     for qi, q in enumerate(pl.q_nodes):
                         got = tuple(map(tuple, _drawn(pl, qi)))
@@ -344,11 +350,12 @@ class TestBatchPlans:
         # plan over every node draws: evaluation computes that one plan
         ss = _hub_scores(6)
         nodes = derive(80, 2).permutation(ss.n)
-        kw = dict(seed=1, epoch=3, mode=mode, k_prime=k_prime)
-        whole = sample_batch(np.sort(nodes), ss, (2, 3), **kw)
+        law = sampling_law(ss, mode=mode, k_prime=k_prime)
+        whole = sample_batch(np.sort(nodes), law, (2, 3), seed=1, epoch=3)
         for size in (1, 7, ss.n):
             for start in range(0, ss.n, size):
-                own = sample_batch(nodes[start:start + size], ss, (2, 3), **kw)
+                own = sample_batch(nodes[start:start + size], law, (2, 3), seed=1,
+                                   epoch=3)
                 for pl, wl in zip(own.layers, whole.layers):
                     at = np.searchsorted(wl.q_nodes, pl.q_nodes)
                     np.testing.assert_array_equal(wl.q_nodes[at], pl.q_nodes)
@@ -359,9 +366,9 @@ class TestBatchPlans:
     def test_top_mode_is_deterministic_and_greedy(self):
         sl = _scored([0, 3, 6, 9], np.tile([0, 1, 2], 3),
                      np.tile([0.3, 0.4, 0.3], 3))
-        ss = AttentionPattern(n=3, layers=(sl,))
-        p1 = sample_batch(np.array([0]), ss, (2,), seed=0, epoch=1, mode="top")
-        p9 = sample_batch(np.array([0]), ss, (2,), seed=5, epoch=9, mode="top")
+        law = sampling_law(AttentionPattern(n=3, layers=(sl,)), mode="top")
+        p1 = sample_batch(np.array([0]), law, (2,), seed=0, epoch=1)
+        p9 = sample_batch(np.array([0]), law, (2,), seed=5, epoch=9)
         # 0.4 wins, then the 0.3 tie resolves to the lower index
         np.testing.assert_array_equal(np.sort(_drawn(p1.layers[-1], 0)[0]), [0, 1])
         _assert_same_plan(p1, p9)
@@ -373,40 +380,44 @@ class TestBatchPlans:
         cols = np.tile(np.arange(6), 2).astype(np.int64)
         ss = AttentionPattern(n=2, layers=(_scored([0, 6, 12], cols, vals),))
         stats = SampleStats()
-        sample_batch(np.array([0, 1]), ss, (3,), seed=0, epoch=1,
-                     k_prime=2, tail_eps=0.2, stats=stats)
+        sample_batch(np.array([0, 1]), sampling_law(ss, k_prime=2, tail_eps=0.2), (3,),
+                     seed=0, epoch=1, stats=stats)
         assert stats.prefilter_truncated >= 1
         assert stats.prefilter_kept_full >= 1
 
     def test_contract_errors(self):
         ss = _ring_scores()
+        law = sampling_law(ss)
         with pytest.raises(ContractError, match="duplicate"):
-            sample_batch(np.array([1, 1]), ss, (2, 2), seed=0, epoch=1)
+            sample_batch(np.array([1, 1]), law, (2, 2), seed=0, epoch=1)
         with pytest.raises(ShapeError, match="degree budgets"):
-            sample_batch(np.array([1]), ss, (2,), seed=0, epoch=1)
+            sample_batch(np.array([1]), law, (2,), seed=0, epoch=1)
         with pytest.raises(ContractError, match="positive"):
-            sample_batch(np.array([1]), ss, (2, 0), seed=0, epoch=1)
+            sample_batch(np.array([1]), law, (2, 0), seed=0, epoch=1)
         with pytest.raises(ContractError, match="mode"):
-            sample_batch(np.array([1]), ss, (2, 2), seed=0, epoch=1, mode="best")
+            sampling_law(ss, mode="best")
         with pytest.raises(ContractError, match="nonempty"):
-            sample_batch(np.array([], dtype=np.int64), ss, (2, 2), seed=0, epoch=1)
+            sample_batch(np.array([], dtype=np.int64), law, (2, 2), seed=0, epoch=1)
         with pytest.raises(ContractError, match="k_prime"):
-            sample_batch(np.array([1]), ss, (2, 2), seed=0, epoch=1, k_prime=0)
+            sampling_law(ss, k_prime=0)
         neg = _scored([0, 3], np.arange(3), [0.6, 0.5, -0.1])
         with pytest.raises(ContractError, match="negative"):
-            sample_batch(np.array([0]), AttentionPattern(n=1, layers=(neg,)), (2,),
-                         seed=0, epoch=1)
+            sampling_law(AttentionPattern(n=1, layers=(neg,)))
+        with pytest.raises(ContractError, match="SamplingLaw"):
+            sample_batch(np.array([1]), ss, (2, 2), seed=0, epoch=1)
 
     def test_bare_pattern_rejected(self):
         ring = _ring_scores().layers[0]
         bare = AttentionPattern(n=6, layers=(replace(ring, values=None),) * 2)
         with pytest.raises(ContractError, match="no score values"):
-            sample_batch(np.array([1]), bare, (2, 2), seed=0, epoch=1)
+            sampling_law(bare)
 
     def test_empty_score_row_rejected(self):
-        ss = AttentionPattern(n=2, layers=(_scored([0, 0, 1], [1], [1.0]),))
-        with pytest.raises(ContractError, match="empty score row"):
-            sample_batch(np.array([0]), ss, (1,), seed=0, epoch=1)
+        # the law takes any CSR score set; only a drawn empty row is an error
+        law = sampling_law(AttentionPattern(n=2, layers=(_scored([0, 0, 1], [1], [1.0]),)))
+        sample_batch(np.array([1]), law, (1,), seed=0, epoch=1)
+        with pytest.raises(ContractError, match="node 0 has an empty score row"):
+            sample_batch(np.array([0]), law, (1,), seed=0, epoch=1)
 
 
 # random typed supports: a few hub rows, some zero scores, rows of any length
@@ -449,10 +460,11 @@ class TestAgainstLoopOracle:
         for key in range(6):
             ss = _hub_scores(key)
             seeds = derive(79, key).choice(ss.n, size=5 + key, replace=False)
-            kw = dict(seed=key, epoch=1, mode=mode, k_prime=k_prime,
-                      tail_eps=0.3)
-            _assert_same_plan(sample_batch(seeds, ss, degs, **kw),
-                              sample_batch_loop(seeds, ss, degs, **kw))
+            law = sampling_law(ss, mode=mode, k_prime=k_prime, tail_eps=0.3)
+            _assert_same_plan(sample_batch(seeds, law, degs, seed=key, epoch=1),
+                              sample_batch_loop(seeds, ss, degs, seed=key, epoch=1,
+                                                mode=mode, k_prime=k_prime,
+                                                tail_eps=0.3))
 
     def test_prefilter_decisions_match_row_by_row(self):
         # a budget above every row's length: each query comes back as
@@ -462,8 +474,10 @@ class TestAgainstLoopOracle:
         decisions = set()
         for k_prime in (1, 3, 6):
             stats = SampleStats()
-            (drawn,) = draw_rows(np.arange(ss.n), ss, (ss.n,), seed=0, epoch=1,
-                                 k_prime=k_prime, tail_eps=0.3, stats=stats)
+            law = sampling_law(ss, k_prime=k_prime, tail_eps=0.3)
+            (drawn,) = draw_rows(np.arange(ss.n), law, (ss.n,), seed=0, epoch=1,
+                                 stats=stats)
+            (ll,) = law.layers
             kept_full = truncated = 0
             for node in range(ss.n):
                 lo, hi = layer.row_ptr[node], layer.row_ptr[node + 1]
@@ -473,6 +487,14 @@ class TestAgainstLoopOracle:
                     drawn.cols[drawn.row_ptr[node]:drawn.row_ptr[node + 1]],
                     layer.col_idx[lo + keep])
                 cut = not full and keep.size < hi - lo
+                # the law's own flags and kept entries, row by row
+                assert (ll.kept_full[node], ll.truncated[node]) == (full, cut)
+                np.testing.assert_array_equal(
+                    ll.col_idx[ll.row_ptr[node]:ll.row_ptr[node + 1]],
+                    layer.col_idx[lo + keep])
+                np.testing.assert_array_equal(
+                    ll.slot[ll.row_ptr[node]:ll.row_ptr[node + 1]], keep)
+                assert ll.no_positive[node] == (not (layer.values[lo + keep] > 0).any())
                 kept_full += full
                 truncated += cut
                 decisions.add((int(full), int(cut)))
@@ -501,9 +523,94 @@ class TestAgainstLoopOracle:
         assert tv < 0.02, tv
 
 
+def _hub_scores_with_zero_rows(key):
+    """``_hub_scores`` with three long rows of each layer zeroed: their
+    draws fall back to uniform."""
+    ss = _hub_scores(key)
+    layers = []
+    for layer in ss.layers:
+        vals = layer.values.copy()
+        for node in (0, 13, 37):
+            vals[layer.row_ptr[node]:layer.row_ptr[node + 1]] = 0.0
+        layers.append(replace(layer, values=vals))
+    return replace(ss, layers=tuple(layers))
+
+
+class TestLawAgainstPerDrawOracle:
+    # draws through a prepared law equal, plan for plan and counter for
+    # counter, the sampler that prefiltered and weighed every row per draw
+    @pytest.mark.parametrize("mode,uniform,k_prime,tail_eps", [
+        ("sample", False, None, 0.05),
+        ("sample", False, 4, 0.05),
+        ("sample", False, 4, 0.3),
+        ("sample", False, 2, 0.3),
+        ("sample", True, None, 0.05),     # the uniform ablation
+        ("top", False, None, 0.05),
+        ("top", False, 4, 0.3),
+    ])
+    def test_plans_and_stats_match(self, mode, uniform, k_prime, tail_eps):
+        ss = _hub_scores_with_zero_rows(4)
+        if uniform:
+            ss = uniform_scores(ss)
+        law = sampling_law(ss, mode=mode, k_prime=k_prime, tail_eps=tail_eps)
+        degs = (4, 3)
+        total, oracle_total = SampleStats(), SampleStats()
+        for batch_size in (1, 7, 64):
+            nodes = derive(81, batch_size).permutation(ss.n)
+            for bi, start in enumerate(range(0, ss.n, batch_size)):
+                chunk = nodes[start:start + batch_size]
+                plan = sample_batch(chunk, law, degs, seed=5, epoch=2, batch_index=bi,
+                                    stats=total)
+                oracle = sample_batch_per_draw(chunk, ss, degs, seed=5, epoch=2,
+                                               batch_index=bi, mode=mode,
+                                               k_prime=k_prime, tail_eps=tail_eps,
+                                               stats=oracle_total)
+                _assert_same_plan(plan, oracle)
+        assert total == oracle_total
+        # the case's paths were all taken
+        for deg, layer in zip(degs, ss.layers):
+            lengths = np.diff(layer.row_ptr)
+            assert (lengths < deg).any() and (lengths > deg).any()
+        if mode == "sample" and not uniform and (k_prime or 99) > min(degs):
+            assert total.uniform_fallbacks > 0     # a zeroed row races
+        if mode == "sample" and k_prime is not None:
+            assert total.prefilter_truncated > 0
+
+    def test_summary_counts_the_flags(self):
+        ss = _hub_scores_with_zero_rows(4)
+        law = sampling_law(ss, k_prime=4, tail_eps=0.3)
+        summary = law.summary()
+        assert [s["layer"] for s in summary] == [1, 2]
+        for s, ll, layer in zip(summary, law.layers, ss.layers):
+            assert s["rows_truncated"] == ll.truncated.sum() > 0
+            assert s["rows_kept_full"] == ll.kept_full.sum() > 0
+            assert s["rows_no_positive"] == ll.no_positive.sum() >= 3
+            assert s["entries_total"] == layer.values.size
+            assert s["entries_kept"] == ll.col_idx.size < layer.values.size
+        assert all(s["rows_truncated"] == s["rows_kept_full"] == 0
+                   and s["entries_kept"] == s["entries_total"]
+                   for s in sampling_law(ss, mode="top", k_prime=4).summary())
+
+    @pytest.mark.parametrize("values,message", [
+        (np.nan, "layer 2: non-finite score"),
+        (np.inf, "layer 2: non-finite score"),
+        (-0.25, "layer 2: negative score"),
+        (None, "no score values"),
+    ])
+    def test_bad_scores_are_refused_before_any_draw(self, values, message):
+        good = _ring_scores(layers=1).layers[0]
+        bad_values = None
+        if values is not None:
+            bad_values = good.values.copy()
+            bad_values[4] = values
+        ss = AttentionPattern(n=6, layers=(good, replace(good, values=bad_values)))
+        with pytest.raises(ContractError, match=message):
+            sampling_law(ss)
+
+
 class TestResampleEpoch:
     def test_partition_and_determinism(self):
-        ss = _ring_scores()
+        ss = sampling_law(_ring_scores())
         nodes = np.arange(6)
         stats = SampleStats()
         plans = resample_epoch(ss, (2, 2), nodes, batch_size=4, seed=0,
@@ -522,7 +629,7 @@ class TestResampleEpoch:
 
     def test_batch_size_contract(self):
         with pytest.raises(ContractError):
-            resample_epoch(_ring_scores(), (2, 2), np.arange(6), batch_size=0,
+            resample_epoch(sampling_law(_ring_scores()), (2, 2), np.arange(6), batch_size=0,
                            seed=0, epoch=1)
 
 
