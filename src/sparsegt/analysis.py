@@ -247,29 +247,6 @@ def write_consistency_json(path, result: ConsistencyResult) -> None:
 # Numerical phenomena the design relies on
 
 
-def spectral_norm(m, tol: float = 1e-6, max_iter: int = 5000, seed: int = 0) -> float:
-    """Largest singular value of ``m`` (dense or scipy sparse) by power
-    iteration on ``m.T @ m``, until the estimate is stable to ``tol``
-    relative: plenty for the error-norm ratios the sampling checks report."""
-    n = m.shape[1]
-    if n == 0:
-        return 0.0
-    x = derive(seed, 0xB0).standard_normal(n)
-    x /= np.linalg.norm(x)
-    prev = 0.0
-    for _ in range(max_iter):
-        z = m.T @ (m @ x)
-        nz = np.linalg.norm(z)
-        if nz == 0.0:
-            return 0.0
-        x = z / nz
-        est = float(np.sqrt(nz))
-        if abs(est - prev) <= tol * max(est, 1e-30):
-            return est
-        prev = est
-    return prev
-
-
 def spectral_sample_check(n: int = 48, sample_sizes=(256, 1024, 4096, 16384),
                           trials: int = 4, seed: int = 0,
                           zero_frac: float = 0.0) -> dict:
@@ -296,12 +273,12 @@ def spectral_sample_check(n: int = 48, sample_sizes=(256, 1024, 4096, 16384),
             counts = rng.multinomial(int(s), p).reshape(n, n)
             b = counts * (total / float(s))
             support_ok = support_ok and not np.any(b[a == 0.0])
-            errs.append(spectral_norm(a - b))
+            errs.append(np.linalg.norm(a - b, 2))
         errors.append(float(np.mean(errs)))
     slope = float(np.polyfit(np.log(np.asarray(sample_sizes, dtype=np.float64)),
                              np.log(errors), 1)[0])
     return {"n": n, "sample_sizes": list(sample_sizes), "errors": errors,
-            "slope": slope, "matrix_norm": spectral_norm(a),
+            "slope": slope, "matrix_norm": float(np.linalg.norm(a, 2)),
             "support_ok": bool(support_ok)}
 
 
@@ -371,10 +348,10 @@ def noisy_sampling_check(n: int = 48, alpha: float = 2.0,
         errs_p, errs_q = [], []
         for _ in range(trials):
             counts = rng.multinomial(int(s), p).reshape(n, n)
-            errs_p.append(spectral_norm(a - counts * (total / float(s))))
+            errs_p.append(np.linalg.norm(a - counts * (total / float(s)), 2))
             counts = rng.multinomial(int(s), q).reshape(n, n)
             ratio = (p / q).reshape(n, n)
-            errs_q.append(spectral_norm(a - counts * ratio * (total / float(s))))
+            errs_q.append(np.linalg.norm(a - counts * ratio * (total / float(s)), 2))
         exact.append(float(np.mean(errs_p)))
         noisy.append(float(np.mean(errs_q)))
     return {"alpha": alpha, "sample_sizes": list(sample_sizes),

@@ -35,8 +35,8 @@ from .graphs import (TEST, TRAIN, VAL, atomic_path, augment, build_expander,
                      load_pattern, save_expander, save_pattern)
 from .numerics import load_checkpoint
 from .pipeline import (TrainConfig, build_network, config_from_dict,
-                       final_sampler, predict_by_law, train_estimator, train_final,
-                       write_json)
+                       final_degs, final_sampler, predict_by_law, train_estimator,
+                       train_final, write_json)
 from .sampling import load_scores_npz, validate_scores
 
 
@@ -210,8 +210,9 @@ def _cmd_predict(args, manifest) -> int:
     net.load_state_dict(load_checkpoint(run_dir / "ckpt" / "final.ckpt"))
     nodes = {"all": np.arange(g.n), "train": g.split_idx(TRAIN),
              "val": g.split_idx(VAL), "test": g.split_idx(TEST)}[args.nodes]
-    probs, preds = predict_by_law(net, g.features, final_sampler(cfg, scores), cfg.degs,
-                                  nodes, seed=args.seed, n_samples=args.samples,
+    probs, preds = predict_by_law(net, g.features, final_sampler(cfg, scores),
+                                  final_degs(cfg, scores), nodes,
+                                  seed=args.seed, n_samples=args.samples,
                                   batch_size=cfg.batch_size, loss_name=loss_name)
     write_predictions(out / "predictions.csv", nodes, probs, preds)
     print(f"wrote predictions for {nodes.size} nodes to {out / 'predictions.csv'}")

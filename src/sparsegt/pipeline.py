@@ -459,6 +459,15 @@ def final_sampler(cfg: TrainConfig, scores: AttentionPattern) -> SamplingLaw:
     return sampling_law(eff_scores, mode, k_prime, cfg.tail_eps)
 
 
+def final_degs(cfg: TrainConfig, scores: AttentionPattern) -> tuple:
+    """The per-layer budgets a final run's draws use: ``cfg.degs``, or for
+    a ``full_graph`` run each layer's longest score row, so that every row
+    is taken whole and a draw computes the full-pattern forward."""
+    if cfg.full_graph:
+        return tuple(int(np.diff(sl.row_ptr).max()) for sl in scores.layers)
+    return cfg.degs
+
+
 def _eval_sampled(net, x, law, degs, nodes, seed, epoch, tag, batch_size,
                   loss_name) -> np.ndarray:
     """Eval-mode probabilities for ``nodes`` under one sampled pattern.

@@ -127,18 +127,24 @@ class TestWorkflow:
             assert 0.0 <= float(cells[2]) <= 1.0
 
 
-    @pytest.mark.parametrize("ablation", ["none", "uniform", "max"])
+    @pytest.mark.parametrize("metric,law", [
+        ("auc", ["--ablation", "none"]), ("auc", ["--ablation", "uniform"]),
+        ("auc", ["--ablation", "max"]),
+        # AUC ranks these six test nodes alike whether predict samples at
+        # degree 1 or takes every row whole; accuracy tells them apart
+        ("accuracy", ["--full-graph"])],
+        ids=["none", "uniform", "max", "full-graph"])
     def test_predict_reproduces_the_run_test_metric(self, ws, tmp_path,
-                                                    ablation):
+                                                    metric, law):
         # predict samples by the run's own law: the ablation's scores and
         # mode (the prefilter is on too, but with k' = 4 it keeps every row
-        # of these flat scores whole; see test_predict_applies_the_prefilter)
+        # of these flat scores whole; see test_predict_applies_the_prefilter),
+        # and for a full-graph run every row whole, as its metric attended
         fin, pred = str(tmp_path / "fin"), str(tmp_path / "pred")
         assert main(["train-final", "--data", ws["data"], "--scores",
                      ws["scores"], "--out", fin, "--width", "8", "--epochs",
                      "4", "--degs", "1,1", "--batch-size", "16", "--seed",
-                     "3", "--eval-samples", "2", "--metric", "auc",
-                     "--ablation", ablation]) == 0
+                     "3", "--eval-samples", "2", "--metric", metric] + law) == 0
         assert main(["predict", "--data", ws["data"], "--scores",
                      ws["scores"], "--run", fin, "--out", pred, "--nodes",
                      "test", "--samples", "2", "--seed", "3"]) == 0
@@ -149,7 +155,7 @@ class TestWorkflow:
         probs = np.array([float(r[2]) for r in rows])
         with open(fin + "/metrics.json") as fh:
             expected = json.load(fh)["test_metric"]
-        got = metric_value("bce", "auc", probs, np.asarray(g.labels)[nodes])
+        got = metric_value("bce", metric, probs, np.asarray(g.labels)[nodes])
         assert got == pytest.approx(expected, abs=1e-9)
 
     def test_predict_applies_the_prefilter(self, ws, tmp_path):

@@ -140,17 +140,36 @@ class TestSpectralGap:
         g = _graph_from_edges(6, pairs)
         assert spectral_gap(g.adjacency()) == pytest.approx(0.0, abs=1e-9)
 
-    def test_power_iteration_matches_dense(self):
+    @staticmethod
+    def _dense_gap(adj):
+        a = adj.toarray()
+        d = a.sum(axis=1)
+        vals = scipy.linalg.eigh(a / np.sqrt(np.outer(d, d)), eigvals_only=True)
+        return 1.0 - max(vals[-2], abs(vals[0]))
+
+    def test_gap_matches_dense_eigh(self):
+        # n=2049 guards the sizes past 2048, where a power iteration's
+        # early stop once let the certified gap read ~4e-5 high
         rng = np.random.default_rng(3)
         n = 40
         a = (rng.random((n, n)) < 0.2).astype(float)
         a = np.maximum(a, a.T)
         np.fill_diagonal(a, 0)
         a[a.sum(axis=1) == 0, 0] = 1.0          # avoid isolated nodes
-        a = np.maximum(a, a.T)
-        dense = spectral_gap(sp.csr_matrix(a), dense_cutoff=2048)
-        iterative = spectral_gap(sp.csr_matrix(a), dense_cutoff=2)
-        assert iterative == pytest.approx(dense, abs=1e-4)
+        a = sp.csr_matrix(np.maximum(a, a.T))
+        assert spectral_gap(a) == pytest.approx(self._dense_gap(a), abs=1e-10)
+        x = build_expander(2049, 3, seed=0)
+        assert x.gap == pytest.approx(self._dense_gap(x.adjacency()), abs=1e-10)
+
+    def test_gap_is_a_pure_function_of_the_graph(self):
+        adj = build_expander(300, 3, seed=4).adjacency()
+        assert spectral_gap(adj) == spectral_gap(adj)
+
+    def test_asymmetric_adjacency_is_refused(self):
+        a = np.ones((4, 4)) - np.eye(4)
+        a[0, 1] = 0.0
+        with pytest.raises(ContractError, match="symmetric"):
+            spectral_gap(sp.csr_matrix(a))
 
     def test_gap_matches_independent_eig(self):
         x = build_expander(30, 2, min_gap=0.01, seed=5)
