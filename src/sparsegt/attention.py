@@ -17,13 +17,18 @@ values and temperature 1 over sampled fixed-degree patterns.  Both see
 their pattern through a ``LayerGeometry``, so a full CSR pattern and a
 sampled plan drive the exact same forward code.  A geometry is a CSR
 edge list and each head is one ``numerics.edge_attention`` tape node
-over it, so a layer costs what its edges cost.
+over it, so a layer costs what its edges cost.  The index arrays those
+nodes derive from the list (``numerics.EdgeIndex``) belong to the
+geometry: built by its first forward, shared by every head and by every
+later pass over it, and freed with it.  The estimator's geometries live
+for the whole run, so its epochs do that index work once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -86,6 +91,13 @@ class LayerGeometry:
     the incoming feature matrix, along edges typed ``edge_type``: a CSR
     edge list.  ``stats_rows`` marks which OUTPUT rows constitute the
     minibatch for batch-norm statistics (None: all).
+
+    ``edges`` is the list's ``numerics.EdgeIndex``, built on first use: the
+    first forward builds each edge's query row, the row starts, the
+    type-and-row index of q * emap and the column and type spans, the
+    first backward the CSC ramp.  It lives and dies with the geometry, so
+    a geometry used once pays what a raw-array call would, and the arrays
+    must not be changed once it is built.
     """
 
     query_rows: np.ndarray
@@ -97,6 +109,10 @@ class LayerGeometry:
     @property
     def num_queries(self) -> int:
         return int(self.query_rows.shape[0])
+
+    @cached_property
+    def edges(self) -> nm.EdgeIndex:
+        return nm.EdgeIndex(self.row_ptr, self.col_idx, self.edge_type)
 
     @property
     def key_mask(self) -> np.ndarray:
@@ -158,8 +174,9 @@ def attention_sublayer(h: nm.Tensor, geom: LayerGeometry, lp: LayerParams,
     """One attention layer with residual: returns (out rows=queries, scores).
 
     Each head is one ``nm.edge_attention`` node over the geometry's edge
-    list.  Scores are the head-averaged attention distributions, detached:
-    one float64 per edge, aligned with ``geom.col_idx``.
+    list, all of them reading its one ``edges`` index.  Scores are the
+    head-averaged attention distributions, detached: one float64 per
+    edge, aligned with ``geom.col_idx``.
     """
     xq = nm.gather_rows(h, geom.query_rows)
     scale = 1.0 / math.sqrt(cfg.d_head)
@@ -172,8 +189,7 @@ def attention_sublayer(h: nm.Tensor, geom: LayerGeometry, lp: LayerParams,
         out, sc = nm.edge_attention(
             nm.matmul(xq, hp.wq), nm.matmul(h, hp.wk), vv,
             nm.matmul(lp.edge_emb, hp.we), nm.matmul(lp.edge_emb, hp.wb),
-            geom.row_ptr, geom.col_idx, geom.edge_type, scale,
-            temperature=tau, clip=cfg.clip)
+            geom.edges, scale, temperature=tau, clip=cfg.clip)
         head_sum = out if head_sum is None else nm.add(head_sum, out)
         score_acc += sc
     if training and cfg.dropout > 0:

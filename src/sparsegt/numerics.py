@@ -10,11 +10,15 @@ float32 and gradient checking in float64 (ops preserve whatever dtype
 their inputs carry).
 
 An attention head is one node, ``edge_attention``, that works on the
-live edges of a CSR edge list and has a hand-written backward.  Every
-scatter-add in a backward goes through a sparse operator: a CSC matrix
-whose column j holds a single 1 in row idx[j].  scipy applies it column
-by column into a zeroed output, so every row sums its gradients in index
-order starting from 0: the same bits as adding them one at a time.
+live edges of a CSR edge list and has a hand-written backward; an
+``EdgeIndex`` holds the index arrays it derives from a list, so calls
+over a list that does not change share them.  Every scatter-add in a
+backward goes through a sparse operator: a CSC matrix whose column j
+holds a single entry in row idx[j], a 1, or the weight the scatter
+multiplies source row j by.  scipy applies it column by column into a
+zeroed output, so every row sums its gradients in index order starting
+from 0: the same bits as adding them one at a time, each weighted row
+rounded as its product formed apart would be.
 
 Also here because trainers need them next to the tape: the fused losses,
 AdamW with a cosine learning-rate schedule over one flat parameter
@@ -23,6 +27,7 @@ arena, and checkpoints as npz archives.
 
 from __future__ import annotations
 
+import math
 import zipfile
 from contextlib import contextmanager
 
@@ -178,9 +183,16 @@ def matmul(a, b) -> Tensor:
     return out
 
 
-def _check_rows(idx: np.ndarray, rows: int, op: str) -> None:
-    """IndexError naming ``op`` unless every index lies in [0, rows)."""
-    if idx.size and (idx.min() < 0 or idx.max() >= rows):
+def _span(idx: np.ndarray) -> tuple:
+    """(min, max) of ``idx``; (0, -1), inside every range, when it is empty."""
+    return (int(idx.min()), int(idx.max())) if idx.size else (0, -1)
+
+
+def _check_rows(idx: np.ndarray, rows: int, op: str, span: tuple | None = None) -> None:
+    """IndexError naming ``op`` unless every index lies in [0, rows); ``span``,
+    the indices' ``_span`` if already known, spares the passes over them."""
+    lo, hi = _span(idx) if span is None else span
+    if lo < 0 or hi >= rows:
         bad = idx[(idx < 0) | (idx >= rows)][0]
         raise IndexError(f"{op}: index {bad} outside [0, {rows})")
 
@@ -196,18 +208,17 @@ def _spmm(fmt: str, ptr, idx, vals, dense, rows: int) -> np.ndarray:
     dtype = np.result_type(vals, dense)
     out = np.zeros((rows,) + dense.shape[1:], dtype=dtype)
     getattr(_sparsetools, f"{fmt}_matvecs")(
-        rows, dense.shape[0], int(np.prod(dense.shape[1:])), ptr.astype(itype, copy=False),
+        rows, dense.shape[0], math.prod(dense.shape[1:]), ptr.astype(itype, copy=False),
         idx.astype(itype, copy=False), vals.astype(dtype, copy=False),
         dense.astype(dtype, copy=False).ravel(), out.ravel())
     return out
 
 
 def _scatter_rows(src: np.ndarray, idx: np.ndarray, like: np.ndarray) -> np.ndarray:
-    """Zeros shaped like ``like`` with ``src[j]`` added to row ``idx[j]``, in order of j;
-    IndexError unless every index lies in [0, rows): the kernel writes where they point."""
-    rows, m = like.shape[0], idx.shape[0]
-    _check_rows(idx, rows, "scatter")
-    return _spmm("csc", np.arange(m + 1), idx, np.ones(m, dtype=like.dtype), src, rows)
+    """Zeros shaped like ``like`` with ``src[j]`` added to row ``idx[j]``, in order of j.
+    The kernel writes where the indices point: the op that took them in checked them."""
+    m = idx.shape[0]
+    return _spmm("csc", np.arange(m + 1), idx, np.ones(m, dtype=like.dtype), src, like.shape[0])
 
 
 def gather_rows(t, idx) -> Tensor:
@@ -228,13 +239,59 @@ def gather_rows(t, idx) -> Tensor:
     return out
 
 
-def edge_attention(q, k, v, emap, bias, row_ptr, cols, types, scale: float,
+class EdgeIndex:
+    """The index arrays ``edge_attention`` derives from a CSR edge list, built
+    once and shared by every call over the list: every head of a layer, and
+    every epoch of a pattern that does not change.
+
+    Construction checks the list (a ShapeError for inconsistent arrays, a
+    ContractError for a row without edges) and builds each edge's query row
+    ``rows``, the row ``starts``, ``qe_idx = type * queries + row`` and the
+    spans of the columns and types, against which a call checks its tables
+    in O(1).  The ramp ``arange(edges + 1)`` that makes an index array a CSC
+    scatter operator is built by the first backward that needs it.  Every
+    array is read, never written.
+    """
+
+    __slots__ = ("row_ptr", "cols", "types", "rows", "starts", "qe_idx",
+                 "col_span", "type_span", "_ramp")
+
+    def __init__(self, row_ptr, cols, types):
+        row_ptr, cols, types = np.asarray(row_ptr), np.asarray(cols), np.asarray(types)
+        if row_ptr.ndim != 1 or row_ptr.size < 1 or row_ptr[0] != 0 \
+                or cols.shape != (row_ptr[-1],) or types.shape != cols.shape:
+            raise ShapeError(f"edge_attention edge list: row_ptr {row_ptr.shape}, "
+                             f"cols {cols.shape}, types {types.shape}")
+        nq = row_ptr.size - 1
+        lengths = np.diff(row_ptr)
+        if nq and lengths.min() < 1:
+            raise ContractError(f"edge_attention: query row {np.argmin(lengths)} has no live slots")
+        self.row_ptr, self.cols, self.types = row_ptr, cols, types
+        self.rows, self.starts = np.repeat(np.arange(nq), lengths), row_ptr[:-1]
+        self.qe_idx = types * np.intp(nq) + self.rows
+        self.col_span, self.type_span = _span(cols), _span(types)
+        self._ramp = None
+
+    @property
+    def num_queries(self) -> int:
+        return self.row_ptr.shape[0] - 1
+
+    @property
+    def ramp(self) -> np.ndarray:
+        """``arange(edges + 1)``: the CSC column pointers of one entry per edge."""
+        if self._ramp is None:
+            self._ramp = np.arange(self.cols.shape[0] + 1)
+        return self._ramp
+
+
+def edge_attention(q, k, v, emap, bias, edges, scale: float,
                    temperature: float = 1.0, clip: float = 8.0):
     """One attention head over a CSR edge list, as a single tape node.
 
-    Query i attends over edges e in ``row_ptr[i]:row_ptr[i+1]``, each
-    reading row ``cols[e]`` of ``k`` and ``v`` and, by type, a row of
-    ``emap`` (t, w) and ``bias`` (t, 1):
+    ``edges`` is an ``EdgeIndex`` or the raw (row_ptr, cols, types) arrays,
+    which are prepared for this call alone.  Query i attends over edges e
+    in ``row_ptr[i]:row_ptr[i+1]``, each reading row ``cols[e]`` of ``k``
+    and ``v`` and, by type, a row of ``emap`` (t, w) and ``bias`` (t, 1):
         logit_e = scale * (q_i * emap[types[e]]) . k[cols[e]] + bias[types[e]]
     The weights are each row's softmax of clip(logit) / temperature and the
     output is CSR(weights) @ v.  q * emap is formed once per type, so the
@@ -244,25 +301,20 @@ def edge_attention(q, k, v, emap, bias, row_ptr, cols, types, scale: float,
     Returns (out (queries, w), weights).
     """
     q, k, v, emap, bias = (as_tensor(x) for x in (q, k, v, emap, bias))
-    row_ptr, cols, types = np.asarray(row_ptr), np.asarray(cols), np.asarray(types)
+    ix = edges if isinstance(edges, EdgeIndex) else EdgeIndex(*edges)
+    row_ptr, cols, types, rows, starts = ix.row_ptr, ix.cols, ix.types, ix.rows, ix.starts
     (nq, w), n, t = q.data.shape, k.data.shape[0], emap.data.shape[0]
-    if (k.data.shape, v.data.shape, emap.data.shape, bias.data.shape, row_ptr.shape,
-            types.shape) != ((n, w), (n, w), (t, w), (t, 1), (nq + 1,), cols.shape) \
-            or row_ptr[0] != 0 or cols.shape != (row_ptr[-1],):
+    if (k.data.shape, v.data.shape, emap.data.shape, bias.data.shape, ix.num_queries) \
+            != ((n, w), (n, w), (t, w), (t, 1), nq):
         raise ShapeError(f"edge_attention shapes: {[x.data.shape for x in (q, k, v, emap, bias)]}"
-                         f", row_ptr {row_ptr.shape}, cols {cols.shape}, types {types.shape}")
+                         f" over {ix.num_queries} query rows")
     if temperature <= 0:
         raise ContractError(f"temperature must be positive, got {temperature}")
-    lengths = np.diff(row_ptr)
-    if nq and lengths.min() < 1:
-        raise ContractError(f"edge_attention: query row {np.argmin(lengths)} has no live slots")
-    _check_rows(cols, n, "edge_attention")
-    _check_rows(types, t, "edge_attention")
-    rows, starts = np.repeat(np.arange(nq), lengths), row_ptr[:-1]
+    _check_rows(cols, n, "edge_attention", ix.col_span)
+    _check_rows(types, t, "edge_attention", ix.type_span)
     qe = (emap.data[:, None, :] * q.data).reshape(t * nq, w)     # row j * nq + i: q_i * emap_j
-    qe_idx = types * np.intp(nq) + rows
     # np.take copies the rows fancy indexing would, several times faster
-    qg, kg = np.take(qe, qe_idx, axis=0), np.take(k.data, cols, axis=0)
+    qg, kg = np.take(qe, ix.qe_idx, axis=0), np.take(k.data, cols, axis=0)
     scale = q.data.dtype.type(scale)
     logits = np.einsum("ew,ew->e", qg, kg) * scale + np.take(bias.data[:, 0], types)
     y = logits.clip(-clip, clip) / temperature
@@ -285,10 +337,12 @@ def edge_attention(q, k, v, emap, bias, row_ptr, cols, types, scale: float,
             if bias.requires_grad:
                 bias._acc(np.bincount(types, weights=dlogit, minlength=t)[:, None])
             dlogit *= scale
+            # each edge scatters its row of qg (kg) times its dlogit, which rides
+            # in the operator's values: the products round as they would apart
             if k.requires_grad:
-                k._acc(_scatter_rows(dlogit[:, None] * qg, cols, k.data))
+                k._acc(_spmm("csc", ix.ramp, cols, dlogit, qg, n))
             if q.requires_grad or emap.requires_grad:
-                dqe = _scatter_rows(dlogit[:, None] * kg, qe_idx, qe).reshape(t, nq, w)
+                dqe = _spmm("csc", ix.ramp, ix.qe_idx, dlogit, kg, t * nq).reshape(t, nq, w)
                 if q.requires_grad:
                     q._acc(np.einsum("tiw,tw->iw", dqe, emap.data))
                 if emap.requires_grad:
@@ -377,9 +431,10 @@ def batch_norm(t, gamma, beta, running_mean, running_var, training: bool,
 
     In training mode the statistics come from ``stats_rows`` (the rows
     that form the actual minibatch; other rows are support nodes) and the
-    running buffers are updated in place.  Evaluation normalizes with the
-    running buffers only, so a node's output never depends on what else
-    is in its batch.
+    running buffers are updated in place; a stats row outside [0, rows)
+    is an IndexError, raised before the buffers change.  Evaluation
+    normalizes with the running buffers only, so a node's output never
+    depends on what else is in its batch.
     """
     t, gamma, beta = as_tensor(t), as_tensor(gamma), as_tensor(beta)
     x = t.data
@@ -389,6 +444,7 @@ def batch_norm(t, gamma, beta, running_mean, running_var, training: bool,
         rows = np.arange(x.shape[0]) if stats_rows is None else np.asarray(stats_rows)
         if rows.size == 0:
             raise ContractError("batch_norm with empty statistics row set")
+        _check_rows(rows, x.shape[0], "batch_norm")     # numpy would wrap a negative one
         xs = x[rows]
         mu = xs.mean(axis=0)
         var = xs.var(axis=0)

@@ -122,24 +122,23 @@ class TestScatter:
 
     def test_indices_outside_the_rows_raise(self):
         a = _p(np.ones((3, 2)))
-        # refused in the forward, naming the op: numpy would wrap the -1
+        # refused in the forward, naming the op: numpy would wrap the -1, and
+        # the backward's scatter, which trusts its indices, would write out of
+        # bounds for the 3
         for bad in (-1, 3):
             with pytest.raises(IndexError, match=f"gather_rows: index {bad} outside"):
                 nm.gather_rows(a, np.array([0, bad]))
-        # handed straight to the operator, such an index would write out of bounds
-        with pytest.raises(IndexError, match="5 outside"):
-            nm._scatter_rows(np.ones((1, 2)), np.array([5]), np.zeros((3, 2)))
 
     def test_batch_norm_stats_rows_outside_raise(self):
-        x = _p(np.arange(8.0).reshape(4, 2))
-        g, b = _p(np.ones(2)), _p(np.zeros(2))
-        out = nm.batch_norm(x, g, b, np.zeros(2), np.ones(2), training=True,
-                            stats_rows=np.array([0, -1]))
-        with pytest.raises(IndexError, match="-1 outside"):
-            nm.backward(nm.mean_all(out))
-        with pytest.raises(IndexError):
-            nm.batch_norm(x, g, b, np.zeros(2), np.ones(2), training=True,
-                          stats_rows=np.array([0, 4]))
+        # refused before the running buffers move: numpy would read row 3 for -1
+        x = _p(np.arange(12.0).reshape(4, 3) / 10)
+        g, b = _p(np.ones(3)), _p(np.zeros(3))
+        mean, var = np.zeros(3), np.ones(3)
+        for bad in (-1, 4):
+            with pytest.raises(IndexError, match=f"batch_norm: index {bad} outside"):
+                nm.batch_norm(x, g, b, mean, var, training=True,
+                              stats_rows=np.array([0, bad]))
+            assert (mean == 0).all() and (var == 1).all()
 
     def test_gather_rows_shape_contract(self):
         with pytest.raises(ShapeError, match="flat index"):
@@ -165,6 +164,28 @@ class TestScatter:
         assert got.dtype == want.dtype and got.shape == want.shape
         np.testing.assert_array_equal(got.view(f"u{got.itemsize}"),
                                       want.view(f"u{want.itemsize}"))
+
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("itype", [np.int32, np.int64])
+    def test_a_weighted_scatter_rounds_as_the_products_apart(self, dtype, itype):
+        # y += w * x in the kernel must round like forming w * x first and
+        # adding it with weight 1: edge_attention's backward relies on it, and
+        # a build that fused the two into one FMA would break it
+        rng = derive(1, 122)
+        rows, m = 6, 400
+        for width in (None, 1, 7):
+            idx = rng.integers(0, rows, size=m).astype(itype)   # rows repeat
+            shape = (m,) if width is None else (m, width)
+            x = (rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape)).astype(dtype)
+            w = (rng.normal(size=m) * 10.0 ** rng.uniform(-3, 3, size=m)).astype(dtype)
+            ramp = np.arange(m + 1, dtype=itype)
+            got = nm._spmm("csc", ramp, idx, w, x, rows)
+            apart = w * x if width is None else w[:, None] * x
+            want = nm._spmm("csc", ramp, idx, np.ones(m, dtype=dtype), apart, rows)
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got.view(f"u{got.itemsize}"),
+                                          want.view(f"u{want.itemsize}"))
 
 
 class TestMaskedSoftmax:

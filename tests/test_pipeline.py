@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from sparsegt import attention, pipeline
+from sparsegt import numerics as nm
 from sparsegt.attention import (TemperatureSchedule, pattern_geometry,
                                 temperature_at)
 from sparsegt.analysis import write_profile_csv
@@ -220,6 +221,23 @@ class TestEstimator:
         all_test = replace(g, split=np.full(g.n, TEST, dtype=np.int8))
         with pytest.raises(ContractError, match="training nodes"):
             train_estimator(all_test, pattern, TrainConfig(layers=2, epochs=1))
+
+    def test_each_layer_is_prepared_once_per_run(self, monkeypatch):
+        # the pattern's geometries outlive the epochs, and so does their index
+        g, pattern = _toy()
+        built = []
+        real = nm.EdgeIndex
+
+        class Counting(real):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                built.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(nm, "EdgeIndex", Counting)
+        train_estimator(g, pattern, TrainConfig(width=4, layers=2, heads=2, epochs=5, seed=0))
+        assert len(built) == 2
 
     def test_seed_determinism(self):
         g, pattern = _toy()
