@@ -305,7 +305,8 @@ class Network:
         arrays and key rows scale with ``max_rows``, not with the layer;
         between layers one hidden row per query is held either way.
         Evaluation rows are independent (batch norm reads its running
-        buffers), so slicing changes only BLAS blocking, about 1e-16.
+        buffers, in the network's dtype), so slicing changes only BLAS
+        blocking: round-off in the network's dtype.
         """
         if len(geoms) != self.cfg.layers:
             raise ShapeError(f"{len(geoms)} geometries for {self.cfg.layers} layers")

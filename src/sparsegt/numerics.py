@@ -432,9 +432,13 @@ def batch_norm(t, gamma, beta, running_mean, running_var, training: bool,
     In training mode the statistics come from ``stats_rows`` (the rows
     that form the actual minibatch; other rows are support nodes) and the
     running buffers are updated in place; a stats row outside [0, rows)
-    is an IndexError, raised before the buffers change.  Evaluation
-    normalizes with the running buffers only, so a node's output never
-    depends on what else is in its batch.
+    is an IndexError, and fewer than 2 stats rows a ContractError (one
+    row has zero variance, which would scale every row by 1/sqrt(eps)),
+    both raised before the buffers change.  Evaluation normalizes with
+    the running buffers only, so a node's output never depends on what
+    else is in its batch; it reads them in the input's dtype, so a
+    float32 network evaluates in float32 while the buffers themselves
+    stay float64.
     """
     t, gamma, beta = as_tensor(t), as_tensor(gamma), as_tensor(beta)
     x = t.data
@@ -442,22 +446,22 @@ def batch_norm(t, gamma, beta, running_mean, running_var, training: bool,
         raise ShapeError("batch_norm expects 2-d input")
     if training:
         rows = np.arange(x.shape[0]) if stats_rows is None else np.asarray(stats_rows)
-        if rows.size == 0:
-            raise ContractError("batch_norm with empty statistics row set")
+        if rows.size < 2:
+            raise ContractError(f"batch_norm needs at least 2 statistics rows, got {rows.size}")
         _check_rows(rows, x.shape[0], "batch_norm")     # numpy would wrap a negative one
         xs = x[rows]
         mu = xs.mean(axis=0)
         var = xs.var(axis=0)
         k = xs.shape[0]
-        unbiased = var * (k / (k - 1)) if k > 1 else var
+        unbiased = var * (k / (k - 1))
         running_mean *= (1.0 - momentum)
         running_mean += momentum * mu
         running_var *= (1.0 - momentum)
         running_var += momentum * unbiased
     else:
         rows = None
-        mu = running_mean
-        var = running_var
+        mu = running_mean.astype(x.dtype, copy=False)
+        var = running_var.astype(x.dtype, copy=False)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x - mu) * inv
     out = Tensor(xhat * gamma.data + beta.data, requires_grad=_track(t, gamma, beta))
@@ -550,7 +554,8 @@ def bce_with_logits(logits, targets) -> Tensor:
     loss_val = (np.maximum(z, 0) - z * t + np.log1p(np.exp(-np.abs(z)))).mean()
     out = Tensor(np.asarray(loss_val, dtype=z.dtype), requires_grad=_track(logits))
     if out.requires_grad:
-        sig = 1.0 / (1.0 + np.exp(-z))
+        with np.errstate(over="ignore"):        # exp(-z) = inf gives sig = 0 exactly
+            sig = 1.0 / (1.0 + np.exp(-z))
         def _bw():
             logits._acc(out.grad * (sig - t) / z.size)
         out._backward, out._parents = _bw, (logits,)

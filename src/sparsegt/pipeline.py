@@ -147,7 +147,8 @@ def _probs_from_logits(loss_name: str, z: np.ndarray) -> np.ndarray:
         zs = z - z.max(axis=1, keepdims=True)
         e = np.exp(zs)
         return e / e.sum(axis=1, keepdims=True)
-    p = 1.0 / (1.0 + np.exp(-z))
+    with np.errstate(over="ignore"):            # exp(-z) = inf gives p = 0 exactly
+        p = 1.0 / (1.0 + np.exp(-z))
     return p.reshape(-1) if loss_name == "bce" else p
 
 

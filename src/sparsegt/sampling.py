@@ -480,15 +480,18 @@ def resample_epoch(law: SamplingLaw, degs, train_nodes, batch_size: int,
     """Fresh plans covering ``train_nodes`` once, in shuffled order.
 
     Deterministic in (seed, epoch): the shuffle and every per-query draw
-    derive from them alone.
+    derive from them alone.  A one-node remainder joins the batch before
+    it, under that batch's index: training batch norm needs at least two
+    seeds to take a variance over.
     """
     train_nodes = np.asarray(train_nodes, dtype=np.int64)
     if batch_size < 1:
         raise ContractError("batch size must be positive")
     order = derive(seed, TAG_SHUFFLE, epoch).permutation(train_nodes.size)
     shuffled = train_nodes[order]
-    plans = []
-    for bi, start in enumerate(range(0, shuffled.size, batch_size)):
-        chunk = shuffled[start:start + batch_size]
-        plans.append(sample_batch(chunk, law, degs, seed, epoch, bi, stats=stats))
-    return plans
+    starts = list(range(0, shuffled.size, batch_size))
+    if len(starts) > 1 and shuffled.size - starts[-1] == 1:
+        starts.pop()
+    ends = starts[1:] + [shuffled.size]
+    return [sample_batch(shuffled[a:b], law, degs, seed, epoch, bi, stats=stats)
+            for bi, (a, b) in enumerate(zip(starts, ends))]

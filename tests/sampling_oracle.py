@@ -26,7 +26,8 @@ check the sampler that training and prediction run, not a copy of it.
 evaluation computed one plan layer by layer: one ``sample_batch`` and one
 forward per chunk of ``batch_size`` nodes.  Draws are keyed by node, not
 by chunk, so its probabilities equal ``predict``'s bit for bit when one
-chunk holds every node, and to BLAS round-off (about 1e-16) otherwise.
+chunk holds every node, and to BLAS round-off in the network's dtype
+otherwise.
 """
 
 import numpy as np

@@ -355,6 +355,31 @@ class TestSlicedForward:
                 for a, b in zip(part_scores, whole_scores):
                     np.testing.assert_allclose(a, b, rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("max_rows", [None, 3])
+    def test_a_float32_network_evaluates_in_float32(self, max_rows, monkeypatch):
+        # batch norm's running buffers are float64; eval reads them in the
+        # network's dtype, so no op promotes and no weight is cast per call
+        net = Network(ModelConfig(in_dim=3, width=4, layers=2, out_dim=2, heads=2,
+                                  norm="batch", dtype=np.float32), seed=6)
+        rng = derive(88, 0)
+        for lp in net.layers:
+            for buf in (lp.n1_mean, lp.n2_mean):
+                buf[:] = rng.normal(size=buf.size)
+            for buf in (lp.n1_var, lp.n2_var):
+                buf[:] = rng.uniform(0.5, 2.0, size=buf.size)
+        operands, matmul = [], nm.matmul
+
+        def recording(a, b):
+            operands.extend((a.data.dtype, b.data.dtype))
+            return matmul(a, b)
+        monkeypatch.setattr(nm, "matmul", recording)
+        with nm.no_grad():
+            logits, _ = net.forward(rng.normal(size=(30, 3)), _plan_geometries(0),
+                                    tau=0.7, max_rows=max_rows)
+        assert logits.data.dtype == np.float32
+        assert len(operands) > 0 and set(operands) == {np.dtype(np.float32)}
+        assert all(b.dtype == np.float64 for _, b in net.named_buffers())
+
     def test_slicing_is_for_evaluation_only(self):
         net = Network(ModelConfig(in_dim=3, width=4, layers=2, out_dim=2,
                                   norm="batch", dtype=np.float64), seed=6)

@@ -293,6 +293,32 @@ class TestNormalization:
             nm.batch_norm(x, g, b, mean, var, training=True, stats_rows=rows),
             w)), [x, g, b], tol=1e-5)
 
+    @pytest.mark.parametrize("rows", [[2], None])
+    def test_batch_norm_refuses_one_stats_row(self, rows):
+        # one row has zero variance, which would scale every row by
+        # 1/sqrt(eps); refused before the running buffers move
+        x = _p(np.arange(12.0).reshape(4, 3) / 10 if rows else [[0.5, 1.0, -2.0]])
+        g, b = _p(np.ones(3)), _p(np.zeros(3))
+        mean, var = np.zeros(3), np.ones(3)
+        with pytest.raises(ContractError, match="at least 2 statistics rows, got 1"):
+            nm.batch_norm(x, g, b, mean, var, training=True, stats_rows=rows)
+        assert (mean == 0).all() and (var == 1).all()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_batch_norm_eval_reads_the_buffers_in_the_input_dtype(self, dtype):
+        # the float64 buffers promote nothing: a float32 input gives float32
+        # rows, and a float64 one reads the very buffers
+        rng = derive(1, 112)
+        x = rng.normal(size=(5, 3)).astype(dtype)
+        g = nm.param(rng.normal(size=3) + 1.0, dtype)
+        b = nm.param(rng.normal(size=3), dtype)
+        mean, var = rng.normal(size=3), rng.uniform(0.5, 2.0, size=3)
+        y = nm.batch_norm(nm.Tensor(x), g, b, mean, var, training=False).data
+        assert y.dtype == dtype
+        assert mean.dtype == var.dtype == np.float64
+        mu, v = mean.astype(dtype), var.astype(dtype)
+        np.testing.assert_array_equal(y, (x - mu) * (1.0 / np.sqrt(v + 1e-5)) * g.data + b.data)
+
     def test_batch_norm_eval_ignores_batch(self):
         g = _p(np.ones(2))
         b = _p(np.zeros(2))
@@ -409,6 +435,18 @@ class TestLosses:
     def test_bce_stable_at_large_logits(self):
         loss = nm.bce_with_logits(_p([500.0, -500.0]), np.array([1.0, 0.0]))
         assert float(loss.data) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bce_backward_saturates_without_overflow(self, dtype):
+        # exp(1000) overflows in both dtypes: the sigmoid is then exactly 0,
+        # and elsewhere it is 1 / (1 + exp(-z)) bit for bit
+        z = np.array([-1000.0, -3.5, 0.0, 2.25, 1000.0], dtype=dtype)
+        t = np.array([1.0, 0.0, 1.0, 0.0, 1.0], dtype=dtype)
+        logits = nm.param(z, dtype)
+        nm.backward(nm.bce_with_logits(logits, t))
+        sig = np.concatenate(([0.0], 1.0 / (1.0 + np.exp(-z[1:-1])), [1.0])).astype(dtype)
+        np.testing.assert_array_equal(logits.grad, np.ones((), dtype) * (sig - t) / z.size)
+        assert logits.grad[0] == -1.0 / z.size and logits.grad[-1] == 0.0
 
     def test_auc_hand_value(self):
         # pos {0.35, 0.8} vs neg {0.1, 0.4}: 3 of 4 pairs ordered right

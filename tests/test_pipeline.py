@@ -26,8 +26,8 @@ from sparsegt.errors import ContractError, DivergenceError, ShapeError
 from sparsegt.graphs import (TEST, TRAIN, VAL, AttentionPattern, PatternLayer,
                              augment, build_expander, save_pattern, save_split)
 from sparsegt.numerics import AdamW, load_checkpoint, save_checkpoint
-from sparsegt.pipeline import (TrainConfig, config_from_dict, config_to_dict,
-                               edge_percent, metric_value, predict,
+from sparsegt.pipeline import (TrainConfig, _probs_from_logits, config_from_dict,
+                               config_to_dict, edge_percent, metric_value, predict,
                                predicted_labels, resolve_task,
                                save_history_csv, train_estimator, train_final,
                                write_json)
@@ -122,6 +122,17 @@ class TestMetrics:
     def test_accuracy(self):
         assert metric_value("ce", "accuracy", np.array([[0.6, 0.4]]),
                             np.array([0])) == 1.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_saturates_without_overflow(self, dtype):
+        # exp(1000) overflows: the probability is then exactly 0, and
+        # elsewhere it is 1 / (1 + exp(-z)) bit for bit
+        z = np.array([[-1000.0], [-3.5], [0.0], [2.25], [1000.0]], dtype=dtype)
+        for loss_name in ("bce", "multilabel"):
+            p = _probs_from_logits(loss_name, z).reshape(-1)
+            z64 = z.reshape(-1).astype(np.float64)
+            np.testing.assert_array_equal(p[1:-1], 1.0 / (1.0 + np.exp(-z64[1:-1])))
+            assert p[0] == 0.0 and p[-1] == 1.0
 
 
 def _one_layer(row_ptr, col_idx):
@@ -352,6 +363,33 @@ class TestFinal:
             train_final(g, _toy_scores(), self._cfg(full_graph=True, degs=(4,)))
 
 
+class TestOneNodeBatches:
+    @pytest.mark.parametrize("batch_size", [5, 23])
+    def test_the_readme_task_trains_with_a_one_node_tail(self, batch_size, monkeypatch):
+        # 116 training nodes leave one node over at both sizes; it joins the
+        # batch before it, so training batch norm never takes the variance
+        # of a single seed (which scales every row by 1/sqrt(eps) ~ 316 per
+        # norm: |out| passed 1e5 within five epochs).  A RuntimeWarning is
+        # an error here.
+        g = gen_bridge_task(SyntheticSpec(seed=0, num_components=8, component_size=24,
+                                          num_bridges=4, extra_edges=2, noise=0.1))
+        assert int((g.split == TRAIN).sum()) % batch_size == 1
+        pattern = augment(g, build_expander(g.n, 3, seed=0), 2)
+        batch_norm, peak = nm.batch_norm, [0.0]
+
+        def recording(*args, **kwargs):
+            out = batch_norm(*args, **kwargs)
+            if kwargs["training"]:
+                peak[0] = max(peak[0], float(np.abs(out.data).max()))
+            return out
+        monkeypatch.setattr(nm, "batch_norm", recording)
+        res = train_final(g, uniform_scores(pattern),
+                          TrainConfig(width=32, layers=2, epochs=30, lr=0.01, seed=0,
+                                      degs=(4, 4), batch_size=batch_size))
+        assert np.isfinite([h[1] for h in res.history]).all()
+        assert 0 < peak[0] < 1e3
+
+
 @pytest.mark.parametrize("phase", ["estimator", "final-max"])
 def test_the_arena_trains_like_the_loop_oracle(phase, monkeypatch):
     # the estimator updates every parameter in one run; the final network has
@@ -447,31 +485,59 @@ class TestFullDegreeEquivalence:
 
 
 @functools.lru_cache(maxsize=None)
-def _toy_final():
+def _toy_final(dtype="float32"):
     g, _ = _toy()
     return train_final(g, _toy_scores(), TrainConfig(width=8, layers=2, epochs=2,
                                                      batch_size=16, degs=(3, 3),
-                                                     seed=1))
+                                                     seed=1, dtype=dtype))
+
+
+def _check_matches_one_draw_per_chunk(res, batch_size, atol):
+    g, pattern = _toy()
+    nodes = derive(5, 1).permutation(g.n)
+    for scores in (_toy_scores(), uniform_scores(pattern)):
+        for n_samples, mode, k_prime in itertools.product(
+                (1, 3), ("sample", "top"), (None, 16, 2)):
+            kw = dict(seed=4, n_samples=n_samples, batch_size=batch_size,
+                      mode=mode, k_prime=k_prime, loss_name=res.loss_name)
+            probs, _ = predict(res.network, g.features, scores, (3, 3), nodes, **kw)
+            oracle = predict_per_chunk(res.network, g.features, scores, (3, 3),
+                                       nodes, **kw)
+            if batch_size >= g.n:       # one chunk: the very same forward
+                np.testing.assert_array_equal(probs, oracle)
+            else:   # BLAS blocks rows apart: round-off in the network's dtype
+                np.testing.assert_allclose(probs, oracle, rtol=0, atol=atol)
 
 
 class TestPredict:
     @pytest.mark.parametrize("batch_size", [1, 5, 64, 32])
     def test_matches_one_draw_per_chunk(self, batch_size):
-        g, pattern = _toy()
-        res = _toy_final()
-        nodes = derive(5, 1).permutation(g.n)
-        for scores in (_toy_scores(), uniform_scores(pattern)):
-            for n_samples, mode, k_prime in itertools.product(
-                    (1, 3), ("sample", "top"), (None, 16, 2)):
-                kw = dict(seed=4, n_samples=n_samples, batch_size=batch_size,
-                          mode=mode, k_prime=k_prime, loss_name=res.loss_name)
-                probs, _ = predict(res.network, g.features, scores, (3, 3), nodes, **kw)
-                oracle = predict_per_chunk(res.network, g.features, scores, (3, 3),
-                                           nodes, **kw)
-                if batch_size >= g.n:       # one chunk: the very same forward
-                    np.testing.assert_array_equal(probs, oracle)
-                else:   # the eval forward runs in float64, and BLAS blocks rows apart
-                    np.testing.assert_allclose(probs, oracle, rtol=0, atol=1e-15)
+        _check_matches_one_draw_per_chunk(_toy_final("float64"), batch_size, atol=1e-15)
+
+    @pytest.mark.parametrize("batch_size", [1, 5, 64, 32])
+    def test_float32_matches_one_draw_per_chunk(self, batch_size):
+        _check_matches_one_draw_per_chunk(_toy_final(), batch_size,
+                                          atol=4 * np.finfo(np.float32).eps)
+
+    @pytest.mark.parametrize("dtype,atol", [("float64", 0.0), ("float32", 1e-6)])
+    def test_eval_batch_norm_reads_the_buffers_in_the_network_dtype(self, dtype, atol,
+                                                                   monkeypatch):
+        # against eval batch norm that subtracts the float64 buffers as they
+        # are, so that every later op promotes: a float64 network predicts
+        # the very same bits, a float32 one to float32 round-off
+        def promoting(t, gamma, beta, running_mean, running_var, training, **kwargs):
+            assert not training
+            inv = 1.0 / np.sqrt(running_var + 1e-5)
+            return nm.Tensor((t.data - running_mean) * inv * gamma.data + beta.data)
+
+        g, _ = _toy()
+        res = _toy_final(dtype)
+        args = (res.network, g.features, _toy_scores(), (3, 3), np.arange(g.n))
+        kw = dict(seed=4, n_samples=2, batch_size=5, loss_name=res.loss_name)
+        probs, _ = predict(*args, **kw)
+        monkeypatch.setattr(nm, "batch_norm", promoting)
+        promoted, _ = predict(*args, **kw)
+        np.testing.assert_allclose(probs, promoted, rtol=0, atol=atol)
 
     def test_repeated_nodes_get_identical_rows(self):
         g, _ = _toy()

@@ -31,7 +31,7 @@ from scipy import stats as sps
 from sparsegt.attention import LayerGeometry
 from sparsegt.errors import ContractError, ShapeError
 from sparsegt.graphs import AttentionPattern, EdgeType, PatternLayer
-from sparsegt.rngutil import TAG_VAL, derive
+from sparsegt.rngutil import TAG_SHUFFLE, TAG_VAL, derive
 from sparsegt.sampling import (BatchPlan, SampleStats, draw_rows,
                                load_scores_npz, plan_geometries, resample_epoch,
                                sample_batch, sampling_law, save_scores_npz,
@@ -631,6 +631,25 @@ class TestResampleEpoch:
         with pytest.raises(ContractError):
             resample_epoch(sampling_law(_ring_scores()), (2, 2), np.arange(6), batch_size=0,
                            seed=0, epoch=1)
+
+    @pytest.mark.parametrize("count,batch_size,sizes", [
+        (6, 4, [4, 2]), (6, 2, [2, 2, 2]), (6, 6, [6]),   # no one-node tail
+        (5, 4, [5]), (5, 2, [2, 3]), (6, 5, [6]),          # the tail joins its neighbour
+        (1, 3, [1]),                                       # nothing to join
+    ])
+    def test_a_one_node_tail_joins_the_batch_before_it(self, count, batch_size, sizes):
+        # training batch norm refuses one seed; every other plan is the one
+        # the plain split draws, bit for bit, under its own batch index
+        law = sampling_law(_ring_scores())
+        nodes = np.arange(count)
+        plans = resample_epoch(law, (2, 2), nodes, batch_size=batch_size, seed=0, epoch=1)
+        assert [p.seeds.size for p in plans] == sizes
+        shuffled = nodes[derive(0, TAG_SHUFFLE, 1).permutation(count)]
+        bounds = np.cumsum([0] + sizes)
+        for bi, plan in enumerate(plans):
+            chunk = shuffled[bounds[bi]:bounds[bi + 1]]
+            _assert_same_plan(plan, sample_batch(chunk, law, (2, 2), seed=0, epoch=1,
+                                                 batch_index=bi))
 
 
 class TestScoreSets:
