@@ -18,6 +18,7 @@ failure such as no expander reaching the gap target or a diverged run.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import resource
@@ -34,10 +35,9 @@ from .errors import (ContractError, DivergenceError, ExpanderGapError,
 from .graphs import (TEST, TRAIN, VAL, atomic_path, augment, build_expander,
                      load_pattern, save_expander, save_pattern)
 from .numerics import load_checkpoint
-from .pipeline import (TrainConfig, build_network, config_from_dict,
-                       final_degs, final_sampler, predict_by_law, train_estimator,
-                       train_final, write_json)
-from .sampling import load_scores_npz, validate_scores
+from .pipeline import (TrainConfig, build_network, config_from_dict, final_law,
+                       predict_by_law, train_estimator, train_final, write_json)
+from .sampling import load_scores_npz
 
 
 def _sha256(path) -> str:
@@ -120,11 +120,10 @@ def _resolve_input(path, *candidates):
 
 
 def _train_config(args) -> TrainConfig:
-    fields = ("width", "layers", "heads", "epochs", "lr", "weight_decay",
-              "batch_size", "dropout", "lam", "gamma", "seed", "loss",
-              "metric", "ablation", "full_graph", "prefilter", "warmup",
-              "eval_samples", "dtype")
-    kwargs = {f: getattr(args, f) for f in fields if hasattr(args, f)}
+    # every TrainConfig field the subcommand's parser defines; degs comes as
+    # a comma-separated string
+    kwargs = {f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)
+              if f.name != "degs" and hasattr(args, f.name)}
     if getattr(args, "degs", None):
         kwargs["degs"] = tuple(int(d) for d in args.degs.split(","))
     return TrainConfig(**kwargs)
@@ -202,18 +201,14 @@ def _cmd_predict(args, manifest) -> int:
     if role != "final":
         raise ContractError(f"{run_dir} holds a {role} run, not a final one")
     cfg = config_from_dict(stored)
-    scores = load_scores_npz(args.scores)
-    # the law holds only the scores it samples by, and under the uniform
-    # ablation those are not the file's
-    validate_scores(scores)
+    law, degs = final_law(cfg, load_scores_npz(args.scores))
     net, loss_name = build_network(g, cfg, "final")
     net.load_state_dict(load_checkpoint(run_dir / "ckpt" / "final.ckpt"))
     nodes = {"all": np.arange(g.n), "train": g.split_idx(TRAIN),
              "val": g.split_idx(VAL), "test": g.split_idx(TEST)}[args.nodes]
-    probs, preds = predict_by_law(net, g.features, final_sampler(cfg, scores),
-                                  final_degs(cfg, scores), nodes,
-                                  seed=args.seed, n_samples=args.samples,
-                                  batch_size=cfg.batch_size, loss_name=loss_name)
+    probs, preds = predict_by_law(net, g.features, law, degs, nodes, seed=args.seed,
+                                  n_samples=args.samples, batch_size=cfg.batch_size,
+                                  loss_name=loss_name)
     write_predictions(out / "predictions.csv", nodes, probs, preds)
     print(f"wrote predictions for {nodes.size} nodes to {out / 'predictions.csv'}")
     return 0

@@ -351,9 +351,12 @@ def train_final(graph: Graph, scores: AttentionPattern, cfg: TrainConfig,
     patterns at the best validation state.  ``cfg.full_graph`` trains on
     the whole pattern instead (the sampling ablation's upper reference),
     still taking batch statistics over the training rows so the two modes
-    are comparable; it attends over every entry, so its edge budget is
-    100%.  Legal ablations: none, uniform (ignore the scores), max
-    (top-deg selection instead of sampling).
+    are comparable.  Validation, the test metric, the edge budget and
+    metrics.json's ``sampling_law`` read one law for every run (see
+    ``final_law``); a full-graph run's law takes every row whole, so it
+    computes the full-pattern forward at a 100% budget.  Legal ablations:
+    none, uniform (ignore the scores), max (top-deg selection instead of
+    sampling).
     """
     if cfg.ablation not in ("none", "uniform", "max"):
         raise ContractError(f"final ablation must be none/uniform/max, "
@@ -366,21 +369,19 @@ def train_final(graph: Graph, scores: AttentionPattern, cfg: TrainConfig,
     if (cfg.degs or not cfg.full_graph) and len(cfg.degs) != scores.num_layers:
         raise ContractError(f"need {scores.num_layers} degree budgets, "
                             f"got {len(cfg.degs)}")
-    if not cfg.full_graph:
-        validate_scores(scores)
+    law, degs = final_law(cfg, scores)
     net, loss_name = build_network(graph, cfg, "final")
     train_idx, val_idx, test_idx = _split_indices(graph)
     labels = np.asarray(graph.labels)
     x = np.asarray(graph.features, dtype=cfg.np_dtype)
     stats = SampleStats()
 
+    def evaluate(nodes, epoch):
+        return _eval_sampled(net, x, law, degs, nodes, cfg.seed, epoch, TAG_VAL,
+                             cfg.batch_size, loss_name)
+
     if cfg.full_graph:
         geoms = [pattern_geometry(sl, stats_rows=train_idx) for sl in scores.layers]
-
-        def evaluate(nodes, epoch):     # the whole pattern draws nothing
-            with nm.no_grad():
-                logits, _ = net.forward(x, geoms, tau=1.0, training=False)
-            return _probs_from_logits(loss_name, logits.data[nodes])
 
         def run_epoch(opt, epoch):
             rng = derive(cfg.seed, TAG_DROPOUT, epoch) if cfg.dropout > 0 else None
@@ -390,14 +391,8 @@ def train_final(graph: Graph, scores: AttentionPattern, cfg: TrainConfig,
             loss_val = _step(opt, loss, epoch)
             return loss_val, evaluate(val_idx, epoch), 1.0
     else:
-        law = final_sampler(cfg, scores)
-
-        def evaluate(nodes, epoch):
-            return _eval_sampled(net, x, law, cfg.degs, nodes, cfg.seed, epoch,
-                                 TAG_VAL, cfg.batch_size, loss_name)
-
         def run_epoch(opt, epoch):
-            plans = resample_epoch(law, cfg.degs, train_idx, cfg.batch_size,
+            plans = resample_epoch(law, degs, train_idx, cfg.batch_size,
                                    cfg.seed, epoch, stats=stats)
             total_loss, total_rows = 0.0, 0
             for bi, plan in enumerate(plans):
@@ -415,18 +410,14 @@ def train_final(graph: Graph, scores: AttentionPattern, cfg: TrainConfig,
 
     test_m = float("nan")
     if test_idx.size:
-        if cfg.full_graph:
-            test_probs = evaluate(test_idx, 1)
-        else:
-            test_probs, _ = predict_by_law(net, x, law, cfg.degs, test_idx,
-                                           seed=cfg.seed, n_samples=cfg.eval_samples,
-                                           batch_size=cfg.batch_size,
-                                           loss_name=loss_name)
+        test_probs, _ = predict_by_law(net, x, law, degs, test_idx, seed=cfg.seed,
+                                       n_samples=cfg.eval_samples,
+                                       batch_size=cfg.batch_size, loss_name=loss_name)
         test_m = metric_value(loss_name, cfg.metric, test_probs, labels[test_idx])
     if best_val == -np.inf and val_idx.size:
         best_val = metric_value(loss_name, cfg.metric, evaluate(val_idx, 1),
                                 labels[val_idx])
-    pct = 100.0 if cfg.full_graph else edge_percent(scores, cfg.degs)
+    pct = edge_percent(scores, degs)
     result = FinalResult(network=net, history=history, best_epoch=best_epoch,
                          best_val=float(best_val), test_metric=test_m,
                          edge_pct=pct, loss_name=loss_name, sample_stats=stats)
@@ -438,35 +429,35 @@ def train_final(graph: Graph, scores: AttentionPattern, cfg: TrainConfig,
                     "uniform_fallbacks": stats.uniform_fallbacks,
                     "prefilter_truncated": stats.prefilter_truncated,
                     "prefilter_kept_full": stats.prefilter_kept_full,
-                    "sampling_law": None if cfg.full_graph else law.summary()})
+                    "sampling_law": law.summary()})
     return result
 
 
-def final_sampler(cfg: TrainConfig, scores: AttentionPattern) -> SamplingLaw:
-    """The sampling law a final run with ``cfg`` draws by, built once.
+def final_law(cfg: TrainConfig, scores: AttentionPattern) -> tuple:
+    """(law, per-layer budgets) that every draw of a final run with ``cfg`` uses.
 
-    The uniform ablation samples uniform rows over the same support, the
-    max ablation selects the top-deg scores instead of drawing, and
-    otherwise the prefilter keeps the top 4*max(degs) scores of each row.
-    A run's training plans, validation and test metric share one law;
-    ``sparsegt predict`` builds the same law from a finished run's config.
+    Validates ``scores``, then takes the budgets: ``cfg.degs``, or for a
+    ``full_graph`` run each layer's longest score row, so every row is
+    taken whole and a draw computes the full-pattern forward.  The uniform
+    ablation samples uniform rows over the same support, the max ablation
+    selects the top-deg scores instead of drawing, and otherwise the
+    prefilter keeps the top 4*max(budgets) scores of each row, which at
+    full degree truncates nothing.  A run's validation, test metric and
+    edge budget read this law, and ``sparsegt predict`` builds it again
+    from a finished run's config; only full-graph training does not draw.
     """
+    # the law holds only the scores it samples by, and under the uniform
+    # ablation those are not the given ones: check these here
+    validate_scores(scores)
+    degs = cfg.degs
+    if cfg.full_graph:
+        degs = tuple(int(np.diff(sl.row_ptr).max()) for sl in scores.layers)
     eff_scores = uniform_scores(scores) if cfg.ablation == "uniform" else scores
     mode = "top" if cfg.ablation == "max" else "sample"
     k_prime = None
-    if (cfg.prefilter and mode == "sample" and cfg.ablation != "uniform"
-            and not cfg.full_graph):
-        k_prime = 4 * max(cfg.degs)
-    return sampling_law(eff_scores, mode, k_prime, cfg.tail_eps)
-
-
-def final_degs(cfg: TrainConfig, scores: AttentionPattern) -> tuple:
-    """The per-layer budgets a final run's draws use: ``cfg.degs``, or for
-    a ``full_graph`` run each layer's longest score row, so that every row
-    is taken whole and a draw computes the full-pattern forward."""
-    if cfg.full_graph:
-        return tuple(int(np.diff(sl.row_ptr).max()) for sl in scores.layers)
-    return cfg.degs
+    if cfg.prefilter and mode == "sample" and cfg.ablation != "uniform":
+        k_prime = 4 * max(degs)
+    return sampling_law(eff_scores, mode, k_prime, cfg.tail_eps), degs
 
 
 def _eval_sampled(net, x, law, degs, nodes, seed, epoch, tag, batch_size,

@@ -7,22 +7,25 @@ contract get their own cases; one subprocess call checks the installed
 entry point works outside this interpreter.
 """
 
+import argparse
+import dataclasses
 import json
 import shutil
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sparsegt.cli import main
+from sparsegt.cli import _train_config, build_parser, main
 from sparsegt.datasets import load_dataset
 from sparsegt.errors import FormatError
 from sparsegt.graphs import TEST
 from sparsegt.numerics import load_checkpoint
-from sparsegt.pipeline import (build_network, config_from_dict, final_sampler,
-                               metric_value, predict)
+from sparsegt.pipeline import (TrainConfig, build_network, config_from_dict,
+                               final_law, metric_value, predict)
 from sparsegt.sampling import load_scores_npz, save_scores_npz, validate_scores
 
 GEN = ["--components", "4", "--component-size", "8", "--bridges", "1",
@@ -186,7 +189,7 @@ class TestWorkflow:
                                     if k != "role"})
         net, loss_name = build_network(g, cfg, "final")
         net.load_state_dict(load_checkpoint(fin + "/ckpt/final.ckpt"))
-        law = final_sampler(cfg, load_scores_npz(sharp))
+        law, _ = final_law(cfg, load_scores_npz(sharp))
         assert metrics["sampling_law"] == law.summary()
         assert law.summary()[0]["rows_truncated"] > 0
         probs, _ = predict(net, g.features, load_scores_npz(sharp), cfg.degs,
@@ -207,6 +210,43 @@ class TestWorkflow:
                      "--run", ws["fin"], "--out", pred, "--nodes", "val"]) == 0
         with open(pred + "/predictions.csv") as fh:
             assert fh.read().splitlines() == ["node,pred,p0"]
+
+
+@pytest.mark.parametrize("command", ["train-estimator", "train-final", "analyze"])
+def test_every_config_flag_reaches_the_config(command):
+    # each TrainConfig field the subcommand's parser defines, set away from
+    # its parser default, must arrive in the config
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[command]
+    fields = {f.name for f in dataclasses.fields(TrainConfig)}
+    argv, want = [command], {}
+    for action in sub._actions:
+        if not action.option_strings:
+            continue
+        flag = action.option_strings[0]
+        if action.dest not in fields:
+            if action.required:
+                argv += [flag, action.choices[0] if action.choices else "x"]
+            continue
+        if action.dest == "degs":
+            argv += [flag, "3,5"]
+            want["degs"] = (3, 5)
+        elif action.nargs == 0:                 # store_true / store_false
+            argv.append(flag)
+            want[action.dest] = action.const
+        else:
+            value = (next(c for c in action.choices if c != action.default)
+                     if action.choices else action.type(action.default) + 1
+                     if action.type is int else action.default + 0.25)
+            argv += [flag, str(value)]
+            want[action.dest] = value
+    assert {"seed", "width", "layers", "epochs", "lr"} <= set(want)
+    cfg = _train_config(build_parser().parse_args(argv))
+    got = {name: getattr(cfg, name) for name in want}
+    assert got == want
+    defaults = TrainConfig()
+    assert all(getattr(defaults, name) != value for name, value in want.items()
+               if name != "width")
 
 
 class TestExitCodes:
@@ -292,7 +332,7 @@ class TestExitCodes:
     ])
     def test_train_estimator_rejects_a_malformed_pattern(self, ws, tmp_path, capsys,
                                                          column, value, message):
-        lines = open(ws["pattern"]).read().splitlines()
+        lines = Path(ws["pattern"]).read_text().splitlines()
         fields = lines[5].split("\t")
         fields[column] = value
         lines[5] = "\t".join(fields)
@@ -315,7 +355,7 @@ class TestAnalyze:
         assert main(["analyze", "--kind", "profile", "--scores", ws["scores"],
                      "--out", out, "--topk", "2"]) == 0
         assert "entropy by layer" in capsys.readouterr().out
-        lines = open(out + "/profile.csv").read().splitlines()
+        lines = Path(out, "profile.csv").read_text().splitlines()
         assert lines[0].startswith("layer,entropy,topk_mass")
         with open(out + "/profile.json") as fh:
             prof = json.load(fh)
@@ -390,7 +430,7 @@ class TestDeterminismAndEntryPoint:
         assert "wrote 32 nodes" in capsys.readouterr().out
         assert main(["gen", "--out", b] + GEN) == 0
         for name in ("edges.tsv", "features.csv", "labels.csv", "split.csv"):
-            assert open(a + "/" + name).read() == open(b + "/" + name).read()
+            assert Path(a, name).read_text() == Path(b, name).read_text()
 
     def test_module_invocation(self, tmp_path):
         out = subprocess.run(

@@ -362,6 +362,17 @@ class TestFinal:
         with pytest.raises(ContractError, match="degree budgets"):
             train_final(g, _toy_scores(), self._cfg(full_graph=True, degs=(4,)))
 
+    def test_full_graph_validates_scores_before_training(self, monkeypatch):
+        g, _ = _toy()
+        broken = replace(_toy_scores(), layers=tuple(
+            replace(sl, values=sl.values * 2.0) for sl in _toy_scores().layers))
+
+        def no_update(opt, epoch):
+            raise AssertionError("trained before validating the scores")
+        monkeypatch.setattr(AdamW, "step", no_update)
+        with pytest.raises(ContractError, match="sums"):
+            train_final(g, broken, self._cfg(full_graph=True))
+
 
 class TestOneNodeBatches:
     @pytest.mark.parametrize("batch_size", [5, 23])
@@ -690,7 +701,7 @@ class TestOneLawPerRun:
 
     @pytest.mark.parametrize("kw,laws", [({}, 1), (dict(eval_samples=3), 1),
                                          (dict(ablation="max"), 1),
-                                         (dict(full_graph=True), 0)])
+                                         (dict(full_graph=True), 1)])
     def test_train_final_builds_one_law(self, count, kw, laws):
         g, _ = _toy()
         train_final(g, _toy_scores(), TrainConfig(width=8, layers=2, epochs=3,
@@ -698,10 +709,38 @@ class TestOneLawPerRun:
                                                   seed=0, **kw))
         assert len(count) == laws
 
+    @pytest.mark.parametrize("ablation,mode", [("none", "sample"), ("max", "top"),
+                                               ("uniform", "sample")])
+    def test_a_full_graph_law_keeps_every_entry(self, ablation, mode):
+        scores = _toy_scores()
+        law, degs = pipeline.final_law(TrainConfig(layers=2, full_graph=True,
+                                                   ablation=ablation), scores)
+        assert degs == tuple(int(np.diff(sl.row_ptr).max()) for sl in scores.layers)
+        ref = sampling_law(uniform_scores(scores) if ablation == "uniform" else scores,
+                           mode, k_prime=None)
+        assert law.mode == ref.mode and law.n == ref.n
+        for ll, rl in zip(law.layers, ref.layers, strict=True):
+            for name, value in vars(ll).items():
+                np.testing.assert_array_equal(value, getattr(rl, name), err_msg=name)
+
+    def test_full_graph_run_records_its_law(self, tmp_path):
+        g, _ = _toy()
+        cfg = TrainConfig(width=8, layers=2, epochs=2, batch_size=16, seed=0,
+                          full_graph=True)
+        res = train_final(g, _toy_scores(), cfg, run_dir=tmp_path)
+        metrics = json.loads((tmp_path / "metrics.json").read_text())
+        assert res.edge_pct == metrics["edge_pct"] == 100.0
+        law = metrics["sampling_law"]
+        assert law == pipeline.final_law(cfg, _toy_scores())[0].summary()
+        for layer in law:
+            assert layer["rows_truncated"] == 0
+            assert layer["entries_kept"] == layer["entries_total"]
+
     @pytest.mark.parametrize("n_samples", [1, 4])
     def test_predict_builds_one_law_per_call(self, count, n_samples):
         g, _ = _toy()
         res = _toy_final()
+        count.clear()  # a cold _toy_final cache trains here, building its own law
         for calls in (1, 2):
             predict(res.network, g.features, _toy_scores(), (3, 3), np.arange(g.n),
                     n_samples=n_samples, batch_size=5, loss_name=res.loss_name)
