@@ -96,7 +96,7 @@ class LayerGeometry:
     first forward builds each edge's query row, the row starts, the
     type-and-row index of q * emap and the column and type spans, the
     first backward the CSC ramp.  It lives and dies with the geometry, so
-    a geometry used once pays what a raw-array call would, and the arrays
+    a geometry used once builds it once, and the arrays
     must not be changed once it is built.
     """
 
@@ -123,12 +123,11 @@ class LayerGeometry:
         return np.arange(lengths.max(initial=0)) < lengths[:, None]
 
 
-def pattern_geometry(layer: PatternLayer, stats_rows=None) -> LayerGeometry:
+def pattern_geometry(layer: PatternLayer) -> LayerGeometry:
     """Full-pattern geometry: every node queries its whole CSR row."""
     return LayerGeometry(query_rows=np.arange(layer.row_ptr.shape[0] - 1),
                          row_ptr=layer.row_ptr, col_idx=layer.col_idx,
-                         edge_type=layer.edge_type,
-                         stats_rows=None if stats_rows is None else np.asarray(stats_rows))
+                         edge_type=layer.edge_type)
 
 
 class HeadParams:

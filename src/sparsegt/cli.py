@@ -195,8 +195,10 @@ def _cmd_predict(args, manifest) -> int:
     manifest.hash_inputs([args.data, args.scores, args.run])
     g, _ = datasets.load_dataset(args.data)
     run_dir = Path(args.run)
-    with open(run_dir / "config.json") as fh:
-        stored = json.load(fh)
+    try:        # undecodable bytes, text that is not JSON, JSON that is no object
+        stored = dict(json.loads((run_dir / "config.json").read_text()))
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{run_dir / 'config.json'}: not a JSON object ({exc})") from None
     role = stored.pop("role", "final")
     if role != "final":
         raise ContractError(f"{run_dir} holds a {role} run, not a final one")

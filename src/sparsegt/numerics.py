@@ -288,8 +288,7 @@ def edge_attention(q, k, v, emap, bias, edges, scale: float,
                    temperature: float = 1.0, clip: float = 8.0):
     """One attention head over a CSR edge list, as a single tape node.
 
-    ``edges`` is an ``EdgeIndex`` or the raw (row_ptr, cols, types) arrays,
-    which are prepared for this call alone.  Query i attends over edges e
+    ``edges`` is the list's ``EdgeIndex``.  Query i attends over edges e
     in ``row_ptr[i]:row_ptr[i+1]``, each reading row ``cols[e]`` of ``k``
     and ``v`` and, by type, a row of ``emap`` (t, w) and ``bias`` (t, 1):
         logit_e = scale * (q_i * emap[types[e]]) . k[cols[e]] + bias[types[e]]
@@ -301,20 +300,20 @@ def edge_attention(q, k, v, emap, bias, edges, scale: float,
     Returns (out (queries, w), weights).
     """
     q, k, v, emap, bias = (as_tensor(x) for x in (q, k, v, emap, bias))
-    ix = edges if isinstance(edges, EdgeIndex) else EdgeIndex(*edges)
-    row_ptr, cols, types, rows, starts = ix.row_ptr, ix.cols, ix.types, ix.rows, ix.starts
+    row_ptr, cols, types = edges.row_ptr, edges.cols, edges.types
+    rows, starts = edges.rows, edges.starts
     (nq, w), n, t = q.data.shape, k.data.shape[0], emap.data.shape[0]
-    if (k.data.shape, v.data.shape, emap.data.shape, bias.data.shape, ix.num_queries) \
+    if (k.data.shape, v.data.shape, emap.data.shape, bias.data.shape, edges.num_queries) \
             != ((n, w), (n, w), (t, w), (t, 1), nq):
         raise ShapeError(f"edge_attention shapes: {[x.data.shape for x in (q, k, v, emap, bias)]}"
-                         f" over {ix.num_queries} query rows")
+                         f" over {edges.num_queries} query rows")
     if temperature <= 0:
         raise ContractError(f"temperature must be positive, got {temperature}")
-    _check_rows(cols, n, "edge_attention", ix.col_span)
-    _check_rows(types, t, "edge_attention", ix.type_span)
+    _check_rows(cols, n, "edge_attention", edges.col_span)
+    _check_rows(types, t, "edge_attention", edges.type_span)
     qe = (emap.data[:, None, :] * q.data).reshape(t * nq, w)     # row j * nq + i: q_i * emap_j
     # np.take copies the rows fancy indexing would, several times faster
-    qg, kg = np.take(qe, ix.qe_idx, axis=0), np.take(k.data, cols, axis=0)
+    qg, kg = np.take(qe, edges.qe_idx, axis=0), np.take(k.data, cols, axis=0)
     scale = q.data.dtype.type(scale)
     logits = np.einsum("ew,ew->e", qg, kg) * scale + np.take(bias.data[:, 0], types)
     y = logits.clip(-clip, clip) / temperature
@@ -340,9 +339,10 @@ def edge_attention(q, k, v, emap, bias, edges, scale: float,
             # each edge scatters its row of qg (kg) times its dlogit, which rides
             # in the operator's values: the products round as they would apart
             if k.requires_grad:
-                k._acc(_spmm("csc", ix.ramp, cols, dlogit, qg, n))
+                k._acc(_spmm("csc", edges.ramp, cols, dlogit, qg, n))
             if q.requires_grad or emap.requires_grad:
-                dqe = _spmm("csc", ix.ramp, ix.qe_idx, dlogit, kg, t * nq).reshape(t, nq, w)
+                dqe = _spmm("csc", edges.ramp, edges.qe_idx, dlogit, kg,
+                            t * nq).reshape(t, nq, w)
                 if q.requires_grad:
                     q._acc(np.einsum("tiw,tw->iw", dqe, emap.data))
                 if emap.requires_grad:
@@ -700,8 +700,13 @@ def save_checkpoint(path, named_arrays: dict) -> None:
 
 
 def load_checkpoint(path) -> dict:
-    """The arrays ``save_checkpoint`` wrote; FormatError naming ``path`` if
-    numpy cannot read them back without unpickling."""
+    """The arrays ``save_checkpoint`` wrote (see ``load_npz``)."""
+    return load_npz(path, "checkpoint")
+
+
+def load_npz(path, what: str) -> dict:
+    """The arrays of the npz archive at ``path``, read without unpickling, or a
+    FormatError naming ``path`` as no readable ``what``."""
     with open(path, "rb") as fh:
         try:
             z = np.load(fh, allow_pickle=False)
@@ -710,4 +715,4 @@ def load_checkpoint(path) -> dict:
             with z:
                 return {name: z[name] for name in z.files}
         except (ValueError, EOFError, zipfile.BadZipFile) as exc:
-            raise FormatError(f"{path}: not a readable checkpoint ({exc})") from None
+            raise FormatError(f"{path}: not a readable {what} ({exc})") from None

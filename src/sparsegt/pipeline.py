@@ -4,11 +4,11 @@ Phase one trains a small network over the full augmented pattern with an
 annealing softmax temperature and reads its attention distributions back
 out as per-layer sampling scores.  Phase two trains the full-width
 network on fixed-degree supports drawn from those scores, redrawing the
-supports every epoch so no neighbor is permanently hidden.  The phases
-share one ``TrainConfig``; what differs between them (normalization
-flavor, value normalization, dropout, temperature) is decided here, not by
-the caller.  Both run the same loop: train an epoch, score validation,
-keep the best state.
+supports every epoch so no neighbor is permanently hidden (a full-graph
+run draws every row whole, in one batch).  The phases share one
+``TrainConfig``; what differs between them (normalization, dropout,
+temperature) is decided here, not by the caller.  Both run the same
+loop: train an epoch, score validation, keep the best state.
 
 Runs are deterministic in ``cfg.seed``: initialization, epoch shuffles,
 plan sampling draws and dropout masks all derive from it through disjoint
@@ -20,7 +20,7 @@ so a finished run can be inspected without the Python objects.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,7 @@ import numpy as np
 from . import numerics as nm
 from .attention import (ModelConfig, Network, TemperatureSchedule,
                         pattern_geometry, temperature_at)
-from .errors import ContractError, DivergenceError, ShapeError
+from .errors import ContractError, DivergenceError, FormatError, ShapeError
 from .graphs import TEST, TRAIN, VAL, AttentionPattern, Graph, atomic_path, write_json
 from .rngutil import TAG_DROPOUT, TAG_PREDICT, TAG_VAL, derive
 from .sampling import (SampleStats, SamplingLaw, plan_geometries, resample_epoch,
@@ -60,7 +60,7 @@ class TrainConfig:
     loss: str = "auto"
     metric: str = "accuracy"
     ablation: str = "none"
-    full_graph: bool = False      # final phase: train on the whole pattern
+    full_graph: bool = False      # final phase: every row whole, one batch
     prefilter: bool = True        # final phase: top-k' score truncation
     tail_eps: float = 0.05
     warmup: int = 0
@@ -99,7 +99,14 @@ def config_to_dict(cfg: TrainConfig) -> dict:
 
 
 def config_from_dict(d: dict) -> TrainConfig:
-    return TrainConfig(**{k: tuple(v) if k == "degs" else v for k, v in d.items()})
+    """The config ``config_to_dict`` wrote; FormatError naming a bad field."""
+    unknown = sorted(set(d) - {f.name for f in fields(TrainConfig)})
+    if unknown:
+        raise FormatError(f"unknown config field {unknown[0]!r}")
+    degs = d.get("degs", [])
+    if not isinstance(degs, (list, tuple)) or not all(isinstance(v, int) for v in degs):
+        raise FormatError(f"config field 'degs' must be a list of integers, got {degs!r}")
+    return TrainConfig(**{**d, "degs": tuple(degs)})
 
 
 # ---------------------------------------------------------------------------
@@ -348,15 +355,12 @@ def train_final(graph: Graph, scores: AttentionPattern, cfg: TrainConfig,
 
     Batch norm, raw values, temperature 1.  Supports are redrawn each
     epoch; the reported test metric averages ``cfg.eval_samples`` fresh
-    patterns at the best validation state.  ``cfg.full_graph`` trains on
-    the whole pattern instead (the sampling ablation's upper reference),
-    still taking batch statistics over the training rows so the two modes
-    are comparable.  Validation, the test metric, the edge budget and
-    metrics.json's ``sampling_law`` read one law for every run (see
-    ``final_law``); a full-graph run's law takes every row whole, so it
-    computes the full-pattern forward at a 100% budget.  Legal ablations:
-    none, uniform (ignore the scores), max (top-deg selection instead of
-    sampling).
+    patterns at the best validation state.  Every draw of a run, training
+    plans included, reads one law (see ``final_law``).  ``cfg.full_graph``
+    (the sampling ablation's upper reference) takes every row whole, and
+    an epoch as one batch of every training node: one update on the
+    full-pattern forward.  Legal ablations: none, uniform (ignore the
+    scores), max (top-deg selection instead of sampling).
     """
     if cfg.ablation not in ("none", "uniform", "max"):
         raise ContractError(f"final ablation must be none/uniform/max, "
@@ -380,30 +384,19 @@ def train_final(graph: Graph, scores: AttentionPattern, cfg: TrainConfig,
         return _eval_sampled(net, x, law, degs, nodes, cfg.seed, epoch, TAG_VAL,
                              cfg.batch_size, loss_name)
 
-    if cfg.full_graph:
-        geoms = [pattern_geometry(sl, stats_rows=train_idx) for sl in scores.layers]
+    batch_size = train_idx.size if cfg.full_graph else cfg.batch_size
 
-        def run_epoch(opt, epoch):
-            rng = derive(cfg.seed, TAG_DROPOUT, epoch) if cfg.dropout > 0 else None
-            logits, _ = net.forward(x, geoms, tau=1.0, training=True, dropout_rng=rng)
-            loss = _loss_tensor(loss_name, nm.gather_rows(logits, train_idx),
-                                labels[train_idx])
-            loss_val = _step(opt, loss, epoch)
-            return loss_val, evaluate(val_idx, epoch), 1.0
-    else:
-        def run_epoch(opt, epoch):
-            plans = resample_epoch(law, degs, train_idx, cfg.batch_size,
-                                   cfg.seed, epoch, stats=stats)
-            total_loss, total_rows = 0.0, 0
-            for bi, plan in enumerate(plans):
-                rng = (derive(cfg.seed, TAG_DROPOUT, epoch, bi)
-                       if cfg.dropout > 0 else None)
-                logits, _ = net.forward(x[plan.input_nodes], plan_geometries(plan),
-                                        tau=1.0, training=True, dropout_rng=rng)
-                loss = _loss_tensor(loss_name, logits, labels[plan.seeds])
-                total_loss += _step(opt, loss, epoch) * plan.seeds.size
-                total_rows += plan.seeds.size
-            return total_loss / total_rows, evaluate(val_idx, epoch), 1.0
+    def run_epoch(opt, epoch):
+        plans = resample_epoch(law, degs, train_idx, batch_size, cfg.seed, epoch, stats=stats)
+        total_loss, total_rows = 0.0, 0
+        for bi, plan in enumerate(plans):
+            rng = derive(cfg.seed, TAG_DROPOUT, epoch, bi) if cfg.dropout > 0 else None
+            logits, _ = net.forward(x[plan.input_nodes], plan_geometries(plan),
+                                    tau=1.0, training=True, dropout_rng=rng)
+            loss = _loss_tensor(loss_name, logits, labels[plan.seeds])
+            total_loss += _step(opt, loss, epoch) * plan.seeds.size
+            total_rows += plan.seeds.size
+        return total_loss / total_rows, evaluate(val_idx, epoch), 1.0
 
     history, best_epoch, best_val, _ = _fit(net, cfg, loss_name, labels[val_idx],
                                             run_epoch)
@@ -442,9 +435,9 @@ def final_law(cfg: TrainConfig, scores: AttentionPattern) -> tuple:
     ablation samples uniform rows over the same support, the max ablation
     selects the top-deg scores instead of drawing, and otherwise the
     prefilter keeps the top 4*max(budgets) scores of each row, which at
-    full degree truncates nothing.  A run's validation, test metric and
-    edge budget read this law, and ``sparsegt predict`` builds it again
-    from a finished run's config; only full-graph training does not draw.
+    full degree truncates nothing.  A run's training plans, validation,
+    test metric and edge budget read this law, and ``sparsegt predict``
+    builds it again from a finished run's config.
     """
     # the law holds only the scores it samples by, and under the uniform
     # ablation those are not the given ones: check these here

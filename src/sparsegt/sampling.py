@@ -46,6 +46,7 @@ import numpy as np
 from .attention import LayerGeometry
 from .errors import ContractError, FormatError, ShapeError
 from .graphs import AttentionPattern, EdgeType, PatternLayer, atomic_path, sorted_union
+from .numerics import load_npz
 from .rngutil import TAG_SAMPLE, TAG_SHUFFLE, counter_uniform, derive
 
 
@@ -122,21 +123,19 @@ def save_scores_npz(path, scores: AttentionPattern) -> None:
 
 
 def load_scores_npz(path) -> AttentionPattern:
-    """A score set written by ``save_scores_npz``; FormatError if a layer lacks an array."""
-    with np.load(path) as z:
-        n = int(z["n"])
-        layers = []
-        li = 0
-        while f"row_ptr_{li}" in z:
-            missing = [k for k in ("col_idx", "edge_type", "values") if f"{k}_{li}" not in z]
-            if missing:
-                raise FormatError(f"{path}: score layer {li + 1} has no {', '.join(missing)}")
-            layers.append(PatternLayer(row_ptr=z[f"row_ptr_{li}"],
-                                       col_idx=z[f"col_idx_{li}"],
-                                       edge_type=z[f"edge_type_{li}"],
-                                       values=z[f"values_{li}"]))
-            li += 1
-    return AttentionPattern(n=n, layers=tuple(layers))
+    """A score set written by ``save_scores_npz``; FormatError naming ``path`` if not."""
+    z = load_npz(path, "score set")
+    if "n" not in z:
+        raise FormatError(f"{path}: score set has no n")
+    layers, li = [], 0
+    while f"row_ptr_{li}" in z:
+        missing = [k for k in ("col_idx", "edge_type", "values") if f"{k}_{li}" not in z]
+        if missing:
+            raise FormatError(f"{path}: score layer {li + 1} has no {', '.join(missing)}")
+        layers.append(PatternLayer(row_ptr=z[f"row_ptr_{li}"], col_idx=z[f"col_idx_{li}"],
+                                   edge_type=z[f"edge_type_{li}"], values=z[f"values_{li}"]))
+        li += 1
+    return AttentionPattern(n=int(z["n"]), layers=tuple(layers))
 
 
 # ---------------------------------------------------------------------------
@@ -480,9 +479,10 @@ def resample_epoch(law: SamplingLaw, degs, train_nodes, batch_size: int,
     """Fresh plans covering ``train_nodes`` once, in shuffled order.
 
     Deterministic in (seed, epoch): the shuffle and every per-query draw
-    derive from them alone.  A one-node remainder joins the batch before
-    it, under that batch's index: training batch norm needs at least two
-    seeds to take a variance over.
+    derive from them alone.  A last batch short of ``batch_size`` and of
+    three seeds joins the batch before it, under that batch's index:
+    training batch norm's variance over one or two seeds scales the rows
+    far from them up by orders of magnitude.
     """
     train_nodes = np.asarray(train_nodes, dtype=np.int64)
     if batch_size < 1:
@@ -490,7 +490,7 @@ def resample_epoch(law: SamplingLaw, degs, train_nodes, batch_size: int,
     order = derive(seed, TAG_SHUFFLE, epoch).permutation(train_nodes.size)
     shuffled = train_nodes[order]
     starts = list(range(0, shuffled.size, batch_size))
-    if len(starts) > 1 and shuffled.size - starts[-1] == 1:
+    if len(starts) > 1 and shuffled.size - starts[-1] < min(batch_size, 3):
         starts.pop()
     ends = starts[1:] + [shuffled.size]
     return [sample_batch(shuffled[a:b], law, degs, seed, epoch, bi, stats=stats)

@@ -8,6 +8,7 @@ are then checked against finite differences, parameter by parameter.
 
 import gc
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -81,11 +82,6 @@ class TestPatternGeometry:
         # each row's slots come first
         np.testing.assert_array_equal(mask.sum(axis=1), [3, 3, 2, 3, 2])
         np.testing.assert_array_equal(mask[2], [True, True, False])
-
-    def test_stats_rows_passthrough(self):
-        geom = pattern_geometry(_ragged(), stats_rows=[0, 2])
-        np.testing.assert_array_equal(geom.stats_rows, [0, 2])
-        assert pattern_geometry(_ragged()).stats_rows is None
 
 
 def _oracle(h, pl, lp, cfg, tau):
@@ -174,7 +170,7 @@ def _gradcheck_net(norm, normalize_values):
     net = Network(cfg, seed=11)
     pl = _ragged()
     stats = np.array([0, 2, 3]) if norm == "batch" else None
-    geoms = [pattern_geometry(pl, stats_rows=stats)]
+    geoms = [replace(pattern_geometry(pl), stats_rows=stats)]
     feats = derive(0, 83).normal(size=(5, 3))
     labels = np.array([0, 1, 0, 1, 1])
 
@@ -213,7 +209,7 @@ class TestTape:
                           dropout=0.25)
         net = Network(cfg, seed=3)
         stats = np.array([0, 2, 3]) if norm == "batch" else None
-        geoms = [pattern_geometry(_ragged(), stats_rows=stats)] * 2
+        geoms = [replace(pattern_geometry(_ragged()), stats_rows=stats)] * 2
         feats = derive(0, 84).normal(size=(5, 3))
         opt = nm.AdamW(net.named_parameters(), nm.CosineSchedule(0.01, 2))
         gc.collect()

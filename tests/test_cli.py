@@ -342,6 +342,48 @@ class TestExitCodes:
                      "--out", str(tmp_path / "e"), "--epochs", "1"]) == 2
         assert f"pattern.tsv:6: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,broken,contents,message", [
+        # a run's config.json as text, or as the stored config with fields set
+        pytest.param("predict", "config", "{width: 8", "config.json: not a JSON object",
+                     id="config-text"),
+        pytest.param("predict", "config", {"widht": 8}, "unknown config field 'widht'",
+                     id="config-field"),
+        pytest.param("predict", "config", {"degs": 4}, "config field 'degs'",
+                     id="config-degs"),
+        # a scores file as bytes, or as an npz archive of these arrays
+        *(pytest.param(command, "scores", contents, message, id=f"{command}-scores-{kind}")
+          for command in ("train-final", "predict", "analyze")
+          for kind, contents, message in (
+              ("empty", b"", "not a readable score set"),
+              ("text", b"node,score\n", "not a readable score set"),
+              ("no-n", {"row_ptr_0": [0, 1]}, "score set has no n"))),
+    ])
+    def test_an_unreadable_input_exits_2_with_a_manifest(self, ws, tmp_path, capsys,
+                                                         command, broken, contents, message):
+        run, scores = tmp_path / "run", tmp_path / "scores.npz"
+        shutil.copytree(ws["fin"], run)
+        shutil.copy(ws["scores"], scores)
+        if broken == "config":
+            if isinstance(contents, dict):
+                stored = json.loads((run / "config.json").read_text())
+                contents = json.dumps({**stored, **contents})
+            (run / "config.json").write_text(contents)
+        elif isinstance(contents, dict):
+            np.savez(scores, **contents)
+        else:
+            scores.write_bytes(contents)
+        out = tmp_path / "out"
+        argv = {"train-final": ["train-final", "--data", ws["data"], "--scores", str(scores),
+                                "--out", str(out), "--degs", "4,4", "--epochs", "1"],
+                "predict": ["predict", "--data", ws["data"], "--scores", str(scores),
+                            "--run", str(run), "--out", str(out)],
+                "analyze": ["analyze", "--kind", "profile", "--scores", str(scores),
+                            "--out", str(out)]}[command]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        m = json.loads((out / "manifest.json").read_text())
+        assert m["exit_code"] == 2 and message in m["error"]
+
     def test_predict_rejects_estimator_run(self, ws, tmp_path, capsys):
         code = main(["predict", "--data", ws["data"], "--scores", ws["scores"],
                      "--run", ws["est"], "--out", str(tmp_path / "p")])

@@ -146,7 +146,7 @@ def _op_inputs(key, nq=5, n=7, w=4):
 class TestOp:
     def test_rows_are_distributions_over_their_edges(self):
         q, k, v, emap, bias, row_ptr, cols, types = _op_inputs(0)
-        out, y = nm.edge_attention(q, k, v, emap, bias, (row_ptr, cols, types), 0.5)
+        out, y = nm.edge_attention(q, k, v, emap, bias, nm.EdgeIndex(row_ptr, cols, types), 0.5)
         rows = np.repeat(np.arange(5), np.diff(row_ptr))
         np.testing.assert_allclose(np.bincount(rows, weights=y), 1.0, rtol=1e-15)
         want = np.zeros((5, 4))
@@ -160,7 +160,7 @@ class TestOp:
         w = derive(33, 0).normal(size=(5, 4))
 
         def loss():
-            out, _ = nm.edge_attention(q, k, v, emap, bias, (row_ptr, cols, types),
+            out, _ = nm.edge_attention(q, k, v, emap, bias, nm.EdgeIndex(row_ptr, cols, types),
                                        0.5, temperature=tau, clip=8.0)
             return nm.mean_all(nm.matmul(out, w.T))
 
@@ -171,7 +171,7 @@ class TestOp:
     def test_clipped_logits_pass_no_gradient(self):
         q, k, v, emap, bias, row_ptr, cols, types = _op_inputs(2)
         bias.data += np.array([[50.0], [-50.0], [50.0]])   # every logit clips
-        out, _ = nm.edge_attention(q, k, v, emap, bias, (row_ptr, cols, types),
+        out, _ = nm.edge_attention(q, k, v, emap, bias, nm.EdgeIndex(row_ptr, cols, types),
                                    0.5, clip=8.0)
         nm.backward(nm.mean_all(out))
         for t in (q, k, emap, bias):
@@ -182,7 +182,7 @@ class TestOp:
         q, k, v, emap, bias, _, cols, types = _op_inputs(3)
         row_ptr = np.array([0, 1, 4, 4, 7, 10])
         with pytest.raises(ContractError, match="query row 2 has no live slots"):
-            nm.edge_attention(q, k, v, emap, bias, (row_ptr, cols, types), 0.5)
+            nm.edge_attention(q, k, v, emap, bias, nm.EdgeIndex(row_ptr, cols, types), 0.5)
 
     def test_an_all_pad_geometry_row_is_a_contract_error(self):
         # row 1 of the pattern is empty: its padded row is all pad slots
@@ -202,7 +202,7 @@ class TestOp:
         cols = cols.copy()
         cols[5] = bad
         with pytest.raises(IndexError, match=f"edge_attention: index {bad} outside"):
-            nm.edge_attention(q, k, v, emap, bias, (row_ptr, cols, types), 0.5)
+            nm.edge_attention(q, k, v, emap, bias, nm.EdgeIndex(row_ptr, cols, types), 0.5)
 
     @pytest.mark.parametrize("bad", [-1, 3])
     def test_a_type_outside_the_embeddings_is_refused(self, bad):
@@ -210,7 +210,7 @@ class TestOp:
         types = types.copy()
         types[2] = bad
         with pytest.raises(IndexError, match=f"edge_attention: index {bad} outside"):
-            nm.edge_attention(q, k, v, emap, bias, (row_ptr, cols, types), 0.5)
+            nm.edge_attention(q, k, v, emap, bias, nm.EdgeIndex(row_ptr, cols, types), 0.5)
 
     @pytest.mark.parametrize("tau", [1.0, 0.2])
     @pytest.mark.parametrize("heads", [1, 2])
@@ -221,10 +221,11 @@ class TestOp:
         shared = nm.EdgeIndex(row_ptr, cols, types)
         for step in range(3):
             passes = []
-            for edges in (shared, (row_ptr, cols, types)):
+            for fresh in (False, True):
                 loss, got = None, []
                 for head in range(heads):
                     q, k, v, emap, bias, *_ = _op_inputs(10 * step + head + 7)
+                    edges = nm.EdgeIndex(row_ptr, cols, types) if fresh else shared
                     out, y = nm.edge_attention(q, k, v, emap, bias, edges, 0.5,
                                                temperature=tau)
                     part = nm.mean_all(nm.matmul(out, derive(34, head).normal(size=(2, 4)).T))

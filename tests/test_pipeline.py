@@ -2,9 +2,10 @@
 
 The load-bearing check is the equivalence run: with degree budgets at
 least as large as every score row and a single train batch, the sampled
-trainer must reproduce the full-graph trainer step for step, because
-sampling full rows consumes no randomness and batch statistics cover the
-same train rows either way.  In float64 the histories agree to round-off.
+trainer and a full-graph run must reproduce the full-pattern loop of
+``training_oracle`` step for step, because sampling full rows consumes
+no randomness and batch statistics cover the same train rows either way.
+In float64 the histories agree to round-off.
 """
 
 import functools
@@ -36,6 +37,7 @@ from sparsegt.sampling import (load_scores_npz, sample_batch, sampling_law,
                                save_scores_npz, uniform_scores, validate_scores)
 from adamw_oracle import adamw_loop_step
 from sampling_oracle import predict_per_chunk
+from training_oracle import train_full_pattern
 
 
 @functools.lru_cache(maxsize=None)
@@ -375,16 +377,16 @@ class TestFinal:
 
 
 class TestOneNodeBatches:
-    @pytest.mark.parametrize("batch_size", [5, 23])
+    @pytest.mark.parametrize("batch_size", [5, 23, 6])
     def test_the_readme_task_trains_with_a_one_node_tail(self, batch_size, monkeypatch):
-        # 116 training nodes leave one node over at both sizes; it joins the
-        # batch before it, so training batch norm never takes the variance
-        # of a single seed (which scales every row by 1/sqrt(eps) ~ 316 per
-        # norm: |out| passed 1e5 within five epochs).  A RuntimeWarning is
-        # an error here.
+        # 116 training nodes leave one node over at 5 and 23, and two at 6;
+        # the tail joins the batch before it, so training batch norm never
+        # takes the variance of one seed (which scales every row by
+        # 1/sqrt(eps) ~ 316 per norm: |out| passed 1e5 within five epochs)
+        # or of two (|out| reached 4.5e4).  A RuntimeWarning is an error here.
         g = gen_bridge_task(SyntheticSpec(seed=0, num_components=8, component_size=24,
                                           num_bridges=4, extra_edges=2, noise=0.1))
-        assert int((g.split == TRAIN).sum()) % batch_size == 1
+        assert int((g.split == TRAIN).sum()) % batch_size in (1, 2)
         pattern = augment(g, build_expander(g.n, 3, seed=0), 2)
         batch_norm, peak = nm.batch_norm, [0.0]
 
@@ -470,20 +472,21 @@ class TestFullDegreeEquivalence:
         assert max_len <= 20
         common = dict(width=8, layers=2, epochs=6, lr=0.02, batch_size=64,
                       degs=(20, 20), seed=3, dtype="float64", prefilter=False)
-        sampled = train_final(g, scores, TrainConfig(**common))
-        full = train_final(g, scores, TrainConfig(**common, full_graph=True))
-        np.testing.assert_allclose([h[1] for h in sampled.history],
-                                   [h[1] for h in full.history],
-                                   rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose([h[2] for h in sampled.history],
-                                   [h[2] for h in full.history], atol=1e-9)
-        assert sampled.test_metric == pytest.approx(full.test_metric, abs=1e-9)
-        for (na, pa), (nb, pb) in zip(sampled.network.named_parameters(),
-                                      full.network.named_parameters()):
-            assert na == nb
-            # zero-init biases sit at ~1e-10 after six steps, so the
-            # absolute floor has to sit above their round-off spread
-            np.testing.assert_allclose(pa.data, pb.data, rtol=1e-7, atol=1e-8)
+        oracle = train_full_pattern(g, scores, TrainConfig(**common))
+        for kw in ({}, dict(full_graph=True)):
+            run = train_final(g, scores, TrainConfig(**common, **kw))
+            np.testing.assert_allclose([h[1] for h in run.history],
+                                       [h[1] for h in oracle.history],
+                                       rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose([h[2] for h in run.history],
+                                       [h[2] for h in oracle.history], atol=1e-9)
+            assert run.test_metric == pytest.approx(oracle.test_metric, abs=1e-9)
+            for (na, pa), (nb, pb) in zip(run.network.named_parameters(),
+                                          oracle.network.named_parameters()):
+                assert na == nb
+                # zero-init biases sit at ~1e-10 after six steps, so the
+                # absolute floor has to sit above their round-off spread
+                np.testing.assert_allclose(pa.data, pb.data, rtol=1e-7, atol=1e-8)
 
     def test_full_degree_sampling_consumes_no_rng(self):
         # same plans whatever the seed, because every row fits the budget
@@ -735,6 +738,28 @@ class TestOneLawPerRun:
         for layer in law:
             assert layer["rows_truncated"] == 0
             assert layer["entries_kept"] == layer["entries_total"]
+
+    def test_a_full_graph_run_trains_on_full_degree_plans(self, monkeypatch):
+        # each epoch is one plan over every training node, each row drawn
+        # whole from the law, whatever cfg.batch_size says
+        g, _ = _toy()
+        scores, drawn, resample = _toy_scores(), [], pipeline.resample_epoch
+
+        def capturing(*args, **kwargs):
+            drawn.append(resample(*args, **kwargs))
+            return drawn[-1]
+
+        monkeypatch.setattr(pipeline, "resample_epoch", capturing)
+        res = train_final(g, scores, TrainConfig(width=8, layers=2, epochs=3,
+                                                 batch_size=4, seed=0, full_graph=True))
+        assert res.sample_stats.rows_sampled > 0
+        assert len(drawn) == 3
+        for plans in drawn:
+            assert len(plans) == 1
+            np.testing.assert_array_equal(np.sort(plans[0].seeds), g.split_idx(TRAIN))
+            for pl, sl in zip(plans[0].layers, scores.layers, strict=True):
+                np.testing.assert_array_equal(np.diff(pl.geometry.row_ptr),
+                                              np.diff(sl.row_ptr)[pl.q_nodes])
 
     @pytest.mark.parametrize("n_samples", [1, 4])
     def test_predict_builds_one_law_per_call(self, count, n_samples):
