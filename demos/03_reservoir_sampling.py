@@ -8,7 +8,7 @@ weights the joint law has a short closed form,
 
 which is the probability either order of the sequential draw produces
 the pair.  The demo checks both k=1 and k=2 empirically on the sampler
-that training and prediction use, ``draw_rows``: a score set in which
+that training and prediction use, ``sample_batch``: a score set in which
 50,000 nodes share one row gives 50,000 independent samples of that row
 in a single call, since every uniform is keyed by its node.  It then
 shows the two properties the training loop leans on: a row that fits its
@@ -19,7 +19,7 @@ index changes the draw while everything else holds still.
 import numpy as np
 
 from sparsegt.graphs import AttentionPattern, EdgeType, PatternLayer
-from sparsegt.sampling import draw_rows, sampling_law
+from sparsegt.sampling import sample_batch, sampling_law
 
 W = np.array([0.5, 0.3, 0.2])
 
@@ -37,8 +37,8 @@ def identical_rows(weights, num_rows):
 
 def draw(scores, nodes, k, epoch):
     """Each node's drawn columns, one row of the result per node."""
-    (layer,) = draw_rows(nodes, sampling_law(scores), (k,), seed=0, epoch=epoch)
-    return layer.cols.reshape(nodes.size, -1)
+    (layer,) = sample_batch(nodes, sampling_law(scores), (k,), seed=0, epoch=epoch).layers
+    return layer.v_nodes[layer.geometry.col_idx].reshape(nodes.size, -1)
 
 
 def main():

@@ -35,7 +35,8 @@ from .errors import (ContractError, DivergenceError, ExpanderGapError,
 from .graphs import (TEST, TRAIN, VAL, atomic_path, augment, build_expander,
                      load_pattern, save_expander, save_pattern)
 from .numerics import load_checkpoint
-from .pipeline import (TrainConfig, build_network, config_from_dict, final_law,
+from .pipeline import (DTYPES, ESTIMATOR_ABLATIONS, FINAL_ABLATIONS, LOSSES, METRICS,
+                       TrainConfig, build_network, config_from_dict, final_law,
                        predict_by_law, train_estimator, train_final, write_json)
 from .sampling import load_scores_npz
 
@@ -298,11 +299,10 @@ def _add_train_args(p, final: bool) -> None:
     p.add_argument("--weight-decay", dest="weight_decay", type=float,
                    default=1e-3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--loss", default="auto",
-                   choices=("auto", "ce", "bce", "multilabel"))
-    p.add_argument("--metric", default="accuracy", choices=("accuracy", "auc"))
+    p.add_argument("--loss", default="auto", choices=LOSSES)
+    p.add_argument("--metric", default="accuracy", choices=METRICS)
     p.add_argument("--warmup", type=int, default=0)
-    p.add_argument("--dtype", default="float32", choices=("float32", "float64"))
+    p.add_argument("--dtype", default="float32", choices=tuple(DTYPES))
     if final:
         p.add_argument("--degs", required=True,
                        help="comma-separated per-layer sample degrees")
@@ -310,16 +310,14 @@ def _add_train_args(p, final: bool) -> None:
         p.add_argument("--dropout", type=float, default=0.0)
         p.add_argument("--eval-samples", dest="eval_samples", type=int,
                        default=1)
-        p.add_argument("--ablation", default="none",
-                       choices=("none", "uniform", "max"))
+        p.add_argument("--ablation", default="none", choices=FINAL_ABLATIONS)
         p.add_argument("--full-graph", dest="full_graph", action="store_true")
         p.add_argument("--no-prefilter", dest="prefilter",
                        action="store_false")
     else:
         p.add_argument("--lam", type=int, default=5)
         p.add_argument("--gamma", type=float, default=0.99)
-        p.add_argument("--ablation", default="none",
-                       choices=("none", "no-temp", "no-vnorm"))
+        p.add_argument("--ablation", default="none", choices=ESTIMATOR_ABLATIONS)
 
 
 def build_parser() -> argparse.ArgumentParser:

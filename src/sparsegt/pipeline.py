@@ -35,10 +35,12 @@ from .sampling import (SampleStats, SamplingLaw, plan_geometries, resample_epoch
                        sample_batch, sampling_law, save_scores_npz, uniform_scores,
                        validate_scores)
 
-_DTYPES = {"float32": np.float32, "float64": np.float64}
-_LOSSES = ("auto", "ce", "bce", "multilabel")
-_METRICS = ("accuracy", "auc")
-_ABLATIONS = ("none", "uniform", "max", "no-temp", "no-vnorm")
+# each choice a TrainConfig field takes, listed once; the CLI offers these
+DTYPES = {"float32": np.float32, "float64": np.float64}
+LOSSES = ("auto", "ce", "bce", "multilabel")
+METRICS = ("accuracy", "auc")
+ESTIMATOR_ABLATIONS = ("none", "no-temp", "no-vnorm")
+FINAL_ABLATIONS = ("none", "uniform", "max")
 
 
 @dataclass
@@ -69,13 +71,13 @@ class TrainConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
-        if self.loss not in _LOSSES:
+        if self.loss not in LOSSES:
             raise ContractError(f"unknown loss {self.loss!r}")
-        if self.metric not in _METRICS:
+        if self.metric not in METRICS:
             raise ContractError(f"unknown metric {self.metric!r}")
-        if self.ablation not in _ABLATIONS:
+        if self.ablation not in ESTIMATOR_ABLATIONS + FINAL_ABLATIONS:
             raise ContractError(f"unknown ablation {self.ablation!r}")
-        if self.dtype not in _DTYPES:
+        if self.dtype not in DTYPES:
             raise ContractError(f"unknown dtype {self.dtype!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ContractError(f"dropout must be in [0, 1), got {self.dropout}")
@@ -89,7 +91,7 @@ class TrainConfig:
 
     @property
     def np_dtype(self):
-        return _DTYPES[self.dtype]
+        return DTYPES[self.dtype]
 
 
 def config_to_dict(cfg: TrainConfig) -> dict:
@@ -99,13 +101,27 @@ def config_to_dict(cfg: TrainConfig) -> dict:
 
 
 def config_from_dict(d: dict) -> TrainConfig:
-    """The config ``config_to_dict`` wrote; FormatError naming a bad field."""
+    """The config ``config_to_dict`` wrote; FormatError naming a bad field.
+
+    Each field must have its default's type: a bool field takes a bool, an
+    int field an int but not a bool, a float field an int or a float, a str
+    field a str, and ``degs`` a list of integers.
+    """
     unknown = sorted(set(d) - {f.name for f in fields(TrainConfig)})
     if unknown:
         raise FormatError(f"unknown config field {unknown[0]!r}")
     degs = d.get("degs", [])
-    if not isinstance(degs, (list, tuple)) or not all(isinstance(v, int) for v in degs):
+    if not isinstance(degs, (list, tuple)) or not all(
+            isinstance(v, int) and not isinstance(v, bool) for v in degs):
         raise FormatError(f"config field 'degs' must be a list of integers, got {degs!r}")
+    for f in fields(TrainConfig):
+        if f.name == "degs" or f.name not in d:
+            continue
+        value, kind = d[f.name], type(f.default)
+        if (isinstance(value, bool) != (kind is bool)
+                or not isinstance(value, (int, float) if kind is float else kind)):
+            raise FormatError(f"config field {f.name!r} must be {kind.__name__}, "
+                              f"got {value!r}")
     return TrainConfig(**{**d, "degs": tuple(degs)})
 
 
@@ -230,11 +246,28 @@ def _step(opt, loss, epoch: int) -> float:
     return loss_val
 
 
+def _copy_state(net: Network, into: dict) -> None:
+    """Copy ``net``'s parameters and buffers into ``into``, a ``state_dict()``.
+
+    In place: the estimator validates, and so snapshots, while its forward
+    tape is alive, and fresh copies allocated then fragment the heap; on
+    the hub-4000 benchmark workload that slowed every later predict call
+    (figures in CHANGES.md).
+    """
+    for name, p in net.named_parameters():
+        into[name][...] = p.data
+    for name, b in net.named_buffers():
+        into[name][...] = b
+
+
 def _fit(net: Network, cfg: TrainConfig, loss_name: str, val_labels, run_epoch):
     """Train ``net`` for ``cfg.epochs`` and leave it in its best state.
 
-    ``run_epoch(opt, epoch)`` trains one epoch and returns (loss,
-    validation probabilities, tau).  Returns (history, best epoch, best
+    ``run_epoch(opt, epoch, validate)`` trains one epoch and returns (loss,
+    tau).  It calls ``validate(val_probs)`` once, while the network holds
+    the weights those probabilities came from, so the state kept for the
+    best epoch is the state its metric measured.  Without validation nodes
+    the last epoch's final state wins.  Returns (history, best epoch, best
     validation metric, its tau); the metric stays -inf if no epoch ran.
     """
     history = []
@@ -244,14 +277,22 @@ def _fit(net: Network, cfg: TrainConfig, loss_name: str, val_labels, run_epoch):
         sched = nm.CosineSchedule(cfg.lr, cfg.epochs, warmup=cfg.warmup)
         opt = nm.AdamW(net.named_parameters(), sched, weight_decay=cfg.weight_decay)
         for epoch in range(1, cfg.epochs + 1):
-            loss_val, val_probs, tau = run_epoch(opt, epoch)
-            val_m = (metric_value(loss_name, cfg.metric, val_probs, val_labels)
-                     if len(val_labels) else float("nan"))
+            measured = []
+
+            def validate(val_probs):
+                val_m = (metric_value(loss_name, cfg.metric, val_probs, val_labels)
+                         if len(val_labels) else float("nan"))
+                measured.append(val_m)
+                if val_m > best_val:
+                    _copy_state(net, best_state)
+
+            loss_val, tau = run_epoch(opt, epoch, validate)
+            (val_m,) = measured
             history.append((epoch, loss_val, val_m, tau))
-            # without validation nodes the last epoch wins
+            if not len(val_labels):
+                _copy_state(net, best_state)
             if val_m > best_val or not len(val_labels):
                 best_val, best_epoch, best_tau = val_m, epoch, tau
-                best_state = net.state_dict()
     net.load_state_dict(best_state)
     return history, best_epoch, best_val, best_tau
 
@@ -277,13 +318,15 @@ def train_estimator(graph: Graph, pattern: AttentionPattern, cfg: TrainConfig,
     """Full-batch training of the narrow estimator over the whole pattern.
 
     Uses layer norm, length-normalized values, and the annealing
-    temperature; the returned scores are the attention rows of the best
-    validation state, read out at that state's temperature.  Legal
+    temperature.  An epoch validates on its training forward, so it scores
+    the weights the epoch starts from; the returned network is the best
+    epoch's, and its scores are its attention rows read out at that
+    epoch's temperature.  Legal
     ablations: none, no-temp (pin temperature at 1), no-vnorm (raw
     value vectors).
     """
-    if cfg.ablation not in ("none", "no-temp", "no-vnorm"):
-        raise ContractError(f"estimator ablation must be none/no-temp/no-vnorm, "
+    if cfg.ablation not in ESTIMATOR_ABLATIONS:
+        raise ContractError(f"estimator ablation must be {'/'.join(ESTIMATOR_ABLATIONS)}, "
                             f"got {cfg.ablation!r}")
     if cfg.layers != pattern.num_layers:
         raise ContractError(f"config says {cfg.layers} layers, "
@@ -297,14 +340,15 @@ def train_estimator(graph: Graph, pattern: AttentionPattern, cfg: TrainConfig,
     geoms = [pattern_geometry(layer) for layer in pattern.layers]
     tsched = TemperatureSchedule(lam=cfg.lam, gamma=cfg.gamma)
 
-    def run_epoch(opt, epoch):
+    def run_epoch(opt, epoch, validate):
         tau = 1.0 if cfg.ablation == "no-temp" else temperature_at(tsched, epoch)
         logits, _ = net.forward(x, geoms, tau=tau, training=True)
+        # layer norm and zero dropout make this forward valid for eval too:
+        # it validates the weights before this epoch's update
+        validate(_probs_from_logits(loss_name, logits.data[val_idx]))
         loss = _loss_tensor(loss_name, nm.gather_rows(logits, train_idx),
                             labels[train_idx])
-        loss_val = _step(opt, loss, epoch)
-        # layer norm and zero dropout make this forward valid for eval too
-        return loss_val, _probs_from_logits(loss_name, logits.data[val_idx]), tau
+        return _step(opt, loss, epoch), tau
 
     history, best_epoch, best_val, best_tau = _fit(net, cfg, loss_name,
                                                    labels[val_idx], run_epoch)
@@ -362,8 +406,8 @@ def train_final(graph: Graph, scores: AttentionPattern, cfg: TrainConfig,
     full-pattern forward.  Legal ablations: none, uniform (ignore the
     scores), max (top-deg selection instead of sampling).
     """
-    if cfg.ablation not in ("none", "uniform", "max"):
-        raise ContractError(f"final ablation must be none/uniform/max, "
+    if cfg.ablation not in FINAL_ABLATIONS:
+        raise ContractError(f"final ablation must be {'/'.join(FINAL_ABLATIONS)}, "
                             f"got {cfg.ablation!r}")
     if cfg.layers != scores.num_layers:
         raise ContractError(f"config says {cfg.layers} layers, "
@@ -386,7 +430,7 @@ def train_final(graph: Graph, scores: AttentionPattern, cfg: TrainConfig,
 
     batch_size = train_idx.size if cfg.full_graph else cfg.batch_size
 
-    def run_epoch(opt, epoch):
+    def run_epoch(opt, epoch, validate):
         plans = resample_epoch(law, degs, train_idx, batch_size, cfg.seed, epoch, stats=stats)
         total_loss, total_rows = 0.0, 0
         for bi, plan in enumerate(plans):
@@ -396,7 +440,8 @@ def train_final(graph: Graph, scores: AttentionPattern, cfg: TrainConfig,
             loss = _loss_tensor(loss_name, logits, labels[plan.seeds])
             total_loss += _step(opt, loss, epoch) * plan.seeds.size
             total_rows += plan.seeds.size
-        return total_loss / total_rows, evaluate(val_idx, epoch), 1.0
+        validate(evaluate(val_idx, epoch))
+        return total_loss / total_rows, 1.0
 
     history, best_epoch, best_val, _ = _fit(net, cfg, loss_name, labels[val_idx],
                                             run_epoch)

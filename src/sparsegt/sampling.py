@@ -5,9 +5,9 @@ neighbors without replacement, each neighbor's inclusion biased by its
 attention score.  Every neighbor gets the key log(u) / a (u uniform on
 (0,1), a its score) and the k largest keys win; this reproduces
 sequential sampling-without-replacement proportional to the scores in
-one vectorizable pass.  There is one sampler, ``draw_rows``, and it
+one vectorizable pass.  There is one sampler, ``sample_batch``, and it
 selects in many rows at once; training, validation and prediction all
-draw through it, and a single row is a draw over one node.
+draw through it, and a single row is a plan over one seed.
 
 The law: everything a draw needs that the scores alone decide is
 prepared once by ``sampling_law`` -- each row's top-k' prefilter (kept
@@ -28,13 +28,11 @@ one vectorized pass; each score entry's uniform is the counter-based hash
 slot), so plans are reproducible no matter how rows are visited, and a
 node that queries two layers draws independently in each.
 
-Plans are built in two steps: ``draw_rows`` draws the rows a node set
-reaches, and ``sample_batch`` indexes the drawn rows into its layers'
-input rows.  A training batch is one plan per chunk of seeds.  An
-evaluation draws one plan over every distinct node it scores and the
-network computes it layer by layer: with the draws keyed alike (batch
-index 0), a query draws the same keys in that plan as in the plan of
-any chunk that holds it.
+A training batch is one plan per chunk of seeds.  An evaluation draws
+one plan over every distinct node it scores and the network computes it
+layer by layer: with the draws keyed alike (batch index 0), a query
+draws the same keys in that plan as in the plan of any chunk that holds
+it.
 """
 
 from __future__ import annotations
@@ -85,14 +83,18 @@ def validate_scores(scores: AttentionPattern, tol: float = 1e-5) -> None:
         bad = np.flatnonzero(np.abs(sums - 1.0) > tol)
         if bad.size:
             raise ContractError(f"layer {li}: row {bad[0]} sums to {sums[bad[0]]:.8f}")
-        outside = np.flatnonzero((cols < 0) | (cols >= n))
-        if outside.size:
-            raise ContractError(f"layer {li}: column {cols[outside[0]]} outside [0, {n})")
+        _check_columns(li, cols, n)
         types = layer.edge_type
         outside = np.flatnonzero((types < 0) | (types >= len(EdgeType)))
         if outside.size:
             raise ContractError(f"layer {li}: edge type {types[outside[0]]} outside "
                                 f"[0, {len(EdgeType)})")
+
+
+def _check_columns(li: int, cols: np.ndarray, n: int) -> None:
+    outside = np.flatnonzero((cols < 0) | (cols >= n))
+    if outside.size:
+        raise ContractError(f"layer {li}: column {cols[outside[0]]} outside [0, {n})")
 
 
 def uniform_scores(pattern: AttentionPattern) -> AttentionPattern:
@@ -241,8 +243,8 @@ def sampling_law(scores: AttentionPattern, mode: str = "sample",
     ``k_prime`` keeps the k' largest scores of each longer row, ties to
     the lower slot, unless that would drop more than ``tail_eps`` of the
     row's mass, in which case the row is kept whole.  A bad mode, a
-    nonpositive ``k_prime``, a layer without values and a negative or
-    non-finite score are ContractErrors.
+    nonpositive ``k_prime``, a layer without values, a negative or
+    non-finite score and a column outside [0, n) are ContractErrors.
     """
     if mode not in ("sample", "top"):
         raise ContractError(f"unknown mode {mode!r}")
@@ -255,6 +257,7 @@ def sampling_law(scores: AttentionPattern, mode: str = "sample",
             raise ContractError(f"layer {li}: non-finite score")
         if layer.values.size and layer.values.min() < 0:
             raise ContractError(f"layer {li}: negative score")
+        _check_columns(li, layer.col_idx, scores.n)
     prefilter = k_prime if mode == "sample" else None
     return SamplingLaw(n=scores.n, mode=mode, layers=tuple(
         _law_layer(layer, mode, prefilter, tail_eps) for layer in scores.layers))
@@ -325,54 +328,32 @@ class BatchPlan:
         return self.layers[0].v_nodes
 
 
-@dataclass(frozen=True)
-class DrawnLayer:
-    """One layer's drawn keys as a CSR edge list in global ids.
-
-    Query ``q_nodes[i]`` drew the keys ``cols[row_ptr[i]:row_ptr[i + 1]]``
-    with types ``types[row_ptr[i]:row_ptr[i + 1]]``.  ``v_nodes`` is the
-    sorted union of queries and keys: the queries of the layer below.
-    """
-
-    q_nodes: np.ndarray
-    v_nodes: np.ndarray
-    row_ptr: np.ndarray
-    cols: np.ndarray
-    types: np.ndarray
-
-
 def sample_batch(seeds, law: SamplingLaw, degs, seed: int, epoch: int,
                  batch_index: int = 0, stats: SampleStats | None = None,
                  tag: int = TAG_SAMPLE) -> BatchPlan:
-    """Top-down support construction for one seed batch: the rows
-    ``draw_rows(seeds, ...)`` draws, indexed into a plan.  The seeds keep
-    their order as the last layer's queries.
-    """
-    if stats is None:
-        stats = SampleStats()
-    seeds = np.asarray(seeds, dtype=np.int64)
-    drawn = draw_rows(seeds, law, degs, seed, epoch, batch_index, stats=stats, tag=tag)
-    return _plan(seeds, drawn, stats)
+    """The plan for one seed batch, drawn by ``law`` top-down.
 
+    Walking layers L..1: a layer's queries are what the layer above needs
+    (layer L's are the seeds, in their order), each query draws deg_l keys
+    from its row of the law, and the query+key union is the layer's input
+    rows, the queries of the layer below.  ``tag`` namespaces the random
+    streams so training, validation and prediction plans never share
+    draws.  A seed outside [0, n) is an IndexError, raised before anything
+    is drawn.
 
-def draw_rows(nodes, law: SamplingLaw, degs, seed: int, epoch: int,
-              batch_index: int = 0, stats: SampleStats | None = None,
-              tag: int = TAG_SAMPLE) -> tuple[DrawnLayer, ...]:
-    """The rows ``nodes`` reach, drawn top-down by ``law``; returns the
-    layers top-down (the first is the last layer, whose queries are
-    ``nodes``).
-
-    Walking layers L..1: queries are what the layer above needs, each
-    query draws deg_l keys from its row of the law, and query+key union is
-    the support the layer below must produce.  ``tag`` namespaces the
-    random streams so training, validation and prediction plans never
-    share draws.  A node outside [0, n) is an IndexError, raised before
-    anything is drawn.
+    Each layer's input rows hold the layer above's, so one index map over
+    the n nodes, rewritten layer by layer, serves every lookup: the seeds
+    are looked up in a layer's queries, the inputs of the layer above,
+    before the map takes the layer's own inputs.
     """
     if not isinstance(law, SamplingLaw):
         raise ContractError("draws read a SamplingLaw; build one with sampling_law")
-    nodes = _seed_array(nodes)
-    outside = nodes[(nodes < 0) | (nodes >= law.n)]
+    seeds = np.asarray(seeds, dtype=np.int64)
+    if seeds.ndim != 1 or seeds.size == 0:
+        raise ContractError("seeds must be a nonempty 1-d array")
+    if np.unique(seeds).size != seeds.size:
+        raise ContractError("duplicate seed nodes")
+    outside = seeds[(seeds < 0) | (seeds >= law.n)]
     if outside.size:
         raise IndexError(f"node {outside[0]} outside [0, {law.n})")
     degs = tuple(int(d) for d in degs)
@@ -383,47 +364,21 @@ def draw_rows(nodes, law: SamplingLaw, degs, seed: int, epoch: int,
     if stats is None:
         stats = SampleStats()
 
-    drawn = []
-    q_nodes = nodes
+    local = np.empty(law.n, dtype=np.int64)
+    stats_rows = np.arange(seeds.size, dtype=np.int64)
+    q_nodes, layers = seeds, []
     for li in range(law.num_layers - 1, -1, -1):
         row_ptr, cols, types = _draw_layer(law.layers[li], law.mode, q_nodes, degs[li],
                                            stats, (seed, tag, epoch, batch_index, li))
         v_nodes = sorted_union(q_nodes, cols)
-        drawn.append(DrawnLayer(q_nodes, v_nodes, row_ptr, cols, types))
-        q_nodes = v_nodes
-    return tuple(drawn)
-
-
-def _seed_array(seeds) -> np.ndarray:
-    seeds = np.asarray(seeds, dtype=np.int64)
-    if seeds.ndim != 1 or seeds.size == 0:
-        raise ContractError("seeds must be a nonempty 1-d array")
-    if np.unique(seeds).size != seeds.size:
-        raise ContractError("duplicate seed nodes")
-    return seeds
-
-
-def _plan(seeds, drawn, stats: SampleStats) -> BatchPlan:
-    """The plan whose layers are ``drawn`` (top-down, the first one's
-    queries being ``seeds``), with each layer's keys and queries indexed
-    into its input rows.
-
-    Each layer's input rows hold the layer above's, so one index map,
-    rewritten layer by layer top-down, serves every lookup: a layer's
-    seeds are looked up in its queries, the inputs of the layer above,
-    before the map takes the layer's own inputs.
-    """
-    local = np.empty(drawn[-1].v_nodes[-1] + 1, dtype=np.int64)
-    stats_rows = np.arange(seeds.size, dtype=np.int64)
-    layers = []
-    for d in drawn:
         if layers:
             stats_rows = local[seeds]
-        local[d.v_nodes] = np.arange(d.v_nodes.size)
-        geom = LayerGeometry(query_rows=local[d.q_nodes], row_ptr=d.row_ptr,
-                             col_idx=local[d.cols], edge_type=d.types,
+        local[v_nodes] = np.arange(v_nodes.size)
+        geom = LayerGeometry(query_rows=local[q_nodes], row_ptr=row_ptr,
+                             col_idx=local[cols], edge_type=types,
                              stats_rows=stats_rows)
-        layers.append(PlanLayer(q_nodes=d.q_nodes, v_nodes=d.v_nodes, geometry=geom))
+        layers.append(PlanLayer(q_nodes=q_nodes, v_nodes=v_nodes, geometry=geom))
+        q_nodes = v_nodes
     return BatchPlan(seeds=seeds, layers=tuple(reversed(layers)), stats=stats)
 
 

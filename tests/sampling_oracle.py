@@ -17,10 +17,11 @@ its rows up with ``np.searchsorted``.  Plans and ``SampleStats`` drawn
 through a law must equal it bit for bit.
 
 ``identical_rows`` and ``draw_many`` are the sampling-law fixture: a
-score set of N copies of one row, so that one ``draw_rows`` call returns
-N samples of that row from the library's own stream.  Each uniform is
-keyed by its node, so the N samples are independent, and the law tests
-check the sampler that training and prediction run, not a copy of it.
+score set of N copies of one row, so that one ``sample_batch`` call
+returns N samples of that row from the library's own stream.  Each
+uniform is keyed by its node, so the N samples are independent, and the
+law tests check the sampler that training and prediction run, not a copy
+of it.
 
 ``predict_per_chunk`` is ``sparsegt.pipeline.predict`` as it was before
 evaluation computed one plan layer by layer: one ``sample_batch`` and one
@@ -39,8 +40,7 @@ from sparsegt.graphs import AttentionPattern, EdgeType, PatternLayer, sorted_uni
 from sparsegt.pipeline import _probs_from_logits
 from sparsegt.rngutil import TAG_PREDICT, TAG_SAMPLE, counter_uniform, derive
 from sparsegt.sampling import (_NEVER, BatchPlan, PlanLayer, SampleStats, _segments,
-                               _top_per_row, draw_rows, plan_geometries, sample_batch,
-                               sampling_law)
+                               _top_per_row, plan_geometries, sample_batch, sampling_law)
 
 
 def reservoir_sample_loop(scores, k: int, rng: np.random.Generator,
@@ -96,12 +96,12 @@ def identical_rows(weights, num_rows: int) -> AttentionPattern:
 
 def draw_many(weights, k: int, draws: int, seed: int, epoch: int = 0,
               stats: SampleStats | None = None) -> np.ndarray:
-    """(draws, min(k, row size)) column indices: one ``draw_rows`` call
+    """(draws, min(k, row size)) column indices: one ``sample_batch`` call
     over ``identical_rows(weights, draws)``, row i being node i's draw,
     ascending."""
-    (layer,) = draw_rows(np.arange(draws), sampling_law(identical_rows(weights, draws)),
-                         (k,), seed, epoch, stats=stats)
-    return layer.cols.reshape(draws, -1)
+    (pl,) = sample_batch(np.arange(draws), sampling_law(identical_rows(weights, draws)),
+                         (k,), seed, epoch, stats=stats).layers
+    return pl.v_nodes[pl.geometry.col_idx].reshape(draws, -1)
 
 
 def prefilter_topk_loop(scores, k_prime: int, tail_eps: float = 0.05):

@@ -116,8 +116,8 @@ def test_c02_gradient_correctness():
 
 
 def test_c03_reservoir_law():
-    # 100k independent draws per part from one draw_rows call each: node
-    # i of a score set of identical rows is draw i
+    # 100k independent draws per part from one sample_batch call each:
+    # node i of a score set of identical rows is draw i
     w1 = np.array([0.9, 0.05, 0.05])
     counts = np.bincount(draw_many(w1, 1, 100_000, seed=0, epoch=1)[:, 0],
                          minlength=3).astype(np.float64)

@@ -350,6 +350,13 @@ class TestExitCodes:
                      id="config-field"),
         pytest.param("predict", "config", {"degs": 4}, "config field 'degs'",
                      id="config-degs"),
+        # a field of another type than its default's
+        *(pytest.param("predict", "config", {name: value}, f"config field {name!r}",
+                       id=f"config-{name}-{kind}")
+          for name, value, kind in (("width", "8", "str"), ("epochs", "3", "str"),
+                                    ("full_graph", "yes", "str"), ("lr", "0.1", "str"),
+                                    ("width", True, "bool"), ("full_graph", 1, "int"),
+                                    ("loss", 2, "int"), ("degs", [4, True], "bool"))),
         # a scores file as bytes, or as an npz archive of these arrays
         *(pytest.param(command, "scores", contents, message, id=f"{command}-scores-{kind}")
           for command in ("train-final", "predict", "analyze")

@@ -206,6 +206,21 @@ class TestEstimator:
             assert sc.shape == sl.col_idx.shape
             np.testing.assert_array_equal(sl.values, sc)     # bit for bit
 
+    def test_best_val_measures_the_returned_network(self):
+        # an epoch validates the weights before its update, and those are
+        # the weights the run returns and reads its scores from; on six
+        # validation nodes AUC tells apart weights that accuracy ties
+        g, pattern = _toy()
+        metric = "auc"
+        cfg = TrainConfig(width=4, layers=2, epochs=12, lr=0.02, seed=0, metric=metric)
+        res = train_estimator(g, pattern, cfg)
+        geoms = [pattern_geometry(layer) for layer in pattern.layers]
+        logits, _ = res.network.forward(np.asarray(g.features, dtype=cfg.np_dtype), geoms,
+                                        tau=res.tau_final)
+        val_idx = g.split_idx(VAL)
+        probs = _probs_from_logits(res.loss_name, logits.data[val_idx])
+        assert metric_value(res.loss_name, metric, probs, g.labels[val_idx]) == res.best_val
+
     def test_zero_epochs_reads_init_scores(self):
         g, pattern = _toy()
         res = train_estimator(g, pattern, TrainConfig(width=4, layers=2,

@@ -8,11 +8,11 @@ derived by hand from sequential sampling without replacement,
 and those constants are frozen below.  The same law is also re-estimated
 inside the test by an independent two-step sequential sampler, so the
 sampler is checked against both the closed form and a second mechanism.
-Every law check draws through the library's own sampler, ``draw_rows``:
-a score set of many identical rows (sampling_oracle.identical_rows)
-gives one independent sample per node in one call.  The degenerate
-paths (completion, uniform fallback, prefilter decisions) are checked
-through ``draw_rows`` and ``sample_batch`` and their ``SampleStats``, and
+Every law check draws through the library's own sampler,
+``sample_batch``: a score set of many identical rows
+(sampling_oracle.identical_rows) gives one independent sample per node in
+one call.  The degenerate paths (completion, uniform fallback, prefilter
+decisions) are checked through ``sample_batch`` and its ``SampleStats``, and
 against the per-query loop the batched sampler replaced (sampling_oracle)
 wherever the two must agree exactly.  Draws read a ``SamplingLaw`` prepared
 once; every plan and counter they give must equal, bit for bit, those of
@@ -32,8 +32,8 @@ from sparsegt.attention import LayerGeometry
 from sparsegt.errors import ContractError, ShapeError
 from sparsegt.graphs import AttentionPattern, EdgeType, PatternLayer
 from sparsegt.rngutil import TAG_SHUFFLE, TAG_VAL, derive
-from sparsegt.sampling import (BatchPlan, SampleStats, draw_rows,
-                               load_scores_npz, plan_geometries, resample_epoch,
+from sparsegt.sampling import (BatchPlan, SampleStats, load_scores_npz,
+                               plan_geometries, resample_epoch,
                                sample_batch, sampling_law, save_scores_npz,
                                uniform_scores, validate_scores)
 from sampling_oracle import (draw_many, identical_rows, prefilter_topk_loop,
@@ -117,9 +117,9 @@ class TestReservoirPaths:
     def test_contract_errors(self):
         ss = identical_rows(W, 4)
         with pytest.raises(ContractError, match="positive"):
-            draw_rows(np.arange(4), sampling_law(ss), (0,), seed=0, epoch=0)
+            sample_batch(np.arange(4), sampling_law(ss), (0,), seed=0, epoch=0)
         with pytest.raises(ShapeError, match="degree budgets"):
-            draw_rows(np.arange(4), sampling_law(ss), (2, 2), seed=0, epoch=0)
+            sample_batch(np.arange(4), sampling_law(ss), (2, 2), seed=0, epoch=0)
         neg = replace(ss.layers[0], values=np.where(np.arange(12) == 10, -0.1, 0.5))
         with pytest.raises(ContractError, match="negative"):
             sampling_law(replace(ss, layers=(neg,)))
@@ -137,11 +137,11 @@ class TestReservoirPaths:
         ss = AttentionPattern(n=n, layers=(_scored(
             np.concatenate(([0], np.cumsum(lengths))), np.concatenate(cols),
             np.concatenate(rows)),))
-        (drawn,) = draw_rows(np.arange(len(rows)), sampling_law(ss), (deg,), seed=key,
-                             epoch=1)
+        (pl,) = sample_batch(np.arange(len(rows)), sampling_law(ss), (deg,), seed=key,
+                             epoch=1).layers
         for i, (w, row_cols) in enumerate(zip(rows, cols)):
             w = np.asarray(w)
-            take = drawn.cols[drawn.row_ptr[i]:drawn.row_ptr[i + 1]]
+            take = _drawn(pl, i)[0]
             assert take.size == min(deg, w.size)
             assert (np.diff(take) > 0).all()
             assert np.isin(take, row_cols).all()
@@ -374,11 +374,12 @@ class TestBatchPlans:
         _assert_same_plan(p1, p9)
 
     def test_prefilter_counters(self):
-        # node 0 has a heavy head, node 1 is flat; k'=2 truncates one and
-        # must keep the other whole
+        # node 0 has a heavy head, node 1 is flat (nodes 2-5, the columns'
+        # own rows, are empty); k'=2 truncates one and must keep the other whole
         vals = np.array([0.9, 0.02, 0.02, 0.02, 0.02, 0.02] + [1 / 6.0] * 6)
         cols = np.tile(np.arange(6), 2).astype(np.int64)
-        ss = AttentionPattern(n=2, layers=(_scored([0, 6, 12], cols, vals),))
+        ss = AttentionPattern(n=6, layers=(_scored([0, 6, 12, 12, 12, 12, 12], cols,
+                                                   vals),))
         stats = SampleStats()
         sample_batch(np.array([0, 1]), sampling_law(ss, k_prime=2, tail_eps=0.2), (3,),
                      seed=0, epoch=1, stats=stats)
@@ -475,17 +476,16 @@ class TestAgainstLoopOracle:
         for k_prime in (1, 3, 6):
             stats = SampleStats()
             law = sampling_law(ss, k_prime=k_prime, tail_eps=0.3)
-            (drawn,) = draw_rows(np.arange(ss.n), law, (ss.n,), seed=0, epoch=1,
-                                 stats=stats)
+            (pl,) = sample_batch(np.arange(ss.n), law, (ss.n,), seed=0, epoch=1,
+                                 stats=stats).layers
             (ll,) = law.layers
             kept_full = truncated = 0
             for node in range(ss.n):
                 lo, hi = layer.row_ptr[node], layer.row_ptr[node + 1]
                 keep, full = prefilter_topk_loop(layer.values[lo:hi], k_prime,
                                                  tail_eps=0.3)
-                np.testing.assert_array_equal(
-                    drawn.cols[drawn.row_ptr[node]:drawn.row_ptr[node + 1]],
-                    layer.col_idx[lo + keep])
+                np.testing.assert_array_equal(_drawn(pl, node)[0],
+                                              layer.col_idx[lo + keep])
                 cut = not full and keep.size < hi - lo
                 # the law's own flags and kept entries, row by row
                 assert (ll.kept_full[node], ll.truncated[node]) == (full, cut)
@@ -596,14 +596,20 @@ class TestLawAgainstPerDrawOracle:
         (np.inf, "layer 2: non-finite score"),
         (-0.25, "layer 2: negative score"),
         (None, "no score values"),
+        # a column outside the n=6 nodes would index past the feature rows
+        pytest.param(("col_idx", 6), r"layer 2: column 6 outside \[0, 6\)", id="col-6"),
+        pytest.param(("col_idx", -1), r"layer 2: column -1 outside \[0, 6\)", id="col--1"),
     ])
     def test_bad_scores_are_refused_before_any_draw(self, values, message):
         good = _ring_scores(layers=1).layers[0]
-        bad_values = None
+        field = "values"
+        if isinstance(values, tuple):       # (field, value) for entry 4
+            field, values = values
+        bad = None
         if values is not None:
-            bad_values = good.values.copy()
-            bad_values[4] = values
-        ss = AttentionPattern(n=6, layers=(good, replace(good, values=bad_values)))
+            bad = getattr(good, field).copy()
+            bad[4] = values
+        ss = AttentionPattern(n=6, layers=(good, replace(good, **{field: bad})))
         with pytest.raises(ContractError, match=message):
             sampling_law(ss)
 
