@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
 
 from .errors import ContractError, ShapeError
 from .graphs import AttentionPattern, Graph, atomic_path
@@ -42,6 +41,7 @@ def energy_distance(x, y) -> float:
         raise ShapeError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
     if x.shape[0] == 0 or y.shape[0] == 0:
         raise ContractError("energy distance needs nonempty samples")
+    from scipy.spatial.distance import cdist, pdist
     cross = cdist(x, y).mean()
     within_x = pdist(x).mean() if x.shape[0] > 1 else 0.0
     within_y = pdist(y).mean() if y.shape[0] > 1 else 0.0
@@ -291,6 +291,7 @@ def projection_distortion_check(dims=(16, 64, 256), n_points: int = 48,
     distances up to a relative error shrinking like d^(-1/2); this is
     the reason a narrow network can rank neighbors for a wide one.
     """
+    from scipy.spatial.distance import pdist
     rng = derive(seed, TAG_ANALYSIS, 4)
     x = rng.normal(size=(n_points, in_dim))
     d0 = pdist(x, "sqeuclidean")

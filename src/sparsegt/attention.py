@@ -117,8 +117,10 @@ class LayerGeometry:
     @property
     def key_mask(self) -> np.ndarray:
         """(queries x longest row) mask of each row's edges, left-aligned:
-        the slots a padded layout would hold.  Only ``perfbench/tracing.py``
-        reads it, to count them."""
+        the slots a padded layout would hold.  No training or predict path
+        reads it: ``perfbench/tracing.py`` counts the slots with it, and
+        three tests check it (in ``test_attention``, ``test_sampling`` and
+        ``test_edge_attention``)."""
         lengths = np.diff(self.row_ptr)
         return np.arange(lengths.max(initial=0)) < lengths[:, None]
 

@@ -397,16 +397,27 @@ def mean_all(t) -> Tensor:
     return out
 
 
+def _divide_count(total: np.ndarray, count: int) -> np.ndarray:
+    """``total / count`` in place, by the call ``np.mean`` and ``np.var`` make.
+
+    Dividing (not multiplying by ``1 / count``) keeps the statistics equal
+    to numpy's bit for bit; the reciprocal rounds differently whenever
+    ``count`` is not a power of two.
+    """
+    return np.true_divide(total, np.intp(count), out=total, casting="unsafe")
+
+
 def layer_norm(t, gamma, beta, eps: float = 1e-5) -> Tensor:
     """Per-row normalization with learnable scale and shift."""
     t, gamma, beta = as_tensor(t), as_tensor(gamma), as_tensor(beta)
     x = t.data
     if x.ndim != 2:
         raise ShapeError("layer_norm expects 2-d input")
-    mu = x.mean(axis=1, keepdims=True)
-    var = x.var(axis=1, keepdims=True)
+    mu = _divide_count(np.add.reduce(x, axis=1, keepdims=True), x.shape[1])
+    xc = x - mu
+    var = _divide_count(np.add.reduce(xc * xc, axis=1, keepdims=True), x.shape[1])
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
+    xhat = xc * inv
     out = Tensor(xhat * gamma.data + beta.data, requires_grad=_track(t, gamma, beta))
     if out.requires_grad:
         def _bw():
@@ -449,10 +460,11 @@ def batch_norm(t, gamma, beta, running_mean, running_var, training: bool,
         if rows.size < 2:
             raise ContractError(f"batch_norm needs at least 2 statistics rows, got {rows.size}")
         _check_rows(rows, x.shape[0], "batch_norm")     # numpy would wrap a negative one
-        xs = x[rows]
-        mu = xs.mean(axis=0)
-        var = xs.var(axis=0)
-        k = xs.shape[0]
+        k = rows.shape[0]
+        mu = _divide_count(np.add.reduce(x[rows], axis=0), k)
+        xc = x - mu
+        sq = xc[rows]
+        var = _divide_count(np.add.reduce(np.square(sq, out=sq), axis=0), k)
         unbiased = var * (k / (k - 1))
         running_mean *= (1.0 - momentum)
         running_mean += momentum * mu
@@ -460,10 +472,10 @@ def batch_norm(t, gamma, beta, running_mean, running_var, training: bool,
         running_var += momentum * unbiased
     else:
         rows = None
-        mu = running_mean.astype(x.dtype, copy=False)
+        xc = x - running_mean.astype(x.dtype, copy=False)
         var = running_var.astype(x.dtype, copy=False)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
+    xhat = xc * inv
     out = Tensor(xhat * gamma.data + beta.data, requires_grad=_track(t, gamma, beta))
     if out.requires_grad:
         def _bw():
@@ -479,10 +491,9 @@ def batch_norm(t, gamma, beta, running_mean, running_var, training: bool,
                     # mu and var were computed on the stats rows but feed
                     # every row's output; route those paths back to the
                     # stats rows only.
-                    k = rows.shape[0]
                     dmu = -(gx.sum(axis=0)) * inv
-                    dvar = (gx * (x - mu)).sum(axis=0) * (-0.5) * inv ** 3
-                    extra = (dmu + dvar * 2.0 * (x[rows] - mu)) / k
+                    dvar = (gx * xc).sum(axis=0) * (-0.5) * inv ** 3
+                    extra = (dmu + dvar * 2.0 * xc[rows]) / k
                     dx = dx + _scatter_rows(extra, rows, dx)
                 t._acc(dx)
         out._backward, out._parents = _bw, (t, gamma, beta)

@@ -10,6 +10,7 @@ entry point works outside this interpreter.
 import argparse
 import dataclasses
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -488,3 +489,18 @@ class TestDeterminismAndEntryPoint:
             capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
         assert "wrote 32 nodes" in out.stdout
+
+    def test_import_loads_neither_scipy_spatial_nor_stats(self):
+        # no pipeline step runs them, and a fresh process pays for every
+        # module it loads; the two analysis functions that need
+        # scipy.spatial load it on first use
+        code = ("import sys, sparsegt, sparsegt.cli\n"
+                "late = sorted(m for m in sys.modules\n"
+                "              if m.startswith(('scipy.spatial', 'scipy.stats')))\n"
+                "assert not late, late\n"
+                "assert sparsegt.energy_distance([0.0], [1.0]) == 2.0\n"
+                "assert 'scipy.spatial.distance' in sys.modules\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert out.returncode == 0, out.stderr

@@ -16,6 +16,7 @@ from sparsegt.errors import ContractError, DivergenceError, FormatError, ShapeEr
 from sparsegt.rngutil import derive
 from adamw_oracle import adamw_loop_step
 from attention_oracle import batched_matmul, masked_softmax, mul
+import norm_oracle
 from gradcheck import finite_difference, max_relative_error
 
 TOL = 1e-6
@@ -348,6 +349,69 @@ class TestNormalization:
         y = nm.normalize_rows(x, s)
         nm.backward(nm.mean_all(y))
         assert np.isfinite(x.grad).all()
+
+
+class TestNormOracle:
+    """The one-pass norms equal the ``x.mean``/``x.var`` oracle bit for bit."""
+
+    @staticmethod
+    def _run(op, x, dtype, seed, **kw):
+        rng = derive(seed, 1)
+        xt = nm.param(x, dtype)
+        g = nm.param(rng.normal(size=x.shape[1]) + 1.0, dtype)
+        b = nm.param(rng.normal(size=x.shape[1]), dtype)
+        w = rng.normal(size=x.shape).astype(dtype)
+        out = op(xt, g, b, **kw)
+        nm.backward(nm.mean_all(mul(out, w)))
+        return [out.data, xt.grad, g.grad, b.grad]
+
+    @staticmethod
+    def _x(width, dtype, seed):
+        rng = derive(seed, 0)
+        shape = (11, width)
+        return (rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape)
+                + rng.normal(size=width) * 10.0 ** rng.uniform(-2, 2, size=width)).astype(dtype)
+
+    @staticmethod
+    def _assert_equal(got, want):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("width", [7, 8, 33])
+    def test_layer_norm(self, width, dtype):
+        for seed in range(5):
+            x = self._x(width, dtype, seed)
+            self._assert_equal(self._run(nm.layer_norm, x, dtype, seed),
+                               self._run(norm_oracle.layer_norm, x, dtype, seed))
+
+    @pytest.mark.parametrize("rows", [None, [0, 3, 4, 7, 10], [9, 2, 5]])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("width", [7, 8, 33])
+    def test_batch_norm_training(self, width, dtype, rows):
+        for seed in range(5):
+            x = self._x(width, dtype, seed)
+            got, want = [], []
+            for op, buffers in ((nm.batch_norm, got), (norm_oracle.batch_norm, want)):
+                rng = derive(seed, 2)
+                mean, var = rng.normal(size=width), rng.uniform(0.5, 2.0, size=width)
+                buffers += self._run(op, x, dtype, seed, running_mean=mean,
+                                     running_var=var, training=True, stats_rows=rows)
+                buffers += [mean, var]
+            self._assert_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("width", [7, 8, 33])
+    def test_batch_norm_eval(self, width, dtype):
+        for seed in range(5):
+            x = self._x(width, dtype, seed)
+            rng = derive(seed, 2)
+            mean, var = rng.normal(size=width), rng.uniform(0.5, 2.0, size=width)
+            kw = dict(running_mean=mean, running_var=var, training=False)
+            self._assert_equal(self._run(nm.batch_norm, x, dtype, seed, **kw),
+                               self._run(norm_oracle.batch_norm, x, dtype, seed, **kw))
 
 
 class TestDropoutAndTape:
