@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import json
 import resource
 import sys
 import time
@@ -34,10 +33,9 @@ from .errors import (ContractError, DivergenceError, ExpanderGapError,
                      FormatError, ShapeError)
 from .graphs import (TEST, TRAIN, VAL, atomic_path, augment, build_expander,
                      load_pattern, save_expander, save_pattern)
-from .numerics import load_checkpoint
 from .pipeline import (DTYPES, ESTIMATOR_ABLATIONS, FINAL_ABLATIONS, LOSSES, METRICS,
-                       TrainConfig, build_network, config_from_dict, final_law,
-                       predict_by_law, train_estimator, train_final, write_json)
+                       RUN_SCORES, TrainConfig, load_final_run, predict_by_law,
+                       train_estimator, train_final, write_json)
 from .sampling import load_scores_npz
 
 
@@ -50,11 +48,12 @@ def _sha256(path) -> str:
 
 
 def _hash_inputs(paths) -> dict:
+    # a directory stands for every file under it, at any depth
     out = {}
     for p in paths:
         p = Path(p)
         if p.is_dir():
-            for child in sorted(p.iterdir()):
+            for child in sorted(p.rglob("*")):
                 if child.is_file():
                     out[str(child)] = _sha256(child)
         elif p.is_file():
@@ -173,13 +172,13 @@ def _cmd_train_estimator(args, manifest) -> int:
     res = train_estimator(g, pattern, cfg, run_dir=out)
     print(f"best epoch {res.best_epoch}: val {res.best_val:.4f}, "
           f"test {res.test_metric:.4f}, tau {res.tau_final:.3f}; "
-          f"scores in {out / 'scores'}")
+          f"scores in {out / RUN_SCORES}")
     return 0
 
 
 def _cmd_train_final(args, manifest) -> int:
     out = manifest.claim(args.out, args.force)
-    args.scores = _resolve_input(args.scores, "scores/scores.npz", "scores.npz")
+    args.scores = _resolve_input(args.scores, RUN_SCORES, "scores.npz")
     manifest.hash_inputs([args.data, args.scores])
     g, _ = datasets.load_dataset(args.data)
     cfg = _train_config(args)
@@ -192,26 +191,14 @@ def _cmd_train_final(args, manifest) -> int:
 
 def _cmd_predict(args, manifest) -> int:
     out = manifest.claim(args.out, args.force)
-    args.scores = _resolve_input(args.scores, "scores/scores.npz", "scores.npz")
-    manifest.hash_inputs([args.data, args.scores, args.run])
+    manifest.hash_inputs([args.data, args.run])
     g, _ = datasets.load_dataset(args.data)
-    run_dir = Path(args.run)
-    try:        # undecodable bytes, text that is not JSON, JSON that is no object
-        stored = dict(json.loads((run_dir / "config.json").read_text()))
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{run_dir / 'config.json'}: not a JSON object ({exc})") from None
-    role = stored.pop("role", "final")
-    if role != "final":
-        raise ContractError(f"{run_dir} holds a {role} run, not a final one")
-    cfg = config_from_dict(stored)
-    law, degs = final_law(cfg, load_scores_npz(args.scores))
-    net, loss_name = build_network(g, cfg, "final")
-    net.load_state_dict(load_checkpoint(run_dir / "ckpt" / "final.ckpt"))
+    run = load_final_run(args.run, g)
     nodes = {"all": np.arange(g.n), "train": g.split_idx(TRAIN),
              "val": g.split_idx(VAL), "test": g.split_idx(TEST)}[args.nodes]
-    probs, preds = predict_by_law(net, g.features, law, degs, nodes, seed=args.seed,
-                                  n_samples=args.samples, batch_size=cfg.batch_size,
-                                  loss_name=loss_name)
+    probs, preds = predict_by_law(run.network, g.features, run.law, run.degs, nodes,
+                                  seed=args.seed, n_samples=args.samples,
+                                  batch_size=run.cfg.batch_size, loss_name=run.loss_name)
     write_predictions(out / "predictions.csv", nodes, probs, preds)
     print(f"wrote predictions for {nodes.size} nodes to {out / 'predictions.csv'}")
     return 0
@@ -234,8 +221,7 @@ def write_predictions(path, nodes, probs, preds) -> None:
 def _cmd_analyze(args, manifest) -> int:
     out = manifest.claim(args.out, args.force)
     if args.scores:
-        args.scores = _resolve_input(args.scores, "scores/scores.npz",
-                                     "scores.npz")
+        args.scores = _resolve_input(args.scores, RUN_SCORES, "scores.npz")
     if args.pattern:
         args.pattern = _resolve_input(args.pattern, "pattern.tsv")
     manifest.hash_inputs([p for p in (args.scores, args.data, args.pattern) if p])
@@ -304,8 +290,8 @@ def _add_train_args(p, final: bool) -> None:
     p.add_argument("--warmup", type=int, default=0)
     p.add_argument("--dtype", default="float32", choices=tuple(DTYPES))
     if final:
-        p.add_argument("--degs", required=True,
-                       help="comma-separated per-layer sample degrees")
+        p.add_argument("--degs", help="comma-separated per-layer sample degrees "
+                       "(a --full-graph run takes each layer's longest row)")
         p.add_argument("--batch-size", dest="batch_size", type=int, default=64)
         p.add_argument("--dropout", type=float, default=0.0)
         p.add_argument("--eval-samples", dest="eval_samples", type=int,
@@ -371,10 +357,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_train_final)
 
     p = sub.add_parser("predict", help="predictions from a finished final run")
-    p.add_argument("--data", required=True)
-    p.add_argument("--scores", required=True,
-                   help="scores .npz file, or the estimator run directory")
-    p.add_argument("--run", required=True, help="final run directory")
+    p.add_argument("--data", required=True,
+                   help="the dataset directory the run trained on")
+    p.add_argument("--run", required=True,
+                   help="final run directory; it holds the scores it samples by")
     p.add_argument("--out", required=True)
     p.add_argument("--nodes", default="test",
                    choices=("all", "train", "val", "test"))

@@ -21,7 +21,6 @@ from pathlib import Path
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ContractError
 from .graphs import (Graph, TRAIN, VAL, TEST, atomic_path, edges_to_csr, save_split,
@@ -154,6 +153,9 @@ def gen_bridge_task(spec: SyntheticSpec) -> Graph:
         dst.append(int(hubs[cb]))
 
     row_ptr, col_idx = edges_to_csr(n, np.asarray(src), np.asarray(dst), symmetrize=True)
+
+    # only generation labels components, so only it loads csgraph
+    from scipy.sparse.csgraph import connected_components
 
     adjacency = csr_matrix((np.ones(col_idx.size), col_idx, row_ptr), shape=(n, n))
     num_merged, merged = connected_components(adjacency, directed=False)

@@ -26,7 +26,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from . import rngutil
 from .errors import ContractError, ExpanderGapError, FormatError, ShapeError
@@ -301,6 +300,9 @@ def spectral_gap(adj) -> float:
     asymmetric ``adj`` is a ContractError; ARPACK's failure to converge
     propagates.
     """
+    # only certification solves, so only it pays for loading ARPACK
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
     adj = sp.csr_matrix(adj, dtype=np.float64)
     n = adj.shape[0]
     if n < 2:

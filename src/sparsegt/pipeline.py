@@ -13,12 +13,26 @@ loop: train an epoch, score validation, keep the best state.
 Runs are deterministic in ``cfg.seed``: initialization, epoch shuffles,
 plan sampling draws and dropout masks all derive from it through disjoint
 tagged streams (see ``rngutil``).  When a run directory is given, each trainer
-leaves behind config.json, history.csv, a checkpoint and metrics.json
-so a finished run can be inspected without the Python objects.
+leaves behind a run that can be inspected, and a final one predicted from,
+without the Python objects:
+
+- ``config.json``: the ``TrainConfig``, the run's ``role`` (estimator or
+  final) and ``features_sha256``, the hash of the feature matrix the
+  network read (see ``features_sha256``);
+- ``history.csv``: one row per epoch;
+- ``ckpt/<role>.ckpt``: the best state's parameters and buffers;
+- ``scores/scores.npz``: the estimator's scores, or the score set a final
+  run sampled by (its law is ``final_law`` of the config and these);
+- ``metrics.json``: what the run measured.
+
+This module alone writes (``_write_run``) and reads (``load_final_run``)
+that layout.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -31,9 +45,9 @@ from .attention import (ModelConfig, Network, TemperatureSchedule,
 from .errors import ContractError, DivergenceError, FormatError, ShapeError
 from .graphs import TEST, TRAIN, VAL, AttentionPattern, Graph, atomic_path, write_json
 from .rngutil import TAG_DROPOUT, TAG_PREDICT, TAG_VAL, derive
-from .sampling import (SampleStats, SamplingLaw, plan_geometries, resample_epoch,
-                       sample_batch, sampling_law, save_scores_npz, uniform_scores,
-                       validate_scores)
+from .sampling import (SampleStats, SamplingLaw, load_scores_npz, plan_geometries,
+                       resample_epoch, sample_batch, sampling_law, save_scores_npz,
+                       uniform_scores, validate_scores)
 
 # each choice a TrainConfig field takes, listed once; the CLI offers these
 DTYPES = {"float32": np.float32, "float64": np.float64}
@@ -41,6 +55,8 @@ LOSSES = ("auto", "ce", "bce", "multilabel")
 METRICS = ("accuracy", "auc")
 ESTIMATOR_ABLATIONS = ("none", "no-temp", "no-vnorm")
 FINAL_ABLATIONS = ("none", "uniform", "max")
+# where a run directory keeps its score set
+RUN_SCORES = Path("scores", "scores.npz")
 
 
 @dataclass
@@ -260,39 +276,49 @@ def _copy_state(net: Network, into: dict) -> None:
         into[name][...] = b
 
 
-def _fit(net: Network, cfg: TrainConfig, loss_name: str, val_labels, run_epoch):
+def _fit(net: Network, cfg: TrainConfig, loss_name: str, val_labels, run_epoch,
+         validate_last=None):
     """Train ``net`` for ``cfg.epochs`` and leave it in its best state.
 
     ``run_epoch(opt, epoch, validate)`` trains one epoch and returns (loss,
     tau).  It calls ``validate(val_probs)`` once, while the network holds
     the weights those probabilities came from, so the state kept for the
-    best epoch is the state its metric measured.  Without validation nodes
-    the last epoch's final state wins.  Returns (history, best epoch, best
-    validation metric, its tau); the metric stays -inf if no epoch ran.
+    best epoch is the state its metric measured.  A ``run_epoch`` that
+    validates before its update passes ``validate_last(tau)``: the
+    validation probabilities of the weights the last update left, at the
+    last epoch's tau; if they win, the best epoch reads ``cfg.epochs + 1``.
+    Without validation nodes the last epoch's final state wins.  Returns
+    (history, best epoch, best validation metric, its tau); the metric
+    stays -inf if no epoch ran.
     """
-    history = []
+    history, measured = [], []
     best_val, best_epoch, best_tau = -np.inf, 0, 1.0
     best_state = net.state_dict()
+
+    def validate(val_probs):
+        val_m = (metric_value(loss_name, cfg.metric, val_probs, val_labels)
+                 if len(val_labels) else float("nan"))
+        measured.append(val_m)
+        if val_m > best_val:
+            _copy_state(net, best_state)
+
     if cfg.epochs > 0:
         sched = nm.CosineSchedule(cfg.lr, cfg.epochs, warmup=cfg.warmup)
         opt = nm.AdamW(net.named_parameters(), sched, weight_decay=cfg.weight_decay)
         for epoch in range(1, cfg.epochs + 1):
-            measured = []
-
-            def validate(val_probs):
-                val_m = (metric_value(loss_name, cfg.metric, val_probs, val_labels)
-                         if len(val_labels) else float("nan"))
-                measured.append(val_m)
-                if val_m > best_val:
-                    _copy_state(net, best_state)
-
             loss_val, tau = run_epoch(opt, epoch, validate)
             (val_m,) = measured
+            measured.clear()
             history.append((epoch, loss_val, val_m, tau))
             if not len(val_labels):
                 _copy_state(net, best_state)
             if val_m > best_val or not len(val_labels):
                 best_val, best_epoch, best_tau = val_m, epoch, tau
+        if validate_last is not None and len(val_labels):
+            validate(validate_last(tau))
+            (val_m,) = measured
+            if val_m > best_val:
+                best_val, best_epoch, best_tau = val_m, cfg.epochs + 1, tau
     net.load_state_dict(best_state)
     return history, best_epoch, best_val, best_tau
 
@@ -319,11 +345,12 @@ def train_estimator(graph: Graph, pattern: AttentionPattern, cfg: TrainConfig,
 
     Uses layer norm, length-normalized values, and the annealing
     temperature.  An epoch validates on its training forward, so it scores
-    the weights the epoch starts from; the returned network is the best
-    epoch's, and its scores are its attention rows read out at that
-    epoch's temperature.  Legal
-    ablations: none, no-temp (pin temperature at 1), no-vnorm (raw
-    value vectors).
+    the weights the epoch starts from, and one no-grad forward after the
+    last epoch scores the weights its update left (best epoch ``epochs +
+    1`` if they win).  The returned network holds the best weights, and
+    its scores are its attention rows read out at the temperature they
+    were validated at.  Legal ablations: none, no-temp (pin temperature at
+    1), no-vnorm (raw value vectors).
     """
     if cfg.ablation not in ESTIMATOR_ABLATIONS:
         raise ContractError(f"estimator ablation must be {'/'.join(ESTIMATOR_ABLATIONS)}, "
@@ -350,8 +377,13 @@ def train_estimator(graph: Graph, pattern: AttentionPattern, cfg: TrainConfig,
                             labels[train_idx])
         return _step(opt, loss, epoch), tau
 
-    history, best_epoch, best_val, best_tau = _fit(net, cfg, loss_name,
-                                                   labels[val_idx], run_epoch)
+    def validate_last(tau):
+        with nm.no_grad():
+            logits, _ = net.forward(x, geoms, tau=tau, training=False)
+        return _probs_from_logits(loss_name, logits.data[val_idx])
+
+    history, best_epoch, best_val, best_tau = _fit(net, cfg, loss_name, labels[val_idx],
+                                                   run_epoch, validate_last)
 
     with nm.no_grad():
         logits, layer_scores = net.forward(x, geoms, tau=best_tau, training=False)
@@ -373,7 +405,7 @@ def train_estimator(graph: Graph, pattern: AttentionPattern, cfg: TrainConfig,
         _write_run(run_dir, cfg, "estimator", net, history,
                    {"best_epoch": best_epoch, "best_val": float(best_val),
                     "test_metric": test_m, "tau_final": best_tau,
-                    "loss": loss_name}, scores=scores)
+                    "loss": loss_name}, x, scores)
     return result
 
 
@@ -401,10 +433,12 @@ def train_final(graph: Graph, scores: AttentionPattern, cfg: TrainConfig,
     epoch; the reported test metric averages ``cfg.eval_samples`` fresh
     patterns at the best validation state.  Every draw of a run, training
     plans included, reads one law (see ``final_law``).  ``cfg.full_graph``
-    (the sampling ablation's upper reference) takes every row whole, and
-    an epoch as one batch of every training node: one update on the
-    full-pattern forward.  Legal ablations: none, uniform (ignore the
-    scores), max (top-deg selection instead of sampling).
+    (the sampling ablation's upper reference) only sets the budgets: each
+    layer's longest row, so every row is taken whole, in batches of
+    ``cfg.batch_size`` like any run.  A run directory holds ``scores``
+    too, so the run predicts by its own law (``load_final_run``).  Legal
+    ablations: none, uniform (ignore the scores), max (top-deg selection
+    instead of sampling).
     """
     if cfg.ablation not in FINAL_ABLATIONS:
         raise ContractError(f"final ablation must be {'/'.join(FINAL_ABLATIONS)}, "
@@ -428,10 +462,9 @@ def train_final(graph: Graph, scores: AttentionPattern, cfg: TrainConfig,
         return _eval_sampled(net, x, law, degs, nodes, cfg.seed, epoch, TAG_VAL,
                              cfg.batch_size, loss_name)
 
-    batch_size = train_idx.size if cfg.full_graph else cfg.batch_size
-
     def run_epoch(opt, epoch, validate):
-        plans = resample_epoch(law, degs, train_idx, batch_size, cfg.seed, epoch, stats=stats)
+        plans = resample_epoch(law, degs, train_idx, cfg.batch_size, cfg.seed, epoch,
+                               stats=stats)
         total_loss, total_rows = 0.0, 0
         for bi, plan in enumerate(plans):
             rng = derive(cfg.seed, TAG_DROPOUT, epoch, bi) if cfg.dropout > 0 else None
@@ -467,7 +500,7 @@ def train_final(graph: Graph, scores: AttentionPattern, cfg: TrainConfig,
                     "uniform_fallbacks": stats.uniform_fallbacks,
                     "prefilter_truncated": stats.prefilter_truncated,
                     "prefilter_kept_full": stats.prefilter_kept_full,
-                    "sampling_law": law.summary()})
+                    "sampling_law": law.summary()}, x, scores)
     return result
 
 
@@ -604,17 +637,72 @@ def save_history_csv(path, history) -> None:
             fh.write(f"{epoch},{loss:.10g},{val_m:.10g},{tau:.10g}\n")
 
 
+def features_sha256(features, dtype) -> str:
+    """SHA-256 of ``features`` as a network of ``dtype`` reads them: the
+    shape, then the C-order bytes in ``dtype``."""
+    x = np.ascontiguousarray(features, dtype=dtype)
+    h = hashlib.sha256(np.asarray(x.shape, dtype=np.int64).tobytes())
+    h.update(x)
+    return h.hexdigest()
+
+
 def _write_run(run_dir, cfg: TrainConfig, role: str, net: Network, history,
-               metrics: dict, scores: AttentionPattern | None = None) -> None:
+               metrics: dict, features: np.ndarray, scores: AttentionPattern) -> None:
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    write_json(run_dir / "config.json", {"role": role, **config_to_dict(cfg)})
+    write_json(run_dir / "config.json",
+               {"role": role, "features_sha256": features_sha256(features, cfg.np_dtype),
+                **config_to_dict(cfg)})
     save_history_csv(run_dir / "history.csv", history)
     ckpt_dir = run_dir / "ckpt"
     ckpt_dir.mkdir(exist_ok=True)
     nm.save_checkpoint(ckpt_dir / f"{role}.ckpt", net.state_dict())
-    if scores is not None:
-        score_dir = run_dir / "scores"
-        score_dir.mkdir(exist_ok=True)
-        save_scores_npz(score_dir / "scores.npz", scores)
+    (run_dir / RUN_SCORES).parent.mkdir(exist_ok=True)
+    save_scores_npz(run_dir / RUN_SCORES, scores)
     write_json(run_dir / "metrics.json", metrics)
+
+
+@dataclass
+class FinalRun:
+    """A finished final run read back from its directory: its network and
+    the law it predicts by."""
+
+    network: Network
+    loss_name: str
+    law: SamplingLaw
+    degs: tuple
+    cfg: TrainConfig
+
+
+def load_final_run(run_dir, graph: Graph) -> FinalRun:
+    """The final run ``_write_run`` left in ``run_dir``, to predict on ``graph``.
+
+    FormatError for a ``config.json`` that is not the JSON object written
+    there or an unreadable score set or checkpoint.  ContractError for an
+    estimator run, for a run without a features hash or scores (written
+    by an earlier version: retrain it), and for ``graph`` features other
+    than the ones the run trained on.  The law is ``final_law`` of the
+    run's config and its own scores, as in training.
+    """
+    run_dir = Path(run_dir)
+    path = run_dir / "config.json"
+    try:        # undecodable bytes, text that is not JSON, JSON that is no object
+        stored = dict(json.loads(path.read_text()))
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: not a JSON object ({exc})") from None
+    role = stored.pop("role", "final")
+    if role != "final":
+        raise ContractError(f"{run_dir} holds a {role} run, not a final one")
+    recorded = stored.pop("features_sha256", None)
+    cfg = config_from_dict(stored)
+    if recorded is None or not (run_dir / RUN_SCORES).is_file():
+        raise ContractError(f"{run_dir} records no features hash or holds no scores, "
+                            "so an earlier version wrote it; retrain it")
+    given = features_sha256(graph.features, cfg.np_dtype)
+    if given != recorded:
+        raise ContractError(f"features mismatch: {run_dir} trained on features with "
+                            f"sha256 {recorded}, these have {given}")
+    law, degs = final_law(cfg, load_scores_npz(run_dir / RUN_SCORES))
+    net, loss_name = build_network(graph, cfg, "final")
+    net.load_state_dict(nm.load_checkpoint(run_dir / "ckpt" / "final.ckpt"))
+    return FinalRun(network=net, loss_name=loss_name, law=law, degs=degs, cfg=cfg)

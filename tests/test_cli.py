@@ -24,9 +24,7 @@ from sparsegt.cli import _train_config, build_parser, main
 from sparsegt.datasets import load_dataset
 from sparsegt.errors import FormatError
 from sparsegt.graphs import TEST
-from sparsegt.numerics import load_checkpoint
-from sparsegt.pipeline import (TrainConfig, build_network, config_from_dict,
-                               final_law, metric_value, predict)
+from sparsegt.pipeline import TrainConfig, load_final_run, metric_value, predict
 from sparsegt.sampling import load_scores_npz, save_scores_npz, validate_scores
 
 GEN = ["--components", "4", "--component-size", "8", "--bridges", "1",
@@ -50,9 +48,8 @@ def ws(tmp_path_factory):
     assert main(["train-final", "--data", d["data"], "--scores", d["scores"],
                  "--out", d["fin"], "--width", "8", "--epochs", "6",
                  "--degs", "4,4", "--batch-size", "16", "--seed", "0"]) == 0
-    assert main(["predict", "--data", d["data"], "--scores", d["scores"],
-                 "--run", d["fin"], "--out", d["pred"], "--nodes", "test",
-                 "--samples", "2", "--seed", "0"]) == 0
+    assert main(["predict", "--data", d["data"], "--run", d["fin"], "--out", d["pred"],
+                 "--nodes", "test", "--samples", "2", "--seed", "0"]) == 0
     d["root"] = str(root)
     return d
 
@@ -88,6 +85,13 @@ class TestWorkflow:
         # every input file is content-hashed
         assert any(k.endswith("pattern.tsv") for k in m["inputs"])
         assert all(len(v) == 64 for v in m["inputs"].values())
+
+    def test_predict_hashes_every_file_of_the_run(self, ws):
+        # a directory input stands for its files at every depth, so the
+        # manifest names the checkpoint and scores predict loaded
+        m = json.loads(Path(ws["pred"], "manifest.json").read_text())
+        for rel in ("config.json", "ckpt/final.ckpt", "scores/scores.npz"):
+            assert str(Path(ws["fin"], rel)) in m["inputs"], rel
 
     def test_run_configs_record_role(self, ws):
         for stage, role in (("est", "estimator"), ("fin", "final")):
@@ -149,9 +153,8 @@ class TestWorkflow:
                      ws["scores"], "--out", fin, "--width", "8", "--epochs",
                      "4", "--degs", "1,1", "--batch-size", "16", "--seed",
                      "3", "--eval-samples", "2", "--metric", metric] + law) == 0
-        assert main(["predict", "--data", ws["data"], "--scores",
-                     ws["scores"], "--run", fin, "--out", pred, "--nodes",
-                     "test", "--samples", "2", "--seed", "3"]) == 0
+        assert main(["predict", "--data", ws["data"], "--run", fin, "--out", pred,
+                     "--nodes", "test", "--samples", "2", "--seed", "3"]) == 0
         g, _ = load_dataset(ws["data"])
         with open(pred + "/predictions.csv") as fh:
             rows = [line.split(",") for line in fh.read().splitlines()[1:]]
@@ -181,22 +184,16 @@ class TestWorkflow:
         with open(fin + "/metrics.json") as fh:
             metrics = json.load(fh)
         assert metrics["prefilter_truncated"] > 0
-        assert main(["predict", "--data", ws["data"], "--scores", sharp,
-                     "--run", fin, "--out", pred, "--nodes", "all",
-                     "--samples", "2", "--seed", "5"]) == 0
+        assert main(["predict", "--data", ws["data"], "--run", fin, "--out", pred,
+                     "--nodes", "all", "--samples", "2", "--seed", "5"]) == 0
         g, _ = load_dataset(ws["data"])
-        with open(fin + "/config.json") as fh:
-            cfg = config_from_dict({k: v for k, v in json.load(fh).items()
-                                    if k != "role"})
-        net, loss_name = build_network(g, cfg, "final")
-        net.load_state_dict(load_checkpoint(fin + "/ckpt/final.ckpt"))
-        law, _ = final_law(cfg, load_scores_npz(sharp))
-        assert metrics["sampling_law"] == law.summary()
-        assert law.summary()[0]["rows_truncated"] > 0
-        probs, _ = predict(net, g.features, load_scores_npz(sharp), cfg.degs,
+        run = load_final_run(fin, g)
+        assert metrics["sampling_law"] == run.law.summary()
+        assert run.law.summary()[0]["rows_truncated"] > 0
+        probs, _ = predict(run.network, g.features, load_scores_npz(sharp), run.cfg.degs,
                            np.arange(g.n), seed=5, n_samples=2,
-                           batch_size=cfg.batch_size, k_prime=4,
-                           tail_eps=cfg.tail_eps, loss_name=loss_name)
+                           batch_size=run.cfg.batch_size, k_prime=4,
+                           tail_eps=run.cfg.tail_eps, loss_name=run.loss_name)
         with open(pred + "/predictions.csv") as fh:
             written = [line.split(",")[2] for line in fh.read().splitlines()[1:]]
         assert written == [f"{p:.6g}" for p in probs]
@@ -207,8 +204,8 @@ class TestWorkflow:
         split = (data / "split.csv").read_text().replace("val", "test")
         (data / "split.csv").write_text(split)
         pred = str(tmp_path / "pred")
-        assert main(["predict", "--data", str(data), "--scores", ws["scores"],
-                     "--run", ws["fin"], "--out", pred, "--nodes", "val"]) == 0
+        assert main(["predict", "--data", str(data), "--run", ws["fin"], "--out", pred,
+                     "--nodes", "val"]) == 0
         with open(pred + "/predictions.csv") as fh:
             assert fh.read().splitlines() == ["node,pred,p0"]
 
@@ -303,11 +300,10 @@ class TestExitCodes:
                      ws["scores"], "--out", fin, "--degs", "4,4", "--epochs",
                      "1", "--batch-size", "16", "--ablation", "uniform"]) == 0
         scores = load_scores_npz(ws["scores"])
-        bad = str(tmp_path / "bad.npz")
-        save_scores_npz(bad, replace(scores, layers=tuple(
+        save_scores_npz(fin + "/scores/scores.npz", replace(scores, layers=tuple(
             replace(sl, values=2.0 * sl.values) for sl in scores.layers)))
-        assert main(["predict", "--data", ws["data"], "--scores", bad,
-                     "--run", fin, "--out", str(tmp_path / "p")]) == 2
+        assert main(["predict", "--data", ws["data"], "--run", fin,
+                     "--out", str(tmp_path / "p")]) == 2
         assert "sums to" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field,value,message", [
@@ -316,15 +312,17 @@ class TestExitCodes:
     ])
     def test_predict_rejects_a_malformed_score_file(self, ws, tmp_path, capsys,
                                                     field, value, message):
-        scores = load_scores_npz(ws["scores"])
+        run = tmp_path / "run"
+        shutil.copytree(ws["fin"], run)
+        scores = load_scores_npz(run / "scores" / "scores.npz")
         layer = scores.layers[1]
         arr = getattr(layer, field).copy()
         arr[3] = value
-        bad = str(tmp_path / "bad.npz")
-        save_scores_npz(bad, replace(scores, layers=(scores.layers[0],
-                                                     replace(layer, **{field: arr}))))
-        assert main(["predict", "--data", ws["data"], "--scores", bad,
-                     "--run", ws["fin"], "--out", str(tmp_path / "p")]) == 2
+        save_scores_npz(run / "scores" / "scores.npz",
+                        replace(scores, layers=(scores.layers[0],
+                                                replace(layer, **{field: arr}))))
+        assert main(["predict", "--data", ws["data"], "--run", str(run),
+                     "--out", str(tmp_path / "p")]) == 2
         assert f"layer 2: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("column,value,message", [
@@ -368,9 +366,12 @@ class TestExitCodes:
     ])
     def test_an_unreadable_input_exits_2_with_a_manifest(self, ws, tmp_path, capsys,
                                                          command, broken, contents, message):
-        run, scores = tmp_path / "run", tmp_path / "scores.npz"
+        # predict reads the scores the run holds; the others take a file
+        run = tmp_path / "run"
         shutil.copytree(ws["fin"], run)
-        shutil.copy(ws["scores"], scores)
+        scores = (run / "scores" if command == "predict" else tmp_path) / "scores.npz"
+        if command != "predict":
+            shutil.copy(ws["scores"], scores)
         if broken == "config":
             if isinstance(contents, dict):
                 stored = json.loads((run / "config.json").read_text())
@@ -383,8 +384,8 @@ class TestExitCodes:
         out = tmp_path / "out"
         argv = {"train-final": ["train-final", "--data", ws["data"], "--scores", str(scores),
                                 "--out", str(out), "--degs", "4,4", "--epochs", "1"],
-                "predict": ["predict", "--data", ws["data"], "--scores", str(scores),
-                            "--run", str(run), "--out", str(out)],
+                "predict": ["predict", "--data", ws["data"], "--run", str(run),
+                            "--out", str(out)],
                 "analyze": ["analyze", "--kind", "profile", "--scores", str(scores),
                             "--out", str(out)]}[command]
         assert main(argv) == 2
@@ -392,9 +393,60 @@ class TestExitCodes:
         m = json.loads((out / "manifest.json").read_text())
         assert m["exit_code"] == 2 and message in m["error"]
 
+    def test_predict_refuses_features_the_run_never_trained_on(self, ws, tmp_path,
+                                                               capsys):
+        # a second dataset of the same size: same shapes, other features
+        other, out = str(tmp_path / "other"), tmp_path / "p"
+        assert main(["gen", "--out", other] + GEN[:-1] + ["5"]) == 0
+        assert main(["predict", "--data", other, "--run", ws["fin"],
+                     "--out", str(out)]) == 2
+        assert "features mismatch" in capsys.readouterr().err
+        m = json.loads((out / "manifest.json").read_text())
+        assert m["exit_code"] == 2 and "features mismatch" in m["error"]
+
+    def test_predict_takes_no_other_scores(self, ws, tmp_path, capsys):
+        # another estimator's scores would draw by a law the network never
+        # trained under; the run holds its own, and --scores is gone
+        est2, out = str(tmp_path / "est2"), tmp_path / "p"
+        assert main(["train-estimator", "--data", ws["data"], "--pattern", ws["pattern"],
+                     "--out", est2, "--width", "4", "--epochs", "2", "--seed", "1"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", "--data", ws["data"], "--scores", est2,
+                  "--run", ws["fin"], "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --scores" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("missing", ["features_sha256", "scores"])
+    def test_predict_refuses_a_run_of_an_earlier_version(self, ws, tmp_path, capsys,
+                                                         missing):
+        run, out = tmp_path / "run", tmp_path / "p"
+        shutil.copytree(ws["fin"], run)
+        if missing == "scores":
+            shutil.rmtree(run / "scores")
+        else:
+            stored = json.loads((run / "config.json").read_text())
+            del stored[missing]
+            (run / "config.json").write_text(json.dumps(stored))
+        assert main(["predict", "--data", ws["data"], "--run", str(run),
+                     "--out", str(out)]) == 2
+        assert "retrain it" in capsys.readouterr().err
+        assert json.loads((out / "manifest.json").read_text())["exit_code"] == 2
+
+    def test_only_a_sampled_run_needs_degs(self, ws, tmp_path, capsys):
+        # a full-graph run's budgets are its longest rows; a sampled run
+        # without budgets is refused, with a manifest
+        base = ["train-final", "--data", ws["data"], "--scores", ws["scores"],
+                "--width", "8", "--epochs", "1", "--batch-size", "16"]
+        assert main(base + ["--out", str(tmp_path / "full"), "--full-graph"]) == 0
+        assert main(base + ["--out", str(tmp_path / "sampled")]) == 2
+        assert "need 2 degree budgets, got 0" in capsys.readouterr().err
+        m = json.loads((tmp_path / "sampled" / "manifest.json").read_text())
+        assert m["exit_code"] == 2 and m["error"] == "need 2 degree budgets, got 0"
+
     def test_predict_rejects_estimator_run(self, ws, tmp_path, capsys):
-        code = main(["predict", "--data", ws["data"], "--scores", ws["scores"],
-                     "--run", ws["est"], "--out", str(tmp_path / "p")])
+        code = main(["predict", "--data", ws["data"], "--run", ws["est"],
+                     "--out", str(tmp_path / "p")])
         assert code == 2
         assert "estimator run" in capsys.readouterr().err
 
@@ -491,12 +543,14 @@ class TestDeterminismAndEntryPoint:
         assert "wrote 32 nodes" in out.stdout
 
     def test_import_loads_neither_scipy_spatial_nor_stats(self):
-        # no pipeline step runs them, and a fresh process pays for every
-        # module it loads; the two analysis functions that need
-        # scipy.spatial load it on first use
+        # a fresh process pays for every module it loads: scipy.spatial and
+        # scipy.stats load in the analysis functions that need them, and
+        # the sparse solvers and graph routines in expander certification
+        # and dataset generation
         code = ("import sys, sparsegt, sparsegt.cli\n"
-                "late = sorted(m for m in sys.modules\n"
-                "              if m.startswith(('scipy.spatial', 'scipy.stats')))\n"
+                "late = sorted(m for m in sys.modules if m.startswith(\n"
+                "    ('scipy.spatial', 'scipy.stats', 'scipy.sparse.linalg',\n"
+                "     'scipy.sparse.csgraph')))\n"
                 "assert not late, late\n"
                 "assert sparsegt.energy_distance([0.0], [1.0]) == 2.0\n"
                 "assert 'scipy.spatial.distance' in sys.modules\n")

@@ -28,10 +28,10 @@ from sparsegt.graphs import (TEST, TRAIN, VAL, AttentionPattern, PatternLayer,
                              augment, build_expander, save_pattern, save_split)
 from sparsegt.numerics import AdamW, load_checkpoint, save_checkpoint
 from sparsegt.pipeline import (TrainConfig, _probs_from_logits, config_from_dict,
-                               config_to_dict, edge_percent, metric_value, predict,
-                               predicted_labels, resolve_task,
-                               save_history_csv, train_estimator, train_final,
-                               write_json)
+                               config_to_dict, edge_percent, features_sha256,
+                               load_final_run, metric_value, predict, predict_by_law,
+                               predicted_labels, resolve_task, save_history_csv,
+                               train_estimator, train_final, write_json)
 from sparsegt.rngutil import TAG_PREDICT, derive
 from sparsegt.sampling import (load_scores_npz, sample_batch, sampling_law,
                                save_scores_npz, uniform_scores, validate_scores)
@@ -220,6 +220,23 @@ class TestEstimator:
         val_idx = g.split_idx(VAL)
         probs = _probs_from_logits(res.loss_name, logits.data[val_idx])
         assert metric_value(res.loss_name, metric, probs, g.labels[val_idx]) == res.best_val
+
+    def test_the_last_update_is_validated(self):
+        # one no-grad forward after the loop scores the weights the last
+        # update left; on this run they validate best, so the run returns
+        # them, at the last epoch's temperature, as best epoch 4 of 3
+        g, pattern = _toy()
+        cfg = TrainConfig(width=4, layers=2, epochs=3, lr=0.1, seed=6, metric="auc")
+        res = train_estimator(g, pattern, cfg)
+        assert res.best_epoch == 4
+        assert res.best_val > max(h[2] for h in res.history)
+        assert res.tau_final == res.history[-1][3]
+        geoms = [pattern_geometry(layer) for layer in pattern.layers]
+        logits, _ = res.network.forward(np.asarray(g.features, dtype=cfg.np_dtype), geoms,
+                                        tau=res.tau_final)
+        val_idx = g.split_idx(VAL)
+        probs = _probs_from_logits(res.loss_name, logits.data[val_idx])
+        assert metric_value(res.loss_name, "auc", probs, g.labels[val_idx]) == res.best_val
 
     def test_zero_epochs_reads_init_scores(self):
         g, pattern = _toy()
@@ -755,8 +772,8 @@ class TestOneLawPerRun:
             assert layer["entries_kept"] == layer["entries_total"]
 
     def test_a_full_graph_run_trains_on_full_degree_plans(self, monkeypatch):
-        # each epoch is one plan over every training node, each row drawn
-        # whole from the law, whatever cfg.batch_size says
+        # a full-graph run batches like any run, ceil(train / batch_size)
+        # plans an epoch, and draws each row whole from the law
         g, _ = _toy()
         scores, drawn, resample = _toy_scores(), [], pipeline.resample_epoch
 
@@ -768,13 +785,17 @@ class TestOneLawPerRun:
         res = train_final(g, scores, TrainConfig(width=8, layers=2, epochs=3,
                                                  batch_size=4, seed=0, full_graph=True))
         assert res.sample_stats.rows_sampled > 0
+        train = g.split_idx(TRAIN)
+        assert train.size == 20         # five batches of 4: no tail to fold
         assert len(drawn) == 3
         for plans in drawn:
-            assert len(plans) == 1
-            np.testing.assert_array_equal(np.sort(plans[0].seeds), g.split_idx(TRAIN))
-            for pl, sl in zip(plans[0].layers, scores.layers, strict=True):
-                np.testing.assert_array_equal(np.diff(pl.geometry.row_ptr),
-                                              np.diff(sl.row_ptr)[pl.q_nodes])
+            assert len(plans) == 5
+            np.testing.assert_array_equal(np.sort(np.concatenate([p.seeds for p in plans])),
+                                          train)
+            for plan in plans:
+                for pl, sl in zip(plan.layers, scores.layers, strict=True):
+                    np.testing.assert_array_equal(np.diff(pl.geometry.row_ptr),
+                                                  np.diff(sl.row_ptr)[pl.q_nodes])
 
     @pytest.mark.parametrize("n_samples", [1, 4])
     def test_predict_builds_one_law_per_call(self, count, n_samples):
@@ -794,8 +815,9 @@ class TestRunDirs:
         res = train_estimator(g, pattern, cfg, run_dir=tmp_path / "est")
         d = tmp_path / "est"
         meta = json.loads((d / "config.json").read_text())
-        assert meta["role"] == "estimator"
-        assert config_from_dict({k: v for k, v in meta.items() if k != "role"}) == cfg
+        assert meta.pop("role") == "estimator"
+        assert meta.pop("features_sha256") == features_sha256(g.features, np.float32)
+        assert config_from_dict(meta) == cfg
         lines = (d / "history.csv").read_text().splitlines()
         assert lines[0] == "epoch,loss,val_metric,tau"
         assert len(lines) == 4
@@ -843,6 +865,56 @@ class TestRunDirs:
             assert layer["rows_truncated"] + layer["rows_kept_full"] <= g.n
             assert layer["rows_no_positive"] == 0
         assert law == sampling_law(_toy_scores(), k_prime=16).summary()
+
+
+class TestFinalRunDirs:
+    """A final run directory holds what it predicts by: its scores and the
+    hash of the features it read, beside its config and checkpoint."""
+
+    @pytest.mark.parametrize("ablation", ["none", "uniform"])
+    def test_a_final_run_predicts_by_its_own_law(self, tmp_path, ablation):
+        # the run keeps the scores it was given, under the uniform ablation
+        # too, because its law is built from them
+        g, _ = _toy()
+        cfg = TrainConfig(width=8, layers=2, epochs=2, batch_size=16, degs=(3, 3),
+                          seed=0, ablation=ablation)
+        res = train_final(g, _toy_scores(), cfg, run_dir=tmp_path)
+        held = load_scores_npz(tmp_path / "scores" / "scores.npz")
+        for hl, sl in zip(held.layers, _toy_scores().layers, strict=True):
+            for name in ("row_ptr", "col_idx", "edge_type", "values"):
+                np.testing.assert_array_equal(getattr(hl, name), getattr(sl, name))
+        meta = json.loads((tmp_path / "config.json").read_text())
+        assert meta["features_sha256"] == features_sha256(g.features, np.float32)
+        run = load_final_run(tmp_path, g)
+        law, degs = pipeline.final_law(cfg, _toy_scores())
+        assert (run.cfg, run.loss_name, run.degs) == (cfg, res.loss_name, degs)
+        assert run.law.summary() == law.summary()
+        kw = dict(seed=3, n_samples=2, batch_size=cfg.batch_size, loss_name=res.loss_name)
+        got, _ = predict_by_law(run.network, g.features, run.law, run.degs,
+                                np.arange(g.n), **kw)
+        want, _ = predict_by_law(res.network, g.features, law, degs, np.arange(g.n), **kw)
+        np.testing.assert_array_equal(got, want)
+
+    def test_a_final_run_refuses_what_it_did_not_train_on(self, tmp_path):
+        g, pattern = _toy()
+        train_final(g, _toy_scores(), TrainConfig(width=8, layers=2, epochs=1,
+                                                  batch_size=16, degs=(3, 3)),
+                    run_dir=tmp_path / "fin")
+        other = replace(g, features=g.features[::-1].copy())
+        with pytest.raises(ContractError, match="features mismatch"):
+            load_final_run(tmp_path / "fin", other)
+        train_estimator(g, pattern, TrainConfig(width=4, layers=2, epochs=1),
+                        run_dir=tmp_path / "est")
+        with pytest.raises(ContractError, match="estimator run, not a final one"):
+            load_final_run(tmp_path / "est", g)
+
+    def test_the_features_hash_reads_shape_and_dtype_bytes(self):
+        x = np.arange(6.0).reshape(2, 3)
+        h = features_sha256(x, np.float32)
+        assert h == features_sha256(x.astype(np.float32), np.float32)
+        assert h == features_sha256(np.asfortranarray(x), np.float32)
+        assert h != features_sha256(x.reshape(3, 2), np.float32)
+        assert h != features_sha256(x, np.float64)
 
 
 class TestStrictJson:
