@@ -24,8 +24,8 @@ from .graphs import (AttentionPattern, EdgeType, ExpanderGraph, Graph,
                      load_expander, load_graph, load_pattern, save_expander,
                      save_pattern, spectral_gap)
 from .pipeline import (EstimatorResult, FinalResult, FinalRun, TrainConfig,
-                       build_network, edge_percent, load_final_run, predict,
-                       predict_by_law, train_estimator, train_final)
+                       build_network, edge_percent, load_final_run, load_run_scores,
+                       predict, predict_by_law, train_estimator, train_final)
 from .sampling import (BatchPlan, SampleStats, SamplingLaw, load_scores_npz,
                        plan_geometries, resample_epoch, sample_batch,
                        sampling_law, save_scores_npz, uniform_scores,

@@ -92,12 +92,11 @@ class LayerGeometry:
     edge list.  ``stats_rows`` marks which OUTPUT rows constitute the
     minibatch for batch-norm statistics (None: all).
 
-    ``edges`` is the list's ``numerics.EdgeIndex``, built on first use: the
-    first forward builds each edge's query row, the row starts, the
-    type-and-row index of q * emap and the column and type spans, the
-    first backward the CSC ramp.  It lives and dies with the geometry, so
-    a geometry used once builds it once, and the arrays
-    must not be changed once it is built.
+    ``edges`` is the list's ``numerics.EdgeIndex``, built by the first
+    forward: each edge's query row, the row starts, the type-and-row index
+    of q * emap and the column and type spans.  It lives and dies with the
+    geometry, so a geometry used once builds it once, and the arrays must
+    not be changed once it is built.
     """
 
     query_rows: np.ndarray

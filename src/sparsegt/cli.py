@@ -34,8 +34,8 @@ from .errors import (ContractError, DivergenceError, ExpanderGapError,
 from .graphs import (TEST, TRAIN, VAL, atomic_path, augment, build_expander,
                      load_pattern, save_expander, save_pattern)
 from .pipeline import (DTYPES, ESTIMATOR_ABLATIONS, FINAL_ABLATIONS, LOSSES, METRICS,
-                       RUN_SCORES, TrainConfig, load_final_run, predict_by_law,
-                       train_estimator, train_final, write_json)
+                       RUN_SCORES, TrainConfig, load_final_run, load_run_scores,
+                       predict_by_law, train_estimator, train_final, write_json)
 from .sampling import load_scores_npz
 
 
@@ -178,12 +178,10 @@ def _cmd_train_estimator(args, manifest) -> int:
 
 def _cmd_train_final(args, manifest) -> int:
     out = manifest.claim(args.out, args.force)
-    args.scores = _resolve_input(args.scores, RUN_SCORES, "scores.npz")
     manifest.hash_inputs([args.data, args.scores])
     g, _ = datasets.load_dataset(args.data)
     cfg = _train_config(args)
-    scores = load_scores_npz(args.scores)
-    res = train_final(g, scores, cfg, run_dir=out)
+    res = train_final(g, load_run_scores(args.scores, g), cfg, run_dir=out)
     print(f"best epoch {res.best_epoch}: val {res.best_val:.4f}, "
           f"test {res.test_metric:.4f}, edge budget {res.edge_pct:.1f}%")
     return 0
@@ -351,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-final", help="phase two: the sampled wide network")
     p.add_argument("--data", required=True)
     p.add_argument("--scores", required=True,
-                   help="scores .npz file, or the estimator run directory")
+                   help="scores .npz file, or the estimator run directory, "
+                   "which must have trained on --data's features")
     p.add_argument("--out", required=True)
     _add_train_args(p, final=True)
     p.set_defaults(func=_cmd_train_final)

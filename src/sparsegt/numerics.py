@@ -12,13 +12,16 @@ their inputs carry).
 An attention head is one node, ``edge_attention``, that works on the
 live edges of a CSR edge list and has a hand-written backward; an
 ``EdgeIndex`` holds the index arrays it derives from a list, so calls
-over a list that does not change share them.  Every scatter-add in a
+over a list that does not change share them.  It gathers per-edge rows in
+blocks of ``EDGE_BLOCK`` edges, so its memory grows with the edges and
+the width apart, not with their product.  Every scatter-add in a
 backward goes through a sparse operator: a CSC matrix whose column j
 holds a single entry in row idx[j], a 1, or the weight the scatter
-multiplies source row j by.  scipy applies it column by column into a
-zeroed output, so every row sums its gradients in index order starting
-from 0: the same bits as adding them one at a time, each weighted row
-rounded as its product formed apart would be.
+multiplies source row j by.  scipy applies it column by column, adding
+into the output it is given, so every row sums its gradients in index
+order starting from 0: the same bits as adding them one at a time, each
+weighted row rounded as its product formed apart would be, whether the
+columns come in one operator or in consecutive blocks.
 
 Also here because trainers need them next to the tape: the fused losses,
 AdamW with a cosine learning-rate schedule over one flat parameter
@@ -197,16 +200,27 @@ def _check_rows(idx: np.ndarray, rows: int, op: str, span: tuple | None = None) 
         raise IndexError(f"{op}: index {bad} outside [0, {rows})")
 
 
-def _spmm(fmt: str, ptr, idx, vals, dense, rows: int) -> np.ndarray:
+def _spmm(fmt: str, ptr, idx, vals, dense, rows: int, out=None) -> np.ndarray:
     """The (rows x len(dense)) ``fmt`` ("csr" or "csc") matrix of ``ptr``, ``idx`` and
     ``vals`` times ``dense``, by the kernel scipy runs for ``matrix @ dense`` minus the
-    matrix object, which costs more than the product on plan blocks.  Callers check indices."""
+    matrix object, which costs more than the product on plan blocks.  Callers check indices.
+
+    The kernel adds the product into ``out`` (zeros when not given), so calls
+    over consecutive column blocks of one CSC matrix, each into the same
+    ``out``, make the adds one call over the whole matrix makes, in the same
+    order.  ``out`` must be C-contiguous (rows,) + dense.shape[1:] in the
+    product's dtype: the kernel writes through it unchecked."""
     if ptr.shape != ((rows if fmt == "csr" else dense.shape[0]) + 1,) \
             or idx.shape != vals.shape or idx.shape[0] < ptr[-1]:
         raise ShapeError(f"{fmt}: {ptr.shape} ptr, {idx.shape} idx, {rows} rows, {dense.shape}")
     itype = np.int32 if ptr.dtype == idx.dtype == np.int32 else np.int64
     dtype = np.result_type(vals, dense)
-    out = np.zeros((rows,) + dense.shape[1:], dtype=dtype)
+    shape = (rows,) + dense.shape[1:]
+    if out is None:
+        out = np.zeros(shape, dtype=dtype)
+    elif out.shape != shape or out.dtype != dtype or not out.flags.c_contiguous:
+        raise ShapeError(f"{fmt}: out must be C-contiguous {shape} {dtype}, got "
+                         f"{out.shape} {out.dtype}{'' if out.flags.c_contiguous else ' strided'}")
     getattr(_sparsetools, f"{fmt}_matvecs")(
         rows, dense.shape[0], math.prod(dense.shape[1:]), ptr.astype(itype, copy=False),
         idx.astype(itype, copy=False), vals.astype(dtype, copy=False),
@@ -239,6 +253,29 @@ def gather_rows(t, idx) -> Tensor:
     return out
 
 
+# Edges per block of ``edge_attention``: no (edges x width) gather is larger,
+# and none outlives the block that made it.
+EDGE_BLOCK = 4096
+# its first m + 1 entries are the CSC column pointers of m single-entry columns
+_BLOCK_RAMP = np.arange(EDGE_BLOCK + 1)
+_BLOCK_RAMP.flags.writeable = False
+
+
+def _edge_blocks(edges: int):
+    """(start, stop) of each block of at most ``EDGE_BLOCK`` consecutive edges."""
+    return ((a, min(a + EDGE_BLOCK, edges)) for a in range(0, edges, EDGE_BLOCK))
+
+
+def _edge_dots(a: np.ndarray, a_idx: np.ndarray, b: np.ndarray, b_idx: np.ndarray):
+    """``out[e] = a[a_idx[e]] . b[b_idx[e]]``, gathering the rows block by block."""
+    out = np.empty(a_idx.shape[0], dtype=np.result_type(a, b))
+    for lo, hi in _edge_blocks(out.shape[0]):
+        # np.take copies the rows fancy indexing would, several times faster
+        np.einsum("ew,ew->e", np.take(a, a_idx[lo:hi], axis=0),
+                  np.take(b, b_idx[lo:hi], axis=0), out=out[lo:hi])
+    return out
+
+
 class EdgeIndex:
     """The index arrays ``edge_attention`` derives from a CSR edge list, built
     once and shared by every call over the list: every head of a layer, and
@@ -248,13 +285,11 @@ class EdgeIndex:
     ContractError for a row without edges) and builds each edge's query row
     ``rows``, the row ``starts``, ``qe_idx = type * queries + row`` and the
     spans of the columns and types, against which a call checks its tables
-    in O(1).  The ramp ``arange(edges + 1)`` that makes an index array a CSC
-    scatter operator is built by the first backward that needs it.  Every
-    array is read, never written.
+    in O(1).  Every array is read, never written.
     """
 
     __slots__ = ("row_ptr", "cols", "types", "rows", "starts", "qe_idx",
-                 "col_span", "type_span", "_ramp")
+                 "col_span", "type_span")
 
     def __init__(self, row_ptr, cols, types):
         row_ptr, cols, types = np.asarray(row_ptr), np.asarray(cols), np.asarray(types)
@@ -270,18 +305,10 @@ class EdgeIndex:
         self.rows, self.starts = np.repeat(np.arange(nq), lengths), row_ptr[:-1]
         self.qe_idx = types * np.intp(nq) + self.rows
         self.col_span, self.type_span = _span(cols), _span(types)
-        self._ramp = None
 
     @property
     def num_queries(self) -> int:
         return self.row_ptr.shape[0] - 1
-
-    @property
-    def ramp(self) -> np.ndarray:
-        """``arange(edges + 1)``: the CSC column pointers of one entry per edge."""
-        if self._ramp is None:
-            self._ramp = np.arange(self.cols.shape[0] + 1)
-        return self._ramp
 
 
 def edge_attention(q, k, v, emap, bias, edges, scale: float,
@@ -294,14 +321,17 @@ def edge_attention(q, k, v, emap, bias, edges, scale: float,
         logit_e = scale * (q_i * emap[types[e]]) . k[cols[e]] + bias[types[e]]
     The weights are each row's softmax of clip(logit) / temperature and the
     output is CSR(weights) @ v.  q * emap is formed once per type, so the
-    logits are one dot per edge; the backward is written out by hand.  A
-    clipped logit passes no gradient.  A row without edges is a
-    ContractError, a column or type outside its table an IndexError.
+    logits are one dot per edge; the backward is written out by hand.  The
+    per-edge rows of q * emap, k, the output gradient and v are gathered
+    ``EDGE_BLOCK`` edges at a time, for the dot products and the scatters
+    alike, and the tape keeps q * emap, not its gathers.  A clipped logit
+    passes no gradient.  A row without edges is a ContractError, a column
+    or type outside its table an IndexError.
     Returns (out (queries, w), weights).
     """
     q, k, v, emap, bias = (as_tensor(x) for x in (q, k, v, emap, bias))
     row_ptr, cols, types = edges.row_ptr, edges.cols, edges.types
-    rows, starts = edges.rows, edges.starts
+    rows, starts, qe_idx = edges.rows, edges.starts, edges.qe_idx
     (nq, w), n, t = q.data.shape, k.data.shape[0], emap.data.shape[0]
     if (k.data.shape, v.data.shape, emap.data.shape, bias.data.shape, edges.num_queries) \
             != ((n, w), (n, w), (t, w), (t, 1), nq):
@@ -312,10 +342,8 @@ def edge_attention(q, k, v, emap, bias, edges, scale: float,
     _check_rows(cols, n, "edge_attention", edges.col_span)
     _check_rows(types, t, "edge_attention", edges.type_span)
     qe = (emap.data[:, None, :] * q.data).reshape(t * nq, w)     # row j * nq + i: q_i * emap_j
-    # np.take copies the rows fancy indexing would, several times faster
-    qg, kg = np.take(qe, edges.qe_idx, axis=0), np.take(k.data, cols, axis=0)
     scale = q.data.dtype.type(scale)
-    logits = np.einsum("ew,ew->e", qg, kg) * scale + np.take(bias.data[:, 0], types)
+    logits = _edge_dots(qe, qe_idx, k.data, cols) * scale + np.take(bias.data[:, 0], types)
     y = logits.clip(-clip, clip) / temperature
     if clip / temperature > 32:     # exp could overflow: shift each row's maximum to 0
         y -= np.take(np.maximum.reduceat(y, starts), rows)
@@ -330,19 +358,31 @@ def edge_attention(q, k, v, emap, bias, edges, scale: float,
             g = out.grad
             if v.requires_grad:     # the CSR arrays read as CSC are the transpose
                 v._acc(_spmm("csc", row_ptr, cols, y, g, n))
-            dy = np.einsum("ew,ew->e", np.take(g, rows, axis=0), np.take(v.data, cols, axis=0))
+            dy = _edge_dots(g, rows, v.data, cols)
             dz = y * (dy - np.take(np.add.reduceat(dy * y, starts), rows)) / temperature
             dlogit = np.where(inside, dz, 0)
             if bias.requires_grad:
                 bias._acc(np.bincount(types, weights=dlogit, minlength=t)[:, None])
             dlogit *= scale
-            # each edge scatters its row of qg (kg) times its dlogit, which rides
-            # in the operator's values: the products round as they would apart
-            if k.requires_grad:
-                k._acc(_spmm("csc", edges.ramp, cols, dlogit, qg, n))
-            if q.requires_grad or emap.requires_grad:
-                dqe = _spmm("csc", edges.ramp, edges.qe_idx, dlogit, kg,
-                            t * nq).reshape(t, nq, w)
+            # each edge scatters its row of q * emap (of k) times its dlogit,
+            # which rides in the operator's values: the products round as they
+            # would apart.  Each block adds into the one output in edge order,
+            # the adds of one scatter over every edge.
+            dk = np.zeros((n, w), np.result_type(dlogit, qe)) if k.requires_grad else None
+            dqe = (np.zeros((t * nq, w), np.result_type(dlogit, k.data))
+                   if q.requires_grad or emap.requires_grad else None)
+            for lo, hi in _edge_blocks(cols.shape[0]):
+                ramp, dl = _BLOCK_RAMP[:hi - lo + 1], dlogit[lo:hi]
+                if dk is not None:
+                    _spmm("csc", ramp, cols[lo:hi], dl,
+                          np.take(qe, qe_idx[lo:hi], axis=0), n, out=dk)
+                if dqe is not None:
+                    _spmm("csc", ramp, qe_idx[lo:hi], dl,
+                          np.take(k.data, cols[lo:hi], axis=0), t * nq, out=dqe)
+            if dk is not None:
+                k._acc(dk)
+            if dqe is not None:
+                dqe = dqe.reshape(t, nq, w)
                 if q.requires_grad:
                     q._acc(np.einsum("tiw,tw->iw", dqe, emap.data))
                 if emap.requires_grad:

@@ -25,8 +25,8 @@ without the Python objects:
   run sampled by (its law is ``final_law`` of the config and these);
 - ``metrics.json``: what the run measured.
 
-This module alone writes (``_write_run``) and reads (``load_final_run``)
-that layout.
+This module alone writes (``_write_run``) and reads (``load_final_run``,
+``load_run_scores``) that layout.
 """
 
 from __future__ import annotations
@@ -674,25 +674,24 @@ class FinalRun:
     cfg: TrainConfig
 
 
-def load_final_run(run_dir, graph: Graph) -> FinalRun:
-    """The final run ``_write_run`` left in ``run_dir``, to predict on ``graph``.
+def _checked_run(run_dir: Path, graph: Graph, role: str | None = None) -> TrainConfig:
+    """The config of the run ``_write_run`` left in ``run_dir``, once the run
+    is known to have read ``graph``'s features.
 
     FormatError for a ``config.json`` that is not the JSON object written
-    there or an unreadable score set or checkpoint.  ContractError for an
-    estimator run, for a run without a features hash or scores (written
-    by an earlier version: retrain it), and for ``graph`` features other
-    than the ones the run trained on.  The law is ``final_law`` of the
-    run's config and its own scores, as in training.
+    there.  ContractError for a run of another ``role`` (any, if None), for
+    a run without a features hash or scores (written by an earlier version:
+    retrain it), and for ``graph`` features other than the ones the run
+    read, hashed in the run's own dtype.
     """
-    run_dir = Path(run_dir)
     path = run_dir / "config.json"
     try:        # undecodable bytes, text that is not JSON, JSON that is no object
         stored = dict(json.loads(path.read_text()))
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{path}: not a JSON object ({exc})") from None
-    role = stored.pop("role", "final")
-    if role != "final":
-        raise ContractError(f"{run_dir} holds a {role} run, not a final one")
+    found = stored.pop("role", "final")
+    if role is not None and found != role:
+        raise ContractError(f"{run_dir} holds a {found} run, not a {role} one")
     recorded = stored.pop("features_sha256", None)
     cfg = config_from_dict(stored)
     if recorded is None or not (run_dir / RUN_SCORES).is_file():
@@ -702,7 +701,31 @@ def load_final_run(run_dir, graph: Graph) -> FinalRun:
     if given != recorded:
         raise ContractError(f"features mismatch: {run_dir} trained on features with "
                             f"sha256 {recorded}, these have {given}")
+    return cfg
+
+
+def load_final_run(run_dir, graph: Graph) -> FinalRun:
+    """The final run ``_write_run`` left in ``run_dir``, to predict on ``graph``.
+
+    Refuses what ``_checked_run`` refuses, an estimator run included, and
+    an unreadable score set or checkpoint (FormatError).  The law is
+    ``final_law`` of the run's config and its own scores, as in training.
+    """
+    run_dir = Path(run_dir)
+    cfg = _checked_run(run_dir, graph, "final")
     law, degs = final_law(cfg, load_scores_npz(run_dir / RUN_SCORES))
     net, loss_name = build_network(graph, cfg, "final")
     net.load_state_dict(nm.load_checkpoint(run_dir / "ckpt" / "final.ckpt"))
     return FinalRun(network=net, loss_name=loss_name, law=law, degs=degs, cfg=cfg)
+
+
+def load_run_scores(path, graph: Graph) -> AttentionPattern:
+    """The score set a final run on ``graph`` samples by, from ``path``: a
+    score file, read as it is, or a run directory (an estimator's, as a
+    rule), whose scores are read once ``_checked_run`` accepts the run for
+    ``graph``'s features."""
+    path = Path(path)
+    if path.is_dir():
+        _checked_run(path, graph)
+        path = path / RUN_SCORES
+    return load_scores_npz(path)

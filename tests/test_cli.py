@@ -100,19 +100,50 @@ class TestWorkflow:
 
     def test_stage_directories_stand_in_for_their_files(self, ws, tmp_path):
         # --pattern/--scores accept the producing run's directory; the
-        # manifest still hashes the file that was actually read
+        # manifest still hashes the files that were actually read
         fin = str(tmp_path / "fin")
         assert main(["train-estimator", "--data", ws["data"],
                      "--pattern", ws["aug"], "--out", str(tmp_path / "est"),
                      "--width", "4", "--epochs", "2", "--seed", "0"]) == 0
+        with open(str(tmp_path / "est") + "/manifest.json") as fh:
+            assert json.load(fh)["options"]["pattern"].endswith("pattern.tsv")
         assert main(["train-final", "--data", ws["data"],
                      "--scores", ws["est"], "--out", fin,
                      "--width", "8", "--epochs", "2", "--degs", "4,4",
                      "--batch-size", "16", "--seed", "0"]) == 0
         with open(fin + "/manifest.json") as fh:
             m = json.load(fh)
-        assert m["options"]["scores"].endswith("scores.npz")
-        assert any(k.endswith("scores.npz") for k in m["inputs"])
+        assert m["options"]["scores"] == ws["est"]
+        for rel in ("config.json", "scores/scores.npz"):
+            assert str(Path(ws["est"], rel)) in m["inputs"], rel
+
+    @pytest.mark.parametrize("scores", ["est", "scores"], ids=["run", "file"])
+    def test_train_final_refuses_features_the_estimator_never_read(self, ws, tmp_path,
+                                                                   capsys, scores):
+        # a run directory records the hash of its features; a bare score
+        # file records nothing, so it is taken as it is
+        other, out = str(tmp_path / "other"), tmp_path / "f"
+        assert main(["gen", "--out", other] + GEN[:-1] + ["5"]) == 0
+        code = main(["train-final", "--data", other, "--scores", ws[scores], "--out", str(out),
+                     "--degs", "4,4", "--epochs", "1", "--batch-size", "16"])
+        m = json.loads((out / "manifest.json").read_text())
+        if scores == "est":
+            assert code == 2
+            assert "features mismatch" in capsys.readouterr().err
+            assert m["exit_code"] == 2 and "features mismatch" in m["error"]
+        else:
+            assert code == 0 and m["exit_code"] == 0
+
+    def test_train_final_hashes_features_as_the_estimator_read_them(self, ws, tmp_path):
+        # a float64 estimator records the float64 bytes; a float32 final run
+        # on the same data is accepted
+        est = str(tmp_path / "est")
+        assert main(["train-estimator", "--data", ws["data"], "--pattern", ws["pattern"],
+                     "--out", est, "--width", "4", "--epochs", "1",
+                     "--dtype", "float64"]) == 0
+        assert main(["train-final", "--data", ws["data"], "--scores", est,
+                     "--out", str(tmp_path / "f"), "--degs", "4,4", "--epochs", "1",
+                     "--batch-size", "16"]) == 0
 
     def test_directory_without_the_file_fails_cleanly(self, ws, tmp_path,
                                                       capsys):

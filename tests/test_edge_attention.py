@@ -7,12 +7,17 @@ every parameter, on random geometries with rows of unequal length (so
 the oracle's block has pad slots), single-slot rows and all three edge
 types, for both network roles.  The op's own contracts (finite
 differences, clipped logits, empty rows, indices out of range) are
-checked directly.
+checked directly.  ``tests/edge_attention_oracle.py`` keeps the op as one
+pass over every edge: the op, which works in blocks of ``EDGE_BLOCK``
+edges, must give its bits on lists around the block size.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import edge_attention_oracle
 import sparsegt.attention as attention
 import sparsegt.numerics as nm
 from attention_oracle import composed_sublayer
@@ -237,7 +242,6 @@ class TestOp:
             for reused, fresh in zip(*passes):
                 for a, b in zip(reused, fresh):
                     np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
-        assert shared.ramp is shared.ramp
 
     def test_a_prepared_index_still_checks_each_call(self):
         q, k, v, emap, bias, row_ptr, cols, types = _op_inputs(8)
@@ -270,3 +274,64 @@ class TestOp:
         assert scores.shape == (3,) and scores.dtype == np.float64
         np.testing.assert_allclose(scores[:2].sum(), 1.0, rtol=1e-15)
         assert scores[2] == 1.0
+
+
+def _blocked_case(key, edges, dtype, w=8, n=300):
+    """Op inputs over a list of ``edges`` edges in rows of 1..40, whose
+    rows straddle every block boundary inside the list."""
+    rng = derive(35, key)
+    lengths, total = [], 0
+    while total < edges:
+        m = min(int(rng.integers(1, 41)), edges - total)
+        if (total + m) % nm.EDGE_BLOCK == 0 and total + m < edges:
+            m += 1      # no row ends on a block boundary
+        lengths.append(m)
+        total += m
+    row_ptr = np.concatenate([[0], np.cumsum(lengths)])
+    assert not np.isin(np.arange(nm.EDGE_BLOCK, edges, nm.EDGE_BLOCK), row_ptr).any()
+    nq = len(lengths)
+    arrays = [rng.normal(size=shape) for shape in ((nq, w), (n, w), (n, w), (3, w), (3, 1))]
+    arrays[4][:, 0] = (8.0, 0.0, -8.0)     # about half the type 0 and 2 logits clip
+    edge_list = nm.EdgeIndex(row_ptr, rng.integers(0, n, size=edges),
+                             rng.integers(0, 3, size=edges))
+    return arrays, edge_list, rng.normal(size=(w, 5)).astype(dtype)
+
+
+def _forward_backward(op, arrays, edges, out_w, dtype, tau):
+    """(out, weights, the five gradients) of one step of ``op``."""
+    ts = [nm.param(a, dtype=dtype) for a in arrays]
+    out, y = op(*ts, edges, 0.35, temperature=tau, clip=8.0)
+    nm.backward(nm.mean_all(nm.matmul(out, out_w)))
+    return [out.data, y] + [t.grad for t in ts]
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("tau", [1.0, 0.2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("edges", [1, nm.EDGE_BLOCK - 1, nm.EDGE_BLOCK,
+                                       nm.EDGE_BLOCK + 1, 2 * nm.EDGE_BLOCK + 17])
+    def test_blocks_give_the_one_pass_bits(self, edges, dtype, tau):
+        # tau 0.2 takes the row-shift branch
+        arrays, edge_list, out_w = _blocked_case(edges, edges, dtype)
+        got = _forward_backward(nm.edge_attention, arrays, edge_list, out_w, dtype, tau)
+        want = _forward_backward(edge_attention_oracle.edge_attention, arrays, edge_list,
+                                 out_w, dtype, tau)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            np.testing.assert_array_equal(a.view(f"u{a.itemsize}"), b.view(f"u{b.itemsize}"))
+
+    def test_no_gather_of_every_edge_is_held(self):
+        # eight blocks at width 32: one (edges x width) float32 gather is
+        # 4 MiB, and a step of the op must peak below it
+        arrays, edge_list, out_w = _blocked_case(0, 8 * nm.EDGE_BLOCK, np.float32,
+                                                 w=32, n=500)
+        gather = edge_list.cols.size * 32 * 4
+        ts = [nm.param(a, dtype=np.float32) for a in arrays]
+        tracemalloc.start()
+        try:
+            out, _ = nm.edge_attention(*ts, edge_list, 0.35)
+            nm.backward(nm.mean_all(nm.matmul(out, out_w)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < gather, (peak, gather)

@@ -166,6 +166,37 @@ class TestScatter:
         np.testing.assert_array_equal(got.view(f"u{got.itemsize}"),
                                       want.view(f"u{want.itemsize}"))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("itype", [np.int32, np.int64])
+    @pytest.mark.parametrize("width", [None, 5], ids=["1d", "w5"])
+    def test_spmm_column_blocks_into_one_out_are_the_one_shot_product(self, dtype, itype,
+                                                                      width):
+        # edge_attention scatters block by block into one output: the adds
+        # must be the ones a single call over every column makes
+        rng = derive(1, 123)
+        rows, cols = 7, 40
+        a = sp.random(rows, cols, density=0.5, format="csc", random_state=4, dtype=dtype)
+        ptr, idx = a.indptr.astype(itype), a.indices.astype(itype)
+        dense = rng.normal(size=(cols,) if width is None else (cols, width)).astype(dtype)
+        dense *= 10.0 ** rng.uniform(-10, 10, size=dense.shape)
+        want = nm._spmm("csc", ptr, idx, a.data, dense, rows)
+        got = np.zeros_like(want)
+        for lo, hi in ((0, 13), (13, 14), (14, 14), (14, cols)):
+            span = slice(ptr[lo], ptr[hi])
+            assert nm._spmm("csc", ptr[lo:hi + 1] - ptr[lo], idx[span], a.data[span],
+                            dense[lo:hi], rows, out=got) is got
+        np.testing.assert_array_equal(got.view(f"u{got.itemsize}"),
+                                      want.view(f"u{want.itemsize}"))
+
+    def test_spmm_refuses_an_out_it_cannot_write_through(self):
+        a = sp.random(6, 4, density=0.5, format="csc", random_state=5)
+        dense = np.ones((4, 3))
+        args = ("csc", a.indptr, a.indices, a.data, dense, 6)
+        for out in (np.zeros((6, 4)), np.zeros(6 * 3), np.zeros((6, 3), np.float32),
+                    np.zeros((3, 6)).T, np.zeros((6, 6))[:, ::2]):
+            with pytest.raises(ShapeError, match="out must be C-contiguous"):
+                nm._spmm(*args, out=out)
+            assert not out.any()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("itype", [np.int32, np.int64])
