@@ -17,8 +17,8 @@ from .attention import (LayerGeometry, ModelConfig, Network,
                         pattern_geometry, temperature_at)
 from .datasets import (SyntheticSpec, gen_dataset, homophily_ratio,
                        load_dataset, write_dataset)
-from .errors import (ContractError, DivergenceError, ExpanderGapError,
-                     FormatError, ShapeError)
+from .errors import (ContractError, ConvergenceError, DivergenceError,
+                     ExpanderGapError, FormatError, ShapeError)
 from .graphs import (AttentionPattern, EdgeType, ExpanderGraph, Graph,
                      PatternLayer, augment, build_expander, edges_to_csr,
                      load_expander, load_graph, load_pattern, save_expander,

@@ -20,7 +20,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .errors import ContractError
 from .graphs import (Graph, TRAIN, VAL, TEST, atomic_path, edges_to_csr, save_split,
@@ -154,16 +153,14 @@ def gen_bridge_task(spec: SyntheticSpec) -> Graph:
 
     row_ptr, col_idx = edges_to_csr(n, np.asarray(src), np.asarray(dst), symmetrize=True)
 
-    # only generation labels components, so only it loads csgraph
-    from scipy.sparse.csgraph import connected_components
-
-    adjacency = csr_matrix((np.ones(col_idx.size), col_idx, row_ptr), shape=(n, n))
-    num_merged, merged = connected_components(adjacency, directed=False)
+    # Each component is a connected hub star and no component is in two
+    # pairs, so the merged components are the pairs and the unpaired
+    # components: a node is positive iff its pair crosses colors.
+    crossing = np.zeros(c, dtype=bool)
+    for ca, cb in pairs:
+        crossing[[ca, cb]] = colors[ca] != colors[cb]
+    labels = np.repeat(crossing, size).astype(np.int64)
     node_color = np.repeat(colors, size)
-    # per merged component, how many nodes of each color it holds
-    held = np.bincount(2 * merged + node_color, minlength=2 * num_merged)
-    labels = (held.reshape(num_merged, 2) > 0).all(axis=1)[merged].astype(np.int64)
-
     onehot = np.eye(2)[node_color]
     features = onehot + rng.normal(0.0, spec.noise, size=(n, 2))
     split = _stratified_split(labels, spec.split, rng)

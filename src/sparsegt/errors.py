@@ -27,6 +27,10 @@ class ExpanderGapError(RuntimeError):
         self.best_gap = best_gap
 
 
+class ConvergenceError(RuntimeError):
+    """An iterative solver stopped without meeting its tolerance."""
+
+
 class DivergenceError(RuntimeError):
     """Training produced a non-finite loss or gradient."""
 

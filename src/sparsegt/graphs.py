@@ -28,7 +28,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import rngutil
-from .errors import ContractError, ExpanderGapError, FormatError, ShapeError
+from .errors import (ContractError, ConvergenceError, ExpanderGapError, FormatError,
+                     ShapeError)
 
 TRAIN, VAL, TEST = 0, 1, 2
 _SPLIT_NAMES = {"train": TRAIN, "val": VAL, "test": TEST}
@@ -283,30 +284,39 @@ def load_expander(path) -> ExpanderGraph:
     return ExpanderGraph.from_json(Path(path).read_text())
 
 
-# ARPACK's relative tolerance on the deflated eigenvalue: it leaves the gap
-# within ~1e-14 of a dense symmetric solve.
+# The largest-magnitude Ritz value counts as converged once its Ritz residual
+# |beta_j s_j| is at most _GAP_TOL * |theta|; the gap then sits within ~1e-14
+# of a dense symmetric solve.  Diagonalising the tridiagonal matrix costs more
+# than a Lanczos step, so the test runs every _GAP_CHECK_EVERY steps (and when
+# beta vanishes).  Expanders converge within 250 steps at n=4000; a long cycle
+# needs about n/2, so past _GAP_MAX_STEPS the solve gives up.
 _GAP_TOL = 1e-10
+_GAP_CHECK_EVERY = 50
+_GAP_MAX_STEPS = 1000
 
 
 def spectral_gap(adj) -> float:
     """Two-sided spectral gap 1 - max(lambda_2, |lambda_n|) of D^-1/2 A D^-1/2.
 
-    One exact solver at every size: ARPACK (``eigsh``) finds the
-    largest-magnitude eigenvalue of the normalized adjacency with its top
-    eigenpair (eigenvalue 1, eigenvector sqrt(deg)) deflated, which is
-    max(lambda_2, |lambda_n|).  The start vector is fixed, so the gap is a
-    pure function of the graph.  Disconnected or bipartite graphs read ~0,
-    possibly -1e-16.  Fewer than 2 nodes, an isolated node or an
-    asymmetric ``adj`` is a ContractError; ARPACK's failure to converge
-    propagates.
+    One exact solver at every size: a three-term Lanczos recurrence, in
+    numpy and without reorthogonalisation, on the normalized adjacency with
+    its top eigenpair (eigenvalue 1, eigenvector sqrt(deg)) deflated.  Its
+    largest-magnitude Ritz value is max(lambda_2, |lambda_n|); converged
+    Ritz values stay accurate in finite precision (Paige 1980).  The start
+    vector is fixed, so the gap is a pure function of the graph.  A beta
+    that vanishes (n=2, K4, C6) means the Krylov space is exhausted and its
+    Ritz values are eigenvalues: the solve stops there.  Disconnected or
+    bipartite graphs read ~0, possibly -1e-16.  Fewer than 2 nodes, an
+    isolated node, a non-finite weight or an asymmetric ``adj`` is a
+    ContractError; no convergence within ``_GAP_MAX_STEPS`` steps is a
+    ConvergenceError.
     """
-    # only certification solves, so only it pays for loading ARPACK
-    from scipy.sparse.linalg import LinearOperator, eigsh
-
     adj = sp.csr_matrix(adj, dtype=np.float64)
     n = adj.shape[0]
     if n < 2:
         raise ContractError("spectral gap needs at least 2 nodes")
+    if not np.isfinite(adj.data).all():
+        raise ContractError("spectral gap needs finite edge weights")
     if (adj != adj.T).nnz:
         raise ContractError("spectral gap needs a symmetric adjacency")
     deg = np.asarray(adj.sum(axis=1)).ravel()
@@ -316,13 +326,42 @@ def spectral_gap(adj) -> float:
     norm = sp.csr_matrix(dinv @ adj @ dinv)
     v1 = np.sqrt(deg)
     v1 /= np.linalg.norm(v1)
-    op = LinearOperator((n, n), dtype=np.float64,
-                        matvec=lambda x: norm @ x - v1 * (v1 @ x))
-    v0 = rngutil.derive(0, 0xDE).standard_normal(n)
-    v0 -= v1 * (v1 @ v0)
-    (radius,) = eigsh(op, k=1, which="LM", tol=_GAP_TOL, v0=v0,
-                      return_eigenvectors=False)
-    return float(1.0 - abs(radius))
+    q = rngutil.derive(0, 0xDE).standard_normal(n)
+    q -= v1 * (v1 @ q)
+    q /= np.linalg.norm(q)
+    prev = np.zeros(n)
+    alphas, betas = [], []
+    beta = amax = 0.0
+    for step in range(1, _GAP_MAX_STEPS + 1):
+        w = norm @ q
+        w -= v1 * (v1 @ q)
+        w -= beta * prev
+        alpha = float(q @ w)
+        w -= alpha * q
+        beta = float(np.linalg.norm(w))
+        alphas.append(alpha)
+        amax = max(amax, abs(alpha))
+        # beta <= tol * max|alpha| <= tol * |theta| passes the test below:
+        # with beta = 0 it always does, so nothing divides by zero
+        if (beta <= _GAP_TOL * amax or step % _GAP_CHECK_EVERY == 0
+                or step == _GAP_MAX_STEPS):
+            theta, last = _extreme_ritz(alphas, betas)
+            if abs(beta * last) <= _GAP_TOL * abs(theta):
+                return float(1.0 - abs(theta))
+        betas.append(beta)
+        prev, q = q, w / beta
+    raise ConvergenceError(
+        f"spectral gap: no Ritz value converged in {_GAP_MAX_STEPS} Lanczos steps "
+        f"(n={n})")
+
+
+def _extreme_ritz(alphas, betas) -> tuple[float, float]:
+    """The largest-magnitude eigenvalue of the Lanczos tridiagonal matrix and
+    the last entry of its unit eigenvector."""
+    t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+    theta, s = np.linalg.eigh(t)
+    top = int(np.argmax(np.abs(theta)))
+    return float(theta[top]), float(s[-1, top])
 
 
 def build_expander(n: int, num_cycles: int, min_gap: float = 0.05,

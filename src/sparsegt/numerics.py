@@ -621,9 +621,22 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     npos, nneg = int(pos.sum()), int((~pos).sum())
     if npos == 0 or nneg == 0:
         return 0.5
-    import scipy.stats
-    ranks = scipy.stats.rankdata(scores)
+    if np.isnan(scores).any():
+        return float("nan")         # no ranking, as scipy.stats.rankdata has none
+    ranks = _average_ranks(scores)
     return float((ranks[pos].sum() - npos * (npos + 1) / 2.0) / (npos * nneg))
+
+
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x``, a tie sharing the mean of its ranks: the
+    half-integers ``scipy.stats.rankdata`` gives, bit for bit."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    counts = np.diff(np.r_[starts, x.size])
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat(starts + 1 + (counts - 1) / 2.0, counts)
+    return ranks
 
 
 # ---------------------------------------------------------------------------

@@ -573,19 +573,37 @@ class TestDeterminismAndEntryPoint:
         assert out.returncode == 0, out.stderr
         assert "wrote 32 nodes" in out.stdout
 
-    def test_import_loads_neither_scipy_spatial_nor_stats(self):
-        # a fresh process pays for every module it loads: scipy.spatial and
-        # scipy.stats load in the analysis functions that need them, and
-        # the sparse solvers and graph routines in expander certification
-        # and dataset generation
-        code = ("import sys, sparsegt, sparsegt.cli\n"
-                "late = sorted(m for m in sys.modules if m.startswith(\n"
-                "    ('scipy.spatial', 'scipy.stats', 'scipy.sparse.linalg',\n"
-                "     'scipy.sparse.csgraph')))\n"
-                "assert not late, late\n"
+    def test_import_loads_neither_scipy_spatial_nor_stats(self, tmp_path):
+        # a fresh process pays for every module it loads: the whole CLI
+        # pipeline -- gen, augment (which certifies an expander), an AUC
+        # estimator, a final run and predict -- runs on numpy and
+        # scipy.sparse alone; scipy.spatial loads in the analysis functions
+        # that need it
+        d = str(tmp_path)
+        steps = [["gen", "--out", d + "/data"] + GEN,
+                 ["augment", "--data", d + "/data", "--out", d + "/aug",
+                  "--cycles", "2"],
+                 ["train-estimator", "--data", d + "/data", "--pattern",
+                  d + "/aug/pattern.tsv", "--out", d + "/est", "--width", "4",
+                  "--epochs", "1", "--metric", "auc"],
+                 ["train-final", "--data", d + "/data", "--scores", d + "/est",
+                  "--out", d + "/fin", "--width", "4", "--epochs", "1",
+                  "--degs", "2,2"],
+                 ["predict", "--data", d + "/data", "--run", d + "/fin",
+                  "--out", d + "/pred"]]
+        code = ("import json, sys, sparsegt, sparsegt.cli\n"
+                "SOLVERS = ('scipy.linalg', 'scipy.sparse.linalg',\n"
+                "           'scipy.sparse.csgraph', 'scipy.stats', 'scipy.spatial')\n"
+                "def late():\n"
+                "    return sorted(m for m in sys.modules if m.startswith(SOLVERS))\n"
+                "assert not late(), late()\n"
+                "for step in json.loads(sys.argv[1]):\n"
+                "    assert sparsegt.cli.main(step) == 0, step\n"
+                "assert not late(), late()\n"
                 "assert sparsegt.energy_distance([0.0], [1.0]) == 2.0\n"
                 "assert 'scipy.spatial.distance' in sys.modules\n")
         src = Path(__file__).resolve().parents[1] / "src"
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        out = subprocess.run([sys.executable, "-c", code, json.dumps(steps)],
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)})
         assert out.returncode == 0, out.stderr

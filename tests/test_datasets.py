@@ -2,10 +2,10 @@
 
 Bridge-task labels are recomputed from scratch: a node is positive iff
 its merged component carries both colors, decided here one component at
-a time from the colors present in it.  The components come from scipy,
-as in the generator; the label rule is this file's own, and hand-built
-cases pin the components themselves.  The generator must agree node for
-node.
+a time from the colors present in it.  The components come from scipy's
+csgraph, independently of the generator, which reads them from its bridge
+pairs; the label rule is this file's own, and hand-built cases pin the
+components themselves.  The generator must agree node for node.
 """
 
 import json
@@ -38,6 +38,16 @@ def _oracle_labels(g: Graph, num_components: int, component_size: int, colors):
 class TestBridgeLabels:
     def test_default_spec_matches_component_oracle(self):
         spec = SyntheticSpec(seed=3)
+        g = gen_bridge_task(spec)
+        colors = np.arange(spec.num_components) % 2
+        np.testing.assert_array_equal(
+            g.labels, _oracle_labels(g, spec.num_components,
+                                     spec.component_size, colors))
+
+    def test_hub_4000_spec_matches_component_oracle(self):
+        # the hub-4000 benchmark's graph: 40 hub components of 100, 20 bridges
+        spec = SyntheticSpec(seed=11, num_components=40, component_size=100,
+                             num_bridges=20)
         g = gen_bridge_task(spec)
         colors = np.arange(spec.num_components) % 2
         np.testing.assert_array_equal(

@@ -10,8 +10,10 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsegt.errors import (ContractError, ExpanderGapError, FormatError,
-                             ShapeError)
+import sparsegt.graphs as graphs_mod
+from sparsegt import rngutil
+from sparsegt.errors import (ContractError, ConvergenceError, ExpanderGapError,
+                             FormatError, ShapeError)
 from sparsegt.graphs import (TEST, TRAIN, VAL, AttentionPattern, EdgeType,
                              ExpanderGraph, Graph, augment, build_expander,
                              edges_to_csr, load_expander, load_graph,
@@ -171,6 +173,42 @@ class TestSpectralGap:
         with pytest.raises(ContractError, match="symmetric"):
             spectral_gap(sp.csr_matrix(a))
 
+    @pytest.mark.parametrize("seed", [11, 29])
+    def test_gap_matches_arpack_on_benchmark_expanders(self, seed):
+        # the hub-4000 benchmark's expanders (3 cycles on 4000 nodes)
+        x = build_expander(4000, 3, seed=seed)
+        assert x.gap == pytest.approx(_arpack_gap(x.adjacency()), abs=1e-10)
+
+    def test_disconnected_graph_has_no_gap(self):
+        # two expanders side by side: eigenvalue 1 twice, so one survives
+        # the deflation
+        a = build_expander(150, 3, seed=1).adjacency()
+        b = build_expander(120, 3, seed=2).adjacency()
+        assert spectral_gap(sp.block_diag([a, b])) == pytest.approx(0.0, abs=1e-9)
+        k4 = sp.csr_matrix(np.ones((4, 4)) - np.eye(4))
+        assert spectral_gap(sp.block_diag([k4, k4])) == pytest.approx(0.0, abs=1e-9)
+
+    def test_two_nodes(self):
+        # K2: eigenvalues 1 and -1; beta is zero after the first step
+        a = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert spectral_gap(a) == pytest.approx(0.0, abs=1e-12)
+        with pytest.raises(ContractError, match="at least 2"):
+            spectral_gap(sp.csr_matrix((1, 1)))
+
+    def test_non_finite_weights_are_refused(self):
+        a = np.ones((3, 3)) - np.eye(3)
+        a[0, 1] = a[1, 0] = np.inf
+        with pytest.raises(ContractError, match="finite"):
+            spectral_gap(sp.csr_matrix(a))
+
+    def test_a_residual_that_never_passes_raises(self, monkeypatch):
+        # with a zero tolerance only an exact zero residual would pass
+        adj = build_expander(300, 3, seed=4).adjacency()
+        monkeypatch.setattr(graphs_mod, "_GAP_TOL", 0.0)
+        monkeypatch.setattr(graphs_mod, "_GAP_MAX_STEPS", 120)
+        with pytest.raises(ConvergenceError, match="120 Lanczos steps"):
+            spectral_gap(adj)
+
     def test_gap_matches_independent_eig(self):
         x = build_expander(30, 2, min_gap=0.01, seed=5)
         a = x.adjacency().toarray()
@@ -181,7 +219,40 @@ class TestSpectralGap:
         assert x.gap == pytest.approx(expected, abs=1e-8)
 
 
+def _arpack_gap(adj):
+    """The gap by ARPACK on the same deflated operator, as an oracle."""
+    from scipy.sparse.linalg import LinearOperator, eigsh
+    adj = sp.csr_matrix(adj, dtype=np.float64)
+    n = adj.shape[0]
+    deg = np.asarray(adj.sum(axis=1)).ravel()
+    dinv = sp.diags(1.0 / np.sqrt(deg))
+    norm = sp.csr_matrix(dinv @ adj @ dinv)
+    v1 = np.sqrt(deg) / np.linalg.norm(np.sqrt(deg))
+    op = LinearOperator((n, n), dtype=np.float64,
+                        matvec=lambda x: norm @ x - v1 * (v1 @ x))
+    v0 = rngutil.derive(0, 0xDE).standard_normal(n)
+    v0 -= v1 * (v1 @ v0)
+    (radius,) = eigsh(op, k=1, which="LM", tol=1e-10, v0=v0,
+                      return_eigenvectors=False)
+    return 1.0 - abs(radius)
+
+
 class TestExpander:
+    @pytest.mark.parametrize("n,cycles,seed,min_gap,attempt",
+                             [(200, 2, 1, 0.145, 5), (500, 3, 2, 0.26, 2)])
+    def test_picks_the_cycles_an_arpack_certified_loop_picks(
+            self, n, cycles, seed, min_gap, attempt):
+        # build_expander's retry loop with ARPACK certifying each attempt
+        for tried in range(20):
+            rng = rngutil.derive(seed, rngutil.TAG_EXPANDER, tried)
+            drawn = tuple(rng.permutation(n).astype(np.int64) for _ in range(cycles))
+            adj = ExpanderGraph(n=n, seed=seed, cycles=drawn, gap=0.0).adjacency()
+            if _arpack_gap(adj) >= min_gap:
+                break
+        assert tried == attempt
+        x = build_expander(n, cycles, min_gap=min_gap, seed=seed)
+        assert all(np.array_equal(a, b) for a, b in zip(x.cycles, drawn))
+
     def test_build_meets_gap_and_is_deterministic(self):
         a = build_expander(50, 3, min_gap=0.05, seed=7)
         b = build_expander(50, 3, min_gap=0.05, seed=7)

@@ -552,6 +552,32 @@ class TestLosses:
     def test_auc_degenerate_class(self):
         assert nm.roc_auc(np.array([0.2, 0.3]), np.array([1, 1])) == 0.5
 
+    @pytest.mark.parametrize("n,levels", [(1, 1), (7, 2), (500, 9), (4000, 40)])
+    def test_ranks_and_auc_are_rankdatas_bit_for_bit(self, n, levels):
+        # scipy.stats.rankdata is the oracle: many ties, signed zeros and
+        # infinities; the AUC is the old rank statistic on its ranks
+        import scipy.stats
+        rng = derive(n, levels)
+        x = rng.integers(0, levels, n) / 4.0 - 1.0
+        x[rng.random(n) < 0.05] = -0.0
+        x[rng.random(n) < 0.02] = np.inf
+        ranks = nm._average_ranks(x)
+        np.testing.assert_array_equal(ranks, scipy.stats.rankdata(x))
+        assert ranks.dtype == np.float64
+        labels = np.arange(n) % 2
+        pos = labels == 1
+        npos, nneg = int(pos.sum()), int((~pos).sum())
+        if npos and nneg:
+            old = scipy.stats.rankdata(x)
+            expected = (old[pos].sum() - npos * (npos + 1) / 2.0) / (npos * nneg)
+            assert nm.roc_auc(x, labels) == expected
+
+    def test_auc_of_nan_scores_is_nan(self):
+        # as with scipy.stats.rankdata's default: a NaN score leaves no ranking
+        assert np.isnan(nm.roc_auc(np.array([0.1, np.nan, 0.3, 0.4]),
+                                   np.array([0, 1, 0, 1])))
+        assert nm.roc_auc(np.array([np.nan, 0.3]), np.array([0, 0])) == 0.5
+
 
 class _ConstSchedule:
     def __init__(self, lr):
