@@ -22,6 +22,7 @@ from .errors import ContractError, ShapeError
 from .graphs import AttentionPattern, Graph, atomic_path
 from .pipeline import TrainConfig, train_estimator, write_json
 from .rngutil import TAG_ANALYSIS, derive
+from .sampling import _segments, _top_per_row
 
 
 # ---------------------------------------------------------------------------
@@ -66,17 +67,19 @@ def attention_entropy(scores: AttentionPattern) -> np.ndarray:
 
 
 def topk_mass(scores: AttentionPattern, k: int) -> np.ndarray:
-    """Mean fraction of row mass in the k largest entries, per layer."""
+    """Mean fraction of row mass in the k largest entries, per layer.
+
+    Ranks each row by the prefilter's selection (``_top_per_row``): ties
+    go to the lower slot.
+    """
     if k < 1:
         raise ContractError(f"k must be positive, got {k}")
     out = []
     for layer in scores.layers:
         v = np.asarray(layer.values, dtype=np.float64)
         lengths = np.diff(layer.row_ptr)
-        row_of = np.repeat(np.arange(scores.n), lengths)
-        order = np.lexsort((-v, row_of))       # rows stay contiguous, values descend
-        pos = np.arange(v.size) - np.repeat(layer.row_ptr[:-1], lengths)
-        top = np.where(pos < k, v[order], 0.0)
+        row_of, slot = _segments(lengths)
+        top = np.where(_top_per_row(row_of, slot, k, -v), v, 0.0)
         mass = np.bincount(row_of, weights=top, minlength=scores.n)
         sums = np.bincount(row_of, weights=v, minlength=scores.n)
         keep = lengths > 0

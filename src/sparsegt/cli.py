@@ -11,8 +11,10 @@ attributable.  A command that fails (exit 2 or 3) after claiming its
 directory records its error there too; a directory refused because it
 already holds a run keeps its manifest.
 
-Exit codes: 0 success, 2 bad arguments or malformed inputs, 3 a runtime
-failure such as no expander reaching the gap target or a diverged run.
+Exit codes: 0 success, 2 bad arguments or malformed inputs (each
+``ValueError`` of ``errors``), 3 a runtime failure (each ``RuntimeError`` of
+``errors``) such as no expander reaching the gap target, a spectral gap
+solve that does not converge, or a diverged run.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, datasets
-from .errors import (ContractError, DivergenceError, ExpanderGapError,
-                     FormatError, ShapeError)
+from .errors import (ContractError, ConvergenceError, DivergenceError,
+                     ExpanderGapError, FormatError, ShapeError)
 from .graphs import (TEST, TRAIN, VAL, atomic_path, augment, build_expander,
                      load_pattern, save_expander, save_pattern)
 from .pipeline import (DTYPES, ESTIMATOR_ABLATIONS, FINAL_ABLATIONS, LOSSES, METRICS,
@@ -119,13 +121,22 @@ def _resolve_input(path, *candidates):
     return path
 
 
+def _budget(token: str):
+    # an integer token is a degree; any other is a name, such as "full",
+    # that the run's law judges
+    try:
+        return int(token)
+    except ValueError:
+        return token
+
+
 def _train_config(args) -> TrainConfig:
     # every TrainConfig field the subcommand's parser defines; degs comes as
     # a comma-separated string
     kwargs = {f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)
               if f.name != "degs" and hasattr(args, f.name)}
     if getattr(args, "degs", None):
-        kwargs["degs"] = tuple(int(d) for d in args.degs.split(","))
+        kwargs["degs"] = tuple(_budget(d) for d in args.degs.split(","))
     return TrainConfig(**kwargs)
 
 
@@ -288,14 +299,14 @@ def _add_train_args(p, final: bool) -> None:
     p.add_argument("--warmup", type=int, default=0)
     p.add_argument("--dtype", default="float32", choices=tuple(DTYPES))
     if final:
-        p.add_argument("--degs", help="comma-separated per-layer sample degrees "
-                       "(a --full-graph run takes each layer's longest row)")
+        p.add_argument("--degs", help="comma-separated per-layer budgets: a "
+                       "positive sample degree, or 'full' for the layer's longest "
+                       "row (every row whole)")
         p.add_argument("--batch-size", dest="batch_size", type=int, default=64)
         p.add_argument("--dropout", type=float, default=0.0)
         p.add_argument("--eval-samples", dest="eval_samples", type=int,
                        default=1)
         p.add_argument("--ablation", default="none", choices=FINAL_ABLATIONS)
-        p.add_argument("--full-graph", dest="full_graph", action="store_true")
         p.add_argument("--no-prefilter", dest="prefilter",
                        action="store_false")
     else:
@@ -406,7 +417,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         manifest.write(2, str(exc))
         return 2
-    except (ExpanderGapError, DivergenceError) as exc:
+    except (ExpanderGapError, ConvergenceError, DivergenceError) as exc:
         print(f"failed: {exc}", file=sys.stderr)
         manifest.write(3, str(exc))
         return 3

@@ -21,9 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError
-from .graphs import (Graph, TRAIN, VAL, TEST, atomic_path, edges_to_csr, save_split,
-                     write_json)
+from .errors import ContractError, FormatError
+from .graphs import (Graph, TRAIN, VAL, TEST, atomic_path, edges_to_csr, load_graph,
+                     save_split, write_json)
 from .rngutil import TAG_DATA, derive
 
 GENERATORS = ("bridge", "sbm_homophily", "sbm_heterophily")
@@ -246,9 +246,17 @@ def write_dataset(out_dir, g: Graph, spec: SyntheticSpec) -> dict:
 
 
 def load_dataset(in_dir) -> tuple[Graph, SyntheticSpec]:
-    from .graphs import load_graph
+    """The graph and spec ``write_dataset`` left in ``in_dir``.
+
+    A ``spec.json`` that is not a spec's JSON object, and a non-numeric
+    feature or label table, are FormatErrors naming the file.
+    """
     d = Path(in_dir)
-    spec = SyntheticSpec.from_json((d / "spec.json").read_text())
+    path = d / "spec.json"
+    try:        # undecodable bytes, text that is not JSON, fields no spec has
+        spec = SyntheticSpec.from_json(path.read_text())
+    except (TypeError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"{path}: not a dataset spec ({exc})") from None
     if spec.generator == "bridge":
         n = spec.num_components * spec.component_size
     else:

@@ -148,18 +148,18 @@ def load_graph(edge_list_path, features_path, labels_path, n: int,
                split_path=None, symmetrize: bool = True) -> Graph:
     """Read a graph from its on-disk parts.
 
-    Node ids outside [0, n) raise FormatError naming the line; a feature
-    or label row count other than n raises ShapeError.  Without a split
+    Node ids outside [0, n) raise FormatError naming the line, and a
+    non-numeric feature or label cell one naming the file; a feature or
+    label row count other than n raises ShapeError.  Without a split
     file every node is marked TRAIN.
     """
     src, dst = _parse_edge_tsv(edge_list_path, n)
     row_ptr, col_idx = edges_to_csr(n, src, dst, symmetrize=symmetrize)
 
-    features = np.loadtxt(features_path, delimiter=",", ndmin=2, dtype=np.float64)
+    features = _load_table(features_path, np.float64, ndmin=2)
     if features.shape[0] != n:
         raise ShapeError(f"{features_path}: {features.shape[0]} feature rows for n={n}")
-    labels = np.loadtxt(labels_path, delimiter=",", dtype=np.int64)
-    labels = np.atleast_1d(labels)
+    labels = _load_table(labels_path, np.int64, ndmin=1)
     if labels.shape[0] != n:
         raise ShapeError(f"{labels_path}: {labels.shape[0]} label rows for n={n}")
 
@@ -169,6 +169,14 @@ def load_graph(edge_list_path, features_path, labels_path, n: int,
         split = _parse_split(split_path, n)
     return Graph(n=n, row_ptr=row_ptr, col_idx=col_idx,
                  features=features, labels=labels, split=split)
+
+
+def _load_table(path, dtype, ndmin: int) -> np.ndarray:
+    # a cell that does not parse as ``dtype`` is a FormatError naming the file
+    try:
+        return np.loadtxt(path, delimiter=",", ndmin=ndmin, dtype=dtype)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def _parse_split(path, n: int) -> np.ndarray:
@@ -371,7 +379,9 @@ def build_expander(n: int, num_cycles: int, min_gap: float = 0.05,
     Each retry draws its cycles from a fresh sub-seeded stream, so the
     result is a pure function of (n, num_cycles, seed) and the number of
     failed attempts.  A single cycle is an honest degenerate case: C_n is
-    (near-)bipartite, so it fails any positive min_gap for even n.
+    (near-)bipartite, so it fails any positive min_gap for even n, but
+    above about 2000 nodes its gap solve stops first, with the
+    ConvergenceError of ``spectral_gap``.
     """
     if n < 2:
         raise ContractError("expander needs at least 2 nodes")

@@ -4,8 +4,8 @@ Phase one trains a small network over the full augmented pattern with an
 annealing softmax temperature and reads its attention distributions back
 out as per-layer sampling scores.  Phase two trains the full-width
 network on fixed-degree supports drawn from those scores, redrawing the
-supports every epoch so no neighbor is permanently hidden (a full-graph
-run draws every row whole, in one batch).  The phases share one
+supports every epoch so no neighbor is permanently hidden (a ``"full"``
+budget draws every row of its layer whole).  The phases share one
 ``TrainConfig``; what differs between them (normalization, dropout,
 temperature) is decided here, not by the caller.  Both run the same
 loop: train an epoch, score validation, keep the best state.
@@ -55,6 +55,8 @@ LOSSES = ("auto", "ce", "bce", "multilabel")
 METRICS = ("accuracy", "auc")
 ESTIMATOR_ABLATIONS = ("none", "no-temp", "no-vnorm")
 FINAL_ABLATIONS = ("none", "uniform", "max")
+# the degs entry that budgets a layer at its longest score row
+FULL = "full"
 # where a run directory keeps its score set
 RUN_SCORES = Path("scores", "scores.npz")
 
@@ -70,7 +72,7 @@ class TrainConfig:
     lr: float = 0.01
     weight_decay: float = 1e-3
     batch_size: int = 64          # final phase; the estimator is full-batch
-    degs: tuple = ()              # final phase: per-layer sample degree
+    degs: tuple = ()              # final phase: per-layer sample degree or FULL
     dropout: float = 0.0          # final phase; the estimator never drops
     lam: int = 5                  # estimator temperature hold
     gamma: float = 0.99           # estimator temperature decay
@@ -78,7 +80,6 @@ class TrainConfig:
     loss: str = "auto"
     metric: str = "accuracy"
     ablation: str = "none"
-    full_graph: bool = False      # final phase: every row whole, one batch
     prefilter: bool = True        # final phase: top-k' score truncation
     tail_eps: float = 0.05
     warmup: int = 0
@@ -103,7 +104,8 @@ class TrainConfig:
             raise ContractError("eval_samples must be positive")
         if self.batch_size < 1:
             raise ContractError(f"batch_size must be positive, got {self.batch_size}")
-        self.degs = tuple(int(d) for d in self.degs)
+        # a name stays as given, for final_law to judge; a number is a degree
+        self.degs = tuple(d if isinstance(d, str) else int(d) for d in self.degs)
 
     @property
     def np_dtype(self):
@@ -121,15 +123,23 @@ def config_from_dict(d: dict) -> TrainConfig:
 
     Each field must have its default's type: a bool field takes a bool, an
     int field an int but not a bool, a float field an int or a float, a str
-    field a str, and ``degs`` a list of integers.
+    field a str, and ``degs`` a list of integers and strings (``final_law``
+    judges their values).  A ``full_graph`` bool, which configs carried
+    before a budget could say ``FULL``, is folded in: true makes every
+    layer's budget ``FULL``.
     """
+    d = dict(d)
+    full_graph = d.pop("full_graph", False)
+    if not isinstance(full_graph, bool):
+        raise FormatError(f"config field 'full_graph' must be bool, got {full_graph!r}")
     unknown = sorted(set(d) - {f.name for f in fields(TrainConfig)})
     if unknown:
         raise FormatError(f"unknown config field {unknown[0]!r}")
     degs = d.get("degs", [])
     if not isinstance(degs, (list, tuple)) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in degs):
-        raise FormatError(f"config field 'degs' must be a list of integers, got {degs!r}")
+            isinstance(v, (int, str)) and not isinstance(v, bool) for v in degs):
+        raise FormatError("config field 'degs' must be a list of integers and "
+                          f"strings, got {degs!r}")
     for f in fields(TrainConfig):
         if f.name == "degs" or f.name not in d:
             continue
@@ -138,6 +148,8 @@ def config_from_dict(d: dict) -> TrainConfig:
                 or not isinstance(value, (int, float) if kind is float else kind)):
             raise FormatError(f"config field {f.name!r} must be {kind.__name__}, "
                               f"got {value!r}")
+    if full_graph:
+        degs = [FULL] * d.get("layers", TrainConfig.layers)
     return TrainConfig(**{**d, "degs": tuple(degs)})
 
 
@@ -432,25 +444,15 @@ def train_final(graph: Graph, scores: AttentionPattern, cfg: TrainConfig,
     Batch norm, raw values, temperature 1.  Supports are redrawn each
     epoch; the reported test metric averages ``cfg.eval_samples`` fresh
     patterns at the best validation state.  Every draw of a run, training
-    plans included, reads one law (see ``final_law``).  ``cfg.full_graph``
-    (the sampling ablation's upper reference) only sets the budgets: each
-    layer's longest row, so every row is taken whole, in batches of
-    ``cfg.batch_size`` like any run.  A run directory holds ``scores``
-    too, so the run predicts by its own law (``load_final_run``).  Legal
-    ablations: none, uniform (ignore the scores), max (top-deg selection
-    instead of sampling).
+    plans included, reads one law, and ``final_law`` alone judges the
+    run's budgets and ablation.  A run directory holds ``scores`` too, so
+    the run predicts by its own law (``load_final_run``).
     """
-    if cfg.ablation not in FINAL_ABLATIONS:
-        raise ContractError(f"final ablation must be {'/'.join(FINAL_ABLATIONS)}, "
-                            f"got {cfg.ablation!r}")
     if cfg.layers != scores.num_layers:
         raise ContractError(f"config says {cfg.layers} layers, "
                             f"scores have {scores.num_layers}")
     if scores.n != graph.n:
         raise ShapeError(f"scores on {scores.n} nodes, graph on {graph.n}")
-    if (cfg.degs or not cfg.full_graph) and len(cfg.degs) != scores.num_layers:
-        raise ContractError(f"need {scores.num_layers} degree budgets, "
-                            f"got {len(cfg.degs)}")
     law, degs = final_law(cfg, scores)
     net, loss_name = build_network(graph, cfg, "final")
     train_idx, val_idx, test_idx = _split_indices(graph)
@@ -507,22 +509,37 @@ def train_final(graph: Graph, scores: AttentionPattern, cfg: TrainConfig,
 def final_law(cfg: TrainConfig, scores: AttentionPattern) -> tuple:
     """(law, per-layer budgets) that every draw of a final run with ``cfg`` uses.
 
-    Validates ``scores``, then takes the budgets: ``cfg.degs``, or for a
-    ``full_graph`` run each layer's longest score row, so every row is
-    taken whole and a draw computes the full-pattern forward.  The uniform
-    ablation samples uniform rows over the same support, the max ablation
-    selects the top-deg scores instead of drawing, and otherwise the
-    prefilter keeps the top 4*max(budgets) scores of each row, which at
-    full degree truncates nothing.  A run's training plans, validation,
-    test metric and edge budget read this law, and ``sparsegt predict``
-    builds it again from a finished run's config.
+    The one reader of a final run's budgets and ablation, for training and
+    for ``load_final_run`` alike.  ContractError for an ablation other than
+    none, uniform (ignore the scores) or max (top-deg selection instead of
+    sampling), for a budget count other than the score layers', and for a
+    budget that is neither a positive integer nor ``FULL``.  Then validates
+    ``scores`` and resolves each ``FULL`` budget to its layer's longest
+    score row, so every row of that layer is taken whole; at ``FULL`` on
+    every layer a draw computes the full-pattern forward, the sampled
+    runs' upper reference.  The uniform ablation samples uniform rows over
+    the same support, the max ablation selects the top-deg scores, and
+    otherwise the prefilter keeps the top 4*max(budgets) scores of each
+    row, which at full degree truncates nothing.  A run's training plans,
+    validation, test metric and edge budget read this law.
     """
+    if cfg.ablation not in FINAL_ABLATIONS:
+        raise ContractError(f"final ablation must be {'/'.join(FINAL_ABLATIONS)}, "
+                            f"got {cfg.ablation!r}")
+    if len(cfg.degs) != scores.num_layers:
+        raise ContractError(f"need {scores.num_layers} degree budgets, "
+                            f"got {len(cfg.degs)}")
+    for d in cfg.degs:
+        if isinstance(d, str) and d != FULL:
+            raise ContractError(f"unknown degree budget {d!r}: give a positive "
+                                f"integer or {FULL!r}")
+        if isinstance(d, int) and d < 1:
+            raise ContractError(f"degree budgets must be positive, got {d}")
     # the law holds only the scores it samples by, and under the uniform
     # ablation those are not the given ones: check these here
     validate_scores(scores)
-    degs = cfg.degs
-    if cfg.full_graph:
-        degs = tuple(int(np.diff(sl.row_ptr).max()) for sl in scores.layers)
+    degs = tuple(int(np.diff(sl.row_ptr).max()) if d == FULL else d
+                 for d, sl in zip(cfg.degs, scores.layers))
     eff_scores = uniform_scores(scores) if cfg.ablation == "uniform" else scores
     mode = "top" if cfg.ablation == "max" else "sample"
     k_prime = None

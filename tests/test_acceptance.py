@@ -83,7 +83,7 @@ def test_c01_full_degree_equivalence():
     # both arms draw full-degree plans; the oracle runs the whole pattern
     oracle = np.array([h[1] for h in train_full_pattern(g, scores, cfg).history])
     dev = 0.0
-    for run_cfg in (cfg, replace(cfg, full_graph=True)):
+    for run_cfg in (cfg, replace(cfg, degs=("full", "full"))):
         losses = np.array([h[1] for h in train_final(g, scores, run_cfg).history])
         dev = max(dev, float(np.max(np.abs(losses - oracle) / np.abs(oracle))))
     _report(1, "full-degree equivalence", dev < 1e-4,

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sparsegt import cli, errors
 from sparsegt.cli import _train_config, build_parser, main
 from sparsegt.datasets import load_dataset
 from sparsegt.errors import FormatError
@@ -171,7 +172,7 @@ class TestWorkflow:
         ("auc", ["--ablation", "max"]),
         # AUC ranks these six test nodes alike whether predict samples at
         # degree 1 or takes every row whole; accuracy tells them apart
-        ("accuracy", ["--full-graph"])],
+        ("accuracy", ["--degs", "full,full"])],
         ids=["none", "uniform", "max", "full-graph"])
     def test_predict_reproduces_the_run_test_metric(self, ws, tmp_path,
                                                     metric, law):
@@ -240,6 +241,32 @@ class TestWorkflow:
         with open(pred + "/predictions.csv") as fh:
             assert fh.read().splitlines() == ["node,pred,p0"]
 
+    def test_a_run_with_a_full_graph_flag_predicts_as_written(self, ws, tmp_path):
+        # runs written before a budget could say "full" carry a full_graph
+        # bool: false changes nothing, and true takes every row whole
+        # whatever degs says, as a run whose budgets say "full"
+        def predictions(run, edit=None):
+            if edit is not None:
+                shutil.copytree(run, tmp_path / "legacy", dirs_exist_ok=True)
+                run = tmp_path / "legacy"
+                stored = json.loads((run / "config.json").read_text())
+                (run / "config.json").write_text(json.dumps({**stored, **edit}))
+            out = tmp_path / "pred"
+            assert main(["predict", "--data", ws["data"], "--run", str(run), "--out",
+                         str(out), "--nodes", "test", "--samples", "2", "--seed",
+                         "0", "--force"]) == 0
+            return (out / "predictions.csv").read_bytes()
+
+        assert (predictions(Path(ws["fin"]), {"full_graph": False})
+                == Path(ws["pred"], "predictions.csv").read_bytes())
+        full = tmp_path / "full"
+        assert main(["train-final", "--data", ws["data"], "--scores", ws["scores"],
+                     "--out", str(full), "--width", "8", "--epochs", "2", "--degs",
+                     "full,full", "--batch-size", "16", "--seed", "0"]) == 0
+        written = predictions(full)
+        for degs in ([], [4, 4]):
+            assert predictions(full, {"degs": degs, "full_graph": True}) == written
+
 
 @pytest.mark.parametrize("command", ["train-estimator", "train-final", "analyze"])
 def test_every_config_flag_reaches_the_config(command):
@@ -304,6 +331,36 @@ class TestExitCodes:
         assert err.startswith("failed:")
         m = json.loads((tmp_path / "aug" / "manifest.json").read_text())
         assert m["exit_code"] == 3 and f"failed: {m['error']}" == err.strip()
+
+    def test_an_unconverged_gap_is_a_runtime_failure(self, tmp_path, capsys):
+        # one cycle on 4000 nodes: its gap solve needs about 2000 Lanczos
+        # steps, so it stops at the step limit before any gap is certified
+        data, out = str(tmp_path / "data"), tmp_path / "aug"
+        assert main(["gen", "--out", data, "--components", "40", "--component-size",
+                     "100", "--bridges", "20"]) == 0
+        assert main(["augment", "--data", data, "--out", str(out), "--cycles", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("failed: spectral gap: no Ritz value converged")
+        m = json.loads((out / "manifest.json").read_text())
+        assert m["exit_code"] == 3 and f"failed: {m['error']}" == err.strip()
+
+    @pytest.mark.parametrize("name", sorted(
+        name for name, cls in vars(errors).items()
+        if isinstance(cls, type) and issubclass(cls, Exception)))
+    def test_every_error_class_has_its_exit_code(self, tmp_path, monkeypatch, name):
+        # a ValueError of errors is a bad input (2), a RuntimeError a runtime
+        # failure (3); either way the claimed directory records it
+        cls = getattr(errors, name)
+        code = 2 if issubclass(cls, ValueError) else 3
+        assert issubclass(cls, ValueError if code == 2 else RuntimeError)
+
+        def failing(args, manifest):
+            manifest.claim(args.out, args.force)
+            raise cls.__new__(cls, "boom")
+        monkeypatch.setattr(cli, "_cmd_gen", failing)
+        assert main(["gen", "--out", str(tmp_path / "d")]) == code
+        m = json.loads((tmp_path / "d" / "manifest.json").read_text())
+        assert m["exit_code"] == code and m["error"] == "boom"
 
     def test_bad_degs(self, ws, tmp_path):
         assert main(["train-final", "--data", ws["data"],
@@ -387,6 +444,16 @@ class TestExitCodes:
                                     ("full_graph", "yes", "str"), ("lr", "0.1", "str"),
                                     ("width", True, "bool"), ("full_graph", 1, "int"),
                                     ("loss", 2, "int"), ("degs", [4, True], "bool"))),
+        # budgets and an ablation that training refuses: predict reads a
+        # config as training reads it
+        *(pytest.param("predict", "config", edit, message, id=f"config-{kind}")
+          for kind, edit, message in (
+              ("degs-empty", {"degs": []}, "need 2 degree budgets, got 0"),
+              ("degs-short", {"degs": [4]}, "need 2 degree budgets, got 1"),
+              ("degs-zero", {"degs": [0, 0]}, "degree budgets must be positive, got 0"),
+              ("degs-name", {"degs": ["fill", 4]}, "unknown degree budget 'fill'"),
+              ("ablation", {"ablation": "no-temp"},
+               "final ablation must be none/uniform/max"))),
         # a scores file as bytes, or as an npz archive of these arrays
         *(pytest.param(command, "scores", contents, message, id=f"{command}-scores-{kind}")
           for command in ("train-final", "predict", "analyze")
@@ -423,6 +490,37 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         m = json.loads((out / "manifest.json").read_text())
         assert m["exit_code"] == 2 and message in m["error"]
+
+    @pytest.mark.parametrize("degs,message", [
+        ("4,x", "unknown degree budget 'x'"),
+        ("full", "need 2 degree budgets, got 1"),
+    ])
+    def test_train_final_refuses_a_budget_it_cannot_read(self, ws, tmp_path, capsys,
+                                                         degs, message):
+        out = tmp_path / "f"
+        assert main(["train-final", "--data", ws["data"], "--scores", ws["scores"],
+                     "--out", str(out), "--degs", degs, "--epochs", "1"]) == 2
+        assert message in capsys.readouterr().err
+        m = json.loads((out / "manifest.json").read_text())
+        assert m["exit_code"] == 2 and message in m["error"]
+
+    @pytest.mark.parametrize("name,edit,message", [
+        ("spec.json", lambda text: text[:-3], "spec.json: not a dataset spec"),
+        ("spec.json", lambda text: text.replace("{", '{"colour": 1, ', 1),
+         "unexpected keyword argument 'colour'"),
+        ("features.csv", lambda text: "x" + text[1:], "features.csv: could not convert"),
+        ("labels.csv", lambda text: "one" + text[1:], "labels.csv: could not convert"),
+    ], ids=["spec-text", "spec-field", "features", "labels"])
+    def test_a_malformed_dataset_exits_2_with_a_manifest(self, ws, tmp_path, capsys,
+                                                         name, edit, message):
+        data, out = tmp_path / "data", tmp_path / "aug"
+        shutil.copytree(ws["data"], data)
+        (data / name).write_text(edit((data / name).read_text()))
+        assert main(["augment", "--data", str(data), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        m = json.loads((out / "manifest.json").read_text())
+        assert m["exit_code"] == 2 and message in m["error"]
+        assert str(data / name) in m["error"]
 
     def test_predict_refuses_features_the_run_never_trained_on(self, ws, tmp_path,
                                                                capsys):
@@ -465,11 +563,11 @@ class TestExitCodes:
         assert json.loads((out / "manifest.json").read_text())["exit_code"] == 2
 
     def test_only_a_sampled_run_needs_degs(self, ws, tmp_path, capsys):
-        # a full-graph run's budgets are its longest rows; a sampled run
+        # a full-graph run's budgets say "full", its longest rows; a run
         # without budgets is refused, with a manifest
         base = ["train-final", "--data", ws["data"], "--scores", ws["scores"],
                 "--width", "8", "--epochs", "1", "--batch-size", "16"]
-        assert main(base + ["--out", str(tmp_path / "full"), "--full-graph"]) == 0
+        assert main(base + ["--out", str(tmp_path / "full"), "--degs", "full,full"]) == 0
         assert main(base + ["--out", str(tmp_path / "sampled")]) == 2
         assert "need 2 degree budgets, got 0" in capsys.readouterr().err
         m = json.loads((tmp_path / "sampled" / "manifest.json").read_text())

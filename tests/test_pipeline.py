@@ -80,6 +80,19 @@ class TestConfig:
         d = config_to_dict(cfg)
         assert d["degs"] == [3, 5]
         assert config_from_dict(d) == cfg
+        full = replace(cfg, degs=("full", 5))
+        assert config_to_dict(full)["degs"] == ["full", 5]
+        assert config_from_dict(config_to_dict(full)) == full
+
+    @pytest.mark.parametrize("degs", [[], [2, 2], [4]])
+    def test_a_legacy_full_graph_key_folds_into_the_budgets(self, degs):
+        # configs written before a budget could say "full" carry a bool
+        # that overrode every budget with its layer's longest row
+        d = {**config_to_dict(TrainConfig(layers=2, degs=(3, 5))), "full_graph": False}
+        assert config_from_dict(d) == TrainConfig(layers=2, degs=(3, 5))
+        d.update(degs=degs, full_graph=True)
+        assert config_from_dict(d) == TrainConfig(layers=2, degs=("full", "full"))
+        assert "full_graph" not in config_to_dict(config_from_dict(d))
 
 
 class TestResolveTask:
@@ -323,8 +336,8 @@ class TestFinal:
     def test_seed_determinism(self):
         g, _ = _toy()
         cases = {"plain": {}, "dropout": dict(dropout=0.3),
-                 "full-graph": dict(full_graph=True),
-                 "full-graph-dropout": dict(full_graph=True, dropout=0.3),
+                 "full-graph": dict(degs=("full", "full")),
+                 "full-graph-dropout": dict(degs=("full", "full"), dropout=0.3),
                  "eval-samples": dict(eval_samples=3)}
         runs = {}
         for name, kw in cases.items():
@@ -385,16 +398,21 @@ class TestFinal:
 
     def test_full_graph_checks_budgets_before_training(self, monkeypatch):
         g, _ = _toy()
-        res = train_final(g, _toy_scores(), self._cfg(epochs=1, full_graph=True,
-                                                      degs=(2, 2)))
-        # the whole pattern is attended, whatever the budgets say
+        res = train_final(g, _toy_scores(), self._cfg(epochs=1, degs=("full", 2)))
+        assert res.edge_pct < 100.0
+        res = train_final(g, _toy_scores(), self._cfg(epochs=1, degs=("full", "full")))
+        # the whole pattern is attended
         assert res.edge_pct == 100.0
 
         def no_update(opt, epoch):
             raise AssertionError("trained before checking the budgets")
         monkeypatch.setattr(AdamW, "step", no_update)
         with pytest.raises(ContractError, match="degree budgets"):
-            train_final(g, _toy_scores(), self._cfg(full_graph=True, degs=(4,)))
+            train_final(g, _toy_scores(), self._cfg(degs=("full",)))
+        with pytest.raises(ContractError, match="unknown degree budget 'ful'"):
+            train_final(g, _toy_scores(), self._cfg(degs=("full", "ful")))
+        with pytest.raises(ContractError, match="must be positive, got 0"):
+            train_final(g, _toy_scores(), self._cfg(degs=("full", 0)))
 
     def test_full_graph_validates_scores_before_training(self, monkeypatch):
         g, _ = _toy()
@@ -405,7 +423,7 @@ class TestFinal:
             raise AssertionError("trained before validating the scores")
         monkeypatch.setattr(AdamW, "step", no_update)
         with pytest.raises(ContractError, match="sums"):
-            train_final(g, broken, self._cfg(full_graph=True))
+            train_final(g, broken, self._cfg(degs=("full", "full")))
 
 
 class TestOneNodeBatches:
@@ -487,8 +505,8 @@ def test_without_validation_nodes_the_last_epoch_wins(phase):
                                                       epochs=4, seed=0))
     else:
         res = train_final(g, _toy_scores(), TrainConfig(
-            width=8, layers=2, epochs=4, batch_size=16, degs=(4, 4), seed=0,
-            full_graph=phase == "full-graph"))
+            width=8, layers=2, epochs=4, batch_size=16, seed=0,
+            degs=("full", "full") if phase == "full-graph" else (4, 4)))
     assert [h[0] for h in res.history] == [1, 2, 3, 4]
     assert np.isnan([h[2] for h in res.history]).all()
     assert res.best_epoch == 4
@@ -505,8 +523,8 @@ class TestFullDegreeEquivalence:
         common = dict(width=8, layers=2, epochs=6, lr=0.02, batch_size=64,
                       degs=(20, 20), seed=3, dtype="float64", prefilter=False)
         oracle = train_full_pattern(g, scores, TrainConfig(**common))
-        for kw in ({}, dict(full_graph=True)):
-            run = train_final(g, scores, TrainConfig(**common, **kw))
+        for kw in ({}, dict(degs=("full", "full"))):
+            run = train_final(g, scores, TrainConfig(**{**common, **kw}))
             np.testing.assert_allclose([h[1] for h in run.history],
                                        [h[1] for h in oracle.history],
                                        rtol=1e-9, atol=1e-12)
@@ -736,19 +754,19 @@ class TestOneLawPerRun:
 
     @pytest.mark.parametrize("kw,laws", [({}, 1), (dict(eval_samples=3), 1),
                                          (dict(ablation="max"), 1),
-                                         (dict(full_graph=True), 1)])
+                                         (dict(degs=("full", "full")), 1)])
     def test_train_final_builds_one_law(self, count, kw, laws):
         g, _ = _toy()
-        train_final(g, _toy_scores(), TrainConfig(width=8, layers=2, epochs=3,
-                                                  batch_size=16, degs=(4, 4),
-                                                  seed=0, **kw))
+        train_final(g, _toy_scores(), TrainConfig(**{
+            **dict(width=8, layers=2, epochs=3, batch_size=16, degs=(4, 4), seed=0),
+            **kw}))
         assert len(count) == laws
 
     @pytest.mark.parametrize("ablation,mode", [("none", "sample"), ("max", "top"),
                                                ("uniform", "sample")])
     def test_a_full_graph_law_keeps_every_entry(self, ablation, mode):
         scores = _toy_scores()
-        law, degs = pipeline.final_law(TrainConfig(layers=2, full_graph=True,
+        law, degs = pipeline.final_law(TrainConfig(layers=2, degs=("full", "full"),
                                                    ablation=ablation), scores)
         assert degs == tuple(int(np.diff(sl.row_ptr).max()) for sl in scores.layers)
         ref = sampling_law(uniform_scores(scores) if ablation == "uniform" else scores,
@@ -761,7 +779,7 @@ class TestOneLawPerRun:
     def test_full_graph_run_records_its_law(self, tmp_path):
         g, _ = _toy()
         cfg = TrainConfig(width=8, layers=2, epochs=2, batch_size=16, seed=0,
-                          full_graph=True)
+                          degs=("full", "full"))
         res = train_final(g, _toy_scores(), cfg, run_dir=tmp_path)
         metrics = json.loads((tmp_path / "metrics.json").read_text())
         assert res.edge_pct == metrics["edge_pct"] == 100.0
@@ -783,7 +801,8 @@ class TestOneLawPerRun:
 
         monkeypatch.setattr(pipeline, "resample_epoch", capturing)
         res = train_final(g, scores, TrainConfig(width=8, layers=2, epochs=3,
-                                                 batch_size=4, seed=0, full_graph=True))
+                                                 batch_size=4, seed=0,
+                                                 degs=("full", "full")))
         assert res.sample_stats.rows_sampled > 0
         train = g.split_idx(TRAIN)
         assert train.size == 20         # five batches of 4: no tail to fold

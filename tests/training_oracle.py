@@ -1,8 +1,8 @@
 """The full-pattern training loop a full-graph run replaced, kept as an oracle.
 
-``train_full_pattern`` is ``sparsegt.pipeline.train_final`` under
-``full_graph=True`` as it was before such a run drew its training plans
-from its law: every epoch runs one forward over the whole pattern, with
+``train_full_pattern`` is ``sparsegt.pipeline.train_final`` with every
+budget ``"full"`` (once a ``full_graph`` flag) as it was before such a run
+drew its training plans from its law: every epoch runs one forward over the whole pattern, with
 batch-norm statistics over the training rows (``stats_rows``), and takes
 one AdamW update on the training nodes' loss.  Validation and the test
 metric come from eval forwards over the whole pattern.  It shares the
