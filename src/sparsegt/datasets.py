@@ -16,7 +16,7 @@ sanity checks; labels are block ids and features are noisy block means.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -66,12 +66,41 @@ class SyntheticSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "SyntheticSpec":
+        """The spec ``to_dict`` wrote, read back from JSON text.
+
+        Each field must have its default's type: an int field takes an int
+        but not a bool, a float field an int or a float, ``generator`` a
+        str, ``split`` a list of numbers and ``colors`` null or a list of
+        integers; any other is a FormatError naming the field.
+        """
         d = json.loads(text)
+        for f in fields(cls):
+            if f.name in d and not _spec_type_ok(f.name, d[f.name], type(f.default)):
+                want = {"split": "a list of numbers",
+                        "colors": "null or a list of integers"}.get(
+                            f.name, type(f.default).__name__)
+                raise FormatError(f"spec field {f.name!r} must be {want}, "
+                                  f"got {d[f.name]!r}")
         if "split" in d:
             d["split"] = tuple(d["split"])
         if d.get("colors") is not None:
             d["colors"] = tuple(d["colors"])
         return cls(**d)
+
+
+def _has_type(value, kind) -> bool:
+    """``value`` is a ``kind``, and no bool; an int passes for a float."""
+    return (not isinstance(value, bool)
+            and isinstance(value, (int, float) if kind is float else kind))
+
+
+def _spec_type_ok(name: str, value, kind) -> bool:
+    if name == "split":
+        return isinstance(value, list) and all(_has_type(v, float) for v in value)
+    if name == "colors":
+        return value is None or (isinstance(value, list)
+                                 and all(_has_type(v, int) for v in value))
+    return _has_type(value, kind)
 
 
 def _bridge_pairs(num_components: int, num_bridges: int, colors: np.ndarray):
@@ -248,14 +277,15 @@ def write_dataset(out_dir, g: Graph, spec: SyntheticSpec) -> dict:
 def load_dataset(in_dir) -> tuple[Graph, SyntheticSpec]:
     """The graph and spec ``write_dataset`` left in ``in_dir``.
 
-    A ``spec.json`` that is not a spec's JSON object, and a non-numeric
-    feature or label table, are FormatErrors naming the file.
+    A ``spec.json`` that is not a spec's JSON object (a field of the wrong
+    type included), and a non-numeric feature or label table, are
+    FormatErrors naming the file.
     """
     d = Path(in_dir)
     path = d / "spec.json"
     try:        # undecodable bytes, text that is not JSON, fields no spec has
         spec = SyntheticSpec.from_json(path.read_text())
-    except (TypeError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (FormatError, TypeError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: not a dataset spec ({exc})") from None
     if spec.generator == "bridge":
         n = spec.num_components * spec.component_size

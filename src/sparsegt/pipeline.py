@@ -98,6 +98,8 @@ class TrainConfig:
             raise ContractError(f"unknown dtype {self.dtype!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ContractError(f"dropout must be in [0, 1), got {self.dropout}")
+        if not 0.0 <= self.tail_eps < 1.0:
+            raise ContractError(f"tail_eps must be in [0, 1), got {self.tail_eps}")
         if self.epochs < 0:
             raise ContractError("epochs must be nonnegative")
         if self.eval_samples < 1:

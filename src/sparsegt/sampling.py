@@ -26,7 +26,9 @@ runs on.  A layer's query rows are gathered from the law and drawn in
 one vectorized pass; each score entry's uniform is the counter-based hash
 ``rngutil.counter_uniform`` of (seed, tag, epoch, batch, layer, node, CSR
 slot), so plans are reproducible no matter how rows are visited, and a
-node that queries two layers draws independently in each.
+node that queries two layers draws independently in each.  The hash of
+the key path up to the node is taken once per query row
+(``rngutil.counter_state``), and each entry folds only its slot into it.
 
 A training batch is one plan per chunk of seeds.  An evaluation draws
 one plan over every distinct node it scores and the network computes it
@@ -45,7 +47,7 @@ from .attention import LayerGeometry
 from .errors import ContractError, FormatError, ShapeError
 from .graphs import AttentionPattern, EdgeType, PatternLayer, atomic_path, sorted_union
 from .numerics import load_npz
-from .rngutil import TAG_SAMPLE, TAG_SHUFFLE, counter_uniform, derive
+from .rngutil import TAG_SAMPLE, TAG_SHUFFLE, counter_state, counter_uniform_at, derive
 
 
 # ---------------------------------------------------------------------------
@@ -164,16 +166,30 @@ def _segments(lengths: np.ndarray):
     return row, slot
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def _top_per_row(row, slot, k: int, key) -> np.ndarray:
     """Mask of the k entries of each row smallest by ``key``; ties go to
-    the lower slot.
+    the lower slot.  Entries lie row-major: ``row`` never decreases and
+    ``slot`` counts 0, 1, ... within each row.
 
-    Ranking the keys once turns the row-major order into a stable sort of
-    the integers row * size + rank.  Rows stay in place, so the slot of a
-    sorted position is the within-row rank of the entry that lands there.
+    Ranking the keys once turns the selection into a sort of the integers
+    (row, rank, slot), which are distinct, so the sort need not be stable.
+    Rows stay in place, so the slot of a sorted position is the within-row
+    rank of the entry that lands there.  Where the three parts would not
+    fit in an int64, a stable sort of (row, rank) gives the same order.
     """
-    _, rank = np.unique(key, return_inverse=True)
-    order = np.argsort(row * row.size + rank, kind="stable")
+    distinct, rank = np.unique(key, return_inverse=True)
+    ranked = row * distinct.size
+    ranked += rank
+    width = int(slot.max()) + 1 if slot.size else 1
+    if row.size and (int(row[-1]) + 1) * distinct.size * width > _INT64_MAX:
+        order = np.argsort(ranked, kind="stable")
+    else:
+        ranked *= width
+        ranked += slot
+        order = np.argsort(ranked)
     keep = np.empty(row.size, dtype=bool)
     keep[order] = slot < k
     return keep
@@ -190,8 +206,9 @@ class LawLayer:
     The entries a draw can select (the prefilter's kept set) as CSR over
     all n rows: ``row_ptr``, ``col_idx`` and ``edge_type``.  ``slot`` is
     each kept entry's position in its full score row, the counter of its
-    uniform.  ``offset`` is its race offset: ``-log w``, or ``_NEVER`` for
-    a zero score, in sample mode, and ``-w`` in top mode.  Per row:
+    uniform, held as uint64 as the hash folds it.  ``offset`` is its race
+    offset: ``-log w``, or ``_NEVER`` for a zero score, in sample mode, and
+    ``-w`` in top mode.  Per row:
     ``kept_full`` (the prefilter refused to truncate), ``truncated`` and
     ``no_positive`` (a nonempty row without a positive kept score).
     ``entries_total`` counts the score layer's entries.
@@ -243,13 +260,16 @@ def sampling_law(scores: AttentionPattern, mode: str = "sample",
     ``k_prime`` keeps the k' largest scores of each longer row, ties to
     the lower slot, unless that would drop more than ``tail_eps`` of the
     row's mass, in which case the row is kept whole.  A bad mode, a
-    nonpositive ``k_prime``, a layer without values, a negative or
-    non-finite score and a column outside [0, n) are ContractErrors.
+    nonpositive ``k_prime``, a ``tail_eps`` outside [0, 1) (NaN included),
+    a layer without values, a negative or non-finite score and a column
+    outside [0, n) are ContractErrors.
     """
     if mode not in ("sample", "top"):
         raise ContractError(f"unknown mode {mode!r}")
     if k_prime is not None and k_prime <= 0:
         raise ContractError(f"k_prime must be positive, got {k_prime}")
+    if not 0.0 <= tail_eps < 1.0:
+        raise ContractError(f"tail_eps must be in [0, 1), got {tail_eps}")
     for li, layer in enumerate(scores.layers, start=1):
         if layer.values is None:
             raise ContractError("the pattern carries no score values")
@@ -263,23 +283,35 @@ def sampling_law(scores: AttentionPattern, mode: str = "sample",
         _law_layer(layer, mode, prefilter, tail_eps) for layer in scores.layers))
 
 
+def _prefilter(row, slot, w, lengths, k_prime: int, tail_eps: float):
+    """The top-k' prefilter of rows laid end to end: the mask of entries
+    kept, and per row whether truncation was refused (``tail_eps`` of the
+    mass would go; the row is kept whole) and whether it was applied.
+    Only rows longer than k' can lose entries, so only those are ranked
+    and weighed."""
+    n = lengths.size
+    long_row = lengths > k_prime
+    ranked = long_row[row]
+    r, wr = row[ranked], w[ranked]
+    top = _top_per_row(r, slot[ranked], k_prime, -wr)
+    total = np.bincount(r, weights=wr, minlength=n)
+    kept = np.bincount(r, weights=np.where(top, wr, 0.0), minlength=n)
+    kept_full = long_row & (total > 0) & (total - kept > tail_eps * total)
+    keep = np.ones(row.size, dtype=bool)
+    keep[ranked] = top | kept_full[r]
+    return keep, kept_full, long_row & ~kept_full
+
+
 def _law_layer(layer: PatternLayer, mode: str, k_prime, tail_eps: float) -> LawLayer:
     lengths = np.diff(layer.row_ptr)
     n = lengths.size
     row, slot = _segments(lengths)
     w = layer.values
-    keep = np.ones(row.size, dtype=bool)
-    kept_full, truncated = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-    if k_prime is not None:
-        # only rows longer than k' can lose entries: rank just those
-        long_row = lengths > k_prime
-        ranked = long_row[row]
-        keep[ranked] = _top_per_row(row[ranked], slot[ranked], k_prime, -w[ranked])
-        total = np.bincount(row, weights=w, minlength=n)
-        kept = np.bincount(row, weights=np.where(keep, w, 0.0), minlength=n)
-        kept_full = long_row & (total > 0) & (total - kept > tail_eps * total)
-        truncated = long_row & ~kept_full
-        keep |= kept_full[row]
+    if k_prime is None:
+        keep = np.ones(row.size, dtype=bool)
+        kept_full, truncated = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    else:
+        keep, kept_full, truncated = _prefilter(row, slot, w, lengths, k_prime, tail_eps)
     row, w = row[keep], w[keep]
     positive = w > 0
     if mode == "top":
@@ -290,7 +322,7 @@ def _law_layer(layer: PatternLayer, mode: str, k_prime, tail_eps: float) -> LawL
     return LawLayer(
         row_ptr=np.concatenate(([0], np.cumsum(kept_lengths))),
         col_idx=layer.col_idx[keep], edge_type=layer.edge_type[keep],
-        slot=slot[keep], offset=offset,
+        slot=slot[keep].view(np.uint64), offset=offset,
         kept_full=kept_full, truncated=truncated,
         no_positive=(kept_lengths > 0) & (np.bincount(row, weights=positive,
                                                       minlength=n) == 0),
@@ -396,7 +428,10 @@ def _draw_layer(ll: LawLayer, mode: str, q_nodes, deg: int, stats: SampleStats, 
     uniform draw.  In top mode the offsets alone decide.  The uniforms
     come from ``counter_uniform(keys, node, slot)``, ``slot`` being the
     entry's position in the node's full score row, so a row draws the
-    same keys whichever batch it is drawn in.
+    same keys whichever batch it is drawn in; each query row hashes its
+    node once, and each entry then folds only its slot.  Once any row
+    races, every row runs, since the first ``deg`` finishers of a row
+    with at most ``deg`` entries are all of them.
     """
     lo = ll.row_ptr[q_nodes]
     lengths = ll.row_ptr[q_nodes + 1] - lo
@@ -410,16 +445,17 @@ def _draw_layer(ll: LawLayer, mode: str, q_nodes, deg: int, stats: SampleStats, 
         stats.uniform_fallbacks += int(np.count_nonzero(racing & ll.no_positive[q_nodes]))
     row, slot = _segments(lengths)
     pos = lo[row] + slot
-    race = racing[row]
-    if race.any():
-        row, slot, at = row[race], slot[race], pos[race]
-        finish = ll.offset[at]
+    if racing.any():
+        finish = ll.offset[pos]
         if mode == "sample":
-            u = counter_uniform(keys, q_nodes[row], ll.slot[at])
-            finish = np.log(-np.log(u)) + finish
-        take = np.ones(pos.size, dtype=bool)
-        take[race] = _top_per_row(row, slot, deg, finish)
-        pos = pos[take]
+            u = counter_uniform_at(counter_state(keys, q_nodes), row, ll.slot[pos])
+            # log(-log u) + offset, in u's buffer
+            np.log(u, out=u)
+            np.negative(u, out=u)
+            np.log(u, out=u)
+            u += finish
+            finish = u
+        pos = pos[_top_per_row(row, slot, deg, finish)]
     row_ptr = np.concatenate(([0], np.cumsum(np.minimum(lengths, deg))))
     return row_ptr, ll.col_idx[pos], ll.edge_type[pos]
 

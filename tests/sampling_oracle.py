@@ -11,10 +11,12 @@ from different draws.
 
 ``sample_batch_per_draw`` is ``sparsegt.sampling.sample_batch`` as it was
 before draws read a prepared ``SamplingLaw``: every draw gathers its query
-rows from the score set, prefilters them (``_prefilter``), and races them
-with ``log(-log u) - log w`` (``_reservoir_select``), and the plan looks
-its rows up with ``np.searchsorted``.  Plans and ``SampleStats`` drawn
-through a law must equal it bit for bit.
+rows from the score set, prefilters them (``_prefilter``), races them
+with ``log(-log u) - log w`` (``_reservoir_select``), hashing each entry's
+uniform from the whole key path with ``counter_uniform``, and selects with
+its own copy of the two-sort selection (``top_per_row_two_sorts``); the
+plan looks its rows up with ``np.searchsorted``.  Plans and
+``SampleStats`` drawn through a law must equal it bit for bit.
 
 ``identical_rows`` and ``draw_many`` are the sampling-law fixture: a
 score set of N copies of one row, so that one ``sample_batch`` call
@@ -40,7 +42,7 @@ from sparsegt.graphs import AttentionPattern, EdgeType, PatternLayer, sorted_uni
 from sparsegt.pipeline import _probs_from_logits
 from sparsegt.rngutil import TAG_PREDICT, TAG_SAMPLE, counter_uniform, derive
 from sparsegt.sampling import (_NEVER, BatchPlan, PlanLayer, SampleStats, _segments,
-                               _top_per_row, plan_geometries, sample_batch, sampling_law)
+                               plan_geometries, sample_batch, sampling_law)
 
 
 def reservoir_sample_loop(scores, k: int, rng: np.random.Generator,
@@ -246,6 +248,23 @@ def predict_per_chunk(net, features, scores: AttentionPattern, degs, nodes,
 # The per-draw sampler: every draw prefilters and weighs its rows afresh
 
 
+def top_per_row_two_sorts(row, slot, k: int, key) -> np.ndarray:
+    """Mask of the k entries of each row smallest by ``key``; ties go to
+    the lower slot.  ``sparsegt.sampling._top_per_row`` as it was before
+    it sorted distinct integers without stability, kept here so that the
+    selection is checked against another one and not against itself.
+
+    Ranking the keys once turns the row-major order into a stable sort of
+    the integers row * size + rank.  Rows stay in place, so the slot of a
+    sorted position is the within-row rank of the entry that lands there.
+    """
+    _, rank = np.unique(key, return_inverse=True)
+    order = np.argsort(row * row.size + rank, kind="stable")
+    keep = np.empty(row.size, dtype=bool)
+    keep[order] = slot < k
+    return keep
+
+
 def _reservoir_select(row, slot, k: int, w, u) -> np.ndarray:
     """Efraimidis-Spirakis selection in every row, as exponential races
     in log space; a zero score never finishes, so an all-zero row becomes
@@ -254,7 +273,7 @@ def _reservoir_select(row, slot, k: int, w, u) -> np.ndarray:
     positive = w > 0
     finish = np.where(positive, log_e - np.log(np.where(positive, w, 1.0)),
                       _NEVER + log_e)
-    return _top_per_row(row, slot, k, finish)
+    return top_per_row_two_sorts(row, slot, k, finish)
 
 
 def _prefilter(row, slot, lengths, w, k_prime: int, tail_eps: float):
@@ -264,7 +283,7 @@ def _prefilter(row, slot, lengths, w, k_prime: int, tail_eps: float):
     refused because it would drop more than ``tail_eps`` of the row's mass
     (the row is kept whole), and truncation applied.
     """
-    keep = _top_per_row(row, slot, k_prime, -w)
+    keep = top_per_row_two_sorts(row, slot, k_prime, -w)
     total = np.bincount(row, weights=w, minlength=lengths.size)
     kept = np.bincount(row, weights=np.where(keep, w, 0.0), minlength=lengths.size)
     long_row = lengths > k_prime
@@ -287,7 +306,7 @@ def _sample_layer(layer: PatternLayer, q_nodes, deg: int, mode: str, k_prime,
         raise ContractError("negative score")
     stats.rows_sampled += nq
     if mode == "top":
-        take = _top_per_row(row, slot, deg, -w)
+        take = top_per_row_two_sorts(row, slot, deg, -w)
     else:
         csr_slot = slot
         if k_prime is not None:

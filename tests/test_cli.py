@@ -453,7 +453,10 @@ class TestExitCodes:
               ("degs-zero", {"degs": [0, 0]}, "degree budgets must be positive, got 0"),
               ("degs-name", {"degs": ["fill", 4]}, "unknown degree budget 'fill'"),
               ("ablation", {"ablation": "no-temp"},
-               "final ablation must be none/uniform/max"))),
+               "final ablation must be none/uniform/max"),
+              # NaN or 2.0 would truncate every row, -1 switch the prefilter off
+              *((f"tail-eps-{v}", {"tail_eps": v}, "tail_eps must be in [0, 1)")
+                for v in (float("nan"), 2.0, -1.0)))),
         # a scores file as bytes, or as an npz archive of these arrays
         *(pytest.param(command, "scores", contents, message, id=f"{command}-scores-{kind}")
           for command in ("train-final", "predict", "analyze")
@@ -508,9 +511,11 @@ class TestExitCodes:
         ("spec.json", lambda text: text[:-3], "spec.json: not a dataset spec"),
         ("spec.json", lambda text: text.replace("{", '{"colour": 1, ', 1),
          "unexpected keyword argument 'colour'"),
+        ("spec.json", lambda text: json.dumps({**json.loads(text), "num_components": "8"}),
+         "spec field 'num_components' must be int"),
         ("features.csv", lambda text: "x" + text[1:], "features.csv: could not convert"),
         ("labels.csv", lambda text: "one" + text[1:], "labels.csv: could not convert"),
-    ], ids=["spec-text", "spec-field", "features", "labels"])
+    ], ids=["spec-text", "spec-field", "spec-type", "features", "labels"])
     def test_a_malformed_dataset_exits_2_with_a_manifest(self, ws, tmp_path, capsys,
                                                          name, edit, message):
         data, out = tmp_path / "data", tmp_path / "aug"

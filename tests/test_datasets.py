@@ -19,7 +19,7 @@ from scipy.sparse.csgraph import connected_components
 from sparsegt.datasets import (SyntheticSpec, gen_bridge_task, gen_dataset,
                                gen_sbm, homophily_ratio, load_dataset,
                                write_dataset)
-from sparsegt.errors import ContractError
+from sparsegt.errors import ContractError, FormatError
 from sparsegt.graphs import Graph, TEST, TRAIN, VAL
 
 
@@ -249,6 +249,23 @@ class TestDiskRoundtrip:
         spec = SyntheticSpec(generator="bridge", seed=3, colors=(0, 1, 1, 0),
                              num_components=4, num_bridges=1)
         assert SyntheticSpec.from_json(json.dumps(spec.to_dict())) == spec
+
+    @pytest.mark.parametrize("name,value,message", [
+        ("num_components", "8", "must be int"),
+        ("seed", True, "must be int"),
+        ("noise", "0.1", "must be float"),
+        ("generator", 3, "must be str"),
+        ("split", [0.6, "0.2", 0.2], "must be a list of numbers"),
+        ("split", 1.0, "must be a list of numbers"),
+        ("colors", [0, 1.0, 1, 0], "must be null or a list of integers"),
+    ])
+    def test_spec_json_field_types(self, name, value, message):
+        spec = SyntheticSpec(seed=3, num_components=4, num_bridges=1)
+        text = json.dumps({**spec.to_dict(), name: value})
+        with pytest.raises(FormatError, match=f"spec field {name!r} {message}"):
+            SyntheticSpec.from_json(text)
+        # an int stands for a float
+        assert SyntheticSpec.from_json(json.dumps({**spec.to_dict(), "noise": 0})).noise == 0
 
     def test_unknown_generator_rejected(self):
         with pytest.raises(ContractError, match="generator"):

@@ -69,6 +69,14 @@ class TestConfig:
             with pytest.raises(ContractError):
                 TrainConfig(**bad)
 
+    @pytest.mark.parametrize("tail_eps", [float("nan"), 1.0, 2.0, -1.0, -1e-9])
+    def test_tail_eps_lies_in_the_unit_interval(self, tail_eps):
+        # NaN or >= 1 would truncate every long row, a negative value would
+        # switch the prefilter off: each silently
+        with pytest.raises(ContractError, match=r"tail_eps must be in \[0, 1\)"):
+            TrainConfig(tail_eps=tail_eps)
+        assert TrainConfig(tail_eps=0.0).tail_eps == 0.0
+
     def test_degs_coerced_to_int_tuple(self):
         cfg = TrainConfig(degs=[4.0, 8.0])
         assert cfg.degs == (4, 8)

@@ -32,12 +32,13 @@ from sparsegt.attention import LayerGeometry
 from sparsegt.errors import ContractError, ShapeError
 from sparsegt.graphs import AttentionPattern, EdgeType, PatternLayer
 from sparsegt.rngutil import TAG_SHUFFLE, TAG_VAL, derive
-from sparsegt.sampling import (BatchPlan, SampleStats, load_scores_npz,
-                               plan_geometries, resample_epoch,
+from sparsegt.sampling import (_NEVER, BatchPlan, SampleStats, _segments, _top_per_row,
+                               load_scores_npz, plan_geometries, resample_epoch,
                                sample_batch, sampling_law, save_scores_npz,
                                uniform_scores, validate_scores)
 from sampling_oracle import (draw_many, identical_rows, prefilter_topk_loop,
-                             sample_batch_loop, sample_batch_per_draw)
+                             sample_batch_loop, sample_batch_per_draw,
+                             top_per_row_two_sorts)
 
 W = np.array([0.5, 0.3, 0.2])
 # hand-derived k=2 inclusion law for W: 18/35, 13/40, 9/56
@@ -184,6 +185,13 @@ class TestPrefilter:
             for mode in ("sample", "top"):
                 with pytest.raises(ContractError, match="k_prime"):
                     sampling_law(identical_rows(W, 2), mode=mode, k_prime=k_prime)
+
+    @pytest.mark.parametrize("tail_eps", [np.nan, 1.0, 2.0, -1.0])
+    def test_tail_eps_contract(self, tail_eps):
+        # NaN or 2.0 would truncate every long row and -1 keep each whole,
+        # all without a word
+        with pytest.raises(ContractError, match=r"tail_eps must be in \[0, 1\)"):
+            sampling_law(identical_rows(W, 2), k_prime=1, tail_eps=tail_eps)
 
 
 # ring support over n nodes: each row is {i-1, i, i+1} with fixed scores
@@ -523,6 +531,54 @@ class TestAgainstLoopOracle:
         assert tv < 0.02, tv
 
 
+class TestTopPerRow:
+    # the production selection against the oracle's two-sort copy and a
+    # per-row loop; few distinct keys make ties common
+    KEYS = np.array([-1.5, -0.0, 0.0, 0.25, 3.0, _NEVER, _NEVER - 0.5, _NEVER + 2.0])
+
+    @given(st.lists(st.integers(1, 12), min_size=1, max_size=30), st.integers(1, 14),
+           st.integers(0, 10**6))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_two_sort_oracle(self, lengths, k, key):
+        rng = derive(83, key)
+        lengths = np.array(lengths)
+        row, slot = _segments(lengths)
+        keys = np.where(rng.random(row.size) < 0.7,
+                        self.KEYS[rng.integers(0, self.KEYS.size, row.size)],
+                        rng.normal(size=row.size))
+        keep = _top_per_row(row, slot, k, keys)
+        np.testing.assert_array_equal(keep, top_per_row_two_sorts(row, slot, k, keys))
+        for r, n in enumerate(lengths):
+            at = np.flatnonzero(row == r)
+            first = np.sort(np.lexsort((slot[at], keys[at]))[:k])
+            np.testing.assert_array_equal(np.flatnonzero(keep[at]), first)
+            assert np.count_nonzero(keep[at]) == min(k, n)
+
+    def test_row_ids_past_the_composite_sort_stably(self):
+        # (row, rank, slot) would wrap an int64 here, and sort row 2 first;
+        # (row, rank) fits
+        row = np.array([1, 1, 2, 2, 2]) * 10 ** 18
+        slot = np.array([0, 1, 0, 1, 2])
+        keys = np.array([1.0, 0.0, 2.0, 2.0, 0.0])
+        np.testing.assert_array_equal(_top_per_row(row, slot, 2, keys),
+                                      [True, True, True, False, True])
+
+    @pytest.mark.parametrize("keys,k,kept", [
+        ([0.0, -0.0], 1, [0]),                  # +0 and -0 tie: the lower slot
+        ([-0.0, 0.0], 1, [0]),
+        ([_NEVER, _NEVER, 1.0], 2, [0, 2]),     # never-finishers tie too
+        ([2.0, 1.0, 1.0, 1.0], 2, [1, 2]),
+        ([5.0], 1, [0]),                        # a one-entry row
+        ([5.0], 3, [0]),
+        ([3.0, 1.0], 2, [0, 1]),                # k at the row's length
+    ])
+    def test_hand_cases(self, keys, k, kept):
+        keys = np.array(keys)
+        row, slot = _segments(np.array([keys.size]))
+        for select in (_top_per_row, top_per_row_two_sorts):
+            np.testing.assert_array_equal(np.flatnonzero(select(row, slot, k, keys)), kept)
+
+
 def _hub_scores_with_zero_rows(key):
     """``_hub_scores`` with three long rows of each layer zeroed: their
     draws fall back to uniform."""
@@ -534,6 +590,25 @@ def _hub_scores_with_zero_rows(key):
             vals[layer.row_ptr[node]:layer.row_ptr[node + 1]] = 0.0
         layers.append(replace(layer, values=vals))
     return replace(ss, layers=tuple(layers))
+
+
+def _hub_like_scores(key, n=400, layers=2):
+    """Four hubs of 107 entries with near-uniform scores among rows of
+    3-12 entries, as on hub-4000."""
+    rng = derive(84, key)
+    out = []
+    for _ in range(layers):
+        sizes = np.where(np.arange(n) % 100 == 0, 107, rng.integers(3, 13, n))
+        rows = [np.sort(np.concatenate(([i], rng.choice(np.delete(np.arange(n), i),
+                                                        size - 1, replace=False))))
+                for i, size in enumerate(sizes)]
+        vals = [rng.dirichlet(np.full(r.size, 50.0 if r.size == 107 else 0.5))
+                for r in rows]
+        out.append(PatternLayer(
+            row_ptr=np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64),
+            col_idx=np.concatenate(rows).astype(np.int64), values=np.concatenate(vals),
+            edge_type=rng.integers(0, 3, int(sizes.sum()))))
+    return AttentionPattern(n=n, layers=tuple(out))
 
 
 class TestLawAgainstPerDrawOracle:
@@ -575,6 +650,31 @@ class TestLawAgainstPerDrawOracle:
             assert total.uniform_fallbacks > 0     # a zeroed row races
         if mode == "sample" and k_prime is not None:
             assert total.prefilter_truncated > 0
+
+    @pytest.mark.parametrize("seed", [11, 29])
+    def test_hub_rows_kept_whole(self, seed):
+        # the path hub-4000 runs: rows of 107 near-uniform scores, which the
+        # top-16 prefilter keeps whole, among rows shorter than k'
+        ss = _hub_like_scores(seed)
+        law = sampling_law(ss, k_prime=16)
+        hubs = np.flatnonzero(np.diff(ss.layers[0].row_ptr) == 107)
+        assert hubs.size == 4
+        for ll in law.layers:
+            np.testing.assert_array_equal(np.flatnonzero(ll.kept_full), hubs)
+            assert not ll.truncated.any()
+        total, oracle_total = SampleStats(), SampleStats()
+        for batch_size in (16, ss.n):
+            nodes = derive(82, batch_size).permutation(ss.n)
+            for bi, start in enumerate(range(0, ss.n, batch_size)):
+                chunk = nodes[start:start + batch_size]
+                plan = sample_batch(chunk, law, (4, 4), seed=seed, epoch=3,
+                                    batch_index=bi, stats=total)
+                oracle = sample_batch_per_draw(chunk, ss, (4, 4), seed=seed, epoch=3,
+                                               batch_index=bi, k_prime=16,
+                                               stats=oracle_total)
+                _assert_same_plan(plan, oracle)
+        assert total == oracle_total
+        assert total.prefilter_kept_full > 0 and total.prefilter_truncated == 0
 
     def test_summary_counts_the_flags(self):
         ss = _hub_scores_with_zero_rows(4)
