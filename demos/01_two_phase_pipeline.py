@@ -41,7 +41,7 @@ def main():
     print(f"augmented pattern: {pattern.m_aug} entries per layer "
           f"({pattern.m_aug / g.n:.1f} per node)\n")
 
-    # phase one: narrow, one head, full batch, annealed temperature
+    # phase one: narrow, full batch, annealed temperature
     est_cfg = TrainConfig(width=8, layers=2, epochs=400, lr=0.01, seed=1)
     est = train_estimator(g, pattern, est_cfg)
     print(f"estimator (width 8): best val {est.best_val:.3f} at epoch "

@@ -2,7 +2,7 @@
 
 One attention layer computes, for query node i over its pattern row,
 
-    out_i = x_i + sum_heads  V_head . softmax((E type . K) Q_i / sqrt(d_head) + b_type)
+    out_i = x_i + V . softmax((E type . K) Q_i / sqrt(width) + b_type)
 
 where E and b are per-edge-type key modulation and logit bias derived
 from three learnable type embeddings (graph edge, expander edge,
@@ -11,17 +11,17 @@ long-range expander edges wholesale when a task is local, and keep them
 when it is not.
 
 Two network flavors share this code.  The narrow score estimator runs
-with one head, layer norm, length-normalized values and an annealing
-softmax temperature; the wide final network runs with batch norm, raw
-values and temperature 1 over sampled fixed-degree patterns.  Both see
-their pattern through a ``LayerGeometry``, so a full CSR pattern and a
-sampled plan drive the exact same forward code.  A geometry is a CSR
-edge list and each head is one ``numerics.edge_attention`` tape node
-over it, so a layer costs what its edges cost.  The index arrays those
-nodes derive from the list (``numerics.EdgeIndex``) belong to the
-geometry: built by its first forward, shared by every head and by every
-later pass over it, and freed with it.  The estimator's geometries live
-for the whole run, so its epochs do that index work once.
+with layer norm, length-normalized values and an annealing softmax
+temperature; the wide final network runs with batch norm, raw values and
+temperature 1 over sampled fixed-degree patterns.  Both see their pattern
+through a ``LayerGeometry``, so a full CSR pattern and a sampled plan
+drive the exact same forward code.  A geometry is a CSR edge list and
+each layer's attention is one ``numerics.edge_attention`` tape node over
+it, so a layer costs what its edges cost.  The index arrays that node
+derives from the list (``numerics.EdgeIndex``) belong to the geometry:
+built by its first forward, shared by every later pass over it, and
+freed with it.  The estimator's geometries live for the whole run, so its
+epochs do that index work once.
 """
 
 from __future__ import annotations
@@ -62,8 +62,6 @@ class ModelConfig:
     width: int
     layers: int
     out_dim: int
-    heads: int = 1
-    d_ff: int = 0             # 0 means 2 * width
     norm: str = "layer"       # "layer" for the estimator, "batch" for the final net
     normalize_values: bool = True
     clip: float = 8.0
@@ -71,16 +69,8 @@ class ModelConfig:
     dtype: type = np.float32
 
     def __post_init__(self):
-        if self.width % self.heads != 0:
-            raise ContractError(f"width {self.width} not divisible by {self.heads} heads")
-        if self.d_ff == 0:
-            self.d_ff = 2 * self.width
         if self.norm not in ("layer", "batch"):
             raise ContractError(f"unknown norm {self.norm!r}")
-
-    @property
-    def d_head(self) -> int:
-        return self.width // self.heads
 
 
 @dataclass(frozen=True)
@@ -131,21 +121,14 @@ def pattern_geometry(layer: PatternLayer) -> LayerGeometry:
                          edge_type=layer.edge_type)
 
 
-class HeadParams:
-    __slots__ = ("wq", "wk", "wv", "we", "wb")
-
-    def __init__(self, d, rng, dtype):
-        self.wq = nm.param(_glorot(rng, d, d), dtype)
-        self.wk = nm.param(_glorot(rng, d, d), dtype)
-        self.wv = nm.param(_glorot(rng, d, d), dtype)
-        self.we = nm.param(_glorot(rng, d, d), dtype)
-        self.wb = nm.param(_glorot(rng, d, 1), dtype)
-
-
 class LayerParams:
     def __init__(self, cfg: ModelConfig, rng):
-        d, dff, dt = cfg.width, cfg.d_ff, cfg.dtype
-        self.heads = [HeadParams(d, rng, dt) for _ in range(cfg.heads)]
+        d, dff, dt = cfg.width, 2 * cfg.width, cfg.dtype
+        self.wq = nm.param(_glorot(rng, d, d), dt)
+        self.wk = nm.param(_glorot(rng, d, d), dt)
+        self.wv = nm.param(_glorot(rng, d, d), dt)
+        self.we = nm.param(_glorot(rng, d, d), dt)
+        self.wb = nm.param(_glorot(rng, d, 1), dt)
         self.edge_emb = nm.param(_glorot(rng, 3, d), dt)
         self.w1 = nm.param(_glorot(rng, d, dff), dt)
         self.b1 = nm.param(np.zeros(dff), dt)
@@ -173,28 +156,22 @@ def attention_sublayer(h: nm.Tensor, geom: LayerGeometry, lp: LayerParams,
                        dropout_rng=None):
     """One attention layer with residual: returns (out rows=queries, scores).
 
-    Each head is one ``nm.edge_attention`` node over the geometry's edge
-    list, all of them reading its one ``edges`` index.  Scores are the
-    head-averaged attention distributions, detached: one float64 per
-    edge, aligned with ``geom.col_idx``.
+    The attention is one ``nm.edge_attention`` node over the geometry's
+    edge list, reading its ``edges`` index.  Scores are the attention
+    distributions, detached: one float64 per edge, aligned with
+    ``geom.col_idx``.
     """
     xq = nm.gather_rows(h, geom.query_rows)
-    scale = 1.0 / math.sqrt(cfg.d_head)
-    head_sum = None
-    score_acc = np.zeros(geom.col_idx.shape[0], dtype=np.float64)
-    for hp in lp.heads:
-        vv = nm.matmul(h, hp.wv)
-        if cfg.normalize_values:
-            vv = nm.normalize_rows(vv, lp.vscale)   # to a shared learnable length
-        out, sc = nm.edge_attention(
-            nm.matmul(xq, hp.wq), nm.matmul(h, hp.wk), vv,
-            nm.matmul(lp.edge_emb, hp.we), nm.matmul(lp.edge_emb, hp.wb),
-            geom.edges, scale, temperature=tau, clip=cfg.clip)
-        head_sum = out if head_sum is None else nm.add(head_sum, out)
-        score_acc += sc
+    vv = nm.matmul(h, lp.wv)
+    if cfg.normalize_values:
+        vv = nm.normalize_rows(vv, lp.vscale)   # to a shared learnable length
+    out, sc = nm.edge_attention(
+        nm.matmul(xq, lp.wq), nm.matmul(h, lp.wk), vv,
+        nm.matmul(lp.edge_emb, lp.we), nm.matmul(lp.edge_emb, lp.wb),
+        geom.edges, 1.0 / math.sqrt(cfg.width), temperature=tau, clip=cfg.clip)
     if training and cfg.dropout > 0:
-        head_sum = nm.dropout(head_sum, cfg.dropout, dropout_rng)
-    return nm.add(xq, head_sum), score_acc / len(lp.heads)
+        out = nm.dropout(out, cfg.dropout, dropout_rng)
+    return nm.add(xq, out), sc.astype(np.float64)
 
 
 class Network:
@@ -215,11 +192,8 @@ class Network:
     def named_parameters(self):
         out = [("w_in", self.w_in), ("b_in", self.b_in)]
         for i, lp in enumerate(self.layers):
-            for j, hp in enumerate(lp.heads):
-                for wn in ("wq", "wk", "wv", "we", "wb"):
-                    out.append((f"layer{i}.head{j}.{wn}", getattr(hp, wn)))
-            for pn in ("edge_emb", "w1", "b1", "w2", "b2", "vscale",
-                       "n1_gamma", "n1_beta", "n2_gamma", "n2_beta"):
+            for pn in ("wq", "wk", "wv", "we", "wb", "edge_emb", "w1", "b1", "w2",
+                       "b2", "vscale", "n1_gamma", "n1_beta", "n2_gamma", "n2_beta"):
                 out.append((f"layer{i}.{pn}", getattr(lp, pn)))
         out.append(("w_out", self.w_out))
         out.append(("b_out", self.b_out))

@@ -288,7 +288,6 @@ def _cmd_analyze(args, manifest) -> int:
 def _add_train_args(p, final: bool) -> None:
     p.add_argument("--width", type=int, default=4 if not final else 64)
     p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--heads", type=int, default=1)
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--lr", type=float, default=0.01)
     p.add_argument("--weight-decay", dest="weight_decay", type=float,

@@ -9,7 +9,7 @@ leaves keep their ``grad``.  Arrays are at most 3-d; training runs in
 float32 and gradient checking in float64 (ops preserve whatever dtype
 their inputs carry).
 
-An attention head is one node, ``edge_attention``, that works on the
+A layer's attention is one node, ``edge_attention``, that works on the
 live edges of a CSR edge list and has a hand-written backward; an
 ``EdgeIndex`` holds the index arrays it derives from a list, so calls
 over a list that does not change share them.  It gathers per-edge rows in
@@ -278,8 +278,8 @@ def _edge_dots(a: np.ndarray, a_idx: np.ndarray, b: np.ndarray, b_idx: np.ndarra
 
 class EdgeIndex:
     """The index arrays ``edge_attention`` derives from a CSR edge list, built
-    once and shared by every call over the list: every head of a layer, and
-    every epoch of a pattern that does not change.
+    once and shared by every call over the list: every epoch of a pattern
+    that does not change.
 
     Construction checks the list (a ShapeError for inconsistent arrays, a
     ContractError for a row without edges) and builds each edge's query row
@@ -313,7 +313,7 @@ class EdgeIndex:
 
 def edge_attention(q, k, v, emap, bias, edges, scale: float,
                    temperature: float = 1.0, clip: float = 8.0):
-    """One attention head over a CSR edge list, as a single tape node.
+    """Attention over a CSR edge list, as a single tape node.
 
     ``edges`` is the list's ``EdgeIndex``.  Query i attends over edges e
     in ``row_ptr[i]:row_ptr[i+1]``, each reading row ``cols[e]`` of ``k``

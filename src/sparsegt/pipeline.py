@@ -67,7 +67,6 @@ class TrainConfig:
 
     width: int = 4
     layers: int = 2
-    heads: int = 1
     epochs: int = 100
     lr: float = 0.01
     weight_decay: float = 1e-3
@@ -126,14 +125,8 @@ def config_from_dict(d: dict) -> TrainConfig:
     Each field must have its default's type: a bool field takes a bool, an
     int field an int but not a bool, a float field an int or a float, a str
     field a str, and ``degs`` a list of integers and strings (``final_law``
-    judges their values).  A ``full_graph`` bool, which configs carried
-    before a budget could say ``FULL``, is folded in: true makes every
-    layer's budget ``FULL``.
+    judges their values).
     """
-    d = dict(d)
-    full_graph = d.pop("full_graph", False)
-    if not isinstance(full_graph, bool):
-        raise FormatError(f"config field 'full_graph' must be bool, got {full_graph!r}")
     unknown = sorted(set(d) - {f.name for f in fields(TrainConfig)})
     if unknown:
         raise FormatError(f"unknown config field {unknown[0]!r}")
@@ -150,8 +143,6 @@ def config_from_dict(d: dict) -> TrainConfig:
                 or not isinstance(value, (int, float) if kind is float else kind)):
             raise FormatError(f"config field {f.name!r} must be {kind.__name__}, "
                               f"got {value!r}")
-    if full_graph:
-        degs = [FULL] * d.get("layers", TrainConfig.layers)
     return TrainConfig(**{**d, "degs": tuple(degs)})
 
 
@@ -244,7 +235,7 @@ def build_network(graph: Graph, cfg: TrainConfig, role: str):
     loss_name, out_dim = resolve_task(graph.labels, cfg.loss)
     estimator = role == "estimator"
     mcfg = ModelConfig(in_dim=graph.features.shape[1], width=cfg.width,
-                       layers=cfg.layers, out_dim=out_dim, heads=cfg.heads,
+                       layers=cfg.layers, out_dim=out_dim,
                        norm="layer" if estimator else "batch",
                        normalize_values=estimator and cfg.ablation != "no-vnorm",
                        clip=cfg.clip, dropout=0.0 if estimator else cfg.dropout,

@@ -370,8 +370,8 @@ def sample_batch(seeds, law: SamplingLaw, degs, seed: int, epoch: int,
     from its row of the law, and the query+key union is the layer's input
     rows, the queries of the layer below.  ``tag`` namespaces the random
     streams so training, validation and prediction plans never share
-    draws.  A seed outside [0, n) is an IndexError, raised before anything
-    is drawn.
+    draws.  A seed outside [0, n) is an IndexError and a repeated seed a
+    ContractError, both raised before anything is drawn.
 
     Each layer's input rows hold the layer above's, so one index map over
     the n nodes, rewritten layer by layer, serves every lookup: the seeds
@@ -383,11 +383,14 @@ def sample_batch(seeds, law: SamplingLaw, degs, seed: int, epoch: int,
     seeds = np.asarray(seeds, dtype=np.int64)
     if seeds.ndim != 1 or seeds.size == 0:
         raise ContractError("seeds must be a nonempty 1-d array")
-    if np.unique(seeds).size != seeds.size:
-        raise ContractError("duplicate seed nodes")
     outside = seeds[(seeds < 0) | (seeds >= law.n)]
     if outside.size:
         raise IndexError(f"node {outside[0]} outside [0, {law.n})")
+    local = np.empty(law.n, dtype=np.int64)
+    stats_rows = np.arange(seeds.size, dtype=np.int64)
+    local[seeds] = stats_rows           # a repeated seed keeps one position
+    if (local[seeds] != stats_rows).any():
+        raise ContractError("duplicate seed nodes")
     degs = tuple(int(d) for d in degs)
     if len(degs) != law.num_layers:
         raise ShapeError(f"{len(degs)} degree budgets for {law.num_layers} layers")
@@ -396,8 +399,6 @@ def sample_batch(seeds, law: SamplingLaw, degs, seed: int, epoch: int,
     if stats is None:
         stats = SampleStats()
 
-    local = np.empty(law.n, dtype=np.int64)
-    stats_rows = np.arange(seeds.size, dtype=np.int64)
     q_nodes, layers = seeds, []
     for li in range(law.num_layers - 1, -1, -1):
         row_ptr, cols, types = _draw_layer(law.layers[li], law.mode, q_nodes, degs[li],

@@ -1,6 +1,6 @@
 """The composed attention path that ``numerics.edge_attention`` replaced.
 
-Each head of ``composed_sublayer`` is built from small taped ops over a
+``composed_sublayer`` builds the attention from small taped ops over a
 padded (queries x longest row) block that ``pad_edges`` builds from the
 geometry's edge list: four row gathers, an elementwise product, two
 batched matmuls, reshapes, a masked softmax and the adds, with every
@@ -112,29 +112,23 @@ def composed_sublayer(h, geom, lp, cfg, tau, training=False, dropout_rng=None):
     flat_keys = key_rows.reshape(-1)
     flat_types = key_type.reshape(-1)
     xq = nm.gather_rows(h, geom.query_rows)
-    scale = 1.0 / math.sqrt(cfg.d_head)
-    head_sum = None
-    score_acc = np.zeros((nq, k), dtype=np.float64)
-    for hp in lp.heads:
-        q = nm.matmul(xq, hp.wq)
-        kk = nm.matmul(h, hp.wk)
-        vv = nm.matmul(h, hp.wv)
-        if cfg.normalize_values:
-            vv = nm.normalize_rows(vv, lp.vscale)
-        emap = nm.matmul(lp.edge_emb, hp.we)
-        bvec = nm.matmul(lp.edge_emb, hp.wb)
-        k3 = nm.reshape(nm.gather_rows(kk, flat_keys), (nq, k, cfg.width))
-        e3 = nm.reshape(nm.gather_rows(emap, flat_types), (nq, k, cfg.width))
-        q3 = nm.reshape(q, (nq, cfg.width, 1))
-        logits = nm.reshape(batched_matmul(mul(k3, e3), q3), (nq, k))
-        logits = mul(logits, np.asarray(scale, dtype=h.dtype))
-        bias = nm.reshape(nm.gather_rows(bvec, flat_types), (nq, k))
-        logits = nm.add(logits, bias)
-        sc = masked_softmax(logits, key_mask, temperature=tau, clip=cfg.clip)
-        v3 = nm.reshape(nm.gather_rows(vv, flat_keys), (nq, k, cfg.width))
-        out = nm.reshape(batched_matmul(nm.reshape(sc, (nq, 1, k)), v3), (nq, cfg.width))
-        head_sum = out if head_sum is None else nm.add(head_sum, out)
-        score_acc += sc.data.astype(np.float64)
+    q = nm.matmul(xq, lp.wq)
+    kk = nm.matmul(h, lp.wk)
+    vv = nm.matmul(h, lp.wv)
+    if cfg.normalize_values:
+        vv = nm.normalize_rows(vv, lp.vscale)
+    emap = nm.matmul(lp.edge_emb, lp.we)
+    bvec = nm.matmul(lp.edge_emb, lp.wb)
+    k3 = nm.reshape(nm.gather_rows(kk, flat_keys), (nq, k, cfg.width))
+    e3 = nm.reshape(nm.gather_rows(emap, flat_types), (nq, k, cfg.width))
+    q3 = nm.reshape(q, (nq, cfg.width, 1))
+    logits = nm.reshape(batched_matmul(mul(k3, e3), q3), (nq, k))
+    logits = mul(logits, np.asarray(1.0 / math.sqrt(cfg.width), dtype=h.dtype))
+    bias = nm.reshape(nm.gather_rows(bvec, flat_types), (nq, k))
+    logits = nm.add(logits, bias)
+    sc = masked_softmax(logits, key_mask, temperature=tau, clip=cfg.clip)
+    v3 = nm.reshape(nm.gather_rows(vv, flat_keys), (nq, k, cfg.width))
+    out = nm.reshape(batched_matmul(nm.reshape(sc, (nq, 1, k)), v3), (nq, cfg.width))
     if training and cfg.dropout > 0:
-        head_sum = nm.dropout(head_sum, cfg.dropout, dropout_rng)
-    return nm.add(xq, head_sum), score_acc.reshape(-1)[live] / len(lp.heads)
+        out = nm.dropout(out, cfg.dropout, dropout_rng)
+    return nm.add(xq, out), sc.data.astype(np.float64).reshape(-1)[live]

@@ -100,8 +100,8 @@ def test_c02_gradient_correctness():
         row_ptr=np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64),
         col_idx=np.concatenate(rows).astype(np.int64),
         edge_type=np.concatenate(types).astype(np.int64))
-    cfg = ModelConfig(in_dim=3, width=4, layers=2, out_dim=2, heads=1,
-                      norm="layer", normalize_values=True, dtype=np.float64)
+    cfg = ModelConfig(in_dim=3, width=4, layers=2, out_dim=2, norm="layer",
+                      normalize_values=True, dtype=np.float64)
     net = Network(cfg, seed=5)
     geoms = [pattern_geometry(pl), pattern_geometry(pl)]
     feats = derive(0, 71).normal(size=(6, 3))

@@ -92,25 +92,22 @@ def _oracle(h, pl, lp, cfg, tau):
     scores = np.zeros(pl.nnz)
     for i in range(n):
         cols, typs = pl.row(i), pl.row_types(i)
+        q = h[i] @ lp.wq.data
+        logits = np.array([
+            float(((h[c] @ lp.wk.data) * (emb[t] @ lp.we.data)) @ q)
+            / math.sqrt(cfg.width) + float((emb[t] @ lp.wb.data)[0])
+            for c, t in zip(cols, typs)])
+        z = np.clip(logits, -cfg.clip, cfg.clip) / tau
+        z = np.exp(z - z.max())
+        p = z / z.sum()
         acc = np.zeros(cfg.width)
-        row_sc = np.zeros(cols.size)
-        for hp in lp.heads:
-            q = h[i] @ hp.wq.data
-            logits = np.array([
-                float(((h[c] @ hp.wk.data) * (emb[t] @ hp.we.data)) @ q)
-                / math.sqrt(cfg.d_head) + float((emb[t] @ hp.wb.data)[0])
-                for c, t in zip(cols, typs)])
-            z = np.clip(logits, -cfg.clip, cfg.clip) / tau
-            z = np.exp(z - z.max())
-            p = z / z.sum()
-            row_sc += p
-            for pj, c in zip(p, cols):
-                v = h[c] @ hp.wv.data
-                if cfg.normalize_values:
-                    v = float(lp.vscale.data[0]) * v / max(np.linalg.norm(v), 1e-6)
-                acc += pj * v
+        for pj, c in zip(p, cols):
+            v = h[c] @ lp.wv.data
+            if cfg.normalize_values:
+                v = float(lp.vscale.data[0]) * v / max(np.linalg.norm(v), 1e-6)
+            acc += pj * v
         out[i] = h[i] + acc
-        scores[pl.row_ptr[i]:pl.row_ptr[i + 1]] = row_sc / len(lp.heads)
+        scores[pl.row_ptr[i]:pl.row_ptr[i + 1]] = p
     return out, scores
 
 
@@ -122,7 +119,7 @@ class TestSublayerOracle:
         (False, 1.0, 0.02),       # everything saturates the clip
     ])
     def test_matches_loop_oracle(self, norm_v, tau, clip):
-        cfg = ModelConfig(in_dim=6, width=6, layers=1, out_dim=2, heads=2,
+        cfg = ModelConfig(in_dim=6, width=6, layers=1, out_dim=2,
                           normalize_values=norm_v, clip=clip, dtype=np.float64)
         pl = _ragged()
         lp = LayerParams(cfg, derive(0, 77))
@@ -135,8 +132,7 @@ class TestSublayerOracle:
 
     def test_scores_are_row_distributions(self):
         # one float64 score per edge, aligned with col_idx; rows sum to 1
-        cfg = ModelConfig(in_dim=6, width=4, layers=1, out_dim=2, heads=2,
-                          dtype=np.float32)
+        cfg = ModelConfig(in_dim=6, width=4, layers=1, out_dim=2, dtype=np.float32)
         pl = _ragged()
         h = derive(0, 79).normal(size=(5, 4)).astype(np.float32)
         _, sc = attention_sublayer(nm.Tensor(h), pattern_geometry(pl),
@@ -146,7 +142,7 @@ class TestSublayerOracle:
         np.testing.assert_allclose(np.add.reduceat(sc, pl.row_ptr[:-1]), 1.0, atol=1e-6)
 
     def test_value_scale_only_scales_the_update(self):
-        cfg = ModelConfig(in_dim=4, width=4, layers=1, out_dim=2, heads=1,
+        cfg = ModelConfig(in_dim=4, width=4, layers=1, out_dim=2,
                           normalize_values=True, dtype=np.float64)
         pl = _ragged()
         lp = LayerParams(cfg, derive(0, 81))
@@ -164,7 +160,7 @@ class TestSublayerOracle:
 
 
 def _gradcheck_net(norm, normalize_values):
-    cfg = ModelConfig(in_dim=3, width=4, layers=1, out_dim=2, heads=2,
+    cfg = ModelConfig(in_dim=3, width=4, layers=1, out_dim=2,
                       norm=norm, normalize_values=normalize_values,
                       dtype=np.float64)
     net = Network(cfg, seed=11)
@@ -204,7 +200,7 @@ class TestTape:
     def test_a_training_step_leaves_no_garbage(self, norm):
         # backward releases each node once its closure has run, so the
         # op/closure reference cycles are gone before the collector runs
-        cfg = ModelConfig(in_dim=3, width=4, layers=2, out_dim=2, heads=2,
+        cfg = ModelConfig(in_dim=3, width=4, layers=2, out_dim=2,
                           norm=norm, normalize_values=norm == "layer",
                           dropout=0.25)
         net = Network(cfg, seed=3)
@@ -231,16 +227,6 @@ class TestTape:
 
 
 class TestConfig:
-    def test_dff_defaults_to_twice_width(self):
-        cfg = ModelConfig(in_dim=3, width=6, layers=1, out_dim=2)
-        assert cfg.d_ff == 12
-        assert ModelConfig(in_dim=3, width=6, layers=1, out_dim=2,
-                           d_ff=5).d_ff == 5
-
-    def test_head_divisibility(self):
-        with pytest.raises(ContractError, match="divisible"):
-            ModelConfig(in_dim=3, width=5, layers=1, out_dim=2, heads=2)
-
     def test_unknown_norm(self):
         with pytest.raises(ContractError, match="norm"):
             ModelConfig(in_dim=3, width=4, layers=1, out_dim=2, norm="rms")
@@ -248,7 +234,7 @@ class TestConfig:
 
 class TestNetworkState:
     def _cfg(self):
-        return ModelConfig(in_dim=3, width=4, layers=2, out_dim=2, heads=2)
+        return ModelConfig(in_dim=3, width=4, layers=2, out_dim=2)
 
     def test_init_is_seed_deterministic(self):
         a = Network(self._cfg(), seed=3).state_dict()
@@ -332,7 +318,7 @@ def _plan_geometries(key, sizes=(30, 20, 9), deg=4):
 class TestSlicedForward:
     @pytest.mark.parametrize("norm", ["layer", "batch"])
     def test_slices_match_the_whole_layer(self, norm):
-        net = Network(ModelConfig(in_dim=3, width=4, layers=2, out_dim=2, heads=2,
+        net = Network(ModelConfig(in_dim=3, width=4, layers=2, out_dim=2,
                                   norm=norm, dtype=np.float64), seed=6)
         rng = derive(87, 0)
         for lp in net.layers:          # eval batch norm reads these
@@ -355,7 +341,7 @@ class TestSlicedForward:
     def test_a_float32_network_evaluates_in_float32(self, max_rows, monkeypatch):
         # batch norm's running buffers are float64; eval reads them in the
         # network's dtype, so no op promotes and no weight is cast per call
-        net = Network(ModelConfig(in_dim=3, width=4, layers=2, out_dim=2, heads=2,
+        net = Network(ModelConfig(in_dim=3, width=4, layers=2, out_dim=2,
                                   norm="batch", dtype=np.float32), seed=6)
         rng = derive(88, 0)
         for lp in net.layers:

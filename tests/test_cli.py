@@ -241,32 +241,6 @@ class TestWorkflow:
         with open(pred + "/predictions.csv") as fh:
             assert fh.read().splitlines() == ["node,pred,p0"]
 
-    def test_a_run_with_a_full_graph_flag_predicts_as_written(self, ws, tmp_path):
-        # runs written before a budget could say "full" carry a full_graph
-        # bool: false changes nothing, and true takes every row whole
-        # whatever degs says, as a run whose budgets say "full"
-        def predictions(run, edit=None):
-            if edit is not None:
-                shutil.copytree(run, tmp_path / "legacy", dirs_exist_ok=True)
-                run = tmp_path / "legacy"
-                stored = json.loads((run / "config.json").read_text())
-                (run / "config.json").write_text(json.dumps({**stored, **edit}))
-            out = tmp_path / "pred"
-            assert main(["predict", "--data", ws["data"], "--run", str(run), "--out",
-                         str(out), "--nodes", "test", "--samples", "2", "--seed",
-                         "0", "--force"]) == 0
-            return (out / "predictions.csv").read_bytes()
-
-        assert (predictions(Path(ws["fin"]), {"full_graph": False})
-                == Path(ws["pred"], "predictions.csv").read_bytes())
-        full = tmp_path / "full"
-        assert main(["train-final", "--data", ws["data"], "--scores", ws["scores"],
-                     "--out", str(full), "--width", "8", "--epochs", "2", "--degs",
-                     "full,full", "--batch-size", "16", "--seed", "0"]) == 0
-        written = predictions(full)
-        for degs in ([], [4, 4]):
-            assert predictions(full, {"degs": degs, "full_graph": True}) == written
-
 
 @pytest.mark.parametrize("command", ["train-estimator", "train-final", "analyze"])
 def test_every_config_flag_reaches_the_config(command):
@@ -437,12 +411,15 @@ class TestExitCodes:
                      id="config-field"),
         pytest.param("predict", "config", {"degs": 4}, "config field 'degs'",
                      id="config-degs"),
+        # fields of runs written before they were taken out: refused, not read
+        *(pytest.param("predict", "config", {name: value}, f"unknown config field {name!r}",
+                       id=f"config-{name}")
+          for name, value in (("full_graph", True), ("heads", 1))),
         # a field of another type than its default's
         *(pytest.param("predict", "config", {name: value}, f"config field {name!r}",
                        id=f"config-{name}-{kind}")
           for name, value, kind in (("width", "8", "str"), ("epochs", "3", "str"),
-                                    ("full_graph", "yes", "str"), ("lr", "0.1", "str"),
-                                    ("width", True, "bool"), ("full_graph", 1, "int"),
+                                    ("lr", "0.1", "str"), ("width", True, "bool"),
                                     ("loss", 2, "int"), ("degs", [4, True], "bool"))),
         # budgets and an ablation that training refuses: predict reads a
         # config as training reads it
@@ -566,6 +543,21 @@ class TestExitCodes:
                      "--out", str(out)]) == 2
         assert "retrain it" in capsys.readouterr().err
         assert json.loads((out / "manifest.json").read_text())["exit_code"] == 2
+
+    @pytest.mark.parametrize("field,value", [("full_graph", True), ("heads", 1)])
+    def test_train_final_refuses_an_estimator_run_of_an_earlier_version(
+            self, ws, tmp_path, capsys, field, value):
+        # an estimator run written before the field was taken out names it
+        est, out = tmp_path / "est", tmp_path / "f"
+        shutil.copytree(ws["est"], est)
+        stored = json.loads((est / "config.json").read_text())
+        (est / "config.json").write_text(json.dumps({**stored, field: value}))
+        assert main(["train-final", "--data", ws["data"], "--scores", str(est),
+                     "--out", str(out), "--degs", "4,4", "--epochs", "1"]) == 2
+        message = f"unknown config field {field!r}"
+        assert message in capsys.readouterr().err
+        m = json.loads((out / "manifest.json").read_text())
+        assert m["exit_code"] == 2 and message in m["error"]
 
     def test_only_a_sampled_run_needs_degs(self, ws, tmp_path, capsys):
         # a full-graph run's budgets say "full", its longest rows; a run

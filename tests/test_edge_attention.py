@@ -1,7 +1,7 @@
 """The fused edge-attention op against the composed path it replaced.
 
-``tests/attention_oracle.py`` keeps the old per-head composition of small
-taped ops over a padded block.  Whole networks run through either path
+``tests/attention_oracle.py`` keeps the old composition of small taped
+ops over a padded block.  Whole networks run through either path
 must agree in float64 to round-off: logits, scores and the gradient of
 every parameter, on random geometries with rows of unequal length (so
 the oracle's block has pad slots), single-slot rows and all three edge
@@ -52,7 +52,7 @@ def _scored(rng, layer):
                         edge_type=layer.edge_type, values=vals)
 
 
-def _case(role, heads, key):
+def _case(role, key):
     """(config, geometries, features, stats-free labels) of one random case."""
     rng = derive(31, key)
     n = 24
@@ -71,8 +71,7 @@ def _case(role, heads, key):
     # ragged rows (pad slots in the oracle's block) and single-slot rows
     assert any(np.ptp(np.diff(g.row_ptr)) > 0 for g in geoms)
     assert any((np.diff(g.row_ptr) == 1).any() for g in geoms)
-    mcfg = ModelConfig(in_dim=5, width=6, layers=2, out_dim=3, heads=heads,
-                       dtype=np.float64, **cfg)
+    mcfg = ModelConfig(in_dim=5, width=6, layers=2, out_dim=3, dtype=np.float64, **cfg)
     feats = rng.normal(size=(rows, 5))
     labels = rng.integers(0, 3, size=geoms[-1].num_queries)
     return mcfg, geoms, feats, labels
@@ -99,11 +98,10 @@ def _run(mcfg, geoms, feats, labels, tau):
 class TestAgainstComposedPath:
     @pytest.mark.parametrize("tau,clip", [(1.0, 8.0), (0.6, 8.0), (0.6, 0.5)],
                              ids=["tau1", "tau0.6", "clipped"])
-    @pytest.mark.parametrize("heads", [1, 2])
     @pytest.mark.parametrize("role", ["estimator", "final"])
-    def test_network_values_and_gradients(self, role, heads, tau, clip, monkeypatch):
+    def test_network_values_and_gradients(self, role, tau, clip, monkeypatch):
         for key in range(3):
-            mcfg, geoms, feats, labels = _case(role, heads, key)
+            mcfg, geoms, feats, labels = _case(role, key)
             mcfg.clip = clip
             fused = _run(mcfg, geoms, feats, labels, tau)
             with monkeypatch.context() as m:
@@ -123,19 +121,18 @@ class TestAgainstComposedPath:
     def test_clip_saturates_in_the_cases(self):
         # the clipped cases above really do clip: some, not all, first-layer
         # logits sit outside the clip of 0.5
-        mcfg, geoms, feats, _ = _case("estimator", 1, 0)
+        mcfg, geoms, feats, _ = _case("estimator", 0)
         mcfg.clip = 0.5
         net = Network(mcfg, seed=4)
         h = feats @ net.w_in.data + net.b_in.data
-        lp, hp = net.layers[0], net.layers[0].heads[0]
-        geom = geoms[0]
-        q = h[geom.query_rows] @ hp.wq.data
-        k = h @ hp.wk.data
-        emap = lp.edge_emb.data @ hp.we.data
-        bias = lp.edge_emb.data @ hp.wb.data
+        lp, geom = net.layers[0], geoms[0]
+        q = h[geom.query_rows] @ lp.wq.data
+        k = h @ lp.wk.data
+        emap = lp.edge_emb.data @ lp.we.data
+        bias = lp.edge_emb.data @ lp.wb.data
         rows = np.repeat(np.arange(geom.num_queries), np.diff(geom.row_ptr))
         logits = ((q[rows] * emap[geom.edge_type]) * k[geom.col_idx]).sum(axis=1) \
-            / np.sqrt(mcfg.d_head) + bias[geom.edge_type, 0]
+            / np.sqrt(mcfg.width) + bias[geom.edge_type, 0]
         assert 0.2 < (np.abs(logits) > 0.5).mean() < 1.0
 
 
@@ -218,8 +215,7 @@ class TestOp:
             nm.edge_attention(q, k, v, emap, bias, nm.EdgeIndex(row_ptr, cols, types), 0.5)
 
     @pytest.mark.parametrize("tau", [1.0, 0.2])
-    @pytest.mark.parametrize("heads", [1, 2])
-    def test_a_reused_index_gives_what_a_fresh_one_gives(self, heads, tau):
+    def test_a_reused_index_gives_what_a_fresh_one_gives(self, tau):
         # one index over several passes, each with new values; tau 0.2 takes
         # the row-shift branch.  Nothing may leak from one call to the next.
         *_, row_ptr, cols, types = _op_inputs(6)
@@ -227,21 +223,13 @@ class TestOp:
         for step in range(3):
             passes = []
             for fresh in (False, True):
-                loss, got = None, []
-                for head in range(heads):
-                    q, k, v, emap, bias, *_ = _op_inputs(10 * step + head + 7)
-                    edges = nm.EdgeIndex(row_ptr, cols, types) if fresh else shared
-                    out, y = nm.edge_attention(q, k, v, emap, bias, edges, 0.5,
-                                               temperature=tau)
-                    part = nm.mean_all(nm.matmul(out, derive(34, head).normal(size=(2, 4)).T))
-                    loss = part if loss is None else nm.add(loss, part)
-                    got.append((out.data, y, q, k, v, emap, bias))
-                nm.backward(loss)
-                passes.append([[a if isinstance(a, np.ndarray) else a.grad for a in head]
-                               for head in got])
-            for reused, fresh in zip(*passes):
-                for a, b in zip(reused, fresh):
-                    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+                q, k, v, emap, bias, *_ = _op_inputs(10 * step + 7)
+                edges = nm.EdgeIndex(row_ptr, cols, types) if fresh else shared
+                out, y = nm.edge_attention(q, k, v, emap, bias, edges, 0.5, temperature=tau)
+                nm.backward(nm.mean_all(nm.matmul(out, derive(34, 0).normal(size=(2, 4)).T)))
+                passes.append([out.data, y, *(t.grad for t in (q, k, v, emap, bias))])
+            for a, b in zip(*passes):
+                np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
     def test_a_prepared_index_still_checks_each_call(self):
         q, k, v, emap, bias, row_ptr, cols, types = _op_inputs(8)
@@ -259,8 +247,7 @@ class TestOp:
             nm.EdgeIndex(np.array([0, 1, 4, 4, 7, 10]), cols, types)
 
     def test_a_head_is_one_tape_node(self, monkeypatch):
-        cfg = ModelConfig(in_dim=4, width=4, layers=1, out_dim=2, heads=2,
-                          dtype=np.float64)
+        cfg = ModelConfig(in_dim=4, width=4, layers=1, out_dim=2, dtype=np.float64)
         geom = LayerGeometry(query_rows=np.arange(2), row_ptr=np.array([0, 2, 3]),
                              col_idx=np.array([0, 1, 1]), edge_type=np.array([2, 0, 2]))
         calls = []
@@ -269,7 +256,7 @@ class TestOp:
                             lambda *a, **kw: calls.append(1) or real(*a, **kw))
         _, scores = attention_sublayer(nm.param(np.ones((2, 4)), np.float64), geom,
                                        LayerParams(cfg, derive(0, 2)), cfg, 1.0)
-        assert len(calls) == 2
+        assert len(calls) == 1
         # one float64 score per edge: row 0's two sum to 1, row 1's one is 1
         assert scores.shape == (3,) and scores.dtype == np.float64
         np.testing.assert_allclose(scores[:2].sum(), 1.0, rtol=1e-15)

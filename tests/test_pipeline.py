@@ -92,16 +92,6 @@ class TestConfig:
         assert config_to_dict(full)["degs"] == ["full", 5]
         assert config_from_dict(config_to_dict(full)) == full
 
-    @pytest.mark.parametrize("degs", [[], [2, 2], [4]])
-    def test_a_legacy_full_graph_key_folds_into_the_budgets(self, degs):
-        # configs written before a budget could say "full" carry a bool
-        # that overrode every budget with its layer's longest row
-        d = {**config_to_dict(TrainConfig(layers=2, degs=(3, 5))), "full_graph": False}
-        assert config_from_dict(d) == TrainConfig(layers=2, degs=(3, 5))
-        d.update(degs=degs, full_graph=True)
-        assert config_from_dict(d) == TrainConfig(layers=2, degs=("full", "full"))
-        assert "full_graph" not in config_to_dict(config_from_dict(d))
-
 
 class TestResolveTask:
     def test_auto_mapping(self):
@@ -302,7 +292,7 @@ class TestEstimator:
                 super().__init__(*args)
 
         monkeypatch.setattr(nm, "EdgeIndex", Counting)
-        train_estimator(g, pattern, TrainConfig(width=4, layers=2, heads=2, epochs=5, seed=0))
+        train_estimator(g, pattern, TrainConfig(width=4, layers=2, epochs=5, seed=0))
         assert len(built) == 2
 
     def test_seed_determinism(self):

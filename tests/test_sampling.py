@@ -397,8 +397,11 @@ class TestBatchPlans:
     def test_contract_errors(self):
         ss = _ring_scores()
         law = sampling_law(ss)
-        with pytest.raises(ContractError, match="duplicate"):
-            sample_batch(np.array([1, 1]), law, (2, 2), seed=0, epoch=1)
+        for dup in ([1, 1], [2, 0, 2]):
+            with pytest.raises(ContractError, match="duplicate"):
+                sample_batch(np.array(dup), law, (2, 2), seed=0, epoch=1)
+        with pytest.raises(IndexError, match="outside"):      # the range check runs first
+            sample_batch(np.array([9, 9]), law, (2, 2), seed=0, epoch=1)
         with pytest.raises(ShapeError, match="degree budgets"):
             sample_batch(np.array([1]), law, (2,), seed=0, epoch=1)
         with pytest.raises(ContractError, match="positive"):
