@@ -34,7 +34,7 @@ import numpy as np
 
 from . import numerics as nm
 from .errors import ContractError, ShapeError
-from .graphs import PatternLayer, sorted_union
+from .graphs import PatternLayer
 from .rngutil import TAG_INIT, derive
 
 
@@ -245,27 +245,8 @@ class Network:
         f = nm.add(a, nm.add(nm.matmul(h1, lp.w2), lp.b2))
         return self._norm(f, lp, 2, training, geom.stats_rows), scores
 
-    def _block_in_slices(self, h, geom: LayerGeometry, lp: LayerParams, tau,
-                         max_rows: int):
-        """Evaluation ``_block`` over at most ``max_rows`` queries at a time,
-        each slice reading only the rows of ``h`` its queries and edges name."""
-        outs, scores = [], []
-        local = np.empty(h.shape[0], dtype=np.intp)     # row of h -> row of its slice
-        for a in range(0, geom.num_queries, max_rows):
-            b = min(a + max_rows, geom.num_queries)
-            lo, hi = geom.row_ptr[a], geom.row_ptr[b]
-            q, cols = geom.query_rows[a:b], geom.col_idx[lo:hi]
-            rows = sorted_union(q, cols)
-            local[rows] = np.arange(rows.size)
-            part = LayerGeometry(query_rows=local[q], row_ptr=geom.row_ptr[a:b + 1] - lo,
-                                 col_idx=local[cols], edge_type=geom.edge_type[lo:hi])
-            out, sc = self._block(nm.Tensor(h.data[rows]), part, lp, tau, False, None)
-            outs.append(out.data)
-            scores.append(sc)
-        return nm.Tensor(np.concatenate(outs)), np.concatenate(scores)
-
     def forward(self, x_rows: np.ndarray, geoms, tau: float = 1.0,
-                training: bool = False, dropout_rng=None, max_rows: int | None = None):
+                training: bool = False, dropout_rng=None):
         """Run the network over feature rows under per-layer geometries.
 
         Layer ``i``'s output rows are its geometry's query rows, which
@@ -273,14 +254,6 @@ class Network:
         layer's queries are the rows the logits describe.  Returns
         (logits Tensor, list of per-layer scores), each layer's scores
         aligned with its geometry's ``col_idx``.
-
-        ``max_rows`` (evaluation under ``nm.no_grad`` only) runs each layer
-        in CSR row slices of at most that many queries, so a step's edge
-        arrays and key rows scale with ``max_rows``, not with the layer;
-        between layers one hidden row per query is held either way.
-        Evaluation rows are independent (batch norm reads its running
-        buffers, in the network's dtype), so slicing changes only BLAS
-        blocking: round-off in the network's dtype.
         """
         if len(geoms) != self.cfg.layers:
             raise ShapeError(f"{len(geoms)} geometries for {self.cfg.layers} layers")
@@ -288,20 +261,11 @@ class Network:
             raise ShapeError(f"features have width {x_rows.shape[1]}, expected {self.cfg.in_dim}")
         if training and self.cfg.dropout > 0 and dropout_rng is None:
             raise ContractError("training with dropout needs an rng")
-        if max_rows is not None:
-            if max_rows < 1:
-                raise ContractError(f"max_rows must be positive, got {max_rows}")
-            if training or nm.grad_enabled():
-                raise ContractError("max_rows slices evaluation forwards only: "
-                                    "training=False under nm.no_grad()")
         x = nm.Tensor(np.asarray(x_rows, dtype=self.cfg.dtype))
         h = nm.add(nm.matmul(x, self.w_in), self.b_in)
         all_scores = []
         for geom, lp in zip(geoms, self.layers):
-            if max_rows is None:
-                h, scores = self._block(h, geom, lp, tau, training, dropout_rng)
-            else:
-                h, scores = self._block_in_slices(h, geom, lp, tau, max_rows)
+            h, scores = self._block(h, geom, lp, tau, training, dropout_rng)
             all_scores.append(scores)
         logits = nm.add(nm.matmul(h, self.w_out), self.b_out)
         return logits, all_scores

@@ -38,7 +38,7 @@ from .graphs import (TEST, TRAIN, VAL, atomic_path, augment, build_expander,
 from .pipeline import (DTYPES, ESTIMATOR_ABLATIONS, FINAL_ABLATIONS, LOSSES, METRICS,
                        RUN_SCORES, TrainConfig, load_final_run, load_run_scores,
                        predict_by_law, train_estimator, train_final, write_json)
-from .sampling import load_scores_npz
+from .sampling import load_scores_npz, validate_scores
 
 
 def _sha256(path) -> str:
@@ -207,7 +207,7 @@ def _cmd_predict(args, manifest) -> int:
              "val": g.split_idx(VAL), "test": g.split_idx(TEST)}[args.nodes]
     probs, preds = predict_by_law(run.network, g.features, run.law, run.degs, nodes,
                                   seed=args.seed, n_samples=args.samples,
-                                  batch_size=run.cfg.batch_size, loss_name=run.loss_name)
+                                  loss_name=run.loss_name)
     write_predictions(out / "predictions.csv", nodes, probs, preds)
     print(f"wrote predictions for {nodes.size} nodes to {out / 'predictions.csv'}")
     return 0
@@ -238,6 +238,7 @@ def _cmd_analyze(args, manifest) -> int:
         if not args.scores:
             raise ContractError("profile needs --scores")
         scores = load_scores_npz(args.scores)
+        validate_scores(scores)
         profile = analysis.profile_scores(scores, topk=args.topk)
         analysis.write_profile_csv(out / "profile.csv", profile)
         write_json(out / "profile.json", profile)

@@ -55,11 +55,6 @@ def no_grad():
         _GRAD_ENABLED = saved
 
 
-def grad_enabled() -> bool:
-    """False inside ``no_grad``."""
-    return _GRAD_ENABLED
-
-
 class Tensor:
     """An ndarray with an optional gradient and a link back into the tape."""
 
@@ -92,13 +87,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, grad={self.requires_grad})"
-
-    # light sugar so network code reads like the math
-    def __add__(self, other):
-        return add(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def param(data, dtype=np.float32) -> Tensor:

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -454,8 +453,7 @@ def train_final(graph: Graph, scores: AttentionPattern, cfg: TrainConfig,
     stats = SampleStats()
 
     def evaluate(nodes, epoch):
-        return _eval_sampled(net, x, law, degs, nodes, cfg.seed, epoch, TAG_VAL,
-                             cfg.batch_size, loss_name)
+        return _eval_sampled(net, x, law, degs, nodes, cfg.seed, epoch, TAG_VAL, loss_name)
 
     def run_epoch(opt, epoch, validate):
         plans = resample_epoch(law, degs, train_idx, cfg.batch_size, cfg.seed, epoch,
@@ -477,8 +475,7 @@ def train_final(graph: Graph, scores: AttentionPattern, cfg: TrainConfig,
     test_m = float("nan")
     if test_idx.size:
         test_probs, _ = predict_by_law(net, x, law, degs, test_idx, seed=cfg.seed,
-                                       n_samples=cfg.eval_samples,
-                                       batch_size=cfg.batch_size, loss_name=loss_name)
+                                       n_samples=cfg.eval_samples, loss_name=loss_name)
         test_m = metric_value(loss_name, cfg.metric, test_probs, labels[test_idx])
     if best_val == -np.inf and val_idx.size:
         best_val = metric_value(loss_name, cfg.metric, evaluate(val_idx, 1),
@@ -541,18 +538,16 @@ def final_law(cfg: TrainConfig, scores: AttentionPattern) -> tuple:
     return sampling_law(eff_scores, mode, k_prime, cfg.tail_eps), degs
 
 
-def _eval_sampled(net, x, law, degs, nodes, seed, epoch, tag, batch_size,
-                  loss_name) -> np.ndarray:
+def _eval_sampled(net, x, law, degs, nodes, seed, epoch, tag, loss_name) -> np.ndarray:
     """Eval-mode probabilities for ``nodes`` under one sampled pattern.
 
     One plan is drawn over the distinct nodes, sorted, on stream ``tag``
-    at epoch key ``epoch`` with batch_index 0, and one forward computes
-    it layer by layer, so each reached row is drawn once and computed
+    at epoch key ``epoch`` with batch_index 0, and one forward runs each
+    layer of it whole, so each reached row is drawn once and computed
     once per layer; repeated nodes share their row.  A row's draw is
     keyed by (seed, tag, epoch, layer, node) alone, so it is the one a
-    separate plan per chunk would draw.  ``batch_size`` caps each layer
-    slice at ``batch_size * prod(1 + deg)`` query rows, the most input
-    rows a chunk of that many nodes can reach.
+    separate plan per chunk would draw, and chunked evaluation agrees
+    with this one to round-off.
     """
     if not nodes.size:
         return _probs_from_logits(loss_name, np.empty((0, net.cfg.out_dim)))
@@ -560,8 +555,7 @@ def _eval_sampled(net, x, law, degs, nodes, seed, epoch, tag, batch_size,
     plan = sample_batch(distinct, law, degs, seed, epoch, batch_index=0, tag=tag)
     with nm.no_grad():
         logits, _ = net.forward(x[plan.input_nodes], plan_geometries(plan), tau=1.0,
-                                training=False,
-                                max_rows=batch_size * math.prod(1 + d for d in degs))
+                                training=False)
     return _probs_from_logits(loss_name, logits.data[at])
 
 
@@ -574,39 +568,34 @@ def predict(net: Network, features: np.ndarray, scores: AttentionPattern, degs,
     ``scores`` must pass ``validate_scores``; ``mode``, ``k_prime`` and
     ``tail_eps`` name the law drawn by (see ``sampling_law``), built once
     per call and shared by all ``n_samples`` draws.  The rest is
-    ``predict_by_law``.
+    ``predict_by_law``.  ``batch_size`` is accepted for older callers and
+    ignored: an evaluation runs each layer whole.
     """
     validate_scores(scores)
     return predict_by_law(net, features, sampling_law(scores, mode, k_prime, tail_eps),
                           degs, nodes, seed=seed, n_samples=n_samples,
-                          batch_size=batch_size, loss_name=loss_name)
+                          loss_name=loss_name)
 
 
 def predict_by_law(net: Network, features: np.ndarray, law: SamplingLaw, degs, nodes,
-                   seed: int = 0, n_samples: int = 1, batch_size: int = 256,
-                   loss_name: str = "ce"):
+                   seed: int = 0, n_samples: int = 1, loss_name: str = "ce"):
     """Average class probabilities over patterns freshly drawn by ``law``.
 
     Sample ``s`` uses epoch key ``s`` on the prediction stream, so the
     averaged patterns are disjoint draws yet the whole call is
     reproducible.  Each sample draws every node's rows once, over the
-    whole node set, and computes each reached row once per layer;
-    ``batch_size`` (positive) bounds only the query rows of one layer
-    slice, at ``batch_size * prod(1 + deg)``, and does not change the
-    draw.  A node outside [0, n) is an IndexError.
+    whole node set, and one forward computes each reached row once per
+    layer.  A node outside [0, n) is an IndexError.
     Returns (probabilities, predicted labels); empty ``nodes`` give empty
     arrays of the same layout.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
     if n_samples < 1:
         raise ContractError("n_samples must be positive")
-    if batch_size < 1:
-        raise ContractError(f"batch_size must be positive, got {batch_size}")
     x = np.asarray(features, dtype=net.cfg.dtype)
     if x.shape[0] != law.n:
         raise ShapeError(f"{x.shape[0]} feature rows for scores on {law.n} nodes")
-    probs = sum(_eval_sampled(net, x, law, degs, nodes, seed, s, TAG_PREDICT,
-                              batch_size, loss_name)
+    probs = sum(_eval_sampled(net, x, law, degs, nodes, seed, s, TAG_PREDICT, loss_name)
                 for s in range(1, n_samples + 1)) / n_samples
     return probs, predicted_labels(loss_name, probs)
 

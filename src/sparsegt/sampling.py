@@ -131,6 +131,10 @@ def load_scores_npz(path) -> AttentionPattern:
     z = load_npz(path, "score set")
     if "n" not in z:
         raise FormatError(f"{path}: score set has no n")
+    n = z["n"]
+    if n.ndim != 0 or n.dtype.kind not in "iu" or n < 0:
+        raise FormatError(f"{path}: score set n must be one nonnegative integer, "
+                          f"got {n.dtype} {np.array2string(n, threshold=5)}")
     layers, li = [], 0
     while f"row_ptr_{li}" in z:
         missing = [k for k in ("col_idx", "edge_type", "values") if f"{k}_{li}" not in z]
@@ -139,7 +143,7 @@ def load_scores_npz(path) -> AttentionPattern:
         layers.append(PatternLayer(row_ptr=z[f"row_ptr_{li}"], col_idx=z[f"col_idx_{li}"],
                                    edge_type=z[f"edge_type_{li}"], values=z[f"values_{li}"]))
         li += 1
-    return AttentionPattern(n=int(z["n"]), layers=tuple(layers))
+    return AttentionPattern(n=int(n), layers=tuple(layers))
 
 
 # ---------------------------------------------------------------------------

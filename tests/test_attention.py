@@ -316,31 +316,11 @@ def _plan_geometries(key, sizes=(30, 20, 9), deg=4):
 
 
 class TestSlicedForward:
-    @pytest.mark.parametrize("norm", ["layer", "batch"])
-    def test_slices_match_the_whole_layer(self, norm):
-        net = Network(ModelConfig(in_dim=3, width=4, layers=2, out_dim=2,
-                                  norm=norm, dtype=np.float64), seed=6)
-        rng = derive(87, 0)
-        for lp in net.layers:          # eval batch norm reads these
-            for buf in (lp.n1_mean, lp.n2_mean):
-                buf[:] = rng.normal(size=buf.size)
-            for buf in (lp.n1_var, lp.n2_var):
-                buf[:] = rng.uniform(0.5, 2.0, size=buf.size)
-        geoms = _plan_geometries(0)
-        feats = rng.normal(size=(30, 3))
-        with nm.no_grad():
-            whole, whole_scores = net.forward(feats, geoms, tau=0.7)
-            for m in (1, 3, 7):
-                part, part_scores = net.forward(feats, geoms, tau=0.7, max_rows=m)
-                # BLAS blocks a slice's rows apart from the whole layer's
-                np.testing.assert_allclose(part.data, whole.data, rtol=1e-15, atol=1e-15)
-                for a, b in zip(part_scores, whole_scores):
-                    np.testing.assert_allclose(a, b, rtol=0, atol=1e-15)
-
-    @pytest.mark.parametrize("max_rows", [None, 3])
-    def test_a_float32_network_evaluates_in_float32(self, max_rows, monkeypatch):
+    @pytest.mark.parametrize("last_rows", [None, 3])
+    def test_a_float32_network_evaluates_in_float32(self, last_rows, monkeypatch):
         # batch norm's running buffers are float64; eval reads them in the
-        # network's dtype, so no op promotes and no weight is cast per call
+        # network's dtype, so no op promotes and no weight is cast per call,
+        # whether the plan's last layer keeps nine rows or three
         net = Network(ModelConfig(in_dim=3, width=4, layers=2, out_dim=2,
                                   norm="batch", dtype=np.float32), seed=6)
         rng = derive(88, 0)
@@ -356,22 +336,10 @@ class TestSlicedForward:
             return matmul(a, b)
         monkeypatch.setattr(nm, "matmul", recording)
         with nm.no_grad():
-            logits, _ = net.forward(rng.normal(size=(30, 3)), _plan_geometries(0),
-                                    tau=0.7, max_rows=max_rows)
+            sizes = (30, 20, 9 if last_rows is None else last_rows)
+            logits, _ = net.forward(rng.normal(size=(30, 3)), _plan_geometries(0, sizes),
+                                    tau=0.7)
+        assert logits.shape[0] == sizes[-1]
         assert logits.data.dtype == np.float32
         assert len(operands) > 0 and set(operands) == {np.dtype(np.float32)}
         assert all(b.dtype == np.float64 for _, b in net.named_buffers())
-
-    def test_slicing_is_for_evaluation_only(self):
-        net = Network(ModelConfig(in_dim=3, width=4, layers=2, out_dim=2,
-                                  norm="batch", dtype=np.float64), seed=6)
-        geoms = _plan_geometries(1)
-        feats = np.zeros((30, 3))
-        with nm.no_grad():
-            for m in (0, -2):
-                with pytest.raises(ContractError, match="max_rows must be positive"):
-                    net.forward(feats, geoms, max_rows=m)
-            with pytest.raises(ContractError, match="evaluation"):
-                net.forward(feats, geoms, training=True, max_rows=3)
-        with pytest.raises(ContractError, match="evaluation"):
-            net.forward(feats, geoms, max_rows=3)

@@ -223,8 +223,7 @@ class TestWorkflow:
         assert metrics["sampling_law"] == run.law.summary()
         assert run.law.summary()[0]["rows_truncated"] > 0
         probs, _ = predict(run.network, g.features, load_scores_npz(sharp), run.cfg.degs,
-                           np.arange(g.n), seed=5, n_samples=2,
-                           batch_size=run.cfg.batch_size, k_prime=4,
+                           np.arange(g.n), seed=5, n_samples=2, k_prime=4,
                            tail_eps=run.cfg.tail_eps, loss_name=run.loss_name)
         with open(pred + "/predictions.csv") as fh:
             written = [line.split(",")[2] for line in fh.read().splitlines()[1:]]
@@ -440,7 +439,11 @@ class TestExitCodes:
           for kind, contents, message in (
               ("empty", b"", "not a readable score set"),
               ("text", b"node,score\n", "not a readable score set"),
-              ("no-n", {"row_ptr_0": [0, 1]}, "score set has no n"))),
+              ("no-n", {"row_ptr_0": [0, 1]}, "score set has no n"),
+              # n must be one nonnegative integer: not cast, not half read
+              *((f"n-{name}", {"n": n}, "score set n must be one nonnegative integer")
+                for name, n in (("vector", [8, 8]), ("text", "8"), ("float", 1.5),
+                                ("negative", -1), ("bool", True))))),
     ])
     def test_an_unreadable_input_exits_2_with_a_manifest(self, ws, tmp_path, capsys,
                                                          command, broken, contents, message):
@@ -606,6 +609,28 @@ class TestAnalyze:
         np.savez(tmp_path / "short.npz", **arrays)
         with pytest.raises(FormatError, match="layer 2 has no values$"):
             load_scores_npz(tmp_path / "short.npz")
+
+    @pytest.mark.parametrize("name,at,edit,message", [
+        pytest.param("row_ptr_0", -1, lambda v: v + 1, "layer 1: col_idx has shape",
+                     id="row-ptr-past-the-values"),
+        pytest.param("values_0", 0, lambda v: v + 6, "layer 1: row 0 sums to",
+                     id="row-sums-to-7"),
+        pytest.param("values_1", 0, lambda v: -0.5, "layer 2: negative score",
+                     id="negative-score"),
+    ])
+    def test_profile_validates_the_scores(self, ws, tmp_path, capsys, name, at, edit,
+                                          message):
+        with np.load(ws["scores"]) as z:
+            arrays = dict(z)
+        arrays[name][at] = edit(arrays[name][at])
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **arrays)
+        out = tmp_path / "an"
+        assert main(["analyze", "--kind", "profile", "--scores", str(bad),
+                     "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        m = json.loads((out / "manifest.json").read_text())
+        assert m["exit_code"] == 2 and message in m["error"]
 
     def test_profile_needs_scores(self, tmp_path):
         assert main(["analyze", "--kind", "profile",

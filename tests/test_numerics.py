@@ -55,12 +55,6 @@ class TestElementwiseOps:
         _check_grads(lambda: nm.mean_all(mul(nm.reshape(a, (3, 2)),
                                                 nm.reshape(a, (3, 2)))), [a])
 
-    def test_operator_sugar(self):
-        a = _p([[1.0, 2.0]])
-        b = _p([[3.0, 4.0]])
-        out = a + b @ _p([[1.0, 0.0], [0.0, 2.0]])
-        assert np.allclose(out.data, [[4.0, 10.0]])
-
 
 class TestMatmulOps:
     def test_matmul(self):

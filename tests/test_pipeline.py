@@ -595,7 +595,7 @@ class TestPredict:
         g, _ = _toy()
         res = _toy_final(dtype)
         args = (res.network, g.features, _toy_scores(), (3, 3), np.arange(g.n))
-        kw = dict(seed=4, n_samples=2, batch_size=5, loss_name=res.loss_name)
+        kw = dict(seed=4, n_samples=2, loss_name=res.loss_name)
         probs, _ = predict(*args, **kw)
         monkeypatch.setattr(nm, "batch_norm", promoting)
         promoted, _ = predict(*args, **kw)
@@ -605,35 +605,33 @@ class TestPredict:
         g, _ = _toy()
         res = _toy_final()
         kw = dict(seed=4, loss_name=res.loss_name)
-        for batch_size in (1, 2, 3, 64):
-            probs, _ = predict(res.network, g.features, _toy_scores(), (3, 3),
-                               [3, 5, 3], batch_size=batch_size, **kw)
-            once, _ = predict(res.network, g.features, _toy_scores(), (3, 3),
-                              [3, 5], batch_size=batch_size, **kw)
-            np.testing.assert_array_equal(probs, once[[0, 1, 0]])
+        probs, _ = predict(res.network, g.features, _toy_scores(), (3, 3), [3, 5, 3], **kw)
+        once, _ = predict(res.network, g.features, _toy_scores(), (3, 3), [3, 5], **kw)
+        np.testing.assert_array_equal(probs, once[[0, 1, 0]])
 
     @pytest.mark.parametrize("batch_size", [1, 5])
     def test_each_reached_row_is_computed_once_per_layer(self, batch_size, monkeypatch):
         g, _ = _toy()
         res = _toy_final()
         net, scores = res.network, _toy_scores()
-        queries, largest = [0] * len(net.layers), [0]
+        calls = [[] for _ in net.layers]      # each call's query count, by layer
         sublayer = attention.attention_sublayer
 
         def counting(h, geom, lp, *args, **kwargs):
-            queries[net.layers.index(lp)] += geom.num_queries
-            largest[0] = max(largest[0], geom.num_queries)
+            calls[net.layers.index(lp)].append(geom.num_queries)
             return sublayer(h, geom, lp, *args, **kwargs)
 
         monkeypatch.setattr(attention, "attention_sublayer", counting)
         nodes = np.concatenate((derive(5, 2).permutation(g.n)[:12], [7, 7]))
-        predict(net, g.features, scores, (3, 3), nodes, seed=4, batch_size=batch_size,
-                loss_name=res.loss_name)
-        plan = sample_batch(np.unique(nodes), sampling_law(scores), (3, 3), seed=4, epoch=1,
-                            tag=TAG_PREDICT)
-        assert queries == [pl.q_nodes.size for pl in plan.layers]
-        assert queries[0] > queries[1] == np.unique(nodes).size
-        assert largest[0] <= batch_size * 4 * 4       # batch_size * prod(1 + deg)
+        # the legacy entry's batch_size is ignored: no chunks, no slices
+        predict(net, g.features, scores, (3, 3), nodes, seed=4, n_samples=2,
+                batch_size=batch_size, loss_name=res.loss_name)
+        plans = [sample_batch(np.unique(nodes), sampling_law(scores), (3, 3), seed=4,
+                              epoch=s, tag=TAG_PREDICT) for s in (1, 2)]
+        # one whole-layer call per sample and layer, over the plan's queries
+        assert calls == [[p.layers[i].q_nodes.size for p in plans]
+                         for i in range(len(net.layers))]
+        assert calls[0][0] > calls[1][0] == np.unique(nodes).size
 
     @pytest.mark.parametrize("nodes,mode", [([0, -3], "top"), ([-1], "sample"),
                                             ([32], "sample")])
@@ -670,14 +668,6 @@ class TestPredict:
             predict(res.network, g.features, scores, (40, 40), [seed_node],
                     loss_name=res.loss_name)
 
-    @pytest.mark.parametrize("batch_size", [0, -5])
-    def test_batch_size_must_be_positive(self, batch_size):
-        g, _ = _toy()
-        res = _toy_final()
-        with pytest.raises(ContractError, match="batch_size must be positive"):
-            predict(res.network, g.features, _toy_scores(), (3, 3), np.arange(10),
-                    batch_size=batch_size, loss_name=res.loss_name)
-
     def test_chunking_invariance(self):
         g, _ = _toy()
         scores = _toy_scores()
@@ -685,14 +675,12 @@ class TestPredict:
                                                  batch_size=16, degs=(3, 3),
                                                  seed=1))
         nodes = np.arange(g.n)
-        p_small, l_small = predict(res.network, g.features, scores, (3, 3),
-                                   nodes, seed=9, batch_size=5,
-                                   loss_name=res.loss_name)
-        p_big, l_big = predict(res.network, g.features, scores, (3, 3),
-                               nodes, seed=9, batch_size=64,
+        p_small = predict_per_chunk(res.network, g.features, scores, (3, 3), nodes,
+                                    seed=9, batch_size=5, loss_name=res.loss_name)
+        p_big, l_big = predict(res.network, g.features, scores, (3, 3), nodes, seed=9,
                                loss_name=res.loss_name)
         assert np.abs(p_small - p_big).max() < 1e-6
-        np.testing.assert_array_equal(l_small, l_big)
+        np.testing.assert_array_equal(predicted_labels(res.loss_name, p_small), l_big)
 
     def test_sample_averaging_is_reproducible(self):
         g, _ = _toy()
@@ -821,7 +809,7 @@ class TestOneLawPerRun:
         count.clear()  # a cold _toy_final cache trains here, building its own law
         for calls in (1, 2):
             predict(res.network, g.features, _toy_scores(), (3, 3), np.arange(g.n),
-                    n_samples=n_samples, batch_size=5, loss_name=res.loss_name)
+                    n_samples=n_samples, loss_name=res.loss_name)
             assert len(count) == calls
 
 
@@ -906,7 +894,7 @@ class TestFinalRunDirs:
         law, degs = pipeline.final_law(cfg, _toy_scores())
         assert (run.cfg, run.loss_name, run.degs) == (cfg, res.loss_name, degs)
         assert run.law.summary() == law.summary()
-        kw = dict(seed=3, n_samples=2, batch_size=cfg.batch_size, loss_name=res.loss_name)
+        kw = dict(seed=3, n_samples=2, loss_name=res.loss_name)
         got, _ = predict_by_law(run.network, g.features, run.law, run.degs,
                                 np.arange(g.n), **kw)
         want, _ = predict_by_law(res.network, g.features, law, degs, np.arange(g.n), **kw)
