@@ -25,7 +25,6 @@ from enum import IntEnum
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import rngutil
 from .errors import (ContractError, ConvergenceError, ExpanderGapError, FormatError,
@@ -66,7 +65,8 @@ class Graph:
     def row(self, i: int) -> np.ndarray:
         return self.col_idx[self.row_ptr[i]:self.row_ptr[i + 1]]
 
-    def adjacency(self) -> sp.csr_matrix:
+    def adjacency(self) -> "scipy.sparse.csr_matrix":
+        import scipy.sparse as sp
         data = np.ones(self.col_idx.shape[0], dtype=np.float64)
         return sp.csr_matrix((data, self.col_idx, self.row_ptr), shape=(self.n, self.n))
 
@@ -223,8 +223,8 @@ class ExpanderGraph:
     def degree(self) -> int:
         return 2 * len(self.cycles)
 
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Deduplicated symmetric edge arrays of the collapsed simple graph."""
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row pointers and sorted, deduplicated columns of the collapsed simple graph."""
         srcs, dsts = [], []
         for cyc in self.cycles:
             cyc = np.asarray(cyc, dtype=np.int64)
@@ -233,11 +233,16 @@ class ExpanderGraph:
             dsts.append(nxt)
         src = np.concatenate(srcs)
         dst = np.concatenate(dsts)
-        row_ptr, col_idx = edges_to_csr(self.n, src, dst, symmetrize=True)
+        return edges_to_csr(self.n, src, dst, symmetrize=True)
+
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Deduplicated symmetric edge arrays of the collapsed simple graph."""
+        row_ptr, col_idx = self.csr()
         rs = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(row_ptr))
         return rs, col_idx
 
-    def adjacency(self) -> sp.csr_matrix:
+    def adjacency(self) -> "scipy.sparse.csr_matrix":
+        import scipy.sparse as sp
         src, dst = self.edge_arrays()
         data = np.ones(src.shape[0], dtype=np.float64)
         return sp.csr_matrix((data, (src, dst)), shape=(self.n, self.n))
@@ -303,37 +308,34 @@ _GAP_CHECK_EVERY = 50
 _GAP_MAX_STEPS = 1000
 
 
-def spectral_gap(adj) -> float:
-    """Two-sided spectral gap 1 - max(lambda_2, |lambda_n|) of D^-1/2 A D^-1/2.
+def spectral_gap(row_ptr, col_idx, weights) -> float:
+    """Two-sided spectral gap 1 - max(lambda_2, |lambda_n|) of D^-1/2 A D^-1/2,
+    for the symmetric adjacency A held as CSR arrays: row pointers, columns
+    and one weight per entry.
 
     One exact solver at every size: a three-term Lanczos recurrence, in
     numpy and without reorthogonalisation, on the normalized adjacency with
-    its top eigenpair (eigenvalue 1, eigenvector sqrt(deg)) deflated.  Its
-    largest-magnitude Ritz value is max(lambda_2, |lambda_n|); converged
-    Ritz values stay accurate in finite precision (Paige 1980).  The start
-    vector is fixed, so the gap is a pure function of the graph.  A beta
-    that vanishes (n=2, K4, C6) means the Krylov space is exhausted and its
-    Ritz values are eigenvalues: the solve stops there.  Disconnected or
-    bipartite graphs read ~0, possibly -1e-16.  Fewer than 2 nodes, an
-    isolated node, a non-finite weight or an asymmetric ``adj`` is a
-    ContractError; no convergence within ``_GAP_MAX_STEPS`` steps is a
-    ConvergenceError.
+    its top eigenpair (eigenvalue 1, eigenvector sqrt(deg)) deflated; each
+    product runs scipy's compiled ``csr_matvec``, the kernel of
+    ``csr_matrix @ vector``.  Its largest-magnitude Ritz value is
+    max(lambda_2, |lambda_n|); converged Ritz values stay accurate in
+    finite precision (Paige 1980).  The start vector is fixed, so the gap
+    is a pure function of the graph.  A beta that vanishes (n=2, K4, C6)
+    means the Krylov space is exhausted and its Ritz values are
+    eigenvalues: the solve stops there.  Disconnected or bipartite graphs
+    read ~0, possibly -1e-16.
+
+    Each row's columns must be sorted and distinct (``edges_to_csr``
+    output): symmetry is checked entry by entry against the transpose, so
+    a row out of order or an entry repeated is a ContractError.  So are
+    fewer than 2 nodes, an isolated node, a non-finite weight and an
+    asymmetric A; arrays that are no CSR matrix are a ShapeError, and no
+    convergence within ``_GAP_MAX_STEPS`` steps is a ConvergenceError.
     """
-    adj = sp.csr_matrix(adj, dtype=np.float64)
-    n = adj.shape[0]
+    n = len(row_ptr) - 1
     if n < 2:
         raise ContractError("spectral gap needs at least 2 nodes")
-    if not np.isfinite(adj.data).all():
-        raise ContractError("spectral gap needs finite edge weights")
-    if (adj != adj.T).nnz:
-        raise ContractError("spectral gap needs a symmetric adjacency")
-    deg = np.asarray(adj.sum(axis=1)).ravel()
-    if np.any(deg <= 0):
-        raise ContractError("normalized adjacency undefined for isolated nodes")
-    dinv = sp.diags(1.0 / np.sqrt(deg))
-    norm = sp.csr_matrix(dinv @ adj @ dinv)
-    v1 = np.sqrt(deg)
-    v1 /= np.linalg.norm(v1)
+    v1, matvec = _normalized(row_ptr, col_idx, weights)
     q = rngutil.derive(0, 0xDE).standard_normal(n)
     q -= v1 * (v1 @ q)
     q /= np.linalg.norm(q)
@@ -341,7 +343,7 @@ def spectral_gap(adj) -> float:
     alphas, betas = [], []
     beta = amax = 0.0
     for step in range(1, _GAP_MAX_STEPS + 1):
-        w = norm @ q
+        w = matvec(q)
         w -= v1 * (v1 @ q)
         w -= beta * prev
         alpha = float(q @ w)
@@ -361,6 +363,51 @@ def spectral_gap(adj) -> float:
     raise ConvergenceError(
         f"spectral gap: no Ritz value converged in {_GAP_MAX_STEPS} Lanczos steps "
         f"(n={n})")
+
+
+def _normalized(row_ptr, col_idx, weights):
+    """(unit sqrt(deg), x -> D^-1/2 A D^-1/2 x) of the CSR adjacency A, once it
+    passes the checks ``spectral_gap`` promises.  The product adds each row's
+    terms in storage order, as scipy's ``csr_matrix(dinv @ adj @ dinv) @ x``
+    does, and each weight is rounded as that matrix rounds it."""
+    from .numerics import _sparsetools      # numerics imports this module
+    row_ptr = np.asarray(row_ptr, dtype=np.int64)
+    col_idx = np.asarray(col_idx, dtype=np.int64)
+    weights = np.asarray(weights, dtype=np.float64)
+    n, nnz = row_ptr.shape[0] - 1, col_idx.shape[0]
+    if (row_ptr.ndim != 1 or col_idx.ndim != 1 or weights.shape != col_idx.shape
+            or row_ptr[0] != 0 or row_ptr[-1] != nnz or np.any(np.diff(row_ptr) < 0)):
+        raise ShapeError(f"spectral gap needs CSR arrays, got {row_ptr.shape} row pointers "
+                         f"from {row_ptr[0]} to {row_ptr[-1]}, {col_idx.shape} columns and "
+                         f"{weights.shape} weights")
+    if not np.isfinite(weights).all():
+        raise ContractError("spectral gap needs finite edge weights")
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(row_ptr))
+    # a stable sort by column lists the transpose's entries in row-major
+    # order; A equals it entry for entry only if A is symmetric and every
+    # row's columns ascend, and then equal neighbours are repeated entries
+    order = np.argsort(col_idx, kind="stable")
+    if not (np.array_equal(col_idx[order], rows) and np.array_equal(rows[order], col_idx)
+            and np.array_equal(weights[order], weights)):
+        raise ContractError("spectral gap needs a symmetric adjacency with each row's "
+                            "columns sorted")
+    if np.any((col_idx[1:] == col_idx[:-1]) & (rows[1:] == rows[:-1])):
+        raise ContractError("spectral gap needs distinct columns in each row")
+    deg = np.bincount(rows, weights=weights, minlength=n)
+    if np.any(deg <= 0):
+        raise ContractError("normalized adjacency undefined for isolated nodes")
+    dinv = 1.0 / np.sqrt(deg)
+    norm = (dinv[rows] * weights) * dinv[col_idx]
+    kernel = _sparsetools.csr_matvec
+
+    def matvec(x):
+        y = np.zeros(n)
+        kernel(n, n, row_ptr, col_idx, norm, x, y)
+        return y
+
+    v1 = np.sqrt(deg)
+    v1 /= np.linalg.norm(v1)
+    return v1, matvec
 
 
 def _extreme_ritz(alphas, betas) -> tuple[float, float]:
@@ -391,8 +438,8 @@ def build_expander(n: int, num_cycles: int, min_gap: float = 0.05,
     for attempt in range(max_retries):
         rng = rngutil.derive(seed, rngutil.TAG_EXPANDER, attempt)
         cycles = tuple(rng.permutation(n).astype(np.int64) for _ in range(num_cycles))
-        cand = ExpanderGraph(n=n, seed=seed, cycles=cycles, gap=0.0)
-        gap = spectral_gap(cand.adjacency())
+        row_ptr, col_idx = ExpanderGraph(n=n, seed=seed, cycles=cycles, gap=0.0).csr()
+        gap = spectral_gap(row_ptr, col_idx, np.ones(col_idx.shape[0]))
         if gap >= min_gap:
             return ExpanderGraph(n=n, seed=seed, cycles=cycles, gap=float(gap))
         best = max(best, gap)

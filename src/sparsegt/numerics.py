@@ -30,15 +30,44 @@ arena, and checkpoints as npz archives.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 import zipfile
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.sparse import _sparsetools
 
 from .errors import ContractError, DivergenceError, FormatError, ShapeError
 from .graphs import atomic_path
+
+_SPARSETOOLS = "scipy.sparse._sparsetools"
+
+
+def _load_sparsetools(search_path=None):
+    """scipy's compiled sparse kernels, the extension module scipy.sparse._sparsetools,
+    loaded by itself from a directory in ``search_path`` (scipy's ``sparse`` directory
+    by default).
+
+    Neither ``scipy/__init__`` nor ``scipy/sparse/__init__`` runs: the latter builds a
+    vendored array-API namespace that imports numpy.f2py, and took longer than all the
+    rest of ``import sparsegt`` past numpy.  A missing extension is an ImportError
+    naming it."""
+    if search_path is None:
+        scipy = importlib.util.find_spec("scipy")
+        search_path = ([os.path.join(d, "sparse") for d in scipy.submodule_search_locations]
+                       if scipy else [])
+    spec = importlib.machinery.PathFinder.find_spec(_SPARSETOOLS, search_path)
+    if spec is None:
+        raise ImportError(f"no compiled {_SPARSETOOLS} extension in {search_path}",
+                          name=_SPARSETOOLS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_sparsetools = _load_sparsetools()
 
 _GRAD_ENABLED = True
 

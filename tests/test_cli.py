@@ -693,12 +693,15 @@ class TestDeterminismAndEntryPoint:
         assert out.returncode == 0, out.stderr
         assert "wrote 32 nodes" in out.stdout
 
-    def test_import_loads_neither_scipy_spatial_nor_stats(self, tmp_path):
+    def test_cli_pipeline_loads_no_scipy_package_and_no_f2py(self, tmp_path):
         # a fresh process pays for every module it loads: the whole CLI
         # pipeline -- gen, augment (which certifies an expander), an AUC
-        # estimator, a final run and predict -- runs on numpy and
-        # scipy.sparse alone; scipy.spatial loads in the analysis functions
-        # that need it
+        # estimator, a final run and predict -- runs on numpy and scipy's
+        # compiled sparse kernels, loaded without any scipy package's init
+        # (scipy.sparse's pulls in numpy.f2py); packages are matched by
+        # exact name, since the kernel module itself registers as
+        # scipy.sparse._sparsetools; scipy.spatial loads in the analysis
+        # functions that need it
         d = str(tmp_path)
         steps = [["gen", "--out", d + "/data"] + GEN,
                  ["augment", "--data", d + "/data", "--out", d + "/aug",
@@ -714,8 +717,10 @@ class TestDeterminismAndEntryPoint:
         code = ("import json, sys, sparsegt, sparsegt.cli\n"
                 "SOLVERS = ('scipy.linalg', 'scipy.sparse.linalg',\n"
                 "           'scipy.sparse.csgraph', 'scipy.stats', 'scipy.spatial')\n"
+                "PACKAGES = ('scipy', 'scipy.sparse', 'numpy.f2py')\n"
                 "def late():\n"
-                "    return sorted(m for m in sys.modules if m.startswith(SOLVERS))\n"
+                "    return sorted(m for m in sys.modules\n"
+                "                  if m.startswith(SOLVERS) or m in PACKAGES)\n"
                 "assert not late(), late()\n"
                 "for step in json.loads(sys.argv[1]):\n"
                 "    assert sparsegt.cli.main(step) == 0, step\n"

@@ -130,17 +130,25 @@ class TestGraphIO:
             load_graph(e, f, l, 4, split_path=tmp_path / "split.csv")
 
 
+def _csr(adj):
+    """The CSR arrays ``spectral_gap`` takes, of a scipy matrix or a dense array:
+    row pointers, sorted and distinct columns, weights."""
+    m = sp.csr_matrix(adj, dtype=np.float64)
+    m.sum_duplicates()
+    return m.indptr, m.indices, m.data
+
+
 class TestSpectralGap:
     def test_complete_graph_gap(self):
         # K4 normalized adjacency has eigenvalues {1, -1/3, -1/3, -1/3}
         a = np.ones((4, 4)) - np.eye(4)
-        assert spectral_gap(sp.csr_matrix(a)) == pytest.approx(2.0 / 3.0, abs=1e-9)
+        assert spectral_gap(*_csr(a)) == pytest.approx(2.0 / 3.0, abs=1e-9)
 
     def test_even_cycle_is_bipartite(self):
         # C6: lambda_n = -1, so the two-sided gap vanishes
         pairs = [(i, (i + 1) % 6) for i in range(6)]
         g = _graph_from_edges(6, pairs)
-        assert spectral_gap(g.adjacency()) == pytest.approx(0.0, abs=1e-9)
+        assert spectral_gap(*_csr(g.adjacency())) == pytest.approx(0.0, abs=1e-9)
 
     @staticmethod
     def _dense_gap(adj):
@@ -159,19 +167,19 @@ class TestSpectralGap:
         np.fill_diagonal(a, 0)
         a[a.sum(axis=1) == 0, 0] = 1.0          # avoid isolated nodes
         a = sp.csr_matrix(np.maximum(a, a.T))
-        assert spectral_gap(a) == pytest.approx(self._dense_gap(a), abs=1e-10)
+        assert spectral_gap(*_csr(a)) == pytest.approx(self._dense_gap(a), abs=1e-10)
         x = build_expander(2049, 3, seed=0)
         assert x.gap == pytest.approx(self._dense_gap(x.adjacency()), abs=1e-10)
 
     def test_gap_is_a_pure_function_of_the_graph(self):
-        adj = build_expander(300, 3, seed=4).adjacency()
-        assert spectral_gap(adj) == spectral_gap(adj)
+        adj = _csr(build_expander(300, 3, seed=4).adjacency())
+        assert spectral_gap(*adj) == spectral_gap(*adj)
 
     def test_asymmetric_adjacency_is_refused(self):
         a = np.ones((4, 4)) - np.eye(4)
         a[0, 1] = 0.0
         with pytest.raises(ContractError, match="symmetric"):
-            spectral_gap(sp.csr_matrix(a))
+            spectral_gap(*_csr(a))
 
     @pytest.mark.parametrize("seed", [11, 29])
     def test_gap_matches_arpack_on_benchmark_expanders(self, seed):
@@ -184,30 +192,30 @@ class TestSpectralGap:
         # the deflation
         a = build_expander(150, 3, seed=1).adjacency()
         b = build_expander(120, 3, seed=2).adjacency()
-        assert spectral_gap(sp.block_diag([a, b])) == pytest.approx(0.0, abs=1e-9)
+        assert spectral_gap(*_csr(sp.block_diag([a, b]))) == pytest.approx(0.0, abs=1e-9)
         k4 = sp.csr_matrix(np.ones((4, 4)) - np.eye(4))
-        assert spectral_gap(sp.block_diag([k4, k4])) == pytest.approx(0.0, abs=1e-9)
+        assert spectral_gap(*_csr(sp.block_diag([k4, k4]))) == pytest.approx(0.0, abs=1e-9)
 
     def test_two_nodes(self):
         # K2: eigenvalues 1 and -1; beta is zero after the first step
         a = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert spectral_gap(a) == pytest.approx(0.0, abs=1e-12)
+        assert spectral_gap(*_csr(a)) == pytest.approx(0.0, abs=1e-12)
         with pytest.raises(ContractError, match="at least 2"):
-            spectral_gap(sp.csr_matrix((1, 1)))
+            spectral_gap(*_csr(sp.csr_matrix((1, 1))))
 
     def test_non_finite_weights_are_refused(self):
         a = np.ones((3, 3)) - np.eye(3)
         a[0, 1] = a[1, 0] = np.inf
         with pytest.raises(ContractError, match="finite"):
-            spectral_gap(sp.csr_matrix(a))
+            spectral_gap(*_csr(a))
 
     def test_a_residual_that_never_passes_raises(self, monkeypatch):
         # with a zero tolerance only an exact zero residual would pass
-        adj = build_expander(300, 3, seed=4).adjacency()
+        adj = _csr(build_expander(300, 3, seed=4).adjacency())
         monkeypatch.setattr(graphs_mod, "_GAP_TOL", 0.0)
         monkeypatch.setattr(graphs_mod, "_GAP_MAX_STEPS", 120)
         with pytest.raises(ConvergenceError, match="120 Lanczos steps"):
-            spectral_gap(adj)
+            spectral_gap(*adj)
 
     def test_gap_matches_independent_eig(self):
         x = build_expander(30, 2, min_gap=0.01, seed=5)
@@ -217,6 +225,48 @@ class TestSpectralGap:
         vals = scipy.linalg.eigh(norm, eigvals_only=True)
         expected = 1.0 - max(vals[-2], abs(vals[0]))
         assert x.gap == pytest.approx(expected, abs=1e-8)
+
+    def test_an_isolated_node_is_refused(self):
+        # a triangle and a fourth node with no edge: its degree is 0
+        g = _graph_from_edges(4, [(0, 1), (1, 2), (2, 0)])
+        with pytest.raises(ContractError, match="isolated"):
+            spectral_gap(g.row_ptr, g.col_idx, np.ones(g.num_edges))
+
+    def test_unsorted_or_repeated_columns_are_refused(self):
+        # the gap takes canonical rows only: an unsorted row fails the
+        # entry-by-entry symmetry check, and a repeated entry, which scipy
+        # would add into its sum, is refused by name
+        ptr, idx, w = _csr(np.ones((4, 4)) - np.eye(4))
+        unsorted = idx.copy()
+        unsorted[:3] = unsorted[2::-1]                      # row 0 reads 3, 2, 1
+        with pytest.raises(ContractError, match="sorted"):
+            spectral_gap(ptr, unsorted, w)
+        # the path 0-1-2 with its edge 0-1 stored twice, in both directions:
+        # symmetric entry for entry, but no simple graph
+        ptr = np.array([0, 2, 5, 6])
+        idx = np.array([1, 1, 0, 0, 2, 1])
+        with pytest.raises(ContractError, match="distinct"):
+            spectral_gap(ptr, idx, np.ones(6))
+
+    def test_arrays_that_are_no_csr_matrix_are_refused(self):
+        ptr, idx, w = _csr(np.ones((4, 4)) - np.eye(4))
+        with pytest.raises(ShapeError, match="CSR"):
+            spectral_gap(ptr, idx, w[:-1])
+        with pytest.raises(ShapeError, match="CSR"):
+            spectral_gap(ptr + 1, idx, w)
+
+    @pytest.mark.parametrize("n,seed", [(192, 11), (192, 29), (4000, 11), (4000, 29)])
+    def test_normalized_product_is_scipys_bit_for_bit(self, n, seed):
+        # the benchmark expanders' Lanczos products, against the matrix the
+        # gap was certified on before it ran on CSR arrays
+        x = build_expander(n, 3, seed=seed)
+        ptr, idx = x.csr()
+        _, matvec = graphs_mod._normalized(ptr, idx, np.ones(idx.shape[0]))
+        adj = x.adjacency()
+        dinv = sp.diags(1.0 / np.sqrt(np.asarray(adj.sum(axis=1)).ravel()))
+        v = rngutil.derive(seed, 7).standard_normal(n)
+        got, want = matvec(v), sp.csr_matrix(dinv @ adj @ dinv) @ v
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def _arpack_gap(adj):

@@ -5,6 +5,9 @@ in float64; the handful of closed-form oracles (softmax values, the
 optimizer recursion, auc) are frozen from independent hand computation.
 """
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -140,6 +143,19 @@ class TestScatter:
             nm.gather_rows(_p(np.ones((3, 2))), np.zeros((1, 1), dtype=np.int64))
         with pytest.raises(ShapeError, match="1-d or 2-d tensor"):
             nm.gather_rows(_p(np.ones((3, 2, 2))), np.array([0]))
+
+    def test_the_kernels_are_the_file_scipy_sparse_loads(self):
+        # the oracle below pins scipy's product only if numerics calls the
+        # extension scipy.sparse itself runs; a fresh process asks scipy
+        code = f"import scipy.sparse, sys; print(sys.modules[{nm._SPARSETOOLS!r}].__file__)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        assert nm._sparsetools.__file__ == out.stdout.strip()
+        assert nm._sparsetools.__name__ == nm._SPARSETOOLS
+
+    def test_a_missing_kernel_extension_is_an_import_error_naming_it(self, tmp_path):
+        with pytest.raises(ImportError, match=r"scipy\.sparse\._sparsetools"):
+            nm._load_sparsetools([str(tmp_path)])
 
     @pytest.mark.parametrize("fmt", ["csr", "csc"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
