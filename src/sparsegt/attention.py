@@ -122,6 +122,10 @@ def pattern_geometry(layer: PatternLayer) -> LayerGeometry:
 
 
 class LayerParams:
+    """One attention block's parameters, then its float64 batch-norm running
+    buffers, listed by ``Network`` in the order assigned here.  ``vscale``
+    exists only with ``cfg.normalize_values``: the forward reads them all."""
+
     def __init__(self, cfg: ModelConfig, rng):
         d, dff, dt = cfg.width, 2 * cfg.width, cfg.dtype
         self.wq = nm.param(_glorot(rng, d, d), dt)
@@ -134,7 +138,8 @@ class LayerParams:
         self.b1 = nm.param(np.zeros(dff), dt)
         self.w2 = nm.param(_glorot(rng, dff, d), dt)
         self.b2 = nm.param(np.zeros(d), dt)
-        self.vscale = nm.param(np.ones(1), dt)
+        if cfg.normalize_values:
+            self.vscale = nm.param(np.ones(1), dt)
         self.n1_gamma = nm.param(np.ones(d), dt)
         self.n1_beta = nm.param(np.zeros(d), dt)
         self.n2_gamma = nm.param(np.ones(d), dt)
@@ -190,21 +195,22 @@ class Network:
     # -- parameter bookkeeping ------------------------------------------------
 
     def named_parameters(self):
-        out = [("w_in", self.w_in), ("b_in", self.b_in)]
-        for i, lp in enumerate(self.layers):
-            for pn in ("wq", "wk", "wv", "we", "wb", "edge_emb", "w1", "b1", "w2",
-                       "b2", "vscale", "n1_gamma", "n1_beta", "n2_gamma", "n2_beta"):
-                out.append((f"layer{i}.{pn}", getattr(lp, pn)))
-        out.append(("w_out", self.w_out))
-        out.append(("b_out", self.b_out))
-        return out
+        """(name, Tensor) of every parameter, read from the attributes in the
+        order ``__init__`` assigns them, a block's as ``layer{i}.<name>``; the
+        optimizer's arena lays them out in this order."""
+        return [(name, v) for name, v in self._members() if isinstance(v, nm.Tensor)]
 
     def named_buffers(self):
-        out = []
-        for i, lp in enumerate(self.layers):
-            for bn in ("n1_mean", "n1_var", "n2_mean", "n2_var"):
-                out.append((f"layer{i}.{bn}", getattr(lp, bn)))
-        return out
+        """(name, array) of the blocks' batch-norm running buffers, likewise."""
+        return [(name, v) for name, v in self._members() if isinstance(v, np.ndarray)]
+
+    def _members(self):
+        for name, value in vars(self).items():
+            if name == "layers":
+                for i, lp in enumerate(value):
+                    yield from ((f"layer{i}.{n}", v) for n, v in vars(lp).items())
+            else:
+                yield name, value
 
     def state_dict(self) -> dict:
         state = {name: p.data.copy() for name, p in self.named_parameters()}

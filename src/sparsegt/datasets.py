@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError, FormatError
-from .graphs import (Graph, TRAIN, VAL, TEST, atomic_path, edges_to_csr, load_graph,
-                     save_split, write_json)
+from .graphs import (Graph, TRAIN, VAL, TEST, atomic_path, edges_to_csr, has_json_type,
+                     load_graph, save_split, write_json)
 from .rngutil import TAG_DATA, derive
 
 GENERATORS = ("bridge", "sbm_homophily", "sbm_heterophily")
@@ -88,19 +88,13 @@ class SyntheticSpec:
         return cls(**d)
 
 
-def _has_type(value, kind) -> bool:
-    """``value`` is a ``kind``, and no bool; an int passes for a float."""
-    return (not isinstance(value, bool)
-            and isinstance(value, (int, float) if kind is float else kind))
-
-
 def _spec_type_ok(name: str, value, kind) -> bool:
     if name == "split":
-        return isinstance(value, list) and all(_has_type(v, float) for v in value)
+        return isinstance(value, list) and all(has_json_type(v, float) for v in value)
     if name == "colors":
         return value is None or (isinstance(value, list)
-                                 and all(_has_type(v, int) for v in value))
-    return _has_type(value, kind)
+                                 and all(has_json_type(v, int) for v in value))
+    return has_json_type(value, kind)
 
 
 def _bridge_pairs(num_components: int, num_bridges: int, colors: np.ndarray):
@@ -180,7 +174,7 @@ def gen_bridge_task(spec: SyntheticSpec) -> Graph:
         src.append(int(hubs[ca]))
         dst.append(int(hubs[cb]))
 
-    row_ptr, col_idx = edges_to_csr(n, np.asarray(src), np.asarray(dst), symmetrize=True)
+    row_ptr, col_idx = edges_to_csr(n, np.asarray(src), np.asarray(dst))
 
     # Each component is a connected hub star and no component is in two
     # pairs, so the merged components are the pairs and the unpaired
@@ -210,7 +204,7 @@ def gen_sbm(spec: SyntheticSpec) -> Graph:
     draw = rng.random((n, n))
     upper = np.triu(draw < p, k=1)
     src, dst = np.nonzero(upper)
-    row_ptr, col_idx = edges_to_csr(n, src, dst, symmetrize=True)
+    row_ptr, col_idx = edges_to_csr(n, src, dst)
     means = rng.normal(0.0, 1.0, size=(k, spec.feature_dim))
     features = means[block] + rng.normal(0.0, spec.noise, size=(n, spec.feature_dim))
     labels = block.astype(np.int64)

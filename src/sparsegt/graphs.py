@@ -89,20 +89,16 @@ def sorted_union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return both[np.concatenate(([True], both[1:] != both[:-1]))]
 
 
-def edges_to_csr(n: int, src: np.ndarray, dst: np.ndarray, symmetrize: bool = True):
-    """Sorted, deduplicated CSR from an edge list.
-
-    Symmetrization mirrors every edge, which is the right reading for the
-    undirected inputs this package consumes.
-    """
+def edges_to_csr(n: int, src: np.ndarray, dst: np.ndarray):
+    """Sorted, deduplicated, symmetric CSR from an undirected edge list: every
+    edge is mirrored."""
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
     if src.shape != dst.shape:
         raise ShapeError("src and dst lengths differ")
     if src.size and (src.min() < 0 or dst.min() < 0 or src.max() >= n or dst.max() >= n):
         raise ContractError("edge endpoint out of range")
-    if symmetrize:
-        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+    src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
     if src.size:
         key = src * np.int64(n) + dst
         key = np.unique(key)
@@ -145,7 +141,7 @@ def _parse_edge_tsv(path, n: int, columns=("src", "dst")) -> np.ndarray:
 
 
 def load_graph(edge_list_path, features_path, labels_path, n: int,
-               split_path=None, symmetrize: bool = True) -> Graph:
+               split_path=None) -> Graph:
     """Read a graph from its on-disk parts.
 
     Node ids outside [0, n) raise FormatError naming the line, and a
@@ -154,7 +150,7 @@ def load_graph(edge_list_path, features_path, labels_path, n: int,
     file every node is marked TRAIN.
     """
     src, dst = _parse_edge_tsv(edge_list_path, n)
-    row_ptr, col_idx = edges_to_csr(n, src, dst, symmetrize=symmetrize)
+    row_ptr, col_idx = edges_to_csr(n, src, dst)
 
     features = _load_table(features_path, np.float64, ndmin=2)
     if features.shape[0] != n:
@@ -233,7 +229,7 @@ class ExpanderGraph:
             dsts.append(nxt)
         src = np.concatenate(srcs)
         dst = np.concatenate(dsts)
-        return edges_to_csr(self.n, src, dst, symmetrize=True)
+        return edges_to_csr(self.n, src, dst)
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Deduplicated symmetric edge arrays of the collapsed simple graph."""
@@ -287,6 +283,14 @@ def write_json(path, obj) -> None:
     text = json.dumps(_finite(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
     with atomic_path(path) as tmp:
         tmp.write_text(text)
+
+
+def has_json_type(value, kind) -> bool:
+    """``value``, read from JSON, fits a field whose default is a ``kind``:
+    a bool only a bool field, an int an int field but no bool does, an int
+    or a float a float field, and an instance of ``kind`` any other."""
+    return (isinstance(value, bool) == (kind is bool)
+            and isinstance(value, (int, float) if kind is float else kind))
 
 
 def save_expander(path, x: ExpanderGraph) -> None:

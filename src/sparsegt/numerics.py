@@ -34,6 +34,7 @@ import importlib.machinery
 import importlib.util
 import math
 import os
+import sys
 import zipfile
 from contextlib import contextmanager
 
@@ -52,8 +53,10 @@ def _load_sparsetools(search_path=None):
 
     Neither ``scipy/__init__`` nor ``scipy/sparse/__init__`` runs: the latter builds a
     vendored array-API namespace that imports numpy.f2py, and took longer than all the
-    rest of ``import sparsegt`` past numpy.  A missing extension is an ImportError
-    naming it."""
+    rest of ``import sparsegt`` past numpy.  Creating the module registers it in
+    ``sys.modules``; the entry is dropped again unless it was there before, or a later
+    ``import scipy.sparse`` would find it there and never bind it as the package's
+    ``_sparsetools``.  A missing extension is an ImportError naming it."""
     if search_path is None:
         scipy = importlib.util.find_spec("scipy")
         search_path = ([os.path.join(d, "sparse") for d in scipy.submodule_search_locations]
@@ -62,8 +65,11 @@ def _load_sparsetools(search_path=None):
     if spec is None:
         raise ImportError(f"no compiled {_SPARSETOOLS} extension in {search_path}",
                           name=_SPARSETOOLS)
+    registered = _SPARSETOOLS in sys.modules
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    if not registered:
+        sys.modules.pop(_SPARSETOOLS, None)
     return module
 
 
@@ -691,12 +697,12 @@ class AdamW:
     list order, into one contiguous buffer and makes each ``p.data`` a
     view of its slice, so the list must share one dtype.  The moments
     ``m`` and ``v`` are flat arrays over the same offsets.  A step copies
-    the gradients into a flat buffer and updates each contiguous run of
-    parameters that have a gradient with whole-run ufuncs; a parameter
-    without one keeps its value and moments.  One finiteness check over
-    the gradients comes first, so a DivergenceError, which names the
-    first parameter with a non-finite gradient, leaves every value, both
-    moments and ``step_count`` as they were.
+    the gradients into a flat buffer and updates the whole arena with one
+    set of ufuncs.  Every parameter must have a gradient: a missing one is
+    a ContractError naming it, and one finiteness check over the gradients
+    follows, so a DivergenceError names the first parameter with a
+    non-finite gradient.  Either leaves every value, both moments and
+    ``step_count`` as they were.
     """
 
     def __init__(self, named_params, schedule: CosineSchedule,
@@ -718,53 +724,35 @@ class AdamW:
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
         self._grad = np.zeros_like(self.flat)
-        self._runs = {}     # which parameters have a gradient -> [(lo, hi, their tensors)]
 
     def zero_grad(self) -> None:
         for _, p in self.named_params:
             p.grad = None
 
-    def _runs_for(self, has_grad: tuple) -> list:
-        runs = self._runs.get(has_grad)
-        if runs is None:
-            runs = []
-            for (_, p), has, lo, hi in zip(self.named_params, has_grad,
-                                           self.offsets, self.offsets[1:]):
-                if has and runs and runs[-1][1] == lo:
-                    runs[-1][1] = hi
-                    runs[-1][2].append(p)
-                elif has:
-                    runs.append([lo, hi, [p]])
-            self._runs[has_grad] = runs
-        return runs
-
     def step(self, epoch: int) -> float:
         """One update at the scheduled rate for ``epoch``; returns the lr used."""
-        runs = self._runs_for(tuple(p.grad is not None for _, p in self.named_params))
-        grad = self._grad
-        for lo, hi, ps in runs:
-            np.concatenate([p.grad for p in ps], axis=None, out=grad[lo:hi])
-        # slots of parameters without a gradient hold finite values from earlier
-        # steps: zeros (a failed check refills them) or gradients that passed it
-        if not np.isfinite(grad).all():
-            bad = int(np.flatnonzero(~np.isfinite(grad))[0])
-            grad.fill(0)
+        for name, p in self.named_params:
+            if p.grad is None:
+                raise ContractError(f"no gradient for {name!r}: every parameter needs one")
+        g = self._grad
+        np.concatenate([p.grad for _, p in self.named_params], axis=None, out=g)
+        if not np.isfinite(g).all():
+            bad = int(np.flatnonzero(~np.isfinite(g))[0])
             name = self.named_params[int(np.searchsorted(self.offsets, bad, side="right")) - 1][0]
             raise DivergenceError(f"non-finite gradient in {name!r}")
         lr = self.schedule.lr_at(epoch)
         self.step_count += 1
         t = self.step_count
         b1, b2 = self.beta1, self.beta2
-        for lo, hi, _ in runs:
-            g, m, v, w = grad[lo:hi], self.m[lo:hi], self.v[lo:hi], self.flat[lo:hi]
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            mhat = m / (1 - b1 ** t)
-            vhat = v / (1 - b2 ** t)
-            w -= (lr * (mhat / (np.sqrt(vhat) + self.eps)
-                        + self.weight_decay * w)).astype(w.dtype)
+        m, v, w = self.m, self.v, self.flat
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        mhat = m / (1 - b1 ** t)
+        vhat = v / (1 - b2 ** t)
+        w -= (lr * (mhat / (np.sqrt(vhat) + self.eps)
+                    + self.weight_decay * w)).astype(w.dtype)
         return lr
 
 

@@ -42,7 +42,8 @@ from . import numerics as nm
 from .attention import (ModelConfig, Network, TemperatureSchedule,
                         pattern_geometry, temperature_at)
 from .errors import ContractError, DivergenceError, FormatError, ShapeError
-from .graphs import TEST, TRAIN, VAL, AttentionPattern, Graph, atomic_path, write_json
+from .graphs import (TEST, TRAIN, VAL, AttentionPattern, Graph, atomic_path, has_json_type,
+                     write_json)
 from .rngutil import TAG_DROPOUT, TAG_PREDICT, TAG_VAL, derive
 from .sampling import (SampleStats, SamplingLaw, load_scores_npz, plan_geometries,
                        resample_epoch, sample_batch, sampling_law, save_scores_npz,
@@ -121,10 +122,9 @@ def config_to_dict(cfg: TrainConfig) -> dict:
 def config_from_dict(d: dict) -> TrainConfig:
     """The config ``config_to_dict`` wrote; FormatError naming a bad field.
 
-    Each field must have its default's type: a bool field takes a bool, an
-    int field an int but not a bool, a float field an int or a float, a str
-    field a str, and ``degs`` a list of integers and strings (``final_law``
-    judges their values).
+    Each field must have its default's type (``graphs.has_json_type``), and
+    ``degs`` be a list of integers and strings (``final_law`` judges their
+    values).
     """
     unknown = sorted(set(d) - {f.name for f in fields(TrainConfig)})
     if unknown:
@@ -138,8 +138,7 @@ def config_from_dict(d: dict) -> TrainConfig:
         if f.name == "degs" or f.name not in d:
             continue
         value, kind = d[f.name], type(f.default)
-        if (isinstance(value, bool) != (kind is bool)
-                or not isinstance(value, (int, float) if kind is float else kind)):
+        if not has_json_type(value, kind):
             raise FormatError(f"config field {f.name!r} must be {kind.__name__}, "
                               f"got {value!r}")
     return TrainConfig(**{**d, "degs": tuple(degs)})

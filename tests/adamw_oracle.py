@@ -16,8 +16,8 @@ def adamw_loop_step(opt, epoch: int) -> float:
     """One update of ``opt`` at the scheduled rate for ``epoch``, parameter by
     parameter; returns the lr used.  Each parameter's moments are its slice
     of ``opt.m`` and ``opt.v``, which lay the parameters end to end in list
-    order.  A non-finite gradient raises after the parameters before it have
-    been updated."""
+    order.  Every parameter must have a gradient; a non-finite one raises
+    after the parameters before it have been updated."""
     lr = opt.schedule.lr_at(epoch)
     opt.step_count += 1
     t = opt.step_count
@@ -25,8 +25,6 @@ def adamw_loop_step(opt, epoch: int) -> float:
     hi = 0
     for name, p in opt.named_params:
         lo, hi = hi, hi + p.data.size
-        if p.grad is None:
-            continue
         g = p.grad
         if not np.isfinite(g).all():
             raise DivergenceError(f"non-finite gradient in {name!r}")

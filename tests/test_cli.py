@@ -699,9 +699,8 @@ class TestDeterminismAndEntryPoint:
         # estimator, a final run and predict -- runs on numpy and scipy's
         # compiled sparse kernels, loaded without any scipy package's init
         # (scipy.sparse's pulls in numpy.f2py); packages are matched by
-        # exact name, since the kernel module itself registers as
-        # scipy.sparse._sparsetools; scipy.spatial loads in the analysis
-        # functions that need it
+        # exact name; scipy.spatial loads in the analysis functions that
+        # need it
         d = str(tmp_path)
         steps = [["gen", "--out", d + "/data"] + GEN,
                  ["augment", "--data", d + "/data", "--out", d + "/aug",

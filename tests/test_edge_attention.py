@@ -90,8 +90,7 @@ def _run(mcfg, geoms, feats, labels, tau):
     logits, scores = net.forward(feats, geoms, tau=tau, training=True,
                                  dropout_rng=derive(5, 6))
     nm.backward(nm.softmax_cross_entropy(logits, labels))
-    grads = {name: None if p.grad is None else p.grad.copy()
-             for name, p in net.named_parameters()}
+    grads = {name: p.grad.copy() for name, p in net.named_parameters()}
     return logits.data, scores, grads
 
 
@@ -111,12 +110,9 @@ class TestAgainstComposedPath:
             for a, b in zip(fused[1], composed[1]):
                 assert _rel(a, b, 0.0) <= ORACLE_TOL
             assert fused[2].keys() == composed[2].keys()
-            scale = max(np.abs(g).max() for g in composed[2].values() if g is not None)
+            scale = max(np.abs(g).max() for g in composed[2].values())
             for name, g in fused[2].items():
-                want = composed[2][name]
-                assert (g is None) == (want is None), name
-                if g is not None:
-                    assert _rel(g, want, scale) <= ORACLE_TOL, name
+                assert _rel(g, composed[2][name], scale) <= ORACLE_TOL, name
 
     def test_clip_saturates_in_the_cases(self):
         # the clipped cases above really do clip: some, not all, first-layer

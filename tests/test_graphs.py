@@ -45,11 +45,6 @@ class TestCsr:
         assert row_ptr.tolist() == [0, 2, 3, 4]
         assert col_idx.tolist() == [1, 2, 0, 0]
 
-    def test_asymmetric_mode_keeps_direction(self):
-        row_ptr, col_idx = edges_to_csr(3, [0], [2], symmetrize=False)
-        assert row_ptr.tolist() == [0, 1, 1, 1]
-        assert col_idx.tolist() == [2]
-
     def test_out_of_range_rejected(self):
         with pytest.raises(ContractError):
             edges_to_csr(3, [0], [3])

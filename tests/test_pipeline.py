@@ -453,8 +453,6 @@ class TestOneNodeBatches:
 
 @pytest.mark.parametrize("phase", ["estimator", "final-max"])
 def test_the_arena_trains_like_the_loop_oracle(phase, monkeypatch):
-    # the estimator updates every parameter in one run; the final network has
-    # no value scale gradient, so each step runs as one run per layer plus one
     g, pattern = _toy()
 
     def train():
@@ -475,6 +473,30 @@ def test_the_arena_trains_like_the_loop_oracle(phase, monkeypatch):
     for name in state:
         assert state[name].dtype == ref_state[name].dtype
         np.testing.assert_array_equal(state[name], ref_state[name])
+
+
+@pytest.mark.parametrize("phase,ablation", [
+    ("estimator", "none"), ("estimator", "no-temp"), ("estimator", "no-vnorm"),
+    ("final", "none"), ("final", "uniform"), ("final", "max")])
+def test_every_parameter_receives_a_gradient(phase, ablation, monkeypatch):
+    # the networks hold only parameters their forward reads, so each step
+    # meets a gradient for every one, under each ablation
+    g, pattern = _toy()
+    steps, step = [], AdamW.step
+
+    def recording(opt, epoch):
+        steps.append([name for name, p in opt.named_params if p.grad is None])
+        return step(opt, epoch)
+
+    monkeypatch.setattr(AdamW, "step", recording)
+    cfg = TrainConfig(width=4, layers=2, epochs=1, batch_size=16, degs=(4, 4), seed=0,
+                      dropout=0.1, ablation=ablation)
+    if phase == "estimator":
+        res = train_estimator(g, pattern, cfg)
+    else:
+        res = train_final(g, _toy_scores(), cfg)
+    assert steps and all(missing == [] for missing in steps), steps
+    assert [name for name, p in res.network.named_parameters() if p.grad is None] == []
 
 
 def test_node_counts_must_match():
@@ -912,6 +934,31 @@ class TestFinalRunDirs:
                         run_dir=tmp_path / "est")
         with pytest.raises(ContractError, match="estimator run, not a final one"):
             load_final_run(tmp_path / "est", g)
+
+    def test_a_checkpoint_with_value_scales_still_predicts(self, tmp_path):
+        # earlier versions gave every block a value scale, raw-value final
+        # networks too, and wrote it to the checkpoint: such a run loads and
+        # predicts as before; a checkpoint missing a parameter is refused
+        g, _ = _toy()
+        cfg = TrainConfig(width=8, layers=2, epochs=2, batch_size=16, degs=(3, 3), seed=0)
+        res = train_final(g, _toy_scores(), cfg, run_dir=tmp_path)
+        ckpt = tmp_path / "ckpt" / "final.ckpt"
+        state = load_checkpoint(ckpt)
+        assert not any(name.endswith(".vscale") for name in state)
+        old = {**state, "layer0.vscale": np.ones(1, np.float32),
+               "layer1.vscale": np.ones(1, np.float32)}
+        save_checkpoint(ckpt, old)
+        run = load_final_run(tmp_path, g)
+        kw = dict(seed=3, n_samples=2, loss_name=res.loss_name)
+        got, _ = predict_by_law(run.network, g.features, run.law, run.degs,
+                                np.arange(g.n), **kw)
+        want, _ = predict_by_law(res.network, g.features, run.law, run.degs,
+                                 np.arange(g.n), **kw)
+        np.testing.assert_array_equal(got, want)
+        for name, _ in res.network.named_parameters():
+            save_checkpoint(ckpt, {k: v for k, v in old.items() if k != name})
+            with pytest.raises(ShapeError, match=f"checkpoint missing parameter '{name}'"):
+                load_final_run(tmp_path, g)
 
     def test_the_features_hash_reads_shape_and_dtype_bytes(self):
         x = np.arange(6.0).reshape(2, 3)
