@@ -123,8 +123,9 @@ def pattern_geometry(layer: PatternLayer) -> LayerGeometry:
 
 class LayerParams:
     """One attention block's parameters, then its float64 batch-norm running
-    buffers, listed by ``Network`` in the order assigned here.  ``vscale``
-    exists only with ``cfg.normalize_values``: the forward reads them all."""
+    buffers, listed by ``Network`` in the order assigned here.  ``b2`` exists
+    only under layer norm (batch norm's mean subtraction cancels it) and
+    ``vscale`` only with ``cfg.normalize_values``: the forward reads them all."""
 
     def __init__(self, cfg: ModelConfig, rng):
         d, dff, dt = cfg.width, 2 * cfg.width, cfg.dtype
@@ -137,7 +138,8 @@ class LayerParams:
         self.w1 = nm.param(_glorot(rng, d, dff), dt)
         self.b1 = nm.param(np.zeros(dff), dt)
         self.w2 = nm.param(_glorot(rng, dff, d), dt)
-        self.b2 = nm.param(np.zeros(d), dt)
+        if cfg.norm == "layer":
+            self.b2 = nm.param(np.zeros(d), dt)
         if cfg.normalize_values:
             self.vscale = nm.param(np.ones(1), dt)
         self.n1_gamma = nm.param(np.ones(d), dt)
@@ -177,6 +179,14 @@ def attention_sublayer(h: nm.Tensor, geom: LayerGeometry, lp: LayerParams,
     if training and cfg.dropout > 0:
         out = nm.dropout(out, cfg.dropout, dropout_rng)
     return nm.add(xq, out), sc.astype(np.float64)
+
+
+def _checked(state: dict, name: str, like: np.ndarray) -> np.ndarray:
+    """``state[name]`` in ``like``'s dtype; ShapeError unless in its shape."""
+    arr = np.asarray(state[name], dtype=like.dtype)
+    if arr.shape != like.shape:
+        raise ShapeError(f"{name}: checkpoint shape {arr.shape} != {like.shape}")
+    return arr
 
 
 class Network:
@@ -221,13 +231,15 @@ class Network:
         for name, p in self.named_parameters():
             if name not in state:
                 raise ShapeError(f"checkpoint missing parameter {name!r}")
-            arr = np.asarray(state[name], dtype=p.data.dtype)
-            if arr.shape != p.data.shape:
-                raise ShapeError(f"{name}: checkpoint shape {arr.shape} != {p.data.shape}")
-            p.data[...] = arr      # in place: the data may be a view of an optimizer's arena
+            p.data[...] = _checked(state, name, p.data)   # may view an optimizer's arena
         for name, b in self.named_buffers():
             if name in state:
                 b[...] = np.asarray(state[name], dtype=b.dtype)
+        # earlier versions gave batch-norm blocks a bias b2, which the second
+        # running mean absorbed: folded back in, the network predicts alike
+        for i, lp in enumerate(self.layers):
+            if not hasattr(lp, "b2") and f"layer{i}.b2" in state:
+                lp.n2_mean -= _checked(state, f"layer{i}.b2", lp.n2_mean)
 
     # -- forward --------------------------------------------------------------
 
@@ -248,8 +260,10 @@ class Network:
         h1 = nm.relu(nm.add(nm.matmul(a, lp.w1), lp.b1))
         if training and cfg.dropout > 0:
             h1 = nm.dropout(h1, cfg.dropout, rng)
-        f = nm.add(a, nm.add(nm.matmul(h1, lp.w2), lp.b2))
-        return self._norm(f, lp, 2, training, geom.stats_rows), scores
+        f = nm.matmul(h1, lp.w2)
+        if cfg.norm == "layer":
+            f = nm.add(f, lp.b2)
+        return self._norm(nm.add(a, f), lp, 2, training, geom.stats_rows), scores
 
     def forward(self, x_rows: np.ndarray, geoms, tau: float = 1.0,
                 training: bool = False, dropout_rng=None):

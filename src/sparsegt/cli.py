@@ -287,32 +287,35 @@ def _cmd_analyze(args, manifest) -> int:
 
 
 def _add_train_args(p, final: bool) -> None:
-    p.add_argument("--width", type=int, default=4 if not final else 64)
-    p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--lr", type=float, default=0.01)
+    d = TrainConfig()     # every default is the config's, but the final width
+    p.add_argument("--width", type=int, default=64 if final else d.width,
+                   help=f"default 64 for train-final, {d.width} for train-estimator: "
+                   "phase two trains the wide network")
+    p.add_argument("--layers", type=int, default=d.layers)
+    p.add_argument("--epochs", type=int, default=d.epochs)
+    p.add_argument("--lr", type=float, default=d.lr)
     p.add_argument("--weight-decay", dest="weight_decay", type=float,
-                   default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--loss", default="auto", choices=LOSSES)
-    p.add_argument("--metric", default="accuracy", choices=METRICS)
-    p.add_argument("--warmup", type=int, default=0)
-    p.add_argument("--dtype", default="float32", choices=tuple(DTYPES))
+                   default=d.weight_decay)
+    p.add_argument("--seed", type=int, default=d.seed)
+    p.add_argument("--loss", default=d.loss, choices=LOSSES)
+    p.add_argument("--metric", default=d.metric, choices=METRICS)
+    p.add_argument("--warmup", type=int, default=d.warmup)
+    p.add_argument("--dtype", default=d.dtype, choices=tuple(DTYPES))
     if final:
         p.add_argument("--degs", help="comma-separated per-layer budgets: a "
                        "positive sample degree, or 'full' for the layer's longest "
                        "row (every row whole)")
-        p.add_argument("--batch-size", dest="batch_size", type=int, default=64)
-        p.add_argument("--dropout", type=float, default=0.0)
+        p.add_argument("--batch-size", dest="batch_size", type=int, default=d.batch_size)
+        p.add_argument("--dropout", type=float, default=d.dropout)
         p.add_argument("--eval-samples", dest="eval_samples", type=int,
-                       default=1)
-        p.add_argument("--ablation", default="none", choices=FINAL_ABLATIONS)
+                       default=d.eval_samples)
+        p.add_argument("--ablation", default=d.ablation, choices=FINAL_ABLATIONS)
         p.add_argument("--no-prefilter", dest="prefilter",
                        action="store_false")
     else:
-        p.add_argument("--lam", type=int, default=5)
-        p.add_argument("--gamma", type=float, default=0.99)
-        p.add_argument("--ablation", default="none", choices=ESTIMATOR_ABLATIONS)
+        p.add_argument("--lam", type=int, default=d.lam)
+        p.add_argument("--gamma", type=float, default=d.gamma)
+        p.add_argument("--ablation", default=d.ablation, choices=ESTIMATOR_ABLATIONS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -378,6 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_predict)
 
+    d = TrainConfig()
     p = sub.add_parser("analyze", help="measurement harnesses")
     p.add_argument("--kind", required=True,
                    choices=("profile", "spectral", "projection", "noisy",
@@ -389,15 +393,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topk", type=int, default=4)
     p.add_argument("--n", type=int, default=48)
     p.add_argument("--alpha", type=float, default=2.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=d.seed)
     p.add_argument("--widths", default="2,4")
     p.add_argument("--ref-width", dest="ref_width", type=int, default=8)
     p.add_argument("--runs", type=int, default=4)
     p.add_argument("--max-cells", dest="max_cells", type=int, default=200)
-    p.add_argument("--width", type=int, default=4)
-    p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--lr", type=float, default=0.01)
+    p.add_argument("--width", type=int, default=d.width)
+    p.add_argument("--layers", type=int, default=d.layers)
+    p.add_argument("--epochs", type=int, default=30,
+                   help=f"default 30, where train-estimator's is {d.epochs}: a "
+                   "consistency study trains many estimators")
+    p.add_argument("--lr", type=float, default=d.lr)
     p.set_defaults(func=_cmd_analyze)
 
     for sp in sub.choices.values():

@@ -62,14 +62,6 @@ class Graph:
         """Directed edge count (each undirected edge stored twice)."""
         return int(self.col_idx.shape[0])
 
-    def row(self, i: int) -> np.ndarray:
-        return self.col_idx[self.row_ptr[i]:self.row_ptr[i + 1]]
-
-    def adjacency(self) -> "scipy.sparse.csr_matrix":
-        import scipy.sparse as sp
-        data = np.ones(self.col_idx.shape[0], dtype=np.float64)
-        return sp.csr_matrix((data, self.col_idx, self.row_ptr), shape=(self.n, self.n))
-
     def split_idx(self, which: int) -> np.ndarray:
         return np.flatnonzero(self.split == which)
 
@@ -236,12 +228,6 @@ class ExpanderGraph:
         row_ptr, col_idx = self.csr()
         rs = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(row_ptr))
         return rs, col_idx
-
-    def adjacency(self) -> "scipy.sparse.csr_matrix":
-        import scipy.sparse as sp
-        src, dst = self.edge_arrays()
-        data = np.ones(src.shape[0], dtype=np.float64)
-        return sp.csr_matrix((data, (src, dst)), shape=(self.n, self.n))
 
     def to_dict(self) -> dict:
         return {"n": self.n, "seed": self.seed, "gap": self.gap,
@@ -469,12 +455,6 @@ class PatternLayer:
     @property
     def nnz(self) -> int:
         return int(self.col_idx.shape[0])
-
-    def row(self, i: int) -> np.ndarray:
-        return self.col_idx[self.row_ptr[i]:self.row_ptr[i + 1]]
-
-    def row_types(self, i: int) -> np.ndarray:
-        return self.edge_type[self.row_ptr[i]:self.row_ptr[i + 1]]
 
 
 @dataclass(frozen=True)

@@ -450,16 +450,6 @@ def dropout(t, rate: float, rng: np.random.Generator) -> Tensor:
     return out
 
 
-def mean_all(t) -> Tensor:
-    t = as_tensor(t)
-    out = Tensor(np.asarray(t.data.mean(), dtype=t.data.dtype), requires_grad=_track(t))
-    if out.requires_grad:
-        def _bw():
-            t._acc(np.full_like(t.data, out.grad / t.data.size))
-        out._backward, out._parents = _bw, (t,)
-    return out
-
-
 def _divide_count(total: np.ndarray, count: int) -> np.ndarray:
     """``total / count`` in place, by the call ``np.mean`` and ``np.var`` make.
 

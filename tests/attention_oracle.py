@@ -7,7 +7,8 @@ batched matmuls, reshapes, a masked softmax and the adds, with every
 gradient coming from the ops' own backwards.  It is the slow path the
 fused op is checked against (``test_edge_attention``);
 ``composed_sublayer`` has the signature of ``attention_sublayer``, so a
-test can run a whole network through either.
+test can run a whole network through either.  ``mean_all``, the mean of
+every entry, is the scalar loss the gradient checks reduce an output to.
 """
 
 import math
@@ -29,6 +30,16 @@ def mul(a, b) -> nm.Tensor:
             if b.requires_grad:
                 b._acc(nm._unbroadcast(out.grad * a.data, b.data.shape))
         out._backward, out._parents = _bw, (a, b)
+    return out
+
+
+def mean_all(t) -> nm.Tensor:
+    t = nm.as_tensor(t)
+    out = nm.Tensor(np.asarray(t.data.mean(), dtype=t.data.dtype), requires_grad=nm._track(t))
+    if out.requires_grad:
+        def _bw():
+            t._acc(np.full_like(t.data, out.grad / t.data.size))
+        out._backward, out._parents = _bw, (t,)
     return out
 
 

@@ -91,7 +91,8 @@ def _oracle(h, pl, lp, cfg, tau):
     out = np.zeros((n, cfg.width))
     scores = np.zeros(pl.nnz)
     for i in range(n):
-        cols, typs = pl.row(i), pl.row_types(i)
+        span = slice(pl.row_ptr[i], pl.row_ptr[i + 1])
+        cols, typs = pl.col_idx[span], pl.edge_type[span]
         q = h[i] @ lp.wq.data
         logits = np.array([
             float(((h[c] @ lp.wk.data) * (emb[t] @ lp.we.data)) @ q)

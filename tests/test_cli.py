@@ -25,7 +25,9 @@ from sparsegt.cli import _train_config, build_parser, main
 from sparsegt.datasets import load_dataset
 from sparsegt.errors import FormatError
 from sparsegt.graphs import TEST
-from sparsegt.pipeline import TrainConfig, load_final_run, metric_value, predict
+from sparsegt.numerics import load_checkpoint, save_checkpoint
+from sparsegt.pipeline import (TrainConfig, load_final_run, metric_value, predict,
+                               predict_by_law)
 from sparsegt.sampling import load_scores_npz, save_scores_npz, validate_scores
 
 GEN = ["--components", "4", "--component-size", "8", "--bridges", "1",
@@ -229,6 +231,29 @@ class TestWorkflow:
             written = [line.split(",")[2] for line in fh.read().splitlines()[1:]]
         assert written == [f"{p:.6g}" for p in probs]
 
+    def test_predict_folds_the_bias_of_an_earlier_checkpoint(self, ws, tmp_path):
+        # earlier final checkpoints hold a bias b2 = c beside a running mean
+        # n2_mean + c that absorbed it: predict reads the network they encode
+        run_dir, pred = tmp_path / "fin", str(tmp_path / "pred")
+        shutil.copytree(ws["fin"], run_dir)
+        ckpt = run_dir / "ckpt" / "final.ckpt"
+        state = load_checkpoint(ckpt)
+        for i in range(2):
+            c = np.linspace(-0.5, 0.5, 8, dtype=np.float32) * (i + 1)
+            state[f"layer{i}.b2"] = c
+            state[f"layer{i}.n2_mean"] = state[f"layer{i}.n2_mean"] + c
+        save_checkpoint(ckpt, state)
+        assert main(["predict", "--data", ws["data"], "--run", str(run_dir), "--out", pred,
+                     "--nodes", "all", "--samples", "2", "--seed", "0"]) == 0
+        g, _ = load_dataset(ws["data"])
+        run = load_final_run(ws["fin"], g)
+        want, _ = predict_by_law(run.network, g.features, run.law, run.degs, np.arange(g.n),
+                                 seed=0, n_samples=2, loss_name=run.loss_name)
+        with open(pred + "/predictions.csv") as fh:
+            got = [float(line.split(",")[2]) for line in fh.read().splitlines()[1:]]
+        # the file keeps six significant digits
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
+
     def test_predict_on_an_empty_node_set(self, ws, tmp_path):
         data = tmp_path / "data"
         shutil.copytree(ws["data"], data)
@@ -241,12 +266,16 @@ class TestWorkflow:
             assert fh.read().splitlines() == ["node,pred,p0"]
 
 
+def _subparser(command):
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices[command]
+
+
 @pytest.mark.parametrize("command", ["train-estimator", "train-final", "analyze"])
 def test_every_config_flag_reaches_the_config(command):
     # each TrainConfig field the subcommand's parser defines, set away from
     # its parser default, must arrive in the config
-    sub = next(a for a in build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction)).choices[command]
+    sub = _subparser(command)
     fields = {f.name for f in dataclasses.fields(TrainConfig)}
     argv, want = [command], {}
     for action in sub._actions:
@@ -276,6 +305,24 @@ def test_every_config_flag_reaches_the_config(command):
     defaults = TrainConfig()
     assert all(getattr(defaults, name) != value for name, value in want.items()
                if name != "width")
+
+
+@pytest.mark.parametrize("command,differ", [
+    ("train-estimator", {}), ("train-final", {"width": 64}), ("analyze", {"epochs": 30})],
+    ids=["train-estimator", "train-final", "analyze"])
+def test_parser_defaults_are_the_configs(command, differ):
+    # with only its required flags a subcommand builds TrainConfig's defaults,
+    # apart from two that differ on purpose and say so in --help
+    sub = _subparser(command)
+    argv = [command]
+    for action in sub._actions:
+        if action.required:
+            argv += [action.option_strings[0], action.choices[0] if action.choices else "x"]
+    cfg = _train_config(build_parser().parse_args(argv))
+    assert cfg == replace(TrainConfig(), **differ)
+    for action in sub._actions:
+        if action.dest in differ:
+            assert f"default {differ[action.dest]}" in action.help
 
 
 class TestExitCodes:

@@ -20,7 +20,7 @@ import sparsegt.numerics as nm
 from sparsegt.errors import ContractError, DivergenceError, FormatError, ShapeError
 from sparsegt.rngutil import derive
 from adamw_oracle import adamw_loop_step
-from attention_oracle import batched_matmul, masked_softmax, mul
+from attention_oracle import batched_matmul, masked_softmax, mean_all, mul
 import norm_oracle
 from gradcheck import finite_difference, max_relative_error
 
@@ -44,20 +44,20 @@ class TestElementwiseOps:
         rng = derive(1, 100)
         a = _p(rng.normal(size=(3, 4)))
         b = _p(rng.normal(size=(4,)))
-        _check_grads(lambda: nm.mean_all(mul(nm.add(a, b), nm.add(a, b))), [a, b])
+        _check_grads(lambda: mean_all(mul(nm.add(a, b), nm.add(a, b))), [a, b])
 
     def test_mul_broadcast_scalar(self):
         a = _p([[1.0, -2.0], [0.5, 3.0]])
         s = _p([2.0])
-        _check_grads(lambda: nm.mean_all(mul(a, s)), [a, s])
+        _check_grads(lambda: mean_all(mul(a, s)), [a, s])
 
     def test_relu_away_from_kink(self):
         a = _p([[1.0, -2.0, 0.5], [-0.3, 2.0, -1.0]])
-        _check_grads(lambda: nm.mean_all(mul(nm.relu(a), nm.relu(a))), [a])
+        _check_grads(lambda: mean_all(mul(nm.relu(a), nm.relu(a))), [a])
 
     def test_reshape_roundtrip_grad(self):
         a = _p(np.arange(6, dtype=np.float64).reshape(2, 3) + 1)
-        _check_grads(lambda: nm.mean_all(mul(nm.reshape(a, (3, 2)),
+        _check_grads(lambda: mean_all(mul(nm.reshape(a, (3, 2)),
                                                 nm.reshape(a, (3, 2)))), [a])
 
 
@@ -66,7 +66,7 @@ class TestMatmulOps:
         rng = derive(1, 101)
         a = _p(rng.normal(size=(3, 4)))
         b = _p(rng.normal(size=(4, 2)))
-        _check_grads(lambda: nm.mean_all(nm.matmul(a, b)), [a, b])
+        _check_grads(lambda: mean_all(nm.matmul(a, b)), [a, b])
 
     def test_matmul_shape_errors(self):
         with pytest.raises(ShapeError, match="inner dims"):
@@ -78,7 +78,7 @@ class TestMatmulOps:
         rng = derive(1, 102)
         a = _p(rng.normal(size=(2, 3, 4)))
         b = _p(rng.normal(size=(2, 4, 2)))
-        _check_grads(lambda: nm.mean_all(nm.reshape(batched_matmul(a, b),
+        _check_grads(lambda: mean_all(nm.reshape(batched_matmul(a, b),
                                                     (2, 6))), [a, b])
 
     def test_gather_rows_with_repeats(self):
@@ -87,7 +87,7 @@ class TestMatmulOps:
             a = _p(np.arange(8, dtype=np.float64).reshape(4, 2))
             idx = np.array(idx, dtype=np.int64)
             w = np.arange(1.0, idx.size + 1)[None, :]
-            _check_grads(lambda: nm.mean_all(nm.matmul(
+            _check_grads(lambda: mean_all(nm.matmul(
                 w, mul(nm.gather_rows(a, idx), nm.gather_rows(a, idx)))), [a])
             untouched = np.setdiff1d(np.arange(4), idx)
             assert (a.grad[untouched] == 0).all(), idx
@@ -278,13 +278,13 @@ class TestMaskedSoftmax:
         mask[0, 2] = 0
         mask[2, 0] = 0
         w = rng.normal(size=(3, 5))
-        _check_grads(lambda: nm.mean_all(mul(
+        _check_grads(lambda: mean_all(mul(
             masked_softmax(logits, mask, temperature=0.7), w)), [logits])
 
     def test_clipped_entries_get_zero_grad(self):
         logits = _p([[9.5, 0.0, -12.0]])
         out = masked_softmax(logits, np.ones((1, 3)))
-        nm.backward(nm.mean_all(mul(out, np.array([[1.0, 2.0, 3.0]]))))
+        nm.backward(mean_all(mul(out, np.array([[1.0, 2.0, 3.0]]))))
         assert logits.grad[0, 0] == 0.0
         assert logits.grad[0, 2] == 0.0
         assert logits.grad[0, 1] != 0.0
@@ -318,7 +318,7 @@ class TestNormalization:
         g = _p(rng.normal(size=(6,)) + 1.0)
         b = _p(rng.normal(size=(6,)))
         w = rng.normal(size=(4, 6))
-        _check_grads(lambda: nm.mean_all(mul(nm.layer_norm(x, g, b), w)),
+        _check_grads(lambda: mean_all(mul(nm.layer_norm(x, g, b), w)),
                      [x, g, b], tol=1e-5)
 
     def test_batch_norm_training_stats_rows(self):
@@ -347,7 +347,7 @@ class TestNormalization:
         var = np.ones(4)
         rows = np.array([1, 3, 4])
         w = rng.normal(size=(5, 4))
-        _check_grads(lambda: nm.mean_all(mul(
+        _check_grads(lambda: mean_all(mul(
             nm.batch_norm(x, g, b, mean, var, training=True, stats_rows=rows),
             w)), [x, g, b], tol=1e-5)
 
@@ -397,14 +397,14 @@ class TestNormalization:
         y = nm.normalize_rows(x, s).data
         np.testing.assert_allclose(np.linalg.norm(y, axis=1), 1.5, atol=1e-8)
         w = rng.normal(size=(4, 3))
-        _check_grads(lambda: nm.mean_all(mul(nm.normalize_rows(x, s), w)),
+        _check_grads(lambda: mean_all(mul(nm.normalize_rows(x, s), w)),
                      [x, s], tol=1e-5)
 
     def test_normalize_rows_small_norm_branch(self):
         x = _p([[1e-9, 0.0]])
         s = _p([2.0])
         y = nm.normalize_rows(x, s)
-        nm.backward(nm.mean_all(y))
+        nm.backward(mean_all(y))
         assert np.isfinite(x.grad).all()
 
 
@@ -419,7 +419,7 @@ class TestNormOracle:
         b = nm.param(rng.normal(size=x.shape[1]), dtype)
         w = rng.normal(size=x.shape).astype(dtype)
         out = op(xt, g, b, **kw)
-        nm.backward(nm.mean_all(mul(out, w)))
+        nm.backward(mean_all(mul(out, w)))
         return [out.data, xt.grad, g.grad, b.grad]
 
     @staticmethod
@@ -478,7 +478,7 @@ class TestDropoutAndTape:
         kept = out.data != 0
         assert abs(kept.mean() - 0.6) < 0.05
         np.testing.assert_allclose(out.data[kept], 1.0 / 0.6)
-        nm.backward(nm.mean_all(out))
+        nm.backward(mean_all(out))
         # gradient flows only through kept entries, with the same scale
         np.testing.assert_allclose(x.grad[~kept], 0.0)
 
@@ -501,9 +501,9 @@ class TestDropoutAndTape:
 
     def test_grad_accumulates_across_backwards(self):
         x = _p([2.0])
-        nm.backward(nm.mean_all(mul(x, x)))
+        nm.backward(mean_all(mul(x, x)))
         first = x.grad.copy()
-        nm.backward(nm.mean_all(mul(x, x)))
+        nm.backward(mean_all(mul(x, x)))
         np.testing.assert_allclose(x.grad, 2 * first)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])

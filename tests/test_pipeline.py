@@ -480,23 +480,29 @@ def test_the_arena_trains_like_the_loop_oracle(phase, monkeypatch):
     ("final", "none"), ("final", "uniform"), ("final", "max")])
 def test_every_parameter_receives_a_gradient(phase, ablation, monkeypatch):
     # the networks hold only parameters their forward reads, so each step
-    # meets a gradient for every one, under each ablation
+    # meets a gradient for every one, under each ablation; in float64 none
+    # is round-off, as a bias that a batch norm cancels would be (~1e-16 of
+    # the largest): each is at least 1e-8 of the network's largest
     g, pattern = _toy()
+    scores = _toy_scores()        # its estimator trains before the recording starts
     steps, step = [], AdamW.step
 
     def recording(opt, epoch):
-        steps.append([name for name, p in opt.named_params if p.grad is None])
+        steps.append({name: None if p.grad is None else np.abs(p.grad).max()
+                      for name, p in opt.named_params})
         return step(opt, epoch)
 
     monkeypatch.setattr(AdamW, "step", recording)
     cfg = TrainConfig(width=4, layers=2, epochs=1, batch_size=16, degs=(4, 4), seed=0,
-                      dropout=0.1, ablation=ablation)
+                      dropout=0.1, ablation=ablation, dtype="float64")
     if phase == "estimator":
         res = train_estimator(g, pattern, cfg)
     else:
-        res = train_final(g, _toy_scores(), cfg)
-    assert steps and all(missing == [] for missing in steps), steps
+        res = train_final(g, scores, cfg)
+    assert steps and all(None not in s.values() for s in steps), steps
     assert [name for name, p in res.network.named_parameters() if p.grad is None] == []
+    largest = max(steps[0].values())
+    assert {name: m / largest for name, m in steps[0].items() if m < 1e-8 * largest} == {}
 
 
 def test_node_counts_must_match():
@@ -959,6 +965,33 @@ class TestFinalRunDirs:
             save_checkpoint(ckpt, {k: v for k, v in old.items() if k != name})
             with pytest.raises(ShapeError, match=f"checkpoint missing parameter '{name}'"):
                 load_final_run(tmp_path, g)
+
+    def test_a_checkpoint_with_a_feed_forward_bias_still_predicts(self, tmp_path):
+        # earlier final networks added a bias b2 right before the second batch
+        # norm, whose running mean absorbed it: b2 = c beside n2_mean + c is
+        # the network trained here, and loading folds it back
+        g, _ = _toy()
+        cfg = TrainConfig(width=8, layers=2, epochs=2, batch_size=16, degs=(3, 3), seed=0)
+        res = train_final(g, _toy_scores(), cfg, run_dir=tmp_path)
+        ckpt = tmp_path / "ckpt" / "final.ckpt"
+        state = load_checkpoint(ckpt)
+        assert not any(name.endswith(".b2") for name in state)
+        old = dict(state)
+        for i in range(2):
+            c = derive(7, i).normal(scale=0.5, size=8).astype(np.float32)
+            old[f"layer{i}.b2"] = c
+            old[f"layer{i}.n2_mean"] = state[f"layer{i}.n2_mean"] + c
+        save_checkpoint(ckpt, old)
+        run = load_final_run(tmp_path, g)
+        kw = dict(seed=3, n_samples=2, loss_name=res.loss_name)
+        got, _ = predict_by_law(run.network, g.features, run.law, run.degs,
+                                np.arange(g.n), **kw)
+        want, _ = predict_by_law(res.network, g.features, run.law, run.degs,
+                                 np.arange(g.n), **kw)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
+        save_checkpoint(ckpt, {**old, "layer0.b2": c[:3]})
+        with pytest.raises(ShapeError, match="layer0.b2: checkpoint shape"):
+            load_final_run(tmp_path, g)
 
     def test_the_features_hash_reads_shape_and_dtype_bytes(self):
         x = np.arange(6.0).reshape(2, 3)

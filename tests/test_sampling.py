@@ -247,8 +247,9 @@ def _assert_plan_invariants(plan: BatchPlan, scores: AttentionPattern, seeds, de
         assert 0 <= geom.col_idx.min() and geom.col_idx.max() < v.size
         layer = scores.layers[li]
         for qi, node in enumerate(q):
-            row_type = dict(zip(layer.row(int(node)).tolist(),
-                                layer.row_types(int(node)).tolist()))
+            span = slice(layer.row_ptr[node], layer.row_ptr[node + 1])
+            row_type = dict(zip(layer.col_idx[span].tolist(),
+                                layer.edge_type[span].tolist()))
             keys, types = _drawn(pl, qi)
             assert keys.size == min(degs[li], len(row_type))
             assert np.unique(keys).size == keys.size
